@@ -7,6 +7,7 @@ violations, byte-identical normalized reports.
 
 from __future__ import annotations
 
+import hashlib
 import time
 from math import comb
 
@@ -30,6 +31,22 @@ from zfx.graphs import (
 )
 
 NMAX = 8
+
+# sha256 of each n <= 8 report's normalized_json(); any change to a count,
+# a reason string or a record order moves these.
+GOLDEN = {
+    "verify_dh": "1dca8e2e058a6474a1dc2d839ff2d09e7e36825ce7e86daf0e18d1e4e073e48a",
+    "verify_split_roundtrip":
+        "65f684a0b45335a44d8e1bbca7fa6bbc1b0d760344a248a00e0f70eed93c87c2",
+    "verify_unique_prime":
+        "c6594ab48000aad674284c6286a4dcb793af85e85d7bf85a4a0c2a98b74339fa",
+    "audit_peel_extract":
+        "1620201266efc47bfd6644cf9b189d7c29bf769c3f31b93a37dc704a7e0f9301",
+}
+
+
+def _golden(report, name: str) -> bool:
+    return hashlib.sha256(report.normalized_json().encode()).hexdigest() == GOLDEN[name]
 
 
 def _announce(num: int, name: str, ok: bool, detail: str) -> None:
@@ -75,6 +92,7 @@ def test_criterion_2_dh_graphs_path_extremal(report_dh):
         r.clean
         and r.scanned == 12113  # connected graphs on 1..8 vertices
         and r.verified == 1893  # the distance-hereditary ones
+        and _golden(r, "verify_dh")
     )
     _announce(
         2,
@@ -154,7 +172,12 @@ def test_criterion_4_twin_fort_machinery():
 
 def test_criterion_5_split_roundtrip(report_roundtrip):
     r = report_roundtrip
-    ok = r.clean and r.scanned == 12113 and r.verified == 12113
+    ok = (
+        r.clean
+        and r.scanned == 12113
+        and r.verified == 12113
+        and _golden(r, "verify_split_roundtrip")
+    )
     _announce(
         5,
         "split-roundtrip-reduced-dh",
@@ -174,6 +197,7 @@ def test_criterion_6_bounded_prime_core(report_unique_prime):
         and p1["scanned"] == p1["verified"] == 3  # C_5, house, gem
         and p2["scanned"] == 12113
         and p2["verified"] > 0
+        and _golden(r, "verify_unique_prime")
     )
     _announce(
         6,
@@ -197,7 +221,7 @@ def test_criterion_6_includes_c5():
 
 def test_criterion_7_peel_extract():
     r = audit_peel_extract(n_max=NMAX, jobs=1)
-    ok = r.clean and r.verified > 0
+    ok = r.clean and r.verified > 0 and _golden(r, "audit_peel_extract")
     _announce(
         7,
         "appendix-peel-extract",

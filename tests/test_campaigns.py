@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+
+import pytest
 
 from zfx.campaigns import (
     audit_lemmas,
@@ -103,3 +106,24 @@ def test_shard_invariance_small():
 def test_corpus_lines_round_trip():
     for line in builtin_corpus(5):
         assert write_graph6(parse_graph6(line)) == line
+
+
+# sha256 of each campaign's normalized_json() at n_max=6 on the builtin corpus.
+GOLDEN_N6 = {
+    verify_dh: "8413881f78e481a5dca5439769c6b01b83b9d42ea4a4d8467531456c6b66e5be",
+    verify_split_roundtrip:
+        "594752928061fbe30904840b8f50ad31a2a568ba0648965eb4abdfb24d02ee4c",
+    verify_unique_prime:
+        "dcd5e4a94dcba61a17629dd3a59ec4c892ddaeed2a68b5b3a455f2e182f0a0a7",
+    audit_peel_extract:
+        "ad6ab2b6bdd7b41431426dfaedf8c04fab779ba807ef4d800be9bbe5a09e6450",
+    audit_lemmas: "004797ca420efa1814575a4239e24ca51bdbd522f90677d7de2aac017b9e4615",
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("campaign", list(GOLDEN_N6), ids=lambda f: f.__name__)
+def test_golden_reports_n6(campaign, jobs):
+    report = campaign(n_max=6, jobs=jobs)
+    digest = hashlib.sha256(report.normalized_json().encode()).hexdigest()
+    assert digest == GOLDEN_N6[campaign]

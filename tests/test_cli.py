@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 
-from zfx.cli import main
+import pytest
+
+from zfx.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -194,3 +197,23 @@ def test_jobs_do_not_change_reports(capsys, monkeypatch):
     monkeypatch.setenv("ZFX_JOBS", "2")
     code3, p3, _ = run_json(capsys, "verify-dh", "--nmax", "5")
     assert _normalize(p3) == _normalize(p1)
+
+
+OUTPUT_FLAGS = [("--json", False), ("--csv", False), ("--out", None)]
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("verify-dh", [("--nmax", None), ("--g6", None), ("--jobs", None),
+                   ("--budget-subsets", None)] + OUTPUT_FLAGS),
+    ("verify-unique-prime", [("--nmax", None), ("--m", 5), ("--g6", None),
+                             ("--jobs", None), ("--budget-subsets", None),
+                             ("--budget-splits", None)] + OUTPUT_FLAGS),
+    ("audit-lemmas", [("--nmax", None), ("--jobs", None), ("--budget-subsets", None),
+                      ("--budget-splits", None)] + OUTPUT_FLAGS),
+])
+def test_campaign_flags_and_defaults(command, flags):
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    actions = sub.choices[command]._actions
+    assert [(a.option_strings[-1], a.default)
+            for a in actions if a.dest != "help"] == flags
