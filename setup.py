@@ -1,7 +1,10 @@
 """Build script: compiles the kernel extension when a toolchain is present.
 
-The extension is optional; the package falls back to the pure-Python
-kernels at import time, so a failed compile only costs speed.
+The extension builds from the committed ``src/zfx/_kernels_cy.c``, so no
+Cython is needed at install time; regenerate that file with
+``cython -3 src/zfx/_kernels_cy.pyx`` after editing the ``.pyx``.  The
+extension is optional; the package falls back to the pure-Python kernels
+at import time, so a failed compile only costs speed.
 """
 
 import sys
@@ -24,27 +27,13 @@ class OptionalBuildExt(build_ext):
             print(f"warning: skipping {ext.name} ({exc})", file=sys.stderr)
 
 
-ext_modules = []
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        [
-            Extension(
-                "zfx._kernels_cy",
-                ["src/zfx/_kernels_cy.pyx"],
-                extra_compile_args=["-O3"],
-            )
-        ],
-        compiler_directives={
-            "language_level": 3,
-            "boundscheck": False,
-            "wraparound": False,
-            "cdivision": True,
-        },
-    )
-except ImportError as exc:
-    print(f"warning: Cython unavailable, pure-Python kernels only ({exc})",
-          file=sys.stderr)
-
-setup(ext_modules=ext_modules, cmdclass={"build_ext": OptionalBuildExt})
+setup(
+    ext_modules=[
+        Extension(
+            "zfx._kernels_cy",
+            ["src/zfx/_kernels_cy.c"],
+            extra_compile_args=["-O3"],
+        )
+    ],
+    cmdclass={"build_ext": OptionalBuildExt},
+)

@@ -1,7 +1,9 @@
 """Corpus verification campaigns behind the CLI subcommands.
 
-Each campaign scans a corpus of graph6 lines (built-in enumeration or a
-file), applies a per-graph worker, and folds the records into a
+A campaign is one entry of ``CAMPAIGNS``: its parameters, the corpus
+description its report carries, and its ordered phases.  Each phase scans a
+corpus of graph6 lines (built-in enumeration or a file) with a per-graph
+worker, and ``run_campaign`` folds the records of every phase into one
 deterministic VerificationReport: records are sorted by graph6 string, so
 the report is independent of worker count.
 """
@@ -11,14 +13,14 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Optional
 
 from . import kernels
 from .dh import METRIC_ORACLE_MAX, dh_metric_oracle, recognize_dh, replay_trace
 from .errors import CapacityError, Graph6ParseError
-from .extremal import check_path_extremal
+from .extremal import audit_leaf_recurrence, check_path_extremal
 from .forcing import is_forcing, is_fort
 from .graphs import (
     Graph,
@@ -115,7 +117,25 @@ def load_corpus(path: str) -> list[str]:
         return [ln.strip() for ln in fh if ln.strip()]
 
 
+class _Skip(Exception):
+    """Raised by a worker: its graph is skipped for this reason."""
+
+
+def _guarded(worker: Callable, line: str) -> dict:
+    """The record of ``line``: the worker's outcome, or a skip or failure,
+    so one bad graph never aborts a campaign.  A graph over a budget is
+    skipped with the cap as its reason."""
+    try:
+        return {"graph6": line, **worker(line)}
+    except (_Skip, CapacityError) as skip:
+        return {"graph6": line, "status": SKIPPED, "reason": str(skip)}
+    except Exception as exc:
+        return {"graph6": line, "status": ANOMALY,
+                "reason": f"{type(exc).__name__}: {exc}"}
+
+
 def _run_scan(items: list[str], worker: Callable, jobs: int) -> list[dict]:
+    worker = partial(_guarded, worker)
     if jobs > 1 and len(items) > 1:
         chunk = max(1, len(items) // (jobs * 8))
         with ProcessPoolExecutor(max_workers=jobs) as ex:
@@ -149,96 +169,118 @@ def _fold(report: VerificationReport, records: list[dict]) -> None:
             )
 
 
-def _parse_or_skip(line: str):
+@dataclass(frozen=True)
+class Phase:
+    """One scan: ``worker``, with the campaign parameters named in ``args``
+    bound as keywords, maps each line of ``corpus(params)`` to an outcome
+    dict (status, and reason or witness fields) or raises ``_Skip``."""
+
+    name: Optional[str]  # key under report.phases; None adds no phases block
+    corpus: Callable[[dict], list[str]]
+    worker: Callable[..., dict]
+    args: tuple[str, ...] = ()
+    tag: Optional[int] = None  # stamped as "phase" on its counterexamples
+    extra: Optional[Callable[[list, list], dict]] = None  # (items, records)
+
+
+@dataclass(frozen=True)
+class Campaign:
+    name: str
+    params: dict  # accepted keywords besides jobs, with their defaults
+    corpus: Callable[[dict], dict]  # the report's corpus description
+    phases: tuple[Phase, ...]
+    help: Optional[str] = None  # CLI subcommand help; None: library only
+
+
+def run_campaign(name: str, jobs: int = 1, **params) -> VerificationReport:
+    """Run ``CAMPAIGNS[name]``; parameters left out or None take the
+    table's defaults.  Phases with the same corpus function share its list."""
+    spec = CAMPAIGNS[name]
+    unknown = params.keys() - spec.params.keys()
+    if unknown:
+        raise TypeError(f"{name} takes no parameter {', '.join(sorted(unknown))}")
+    p = {**spec.params, **{k: v for k, v in params.items() if v is not None}}
+    report = VerificationReport(name, spec.corpus(p))
+    t0 = time.perf_counter()
+    corpora: dict = {}
+    phases = {}
+    for phase in spec.phases:
+        if phase.corpus not in corpora:
+            corpora[phase.corpus] = phase.corpus(p)
+        items = corpora[phase.corpus]
+        worker = partial(phase.worker, **{k: p[k] for k in phase.args})
+        records = _run_scan(items, worker, jobs)
+        before_cx = len(report.counterexamples)
+        _fold(report, records)
+        if phase.tag is not None:
+            for cx in report.counterexamples[before_cx:]:
+                cx["phase"] = phase.tag
+        if phase.name is not None:
+            phases[phase.name] = {
+                "scanned": len(records),
+                "verified": sum(r["status"] == VERIFIED for r in records),
+                **(phase.extra(items, records) if phase.extra else {}),
+            }
+    report.phases = phases or None
+    report.timing_seconds = time.perf_counter() - t0
+    return report
+
+
+# --- shared worker steps: each returns a value or raises _Skip -----------------
+
+
+def _graph(line: str, connected: bool = True) -> Graph:
     try:
-        return parse_graph6(line), None
+        g = parse_graph6(line)
     except (Graph6ParseError, CapacityError) as exc:
-        return None, {"graph6": line, "status": SKIPPED, "reason": f"parse: {exc}"}
+        raise _Skip(f"parse: {exc}") from None
+    if connected and not is_connected(g):
+        raise _Skip("disconnected")
+    return g
+
+
+def _one_prime_bag(tree):
+    summary = summarize(tree)
+    if summary.prime_bag_count != 1:
+        raise _Skip(f"prime bag count {summary.prime_bag_count} != 1")
+    return summary
+
+
+def _extremal_outcome(g: Graph, budget: Optional[int], reason: str) -> dict:
+    """Verified when ``g`` is path-extremal, else a counterexample."""
+    verdict = check_path_extremal(g, budget)
+    if verdict.is_path_extremal:
+        return {"status": VERIFIED}
+    return {"status": COUNTEREXAMPLE, "witness_k": verdict.witness_k,
+            "margins": list(verdict.margins), "reason": reason}
 
 
 # --- verify-dh ----------------------------------------------------------------
 
 
 def _dh_worker(line: str, budget: Optional[int]) -> dict:
-    g, err = _parse_or_skip(line)
-    if err:
-        return err
-    if not is_connected(g):
-        return {"graph6": line, "status": SKIPPED, "reason": "disconnected"}
+    g = _graph(line)
     if g.n > METRIC_ORACLE_MAX:
-        return {
-            "graph6": line,
-            "status": SKIPPED,
-            "reason": f"metric oracle capped at n={METRIC_ORACLE_MAX}",
-        }
+        raise _Skip(f"metric oracle capped at n={METRIC_ORACLE_MAX}")
     trace = recognize_dh(g)
     oracle = dh_metric_oracle(g)
     if (trace is not None) != oracle:
-        return {
-            "graph6": line,
-            "status": ANOMALY,
-            "reason": "recognizers disagree (greedy vs metric oracle)",
-        }
+        return {"status": ANOMALY,
+                "reason": "recognizers disagree (greedy vs metric oracle)"}
     if trace is None:
-        return {"graph6": line, "status": SKIPPED, "reason": "not distance-hereditary"}
+        raise _Skip("not distance-hereditary")
     if replay_trace(trace) != g:
-        return {
-            "graph6": line,
-            "status": ANOMALY,
-            "reason": "elimination trace does not replay to the input",
-        }
-    try:
-        verdict = check_path_extremal(g, budget)
-    except CapacityError as exc:
-        return {"graph6": line, "status": SKIPPED, "reason": str(exc)}
-    if verdict.is_path_extremal:
-        return {"graph6": line, "status": VERIFIED}
-    return {
-        "graph6": line,
-        "status": COUNTEREXAMPLE,
-        "witness_k": verdict.witness_k,
-        "margins": list(verdict.margins),
-        "reason": "distance-hereditary graph not path-extremal",
-    }
-
-
-def verify_dh(
-    n_max: Optional[int] = None,
-    g6_file: Optional[str] = None,
-    jobs: int = 1,
-    budget: Optional[int] = None,
-) -> VerificationReport:
-    """Check that every connected distance-hereditary graph in the
-    corpus is path-extremal.  Recognizer disagreements surface as anomalies,
-    never as counterexamples."""
-    if g6_file:
-        corpus = load_corpus(g6_file)
-        descr = {"source": g6_file}
-    else:
-        n_max = 8 if n_max is None else n_max
-        corpus = builtin_corpus(n_max)
-        descr = {"source": "builtin", "n_max": n_max, "connected": True}
-    report = VerificationReport("verify-dh", descr)
-    t0 = time.perf_counter()
-    records = _run_scan(corpus, partial(_dh_worker, budget=budget), jobs)
-    _fold(report, records)
-    report.timing_seconds = time.perf_counter() - t0
-    return report
+        return {"status": ANOMALY,
+                "reason": "elimination trace does not replay to the input"}
+    return _extremal_outcome(g, budget, "distance-hereditary graph not path-extremal")
 
 
 # --- split-decomposition round trip --------------------------------------------
 
 
-def _roundtrip_worker(line: str, budget: Optional[int]) -> dict:
-    g, err = _parse_or_skip(line)
-    if err:
-        return err
-    if not is_connected(g):
-        return {"graph6": line, "status": SKIPPED, "reason": "disconnected"}
-    try:
-        tree = decompose(g, budget)
-    except CapacityError as exc:
-        return {"graph6": line, "status": SKIPPED, "reason": str(exc)}
+def _roundtrip_worker(line: str, split_budget: Optional[int]) -> dict:
+    g = _graph(line)
+    tree = decompose(g, split_budget)
     problems = []
     if reconstruct(tree) != g:
         problems.append("reconstruct(decompose(g)) differs from g")
@@ -250,35 +292,8 @@ def _roundtrip_worker(line: str, budget: Optional[int]) -> dict:
         if summary.is_dh != dh_metric_oracle(g):
             problems.append("prime-bag-free does not match the metric oracle")
     if problems:
-        return {
-            "graph6": line,
-            "status": COUNTEREXAMPLE,
-            "reason": "; ".join(problems),
-        }
-    return {"graph6": line, "status": VERIFIED}
-
-
-def verify_split_roundtrip(
-    n_max: Optional[int] = None,
-    g6_file: Optional[str] = None,
-    jobs: int = 1,
-    budget: Optional[int] = None,
-) -> VerificationReport:
-    """Decompose every corpus graph, re-reconstruct, check reducedness, and
-    cross-check prime-bag-freeness against the metric DH oracle."""
-    if g6_file:
-        corpus = load_corpus(g6_file)
-        descr = {"source": g6_file}
-    else:
-        n_max = 8 if n_max is None else n_max
-        corpus = builtin_corpus(n_max)
-        descr = {"source": "builtin", "n_max": n_max, "connected": True}
-    report = VerificationReport("verify-split-roundtrip", descr)
-    t0 = time.perf_counter()
-    records = _run_scan(corpus, partial(_roundtrip_worker, budget=budget), jobs)
-    _fold(report, records)
-    report.timing_seconds = time.perf_counter() - t0
-    return report
+        return {"status": COUNTEREXAMPLE, "reason": "; ".join(problems)}
+    return {"status": VERIFIED}
 
 
 # --- verify-unique-prime --------------------------------------------------------
@@ -309,149 +324,56 @@ def _induced_subgraph_classes(g: Graph) -> list[Graph]:
     return out
 
 
+def _prime_core_worker(line: str, budget: Optional[int]) -> dict:
+    """Phase 1: every induced subgraph of one split-prime graph is
+    path-extremal.  A budget cap here is an anomaly, not a skip: phase 2
+    rests on this hypothesis."""
+    classes = _induced_subgraph_classes(_graph(line))
+    for checked, sub in enumerate(classes, start=1):
+        try:
+            verdict = check_path_extremal(sub, budget)
+        except CapacityError as exc:
+            return {"status": ANOMALY, "reason": f"CapacityError: {exc}"}
+        if not verdict.is_path_extremal:
+            return {
+                "status": COUNTEREXAMPLE,
+                "witness_k": verdict.witness_k,
+                "margins": list(verdict.margins),
+                "reason": f"induced subgraph {verdict.graph6} not path-extremal",
+                "subgraph_classes": checked,
+            }
+    return {"status": VERIFIED, "subgraph_classes": len(classes)}
+
+
 def _unique_prime_worker(line: str, m: int, budget: Optional[int],
                          split_budget: Optional[int]) -> dict:
-    g, err = _parse_or_skip(line)
-    if err:
-        return err
-    if not is_connected(g):
-        return {"graph6": line, "status": SKIPPED, "reason": "disconnected"}
-    try:
-        tree = decompose(g, split_budget)
-    except CapacityError as exc:
-        return {"graph6": line, "status": SKIPPED, "reason": str(exc)}
-    summary = summarize(tree)
-    if summary.prime_bag_count != 1:
-        return {
-            "graph6": line,
-            "status": SKIPPED,
-            "reason": f"prime bag count {summary.prime_bag_count} != 1",
-        }
+    g = _graph(line)
+    summary = _one_prime_bag(decompose(g, split_budget))
     size = summary.prime_labels[0].n
     if size > m:
-        return {
-            "graph6": line,
-            "status": SKIPPED,
-            "reason": f"prime bag size {size} exceeds m={m}",
-        }
-    try:
-        verdict = check_path_extremal(g, budget)
-    except CapacityError as exc:
-        return {"graph6": line, "status": SKIPPED, "reason": str(exc)}
-    if verdict.is_path_extremal:
-        return {"graph6": line, "status": VERIFIED}
-    return {
-        "graph6": line,
-        "status": COUNTEREXAMPLE,
-        "witness_k": verdict.witness_k,
-        "margins": list(verdict.margins),
-        "reason": "unique-prime graph not path-extremal",
-    }
-
-
-def verify_unique_prime(
-    n_max: int = 8,
-    m: int = 5,
-    jobs: int = 1,
-    budget: Optional[int] = None,
-    split_budget: Optional[int] = None,
-    g6_file: Optional[str] = None,
-) -> VerificationReport:
-    """Finite verification of the bounded-prime-core reduction.
-
-    Phase 1 discharges the hypothesis: every induced subgraph of every
-    split-prime graph on <= m vertices is path-extremal.  Phase 2 checks the
-    conclusion on the corpus: every connected graph whose decomposition has
-    exactly one prime bag of size <= m is path-extremal.
-    """
-    descr = {
-        "source": g6_file or "builtin",
-        "n_max": n_max,
-        "m": m,
-        "connected": True,
-    }
-    report = VerificationReport("verify-unique-prime", descr)
-    t0 = time.perf_counter()
-
-    phase1 = {"scanned": 0, "verified": 0, "prime_graphs": [], "subgraph_classes": 0}
-    for h in split_prime_graphs(m):
-        report.scanned += 1
-        phase1["scanned"] += 1
-        phase1["prime_graphs"].append(write_graph6(h))
-        bad = None
-        for sub in _induced_subgraph_classes(h):
-            phase1["subgraph_classes"] += 1
-            verdict = check_path_extremal(sub, budget)
-            if not verdict.is_path_extremal:
-                bad = (sub, verdict)
-                break
-        if bad is None:
-            report.verified += 1
-            phase1["verified"] += 1
-        else:
-            sub, verdict = bad
-            report.counterexamples.append(
-                {
-                    "graph6": write_graph6(h),
-                    "witness_k": verdict.witness_k,
-                    "margins": list(verdict.margins),
-                    "reason": f"induced subgraph {verdict.graph6} not path-extremal",
-                    "phase": 1,
-                }
-            )
-
-    corpus = load_corpus(g6_file) if g6_file else builtin_corpus(n_max)
-    records = _run_scan(
-        corpus,
-        partial(_unique_prime_worker, m=m, budget=budget, split_budget=split_budget),
-        jobs,
-    )
-    phase2 = {"scanned": len(records), "verified": 0}
-    before_cx = len(report.counterexamples)
-    for rec in records:
-        if rec["status"] == VERIFIED:
-            phase2["verified"] += 1
-    _fold(report, records)
-    for cx in report.counterexamples[before_cx:]:
-        cx["phase"] = 2
-    report.phases = {"phase1": phase1, "phase2": phase2}
-    report.timing_seconds = time.perf_counter() - t0
-    return report
+        raise _Skip(f"prime bag size {size} exceeds m={m}")
+    return _extremal_outcome(g, budget, "unique-prime graph not path-extremal")
 
 
 # --- audit-lemmas ----------------------------------------------------------------
 
 
 def _leaf_audit_worker(line: str, budget: Optional[int]) -> dict:
-    from .extremal import audit_leaf_recurrence
-
-    g, err = _parse_or_skip(line)
-    if err:
-        return err
+    g = _graph(line, connected=False)
     leaves = [v for v in range(g.n) if g.degree(v) == 1]
     if not leaves:
-        return {"graph6": line, "status": SKIPPED, "reason": "no leaves"}
-    try:
-        for x in leaves:
-            audit = audit_leaf_recurrence(g, x, budget=budget)
-            if not audit.holds:
-                bad = next(r for r in audit.rows if not r.holds)
-                return {
-                    "graph6": line,
-                    "status": COUNTEREXAMPLE,
-                    "witness_k": bad.k,
-                    "margins": [],
-                    "reason": f"leaf recurrence fails at leaf {x}, k={bad.k}",
-                }
-    except CapacityError as exc:
-        return {"graph6": line, "status": SKIPPED, "reason": str(exc)}
-    return {"graph6": line, "status": VERIFIED}
+        raise _Skip("no leaves")
+    for x in leaves:
+        audit = audit_leaf_recurrence(g, x, budget=budget)
+        if not audit.holds:
+            bad = next(r for r in audit.rows if not r.holds)
+            return {"status": COUNTEREXAMPLE, "witness_k": bad.k,
+                    "reason": f"leaf recurrence fails at leaf {x}, k={bad.k}"}
+    return {"status": VERIFIED}
 
 
 def _fort_audit_worker(line: str) -> dict:
-    g, err = _parse_or_skip(line)
-    if err:
-        return err
+    g = _graph(line, connected=False)
     full = g.full_mask
     for f in range(1, full + 1):
         if not is_fort(g, f):
@@ -460,125 +382,144 @@ def _fort_audit_worker(line: str) -> dict:
         sub = outside
         while True:
             if is_forcing(g, sub):
-                return {
-                    "graph6": line,
-                    "status": COUNTEREXAMPLE,
-                    "witness_k": sub.bit_count(),
-                    "margins": [],
-                    "reason": f"set avoiding fort {f:#x} is forcing",
-                }
+                return {"status": COUNTEREXAMPLE, "witness_k": sub.bit_count(),
+                        "reason": f"set avoiding fort {f:#x} is forcing"}
             if sub == 0:
                 break
             sub = (sub - 1) & outside
-    return {"graph6": line, "status": VERIFIED}
+    return {"status": VERIFIED}
 
 
 def _peel_extract_worker(line: str, split_budget: Optional[int]) -> dict:
-    g, err = _parse_or_skip(line)
-    if err:
-        return err
-    if not is_connected(g):
-        return {"graph6": line, "status": SKIPPED, "reason": "disconnected"}
-    try:
-        tree = decompose(g, split_budget)
-    except CapacityError as exc:
-        return {"graph6": line, "status": SKIPPED, "reason": str(exc)}
-    summary = summarize(tree)
-    if summary.prime_bag_count != 1:
-        return {
-            "graph6": line,
-            "status": SKIPPED,
-            "reason": f"prime bag count {summary.prime_bag_count} != 1",
-        }
+    tree = decompose(_graph(line), split_budget)
+    summary = _one_prime_bag(tree)
     try:
         if summary.star_centered_at_prime:
             extract_prime_core(tree)  # verifies internally
         else:
             bag = pick_peelable_bag(tree)
             if bag is None:
-                return {
-                    "graph6": line,
-                    "status": ANOMALY,
-                    "reason": "non-star-centered tree with no far leaf bag",
-                }
+                return {"status": ANOMALY,
+                        "reason": "non-star-centered tree with no far leaf bag"}
             if twin_from_leaf_bag(tree, bag) is None:
                 peel(tree, bag)  # verifies internally
     except Exception as exc:  # InvariantViolation and kin become violations
-        return {
-            "graph6": line,
-            "status": COUNTEREXAMPLE,
-            "witness_k": None,
-            "margins": [],
-            "reason": f"{type(exc).__name__}: {exc}",
-        }
-    return {"graph6": line, "status": VERIFIED}
+        return {"status": COUNTEREXAMPLE, "reason": f"{type(exc).__name__}: {exc}"}
+    return {"status": VERIFIED}
 
 
-def audit_peel_extract(
-    n_max: int = 8,
-    jobs: int = 1,
-    split_budget: Optional[int] = None,
-) -> VerificationReport:
-    """Peel and prime-core reductions over the unique-prime corpus: every
-    peel must reconstruct G-x and G-{x,c} with the prime label intact, and
-    every star-centered tree must extract a core Q with G = Q + pendants."""
-    descr = {"source": "builtin", "n_max": n_max, "connected": True}
-    report = VerificationReport("audit-peel-extract", descr)
-    t0 = time.perf_counter()
-    corpus = builtin_corpus(n_max)
-    records = _run_scan(
-        corpus, partial(_peel_extract_worker, split_budget=split_budget), jobs
-    )
-    _fold(report, records)
-    report.timing_seconds = time.perf_counter() - t0
-    return report
-
+# --- the campaign table ------------------------------------------------------------
 
 FORT_AUDIT_MAX = 5
 
 
-def audit_lemmas(
-    n_max: int = 6,
-    jobs: int = 1,
-    budget: Optional[int] = None,
-    split_budget: Optional[int] = None,
-) -> VerificationReport:
+def _graphs(p: dict) -> list[str]:
+    """The ``g6_file`` corpus, else every connected graph on <= n_max vertices."""
+    return load_corpus(p["g6_file"]) if p.get("g6_file") else builtin_corpus(p["n_max"])
+
+
+def _graphs_descr(p: dict) -> dict:
+    if p.get("g6_file"):
+        return {"source": p["g6_file"]}
+    return {"source": "builtin", "n_max": p["n_max"], "connected": True}
+
+
+_PEEL_EXTRACT = Phase("peel_extract", _graphs, _peel_extract_worker, ("split_budget",))
+
+CAMPAIGNS = {c.name: c for c in (
+    Campaign("verify-dh", {"n_max": 8, "g6_file": None, "budget": None}, _graphs_descr,
+             (Phase(None, _graphs, _dh_worker, ("budget",)),),
+             help="campaign: distance-hereditary graphs are path-extremal"),
+    Campaign("verify-split-roundtrip",
+             {"n_max": 8, "g6_file": None, "split_budget": None}, _graphs_descr,
+             (Phase(None, _graphs, _roundtrip_worker, ("split_budget",)),)),
+    Campaign(
+        "verify-unique-prime",
+        {"n_max": 8, "m": 5, "g6_file": None, "budget": None, "split_budget": None},
+        lambda p: {"source": p["g6_file"] or "builtin", "n_max": p["n_max"],
+                   "m": p["m"], "connected": True},
+        (
+            Phase("phase1",
+                  lambda p: [write_graph6(h) for h in split_prime_graphs(p["m"])],
+                  _prime_core_worker, ("budget",), tag=1,
+                  # the primes in enumeration order, not the records' graph6 order
+                  extra=lambda items, records: {
+                      "prime_graphs": list(items),
+                      "subgraph_classes": sum(r.get("subgraph_classes", 0)
+                                              for r in records)}),
+            Phase("phase2", _graphs, _unique_prime_worker,
+                  ("m", "budget", "split_budget"), tag=2),
+        ),
+        help="campaign: bounded prime cores, both phases",
+    ),
+    Campaign("audit-peel-extract", {"n_max": 8, "split_budget": None}, _graphs_descr,
+             (replace(_PEEL_EXTRACT, name=None),)),
+    Campaign(
+        "audit-lemmas",
+        {"n_max": 6, "budget": None, "split_budget": None},
+        lambda p: {"source": "builtin", "n_max": p["n_max"],
+                   "fort_n_max": FORT_AUDIT_MAX},
+        (
+            Phase("leaf_recurrence", _graphs, _leaf_audit_worker, ("budget",)),
+            Phase("fort_avoidance", lambda p: builtin_corpus(
+                min(p["n_max"], FORT_AUDIT_MAX), connected=False), _fort_audit_worker),
+            _PEEL_EXTRACT,
+        ),
+        help="campaign: leaf recurrence, fort avoidance, peel/extract",
+    ),
+)}
+
+
+# --- the campaigns as functions --------------------------------------------------
+
+
+def verify_dh(n_max: Optional[int] = None, g6_file: Optional[str] = None,
+              jobs: int = 1, budget: Optional[int] = None) -> VerificationReport:
+    """Check that every connected distance-hereditary graph in the
+    corpus is path-extremal.  Recognizer disagreements surface as anomalies,
+    never as counterexamples."""
+    return run_campaign("verify-dh", jobs, n_max=n_max, g6_file=g6_file,
+                        budget=budget)
+
+
+def verify_split_roundtrip(n_max: Optional[int] = None,
+                           g6_file: Optional[str] = None, jobs: int = 1,
+                           split_budget: Optional[int] = None) -> VerificationReport:
+    """Decompose every corpus graph, re-reconstruct, check reducedness, and
+    cross-check prime-bag-freeness against the metric DH oracle."""
+    return run_campaign("verify-split-roundtrip", jobs, n_max=n_max,
+                        g6_file=g6_file, split_budget=split_budget)
+
+
+def verify_unique_prime(n_max: Optional[int] = None, m: Optional[int] = None,
+                        jobs: int = 1, budget: Optional[int] = None,
+                        split_budget: Optional[int] = None,
+                        g6_file: Optional[str] = None) -> VerificationReport:
+    """Finite verification of the bounded-prime-core reduction.
+
+    Phase 1 discharges the hypothesis: every induced subgraph of every
+    split-prime graph on <= m vertices is path-extremal.  Phase 2 checks the
+    conclusion on the corpus: every connected graph whose decomposition has
+    exactly one prime bag of size <= m is path-extremal.
+    """
+    return run_campaign("verify-unique-prime", jobs, n_max=n_max, m=m,
+                        budget=budget, split_budget=split_budget, g6_file=g6_file)
+
+
+def audit_peel_extract(n_max: Optional[int] = None, jobs: int = 1,
+                       split_budget: Optional[int] = None) -> VerificationReport:
+    """Peel and prime-core reductions over the unique-prime corpus: every
+    peel must reconstruct G-x and G-{x,c} with the prime label intact, and
+    every star-centered tree must extract a core Q with G = Q + pendants."""
+    return run_campaign("audit-peel-extract", jobs, n_max=n_max,
+                        split_budget=split_budget)
+
+
+def audit_lemmas(n_max: Optional[int] = None, jobs: int = 1,
+                 budget: Optional[int] = None,
+                 split_budget: Optional[int] = None) -> VerificationReport:
     """Executable lemma audits: the leaf recurrence on every connected graph
     with a leaf, fort avoidance exhaustively at n <= 5, and the peel /
     prime-core reductions on the unique-prime corpus."""
-    descr = {"source": "builtin", "n_max": n_max, "fort_n_max": FORT_AUDIT_MAX}
-    report = VerificationReport("audit-lemmas", descr)
-    t0 = time.perf_counter()
-    phases = {}
-
-    corpus = builtin_corpus(n_max)
-    records = _run_scan(corpus, partial(_leaf_audit_worker, budget=budget), jobs)
-    phases["leaf_recurrence"] = {
-        "scanned": len(records),
-        "verified": sum(r["status"] == VERIFIED for r in records),
-    }
-    _fold(report, records)
-
-    fort_corpus = []
-    for n in range(1, min(n_max, FORT_AUDIT_MAX) + 1):
-        for g in enumerate_graphs(n):
-            fort_corpus.append(write_graph6(g))
-    records = _run_scan(fort_corpus, _fort_audit_worker, jobs)
-    phases["fort_avoidance"] = {
-        "scanned": len(records),
-        "verified": sum(r["status"] == VERIFIED for r in records),
-    }
-    _fold(report, records)
-
-    records = _run_scan(
-        corpus, partial(_peel_extract_worker, split_budget=split_budget), jobs
-    )
-    phases["peel_extract"] = {
-        "scanned": len(records),
-        "verified": sum(r["status"] == VERIFIED for r in records),
-    }
-    _fold(report, records)
-
-    report.phases = phases
-    report.timing_seconds = time.perf_counter() - t0
-    return report
+    return run_campaign("audit-lemmas", jobs, n_max=n_max, budget=budget,
+                        split_budget=split_budget)

@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional
+from typing import Callable, Optional
 
 from . import campaigns, splitdec
 from .dh import dh_metric_oracle, recognize_dh, replay_trace
@@ -37,53 +37,62 @@ EXIT_ERROR = 1
 EXIT_COUNTEREXAMPLES = 2
 
 
-def _env_int(name: str) -> Optional[int]:
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return None
+def _resolve(flag: Optional[int], env: str, default: int) -> int:
+    """The flag, else the environment variable ``env``, else ``default``."""
+    if flag is not None:
+        return flag
+    raw = os.environ.get(env, "")
+    if not raw:
+        return default
     try:
         return int(raw)
     except ValueError:
-        raise SystemExit(f"bad integer in ${name}: {raw!r}")
+        raise SystemExit(f"bad integer in ${env}: {raw!r}") from None
 
 
-def _resolve(flag: Optional[int], env: str, default: int) -> int:
-    if flag is not None:
-        return flag
-    env_val = _env_int(env)
-    if env_val is not None:
-        return env_val
-    return default
+def _int_at_least(low: int) -> Callable[[str], int]:
+    def parse(raw: str) -> int:
+        value = int(raw)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value" errors
+    return parse
+
+
+_POSITIVE = _int_at_least(1)
+_NATURAL = _int_at_least(0)
+
+
+_MAKERS = {"path": make_path, "cycle": make_cycle, "complete": make_complete,
+           "star": make_star}
 
 
 def _add_graph_input(p: argparse.ArgumentParser) -> None:
     grp = p.add_mutually_exclusive_group(required=True)
     grp.add_argument("--g6", metavar="FILE|LITERAL",
                      help="graph6 line, or a file of graph6 lines")
-    grp.add_argument("--path", type=int, metavar="N")
-    grp.add_argument("--cycle", type=int, metavar="N")
-    grp.add_argument("--complete", type=int, metavar="N")
-    grp.add_argument("--star", type=int, metavar="N")
+    for name in _MAKERS:
+        grp.add_argument(f"--{name}", type=_NATURAL, metavar="N")
+
+
+def _add_output(p: argparse.ArgumentParser, csv_help: Optional[str] = None) -> None:
+    p.add_argument("--json", action="store_true")
+    if csv_help:
+        p.add_argument("--csv", action="store_true", help=csv_help)
+    p.add_argument("--out", default=None)
 
 
 def _input_graphs(args) -> list[tuple[str, Graph]]:
     """(label, graph) pairs from the graph-input flags."""
-    if args.path is not None:
-        g = make_path(args.path)
-    elif args.cycle is not None:
-        g = make_cycle(args.cycle)
-    elif args.complete is not None:
-        g = make_complete(args.complete)
-    elif args.star is not None:
-        g = make_star(args.star)
-    else:
-        if os.path.exists(args.g6):
-            with open(args.g6, "r", encoding="ascii") as fh:
-                lines = [ln.strip() for ln in fh if ln.strip()]
-            return [(ln, parse_graph6(ln)) for ln in lines]
-        g = parse_graph6(args.g6)
-        return [(args.g6, g)]
-    return [(write_graph6(g), g)]
+    for name, make in _MAKERS.items():
+        if getattr(args, name) is not None:
+            g = make(getattr(args, name))
+            return [(write_graph6(g), g)]
+    if os.path.exists(args.g6):
+        return [(ln, parse_graph6(ln)) for ln in campaigns.load_corpus(args.g6)]
+    return [(args.g6, parse_graph6(args.g6))]
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -94,6 +103,16 @@ def _emit(text: str, out: Optional[str]) -> None:
                 fh.write("\n")
     else:
         print(text)
+
+
+def _emit_entries(args, payload: list[dict], blocks: list[str]) -> None:
+    """Per-graph entries as JSON (one object for one graph, else a list)
+    with --json, else as text blocks."""
+    if args.json:
+        _emit(json.dumps(payload[0] if len(payload) == 1 else payload,
+                         sort_keys=True, indent=2), args.out)
+    else:
+        _emit("\n".join(blocks), args.out)
 
 
 def _cmd_profile(args) -> int:
@@ -139,11 +158,8 @@ def _cmd_profile(args) -> int:
         blocks.append("\n".join(lines))
     if args.csv:
         _emit("\n".join(csv_rows), args.out)
-    elif args.json:
-        _emit(json.dumps(payload if len(payload) > 1 else payload[0],
-                         sort_keys=True, indent=2), args.out)
     else:
-        _emit("\n".join(blocks), args.out)
+        _emit_entries(args, payload, blocks)
     return EXIT_CLEAN
 
 
@@ -175,11 +191,7 @@ def _cmd_decompose(args) -> int:
             f"is_dh={summary.is_dh} "
             f"star_centered_at_prime={summary.star_centered_at_prime}"
         )
-    if args.json:
-        _emit(json.dumps(payload if len(payload) > 1 else payload[0],
-                         sort_keys=True, indent=2), args.out)
-    else:
-        _emit("\n".join(blocks), args.out)
+    _emit_entries(args, payload, blocks)
     return EXIT_CLEAN
 
 
@@ -210,16 +222,35 @@ def _cmd_recognize_dh(args) -> int:
         else:
             steps = " ".join(f"{s.op}({s.removed}@{s.anchor})" for s in trace.steps)
             blocks.append(f"graph {label}: distance-hereditary; trace: {steps}")
-    if args.json:
-        _emit(json.dumps(payload if len(payload) > 1 else payload[0],
-                         sort_keys=True, indent=2), args.out)
-    else:
-        _emit("\n".join(blocks), args.out)
+    _emit_entries(args, payload, blocks)
     return EXIT_CLEAN if all_dh else EXIT_COUNTEREXAMPLES
 
 
-def _report_out(report, args) -> int:
-    if getattr(args, "csv", False):
+# (campaign parameter, flag, argparse keywords) in --help order; each
+# campaign subcommand gets the flags of the parameters its table entry takes.
+_CAMPAIGN_FLAGS = (
+    ("n_max", "--nmax", {"type": _POSITIVE}),
+    ("m", "--m", {"type": _POSITIVE, "default": 5}),
+    ("g6_file", "--g6", {"help": "graph6 corpus file"}),
+    ("jobs", "--jobs", {"type": _POSITIVE}),
+    ("budget", "--budget-subsets", {"type": int}),
+    ("split_budget", "--budget-splits", {"type": int}),
+)
+
+
+def _cmd_campaign(args) -> int:
+    takes = campaigns.CAMPAIGNS[args.command].params
+    params = {
+        param: getattr(args, flag[2:].replace("-", "_"))
+        for param, flag, _ in _CAMPAIGN_FLAGS
+        if param in takes
+    }
+    if "budget" in params:
+        params["budget"] = _resolve(params["budget"], "ZFX_BUDGET_SUBSETS", 20)
+    report = campaigns.run_campaign(
+        args.command, _resolve(args.jobs, "ZFX_JOBS", 1), **params
+    )
+    if args.csv:
         rows = ["graph6,witness_k,margins,reason"]
         for cx in report.counterexamples:
             margins = ";".join(str(m) for m in cx.get("margins", []))
@@ -227,12 +258,10 @@ def _report_out(report, args) -> int:
                 f"{cx['graph6']},{cx.get('witness_k')},{margins},"
                 f"\"{cx.get('reason', '')}\""
             )
-        _emit("\n".join(rows), args.out)
-        return report.exit_code()
-    if args.json:
-        _emit(report.to_json(), args.out)
+    elif args.json:
+        rows = [report.to_json()]
     else:
-        lines = [
+        rows = [
             f"campaign: {report.campaign}",
             f"corpus: {json.dumps(report.corpus, sort_keys=True)}",
             f"scanned={report.scanned} verified={report.verified} "
@@ -242,47 +271,11 @@ def _report_out(report, args) -> int:
             f"time: {report.timing_seconds:.2f}s",
         ]
         for cx in report.counterexamples:
-            lines.append(f"COUNTEREXAMPLE {cx['graph6']}: {cx.get('reason', '')}")
+            rows.append(f"COUNTEREXAMPLE {cx['graph6']}: {cx.get('reason', '')}")
         for an in report.anomalies:
-            lines.append(f"ANOMALY {an['graph6']}: {an['reason']}")
-        _emit("\n".join(lines), args.out)
+            rows.append(f"ANOMALY {an['graph6']}: {an['reason']}")
+    _emit("\n".join(rows), args.out)
     return report.exit_code()
-
-
-def _cmd_verify_dh(args) -> int:
-    jobs = _resolve(args.jobs, "ZFX_JOBS", 1)
-    budget = _resolve(args.budget_subsets, "ZFX_BUDGET_SUBSETS", 20)
-    g6_file = args.g6 if args.g6 else None
-    report = campaigns.verify_dh(
-        n_max=args.nmax, g6_file=g6_file, jobs=jobs, budget=budget
-    )
-    return _report_out(report, args)
-
-
-def _cmd_verify_unique_prime(args) -> int:
-    jobs = _resolve(args.jobs, "ZFX_JOBS", 1)
-    budget = _resolve(args.budget_subsets, "ZFX_BUDGET_SUBSETS", 20)
-    report = campaigns.verify_unique_prime(
-        n_max=args.nmax if args.nmax is not None else 8,
-        m=args.m,
-        jobs=jobs,
-        budget=budget,
-        split_budget=args.budget_splits,
-        g6_file=args.g6 if args.g6 else None,
-    )
-    return _report_out(report, args)
-
-
-def _cmd_audit_lemmas(args) -> int:
-    jobs = _resolve(args.jobs, "ZFX_JOBS", 1)
-    budget = _resolve(args.budget_subsets, "ZFX_BUDGET_SUBSETS", 20)
-    report = campaigns.audit_lemmas(
-        n_max=args.nmax if args.nmax is not None else 6,
-        jobs=jobs,
-        budget=budget,
-        split_budget=args.budget_splits,
-    )
-    return _report_out(report, args)
 
 
 def _cmd_enumerate(args) -> int:
@@ -307,10 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--against-path", action="store_true",
                    help="append margins against the path profile")
     p.add_argument("--budget-subsets", type=int, default=None)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--csv", action="store_true",
-                   help="emit the per-k table as CSV rows")
-    p.add_argument("--out", default=None)
+    _add_output(p, csv_help="emit the per-k table as CSV rows")
     p.set_defaults(func=_cmd_profile)
 
     p = sub.add_parser("decompose", help="canonical split decomposition")
@@ -318,59 +308,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", action="store_true",
                    help="re-reconstruct and compare against the input")
     p.add_argument("--budget-splits", type=int, default=None)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out", default=None)
+    _add_output(p)
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("recognize-dh", help="distance-hereditary recognition")
     _add_graph_input(p)
     p.add_argument("--check", action="store_true",
                    help="replay the elimination trace and compare")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out", default=None)
+    _add_output(p)
     p.set_defaults(func=_cmd_recognize_dh)
 
-    p = sub.add_parser("verify-dh",
-                       help="campaign: distance-hereditary graphs are path-extremal")
-    p.add_argument("--nmax", type=int, default=None)
-    p.add_argument("--g6", default=None, help="graph6 corpus file")
-    p.add_argument("--jobs", type=int, default=None)
-    p.add_argument("--budget-subsets", type=int, default=None)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--csv", action="store_true",
-                   help="emit counterexample margins as CSV rows")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_verify_dh)
-
-    p = sub.add_parser("verify-unique-prime",
-                       help="campaign: bounded prime cores, both phases")
-    p.add_argument("--nmax", type=int, default=None)
-    p.add_argument("--m", type=int, default=5)
-    p.add_argument("--g6", default=None, help="graph6 corpus file for phase 2")
-    p.add_argument("--jobs", type=int, default=None)
-    p.add_argument("--budget-subsets", type=int, default=None)
-    p.add_argument("--budget-splits", type=int, default=None)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--csv", action="store_true",
-                   help="emit counterexample margins as CSV rows")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_verify_unique_prime)
-
-    p = sub.add_parser("audit-lemmas",
-                       help="campaign: leaf recurrence, fort avoidance, peel/extract")
-    p.add_argument("--nmax", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=None)
-    p.add_argument("--budget-subsets", type=int, default=None)
-    p.add_argument("--budget-splits", type=int, default=None)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--csv", action="store_true",
-                   help="emit counterexample margins as CSV rows")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_audit_lemmas)
+    for spec in campaigns.CAMPAIGNS.values():
+        if spec.help is None:
+            continue
+        p = sub.add_parser(spec.name, help=spec.help)
+        for param, flag, kwargs in _CAMPAIGN_FLAGS:
+            if param == "jobs" or param in spec.params:
+                p.add_argument(flag, **kwargs)
+        _add_output(p, csv_help="emit counterexample margins as CSV rows")
+        p.set_defaults(func=_cmd_campaign)
 
     p = sub.add_parser("enumerate",
                        help="one graph6 line per isomorphism class")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_NATURAL, required=True)
     p.add_argument("--connected", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_enumerate)
@@ -380,7 +340,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    try:
+        args = ap.parse_args(argv)
+    except SystemExit as exc:
+        if exc.code:  # a usage error; exit status 2 means counterexamples
+            return EXIT_ERROR
+        raise
     try:
         return args.func(args)
     except (Graph6ParseError, CapacityError, ValueError, OSError,

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+import zfx.campaigns as campaigns
 from zfx.campaigns import (
     audit_lemmas,
     audit_peel_extract,
@@ -16,7 +17,14 @@ from zfx.campaigns import (
     verify_split_roundtrip,
     verify_unique_prime,
 )
-from zfx.graphs import are_isomorphic, make_cycle, parse_graph6, write_graph6
+from zfx.errors import TraceError
+from zfx.graphs import (
+    are_isomorphic,
+    make_cycle,
+    make_path,
+    parse_graph6,
+    write_graph6,
+)
 
 
 def _check_report_invariants(report):
@@ -127,3 +135,22 @@ def test_golden_reports_n6(campaign, jobs):
     report = campaign(n_max=6, jobs=jobs)
     digest = hashlib.sha256(report.normalized_json().encode()).hexdigest()
     assert digest == GOLDEN_N6[campaign]
+
+
+def test_worker_failure_becomes_anomaly(monkeypatch):
+    real_replay = campaigns.replay_trace
+
+    def replay(trace):
+        g = real_replay(trace)
+        if are_isomorphic(g, make_path(5)):
+            raise TraceError("injected failure")
+        return g
+
+    monkeypatch.setattr(campaigns, "replay_trace", replay)
+    r = verify_dh(n_max=5)
+    _check_report_invariants(r)
+    assert len(r.anomalies) == 1
+    assert are_isomorphic(parse_graph6(r.anomalies[0]["graph6"]), make_path(5))
+    assert r.anomalies[0]["reason"] == "TraceError: injected failure"
+    assert r.scanned == 31 and r.verified == 27
+    assert r.exit_code() == 1

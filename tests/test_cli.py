@@ -68,6 +68,13 @@ def test_budget_env_and_flag_precedence(capsys, monkeypatch):
     assert code == 0
 
 
+def test_empty_g6_file(capsys, tmp_path):
+    f = tmp_path / "empty.g6"
+    f.write_text("")
+    code, payload, _ = run_json(capsys, "profile", "--g6", str(f))
+    assert code == 0 and payload == []
+
+
 def test_bad_graph6_exits_1(capsys):
     code, _, err = run(capsys, "profile", "--g6", "D?")
     assert code == 1 and "error:" in err
@@ -217,3 +224,30 @@ def test_campaign_flags_and_defaults(command, flags):
     actions = sub.choices[command]._actions
     assert [(a.option_strings[-1], a.default)
             for a in actions if a.dest != "help"] == flags
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["verify-dh", "--bogus"],
+    ["verify-dh", "--nmax", "abc"],
+    ["verify-dh", "--nmax", "0"],
+    ["verify-dh", "--nmax", "-1"],
+    ["verify-dh", "--jobs", "0"],
+    ["verify-unique-prime", "--m", "0"],
+    ["enumerate", "--n", "-1"],
+    ["profile", "--path", "-1"],
+    ["profile", "--cycle", "-2"],
+    ["decompose", "--complete", "-1"],
+    ["recognize-dh", "--star", "-1"],
+])
+def test_usage_errors_exit_1(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert "error" in err and "Traceback" not in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-dh", "--help"])
+    assert exc.value.code == 0
+    assert "--budget-subsets" in capsys.readouterr().out

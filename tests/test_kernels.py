@@ -3,7 +3,9 @@ bit for bit, and both must match the literal definitions."""
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+import re
+from itertools import combinations, islice, permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -142,3 +144,21 @@ def test_profile_memo_boundary_agrees():
     finally:
         pyk.MEMO_LIMIT = old
     assert with_memo == without
+
+
+def test_generated_c_matches_pyx():
+    """Cython quotes each compiled .pyx line in the .c, marked with
+    ``# <<<<<<<<<<<<<<``; a .pyx edit without regenerating the .c fails here."""
+    src = Path(__file__).resolve().parents[1] / "src" / "zfx"
+    pyx = (src / "_kernels_cy.pyx").read_text().splitlines()
+    c_lines = (src / "_kernels_cy.c").read_text().splitlines()
+    marker = "             # <<<<<<<<<<<<<<"
+    checked = []
+    for i, line in enumerate(c_lines):
+        m = re.fullmatch(r'\s*/\* "zfx/_kernels_cy\.pyx":(\d+)', line)
+        if m is None:
+            continue
+        quoted = next(q for q in islice(c_lines, i + 1, None) if q.endswith(marker))
+        checked.append((int(m.group(1)), quoted[3:-len(marker)]))
+    assert checked
+    assert [(n, text) for n, text in checked if pyx[n - 1] != text] == []
