@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
 
 import pytest
@@ -17,12 +18,14 @@ from zfx.graphs import (
     bits,
     canonical_form,
     classify_kind,
+    enumerate_graphs,
     graph_from_edges,
     make_complete,
     make_cycle,
     make_path,
     make_star,
     mask_of,
+    write_graph6,
 )
 from zfx.splitdec import (
     Bag,
@@ -470,8 +473,10 @@ def test_pick_peelable_examples():
 def test_peel_far_bag():
     g = c5_tail2()
     t = decompose(g)
+    before = dump_tree(t)
     b = pick_peelable_bag(t)
     t_x, t_xc = peel(t, b)  # verifies reconstructions and reducedness inside
+    assert dump_tree(t) == before  # peel leaves its input tree untouched
     assert t_x.vertex_ids == (0, 1, 2, 3, 4, 5)
     assert t_xc.vertex_ids == (0, 1, 2, 3, 4)
     assert are_isomorphic(reconstruct(t_xc), make_cycle(5))
@@ -570,3 +575,44 @@ def test_every_peelable_configuration(connected_by_n):
                     peel(t, b)
                     peels += 1
     assert peels >= 20  # 21 such configurations exist at n <= 7
+
+
+def test_tree_digests_n8():
+    """Every tree dump, and every peel/extract outcome, of the connected
+    corpus n <= 8 is pinned by sha256; a refactor may not move one byte."""
+    trees = hashlib.sha256()
+    trees_max = hashlib.sha256()
+    reductions = hashlib.sha256()
+    for n in range(1, 9):
+        for g in enumerate_graphs(n, connected_only=True):
+            g6 = write_graph6(g)
+            t = decompose(g)
+            trees.update(f"{g6}\n{dump_tree(t)}\n".encode())
+            if n <= 7:
+                t_max = decompose(g, split_order="max")
+                trees_max.update(f"{g6}\n{dump_tree(t_max)}\n".encode())
+            summary = summarize(t)
+            if summary.prime_bag_count != 1:
+                continue
+            if summary.star_centered_at_prime:
+                r = extract_prime_core(t)
+                core = write_graph6(r.core) if r.core is not None else None
+                line = f"{g6} X {r.twins} {core} {r.core_ids} {r.attach}\n"
+            else:
+                b = pick_peelable_bag(t)
+                tw = twin_from_leaf_bag(t, b)
+                if tw is not None:
+                    line = f"{g6} T {b} {tw}\n"
+                else:
+                    t1, t2 = peel(t, b)
+                    line = f"{g6} P {b}\n{dump_tree(t1)}\n{dump_tree(t2)}\n"
+            reductions.update(line.encode())
+    assert trees.hexdigest() == (
+        "c1664a58ed15b8c1ac763bb81e281441d667fbd8c234da45b45b8f56d333ef67"
+    )
+    assert trees_max.hexdigest() == (
+        "c1656b576503beb160cffeb7dc6d674015c7523ce9a34bbe2e151980b0e82fd9"
+    )
+    assert reductions.hexdigest() == (
+        "e1e89a2ddf58b8ff7a7eee5ccc619d8f0d5d6fd24c31adb2c9babd331ee55e66"
+    )
