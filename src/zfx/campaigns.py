@@ -436,8 +436,7 @@ CAMPAIGNS = {c.name: c for c in (
     Campaign(
         "verify-unique-prime",
         {"n_max": 8, "m": 5, "g6_file": None, "budget": None, "split_budget": None},
-        lambda p: {"source": p["g6_file"] or "builtin", "n_max": p["n_max"],
-                   "m": p["m"], "connected": True},
+        lambda p: {**_graphs_descr(p), "m": p["m"]},
         (
             Phase("phase1",
                   lambda p: [write_graph6(h) for h in split_prime_graphs(p["m"])],

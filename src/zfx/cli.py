@@ -37,19 +37,6 @@ EXIT_ERROR = 1
 EXIT_COUNTEREXAMPLES = 2
 
 
-def _resolve(flag: Optional[int], env: str, default: int) -> int:
-    """The flag, else the environment variable ``env``, else ``default``."""
-    if flag is not None:
-        return flag
-    raw = os.environ.get(env, "")
-    if not raw:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise SystemExit(f"bad integer in ${env}: {raw!r}") from None
-
-
 def _int_at_least(low: int) -> Callable[[str], int]:
     def parse(raw: str) -> int:
         value = int(raw)
@@ -63,6 +50,23 @@ def _int_at_least(low: int) -> Callable[[str], int]:
 
 _POSITIVE = _int_at_least(1)
 _NATURAL = _int_at_least(0)
+
+
+def _resolve(flag: Optional[int], env: str, default: int,
+             parse: Callable[[str], int]) -> int:
+    """The flag, else the environment variable ``env`` read by the flag's own
+    ``parse``, else ``default``."""
+    if flag is not None:
+        return flag
+    raw = os.environ.get(env, "")
+    if not raw:
+        return default
+    try:
+        return parse(raw)
+    except ValueError:
+        raise ValueError(f"bad integer in ${env}: {raw!r}") from None
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"${env} {exc}") from None
 
 
 _MAKERS = {"path": make_path, "cycle": make_cycle, "complete": make_complete,
@@ -116,7 +120,7 @@ def _emit_entries(args, payload: list[dict], blocks: list[str]) -> None:
 
 
 def _cmd_profile(args) -> int:
-    budget = _resolve(args.budget_subsets, "ZFX_BUDGET_SUBSETS", 20)
+    budget = _resolve(args.budget_subsets, "ZFX_BUDGET_SUBSETS", 20, _NATURAL)
     blocks = []
     payload = []
     csv_rows = ["graph6,k,z,zprime" + (",margin" if args.against_path else "")]
@@ -233,8 +237,8 @@ _CAMPAIGN_FLAGS = (
     ("m", "--m", {"type": _POSITIVE, "default": 5}),
     ("g6_file", "--g6", {"help": "graph6 corpus file"}),
     ("jobs", "--jobs", {"type": _POSITIVE}),
-    ("budget", "--budget-subsets", {"type": int}),
-    ("split_budget", "--budget-splits", {"type": int}),
+    ("budget", "--budget-subsets", {"type": _NATURAL}),
+    ("split_budget", "--budget-splits", {"type": _NATURAL}),
 )
 
 
@@ -246,9 +250,10 @@ def _cmd_campaign(args) -> int:
         if param in takes
     }
     if "budget" in params:
-        params["budget"] = _resolve(params["budget"], "ZFX_BUDGET_SUBSETS", 20)
+        params["budget"] = _resolve(params["budget"], "ZFX_BUDGET_SUBSETS", 20,
+                                    _NATURAL)
     report = campaigns.run_campaign(
-        args.command, _resolve(args.jobs, "ZFX_JOBS", 1), **params
+        args.command, _resolve(args.jobs, "ZFX_JOBS", 1, _POSITIVE), **params
     )
     if args.csv:
         rows = ["graph6,witness_k,margins,reason"]
@@ -299,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_input(p)
     p.add_argument("--against-path", action="store_true",
                    help="append margins against the path profile")
-    p.add_argument("--budget-subsets", type=int, default=None)
+    p.add_argument("--budget-subsets", type=_NATURAL, default=None)
     _add_output(p, csv_help="emit the per-k table as CSV rows")
     p.set_defaults(func=_cmd_profile)
 
@@ -307,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_input(p)
     p.add_argument("--check", action="store_true",
                    help="re-reconstruct and compare against the input")
-    p.add_argument("--budget-splits", type=int, default=None)
+    p.add_argument("--budget-splits", type=_NATURAL, default=None)
     _add_output(p)
     p.set_defaults(func=_cmd_decompose)
 

@@ -13,7 +13,7 @@ from typing import Optional
 
 from .errors import InvariantViolation
 from .forcing import zf_profile
-from .graphs import Graph, find_twin_pair, write_graph6
+from .graphs import Graph, find_twin_pair, induced_subgraph, write_graph6
 
 
 def _c(a: int, b: int) -> int:
@@ -136,8 +136,6 @@ def audit_leaf_recurrence(
     g: Graph, x: int, v: Optional[int] = None, budget: Optional[int] = None
 ) -> LeafAudit:
     """Exact check of z'(G;k) >= z'(G-x;k) + z'(G-{x,v};k-1) for all k >= 1."""
-    from .graphs import induced_subgraph
-
     if g.degree(x) != 1:
         raise ValueError(f"vertex {x} is not a leaf")
     nbr = g.adj[x].bit_length() - 1

@@ -169,13 +169,18 @@ def component_mask(g: Graph, start: int, within: Optional[int] = None) -> int:
 
 
 def classify_kind(g: Graph) -> GraphKind:
-    """Clique / star / other, preferring clique for the ambiguous K_2."""
+    """Clique / star / other, preferring clique for the ambiguous K_2.
+
+    Read off the degrees: a clique has degree sum n(n-1); a star has degree
+    sum 2(n-1) and a vertex of degree n-1, its center.
+    """
     n = g.n
-    if all(g.degree(v) == n - 1 for v in range(n)):
+    degrees = [row.bit_count() for row in g.adj]
+    total = sum(degrees)
+    if total == n * (n - 1):
         return GraphKind("clique")
-    for c in range(n):
-        if g.degree(c) == n - 1 and all(g.degree(v) == 1 for v in range(n) if v != c):
-            return GraphKind("star", center=c)
+    if total == 2 * (n - 1) and n - 1 in degrees:
+        return GraphKind("star", center=degrees.index(n - 1))
     return GraphKind("other")
 
 
@@ -267,7 +272,10 @@ def parse_graph6(line: str) -> Graph:
         s = s[len(_G6_HEADER):]
     if not s:
         raise Graph6ParseError("empty graph6 line", 0)
-    data = s.encode("ascii", errors="replace")
+    try:
+        data = s.encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise Graph6ParseError("non-ASCII character", exc.start) from None
     pos = 0
     c = data[pos]
     if c == 126:  # '~': long form
@@ -346,14 +354,6 @@ def write_graph6(g: Graph) -> str:
     if nb:
         out.append((val << (6 - nb)) + 63)
     return bytes(out).decode("ascii")
-
-
-def read_graph6_lines(lines: Iterable[str]) -> Iterator[Graph]:
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        yield parse_graph6(line)
 
 
 # --- exhaustive enumeration -----------------------------------------------

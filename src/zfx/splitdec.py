@@ -7,15 +7,20 @@ three merge rules: contract clique-clique edges, contract star edges joined
 center-to-leaf, and absorb bags with at most two label vertices.  All three
 are instances of one tree-edge contraction that preserves accessibility, so
 reduction never changes the represented graph.
+
+Bags are immutable and classified once, when they are made: building,
+reduction and peeling replace bags rather than edit them, so a builder
+seeded from a tree shares that tree's bags.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Mapping, Optional
 
 from . import kernels
 from .errors import CapacityError, InvariantViolation, TreeError
+from .extremal import attach_pendants
 from .graphs import (
     Graph,
     are_isomorphic,
@@ -90,8 +95,23 @@ class Bag:
     def marker_locals(self) -> set[int]:
         return set(self.markers.values())
 
-    def local_of_edge(self, edge: int) -> int:
-        return self.markers[edge]
+
+def _bag(label: Graph, ordinary: dict[int, int], markers: dict[int, int]) -> Bag:
+    """The bag on ``label``, with its kind and star center classified."""
+    kind = classify_kind(label)
+    tag = PRIME if kind.tag == "other" else kind.tag
+    return Bag(label, tag, ordinary, markers, kind.center)
+
+
+def _without(label: Graph, v: int) -> tuple[list[int], int]:
+    """Rows of ``label`` with vertex ``v`` deleted, and ``v``'s neighbourhood,
+    both in the numbering where locals above ``v`` shift down by one."""
+    low = (1 << v) - 1
+
+    def drop(row: int) -> int:
+        return (row & low) | ((row >> 1) & ~low)
+
+    return [drop(row) for u, row in enumerate(label.adj) if u != v], drop(label.adj[v])
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,34 +145,27 @@ class DecompositionSummary:
     star_centered_at_prime: bool
 
 
-# --- mutable builder --------------------------------------------------------
-
-
-class _MBag:
-    __slots__ = ("label", "ordinary", "markers")
-
-    def __init__(self, label: Graph, ordinary: dict, markers: dict):
-        self.label = label
-        self.ordinary = ordinary  # local -> original id
-        self.markers = markers  # edge id -> local
+# --- builder ----------------------------------------------------------------
 
 
 class _Builder:
-    def __init__(self) -> None:
-        self.bags: dict[int, _MBag] = {}
-        self.edge_ends: dict[int, list] = {}
-        self._next_bag = 0
-        self._next_edge = 0
+    """Bags and tree edges under construction.  Only splitting adds bags and
+    edges, starting from an empty builder, so their counts are the next free
+    ids; bags are replaced, never edited, so seeding shares a tree's bags."""
+
+    def __init__(
+        self, bags: Mapping[int, Bag], tree_edges: Mapping[int, tuple[int, int]]
+    ) -> None:
+        self.bags = dict(bags)
+        self.edge_ends = {e: list(ends) for e, ends in tree_edges.items()}
 
     def new_edge(self) -> int:
-        e = self._next_edge
-        self._next_edge += 1
+        e = len(self.edge_ends)
         self.edge_ends[e] = [None, None]
         return e
 
     def add_bag(self, label: Graph, tokens: tuple) -> int:
-        bid = self._next_bag
-        self._next_bag += 1
+        bid = len(self.bags)
         ordinary: dict[int, int] = {}
         markers: dict[int, int] = {}
         for local, tok in enumerate(tokens):
@@ -162,63 +175,29 @@ class _Builder:
                 _, e, side = tok
                 markers[e] = local
                 self.edge_ends[e][side] = bid
-        self.bags[bid] = _MBag(label, ordinary, markers)
+        self.bags[bid] = _bag(label, ordinary, markers)
         return bid
-
-    @classmethod
-    def from_tree(cls, t: GraphLabelledTree) -> "_Builder":
-        b = cls()
-        for bid in t.bags:
-            bag = t.bags[bid]
-            b.bags[bid] = _MBag(bag.label, dict(bag.ordinary), dict(bag.markers))
-        for e, (x, y) in t.tree_edges.items():
-            b.edge_ends[e] = [x, y]
-        b._next_bag = max(t.bags, default=-1) + 1
-        b._next_edge = max(t.tree_edges, default=-1) + 1
-        return b
 
     def contract_edge(self, e: int) -> None:
         """Merge the two end bags of ``e`` into one, preserving accessibility."""
         x, y = self.edge_ends[e]
         bx, by = self.bags[x], self.bags[y]
         mx, my = bx.markers[e], by.markers[e]
-        x_locals = [l for l in range(bx.label.n) if l != mx]
-        y_locals = [l for l in range(by.label.n) if l != my]
-        remap_x = {l: i for i, l in enumerate(x_locals)}
-        remap_y = {l: len(x_locals) + i for i, l in enumerate(y_locals)}
-        nn = len(x_locals) + len(y_locals)
-        adj = [0] * nn
-        for u in x_locals:
-            row = 0
-            for w in bits(bx.label.adj[u]):
-                if w != mx:
-                    row |= 1 << remap_x[w]
-            if bx.label.has_edge(u, mx):
-                for v in y_locals:
-                    if by.label.has_edge(my, v):
-                        row |= 1 << remap_y[v]
-            adj[remap_x[u]] = row
-        for v in y_locals:
-            row = 0
-            for w in bits(by.label.adj[v]):
-                if w != my:
-                    row |= 1 << remap_y[w]
-            if by.label.has_edge(my, v):
-                for u in x_locals:
-                    if bx.label.has_edge(u, mx):
-                        row |= 1 << remap_x[u]
-            adj[remap_y[v]] |= row
-        ordinary = {remap_x[l]: o for l, o in bx.ordinary.items()}
-        ordinary.update({remap_y[l]: o for l, o in by.ordinary.items()})
-        markers = {}
-        for e2, l in bx.markers.items():
-            if e2 != e:
-                markers[e2] = remap_x[l]
-        for e2, l in by.markers.items():
-            if e2 != e:
-                markers[e2] = remap_y[l]
+        rows_x, across_x = _without(bx.label, mx)
+        rows_y, across_y = _without(by.label, my)
+        k = len(rows_x)
+        adj = [row | (across_y << k if (across_x >> u) & 1 else 0)
+               for u, row in enumerate(rows_x)]
+        adj += [(row << k) | (across_x if (across_y >> v) & 1 else 0)
+                for v, row in enumerate(rows_y)]
+        ordinary = {l - (l > mx): o for l, o in bx.ordinary.items()}
+        ordinary.update({k + l - (l > my): o for l, o in by.ordinary.items()})
+        markers = {e2: l - (l > mx) for e2, l in bx.markers.items() if e2 != e}
+        markers.update(
+            {e2: k + l - (l > my) for e2, l in by.markers.items() if e2 != e}
+        )
         keep, drop = min(x, y), max(x, y)
-        self.bags[keep] = _MBag(Graph(nn, tuple(adj)), ordinary, markers)
+        self.bags[keep] = _bag(Graph(len(adj), tuple(adj)), ordinary, markers)
         del self.bags[drop]
         del self.edge_ends[e]
         for e2 in markers:
@@ -237,13 +216,11 @@ class _Builder:
             bx, by = self.bags[x], self.bags[y]
             if bx.label.n <= 2 or by.label.n <= 2:
                 return e
-            kx = classify_kind(bx.label)
-            ky = classify_kind(by.label)
-            if kx.tag == CLIQUE and ky.tag == CLIQUE:
+            if bx.kind == CLIQUE and by.kind == CLIQUE:
                 return e
-            if kx.tag == STAR and ky.tag == STAR:
-                x_center = bx.markers[e] == kx.center
-                y_center = by.markers[e] == ky.center
+            if bx.kind == STAR and by.kind == STAR:
+                x_center = bx.markers[e] == bx.star_center
+                y_center = by.markers[e] == by.star_center
                 if x_center != y_center:
                     return e
         return None
@@ -264,24 +241,13 @@ class _Builder:
             self.contract_edge(e)
 
     def freeze(self) -> GraphLabelledTree:
-        bags = {}
-        for bid in sorted(self.bags):
-            mb = self.bags[bid]
-            kind = classify_kind(mb.label)
-            tag = PRIME if kind.tag == "other" else kind.tag
-            bags[bid] = Bag(
-                label=mb.label,
-                kind=tag,
-                ordinary=dict(mb.ordinary),
-                markers=dict(mb.markers),
-                star_center=kind.center,
-            )
+        bags = {bid: self.bags[bid] for bid in sorted(self.bags)}
         tree_edges = {}
         for e, (x, y) in self.edge_ends.items():
             if x is None or y is None:
                 raise TreeError(f"tree edge {e} misses an endpoint")
             tree_edges[e] = (min(x, y), max(x, y))
-        ids = sorted(o for mb in self.bags.values() for o in mb.ordinary.values())
+        ids = sorted(o for bag in bags.values() for o in bag.ordinary.values())
         t = GraphLabelledTree(bags=bags, tree_edges=tree_edges, vertex_ids=tuple(ids))
         check_tree(t)
         return t
@@ -307,7 +273,7 @@ def decompose(
         raise ValueError("decompose expects a connected graph")
     if split_order not in ("min", "max"):
         raise ValueError("split_order must be 'min' or 'max'")
-    builder = _Builder()
+    builder = _Builder({}, {})
     _decompose_into(builder, g, tuple(range(g.n)), budget, split_order == "max")
     builder.reduce()
     return builder.freeze()
@@ -626,25 +592,24 @@ def peel(t: GraphLabelledTree, bag_id: int) -> tuple[GraphLabelledTree, GraphLab
             "neighbor star attached through its center (forbidden SpSc edge)"
         )
 
+    markers = {e2: l for e2, l in nbag.markers.items() if e2 != e}
+
     # (1) G - x: drop the bag, reinterpret the neighbor marker as c
-    b1 = _Builder.from_tree(t)
+    b1 = _Builder(t.bags, t.tree_edges)
     b1.delete_leaf_bag(bag_id, e)
-    mb = b1.bags[nbr]
-    del mb.markers[e]
-    mb.ordinary[a_local] = c_orig
+    b1.bags[nbr] = _bag(nbag.label, {**nbag.ordinary, a_local: c_orig}, markers)
     b1.reduce()
     t1 = b1.freeze()
 
     # (2) G - {x, c}: drop the bag and delete the neighbor marker vertex
-    b2 = _Builder.from_tree(t)
+    b2 = _Builder(t.bags, t.tree_edges)
     b2.delete_leaf_bag(bag_id, e)
-    mb = b2.bags[nbr]
-    keep_mask = mb.label.full_mask & ~(1 << a_local)
-    sub, kept = induced_subgraph(mb.label, keep_mask)
-    remap = {old: i for i, old in enumerate(kept)}
-    mb.label = sub
-    mb.ordinary = {remap[l]: o for l, o in mb.ordinary.items()}
-    mb.markers = {e2: remap[l] for e2, l in mb.markers.items() if e2 != e}
+    rows, _ = _without(nbag.label, a_local)
+    b2.bags[nbr] = _bag(
+        Graph(len(rows), tuple(rows)),
+        {l - (l > a_local): o for l, o in nbag.ordinary.items()},
+        {e2: l - (l > a_local) for e2, l in markers.items()},
+    )
     b2.reduce()
     t2 = b2.freeze()
 
@@ -725,8 +690,6 @@ def extract_prime_core(t: GraphLabelledTree) -> PrimeCoreResult:
 
 
 def _verify_prime_core(t, p, g, core, attach):
-    from .extremal import attach_pendants
-
     if not are_isomorphic(core, t.bags[p].label):
         raise InvariantViolation("extracted core is not isomorphic to the prime label")
     rebuilt = attach_pendants(core, list(attach))

@@ -89,6 +89,17 @@ def test_unique_prime_report():
     assert r.phases["phase2"]["verified"] == 24
 
 
+def test_unique_prime_file_corpus(tmp_path):
+    """A file corpus is described by its path and m alone: the builtin
+    corpus's n_max and connectedness say nothing about the file."""
+    f = tmp_path / "disconnected.g6"
+    f.write_text("C?\n")  # the empty graph on 4 vertices
+    r = verify_unique_prime(g6_file=str(f))
+    _check_report_invariants(r)
+    assert r.corpus == {"source": str(f), "m": 5}
+    assert [s["reason"] for s in r.skipped] == ["disconnected"]
+
+
 def test_audit_lemmas_report():
     r = audit_lemmas(n_max=5)
     _check_report_invariants(r)

@@ -78,6 +78,8 @@ def test_empty_g6_file(capsys, tmp_path):
 def test_bad_graph6_exits_1(capsys):
     code, _, err = run(capsys, "profile", "--g6", "D?")
     assert code == 1 and "error:" in err
+    code, _, err = run(capsys, "profile", "--g6", "A\u00e9")
+    assert code == 1 and "non-ASCII" in err
 
 
 def test_decompose_p4(capsys):
@@ -239,8 +241,21 @@ def test_campaign_flags_and_defaults(command, flags):
     ["profile", "--cycle", "-2"],
     ["decompose", "--complete", "-1"],
     ["recognize-dh", "--star", "-1"],
+    ["verify-dh", "--budget-subsets", "-1"],
+    ["audit-lemmas", "--budget-splits", "-1"],
+    ["profile", "--path", "3", "--budget-subsets", "-1"],
+    ["decompose", "--path", "3", "--budget-splits", "-1"],
+    ({"ZFX_JOBS": "0"}, ["verify-dh", "--nmax", "3"]),
+    ({"ZFX_JOBS": "-3"}, ["verify-dh", "--nmax", "3"]),
+    ({"ZFX_JOBS": "two"}, ["verify-dh", "--nmax", "3"]),
+    ({"ZFX_BUDGET_SUBSETS": "-1"}, ["verify-dh", "--nmax", "3"]),
+    ({"ZFX_BUDGET_SUBSETS": "-1"}, ["profile", "--path", "3"]),
 ])
-def test_usage_errors_exit_1(capsys, argv):
+def test_usage_errors_exit_1(capsys, monkeypatch, argv):
+    if isinstance(argv, tuple):
+        env, argv = argv
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert "error" in err and "Traceback" not in err

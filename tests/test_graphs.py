@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from zfx.errors import CapacityError, Graph6ParseError
 from zfx.graphs import (
     Graph,
+    GraphKind,
     are_isomorphic,
     bits,
     canonical_form,
@@ -219,6 +220,18 @@ def test_canonical_form_is_relabeling_invariant(g, rng):
     assert are_isomorphic(g, h)
 
 
+def _classify_kind_by_definition(g: Graph) -> GraphKind:
+    """Reference: every vertex of degree n-1, else the first vertex of degree
+    n-1 whose other vertices all have degree 1."""
+    n = g.n
+    if all(g.degree(v) == n - 1 for v in range(n)):
+        return GraphKind("clique")
+    for c in range(n):
+        if g.degree(c) == n - 1 and all(g.degree(v) == 1 for v in range(n) if v != c):
+            return GraphKind("star", center=c)
+    return GraphKind("other")
+
+
 def test_classify_kind():
     assert classify_kind(make_complete(4)).tag == "clique"
     assert classify_kind(make_complete(2)).tag == "clique"
@@ -227,6 +240,14 @@ def test_classify_kind():
     p3 = classify_kind(make_path(3))
     assert p3.tag == "star" and p3.center == 1
     assert classify_kind(make_cycle(5)).tag == "other"
+    checked = 0
+    for n in range(7):  # every labelled graph, not one per class
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            g = graph_from_edges(n, (p for k, p in enumerate(pairs) if mask >> k & 1))
+            assert classify_kind(g) == _classify_kind_by_definition(g)
+            checked += 1
+    assert checked == 33868
 
 
 # --- graph6 ----------------------------------------------------------------------
@@ -272,6 +293,9 @@ def test_graph6_errors_carry_offsets():
         parse_graph6("C" + chr(62))  # byte below the graph6 range
     with pytest.raises(Graph6ParseError):
         parse_graph6("A`")  # nonzero padding bits
+    with pytest.raises(Graph6ParseError) as exc:
+        parse_graph6("A\u00e9")  # non-ASCII, not read as "?"
+    assert exc.value.offset == 1
     assert parse_graph6("A_") == make_complete(2)
 
 
@@ -279,6 +303,24 @@ def test_graph6_errors_carry_offsets():
 @given(random_graph)
 def test_graph6_round_trip_property(g):
     assert parse_graph6(write_graph6(g)) == g
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text())
+def test_parse_graph6_fuzz(line):
+    """Any text is refused with a graph6 or capacity error, or is made of
+    graph6 bytes 63..126 and round-trips through write_graph6.  A long form
+    ("~") may spell an n that write_graph6 puts in short form, so only short
+    forms must come back byte for byte."""
+    try:
+        g = parse_graph6(line)
+    except (Graph6ParseError, CapacityError):
+        return
+    body = line.strip().removeprefix(">>graph6<<")
+    assert all(63 <= ord(c) <= 126 for c in body)
+    assert parse_graph6(write_graph6(g)) == g
+    if not body.startswith("~"):
+        assert write_graph6(g) == body
 
 
 # --- enumeration -------------------------------------------------------------------

@@ -3,7 +3,11 @@ bit for bit, and both must match the literal definitions."""
 
 from __future__ import annotations
 
+import importlib.util
 import re
+import shutil
+import subprocess
+import sysconfig
 from itertools import combinations, islice, permutations
 from pathlib import Path
 
@@ -15,14 +19,35 @@ from zfx import _kernels_py as pyk
 from zfx import kernels
 from zfx.graphs import graph_from_edges, is_connected
 
-try:
-    from zfx import _kernels_cy as cyk
-except ImportError:
-    cyk = None
+SRC = Path(__file__).resolve().parents[1] / "src" / "zfx"
 
-needs_compiled = pytest.mark.skipif(
-    cyk is None, reason="compiled kernels not built"
-)
+
+@pytest.fixture(scope="session")
+def cyk(tmp_path_factory):
+    """The compiled kernels: the installed extension, else the committed
+    ``_kernels_cy.c`` built with gcc into a temporary directory."""
+    try:
+        from zfx import _kernels_cy
+
+        return _kernels_cy
+    except ImportError:
+        pass
+    gcc = shutil.which("gcc")
+    if gcc is None:
+        pytest.skip("compiled kernels not built and no gcc to build them")
+    ext = tmp_path_factory.mktemp("kernels") / (
+        "_kernels_cy" + sysconfig.get_config_var("EXT_SUFFIX")
+    )
+    subprocess.run(
+        [gcc, "-O3", "-shared", "-fPIC", "-I" + sysconfig.get_paths()["include"],
+         str(SRC / "_kernels_cy.c"), "-o", str(ext)],
+        check=True,
+    )
+    spec = importlib.util.spec_from_file_location("zfx._kernels_cy", ext)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
 
 random_graph = st.builds(
     lambda n, bits_: graph_from_edges(
@@ -62,8 +87,7 @@ def test_canon_is_the_factorial_minimum(graphs_by_n):
             assert got == (best if best is not None else 0)
 
 
-@needs_compiled
-def test_backend_parity_on_enumerated_graphs(graphs_by_n):
+def test_backend_parity_on_enumerated_graphs(cyk, graphs_by_n):
     for n, graphs in graphs_by_n.items():
         for g in graphs:
             assert pyk.canon_adj(g.n, g.adj) == cyk.canon_adj(g.n, g.adj)
@@ -82,10 +106,9 @@ def test_backend_parity_on_enumerated_graphs(graphs_by_n):
                 ) == cyk.find_split_mask(g.n, g.adj, True)
 
 
-@needs_compiled
 @settings(max_examples=200, deadline=None)
 @given(random_graph, st.integers(min_value=0))
-def test_backend_parity_random(g, seed):
+def test_backend_parity_random(cyk, g, seed):
     s = seed & g.full_mask
     assert pyk.closure_mask(g.n, g.adj, s) == cyk.closure_mask(g.n, g.adj, s)
     assert pyk.canon_adj(g.n, g.adj) == cyk.canon_adj(g.n, g.adj)
@@ -113,8 +136,7 @@ def test_dispatcher_falls_back_for_large_canon():
     assert rows == pyk.canon_adj(g.n, g.adj)
 
 
-@needs_compiled
-def test_canon_parity_at_compiled_size_limit():
+def test_canon_parity_at_compiled_size_limit(cyk):
     """n = 10 and 11 sit just under the compiled accumulator cap."""
     import random
 
@@ -149,9 +171,8 @@ def test_profile_memo_boundary_agrees():
 def test_generated_c_matches_pyx():
     """Cython quotes each compiled .pyx line in the .c, marked with
     ``# <<<<<<<<<<<<<<``; a .pyx edit without regenerating the .c fails here."""
-    src = Path(__file__).resolve().parents[1] / "src" / "zfx"
-    pyx = (src / "_kernels_cy.pyx").read_text().splitlines()
-    c_lines = (src / "_kernels_cy.c").read_text().splitlines()
+    pyx = (SRC / "_kernels_cy.pyx").read_text().splitlines()
+    c_lines = (SRC / "_kernels_cy.c").read_text().splitlines()
     marker = "             # <<<<<<<<<<<<<<"
     checked = []
     for i, line in enumerate(c_lines):
