@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 
 import pytest
@@ -266,3 +267,47 @@ def test_help_exits_0(capsys):
         main(["verify-dh", "--help"])
     assert exc.value.code == 0
     assert "--budget-subsets" in capsys.readouterr().out
+
+
+SINGLE_GRAPH_RUNS = """\
+profile --path 4
+profile --path 4 --json
+profile --path 0
+profile --star 1
+profile --cycle 5 --against-path
+profile --cycle 5 --against-path --json
+profile --cycle 5 --against-path --csv
+profile --cycle 5 --csv --json
+profile --g6 FILE
+profile --g6 FILE --json
+profile --g6 FILE --csv --against-path
+profile --path 4 --out OUT
+decompose --path 4 --check
+decompose --cycle 5 --json
+decompose --complete 1
+decompose --g6 FILE --check
+decompose --g6 FILE --json
+recognize-dh --path 5 --check
+recognize-dh --cycle 5
+recognize-dh --cycle 5 --json
+recognize-dh --path 9 --check --json
+recognize-dh --g6 FILE
+recognize-dh --g6 FILE --check --json
+"""
+
+
+def test_single_graph_outputs_pinned(capsys, monkeypatch, tmp_path):
+    """Stdout, stderr, --out text and exit code of profile, decompose and
+    recognize-dh, byte for byte, over one sha256."""
+    monkeypatch.delenv("ZFX_BUDGET_SUBSETS", raising=False)
+    corpus, target = tmp_path / "corpus.g6", tmp_path / "out.txt"
+    corpus.write_text("C~\nDhC\nDhc\nBw\n")
+    paths = {"FILE": str(corpus), "OUT": str(target)}
+    digest = hashlib.sha256()
+    for line in SINGLE_GRAPH_RUNS.splitlines():
+        argv = line.split()
+        code, out, err = run(capsys, *(paths.get(a, a) for a in argv))
+        written = target.read_text() if "OUT" in argv else ""
+        digest.update(f"{' '.join(argv)}\n{code}\n{out}{err}{written}\n".encode())
+    assert digest.hexdigest() == (
+        "601ca66ba9c176b8221c3a83a58885d279b6e1a29dc7f76738430de08a60d7a9")
