@@ -12,12 +12,10 @@ from .errors import (
 from .forcing import ZfProfile, closure, fort_avoidance_floor, is_forcing, is_fort, zf_profile
 from .extremal import (
     ExtremalVerdict,
-    PathProfile,
     attach_pendants,
     audit_leaf_recurrence,
     check_path_extremal,
     check_pendant_extension,
-    path_profile,
     path_z,
     path_zprime,
     twin_shortcut,
@@ -31,7 +29,6 @@ from .graphs import (
     canonical_form,
     classify_kind,
     enumerate_graphs,
-    find_induced_embedding,
     find_leaf,
     find_twin_pair,
     graph_from_edges,

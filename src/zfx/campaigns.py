@@ -104,9 +104,9 @@ class VerificationReport:
         return json.dumps(self.to_dict(include_timing=False), sort_keys=True)
 
 
-def builtin_corpus(n_max: int, connected: bool = True, n_min: int = 1) -> list[str]:
+def builtin_corpus(n_max: int, connected: bool = True) -> list[str]:
     lines = []
-    for n in range(n_min, n_max + 1):
+    for n in range(1, n_max + 1):
         for g in enumerate_graphs(n, connected_only=connected):
             lines.append(write_graph6(g))
     return lines

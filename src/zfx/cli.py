@@ -12,16 +12,16 @@ import argparse
 import json
 import os
 import sys
-from typing import Callable, Optional
+from functools import partial
+from typing import Callable, Iterable, Optional
 
 from . import campaigns, splitdec
-from .dh import dh_metric_oracle, recognize_dh, replay_trace
+from .dh import METRIC_ORACLE_MAX, dh_metric_oracle, recognize_dh, replay_trace
 from .errors import CapacityError, Graph6ParseError
 from .extremal import path_zprime
 from .forcing import zf_profile
 from .graphs import (
     Graph,
-    are_isomorphic,
     enumerate_graphs,
     is_connected,
     make_complete,
@@ -52,17 +52,16 @@ _POSITIVE = _int_at_least(1)
 _NATURAL = _int_at_least(0)
 
 
-def _resolve(flag: Optional[int], env: str, default: int,
-             parse: Callable[[str], int]) -> int:
-    """The flag, else the environment variable ``env`` read by the flag's own
-    ``parse``, else ``default``."""
-    if flag is not None:
-        return flag
+def _resolve(args, dest: str, env: str, default: int,
+             parse: Callable[[str], int]) -> None:
+    """Fills ``args.<dest>``, if the subcommand has that flag and it was not
+    given, from the environment variable ``env`` read by the flag's own
+    ``parse``, else with ``default``."""
+    if getattr(args, dest, default) is not None:
+        return
     raw = os.environ.get(env, "")
-    if not raw:
-        return default
     try:
-        return parse(raw)
+        setattr(args, dest, parse(raw) if raw else default)
     except ValueError:
         raise ValueError(f"bad integer in ${env}: {raw!r}") from None
     except argparse.ArgumentTypeError as exc:
@@ -99,9 +98,17 @@ def _input_graphs(args) -> list[tuple[str, Graph]]:
     return [(args.g6, parse_graph6(args.g6))]
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+def _emit(args, lines: Iterable[str], payload=None,
+          csv: Optional[list[str]] = None) -> None:
+    """Writes ``csv`` rows with --csv (which wins over --json), else
+    ``payload`` as JSON with --json, else ``lines``, to --out or stdout."""
+    if csv is not None and args.csv:
+        lines = csv
+    elif payload is not None and args.json:
+        lines = [json.dumps(payload, sort_keys=True, indent=2)]
+    text = "\n".join(lines)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
             if not text.endswith("\n"):
                 fh.write("\n")
@@ -109,125 +116,107 @@ def _emit(text: str, out: Optional[str]) -> None:
         print(text)
 
 
-def _emit_entries(args, payload: list[dict], blocks: list[str]) -> None:
-    """Per-graph entries as JSON (one object for one graph, else a list)
-    with --json, else as text blocks."""
-    if args.json:
-        _emit(json.dumps(payload[0] if len(payload) == 1 else payload,
-                         sort_keys=True, indent=2), args.out)
-    else:
-        _emit("\n".join(blocks), args.out)
+def _per_graph(args, entry: Callable, text: Callable, csv: Optional[Callable] = None,
+               must: Optional[str] = None) -> int:
+    """Emits ``entry(args, label, g)`` of each input graph (one JSON object
+    for one graph, else a list), or its ``text`` or ``csv`` rendering;
+    returns 2 if some entry's ``must`` key is false."""
+    entries = [entry(args, label, g) for label, g in _input_graphs(args)]
+    _emit(args, [text(e) for e in entries],
+          entries[0] if len(entries) == 1 else entries,
+          csv(args, entries) if csv else None)
+    failed = must and not all(e[must] for e in entries)
+    return EXIT_COUNTEREXAMPLES if failed else EXIT_CLEAN
 
 
-def _cmd_profile(args) -> int:
-    budget = _resolve(args.budget_subsets, "ZFX_BUDGET_SUBSETS", 20, _NATURAL)
-    blocks = []
-    payload = []
-    csv_rows = ["graph6,k,z,zprime" + (",margin" if args.against_path else "")]
-    for label, g in _input_graphs(args):
-        profile = zf_profile(g, budget)
-        entry = {
-            "graph6": label,
-            "n": g.n,
-            "z": list(profile.z),
-            "zprime": list(profile.zprime),
-            "zero_forcing_number": profile.zf_number,
-            "polynomial": list(profile.poly_coeffs),
-        }
-        if args.against_path:
-            entry["margins"] = [
-                profile.zprime[k] - path_zprime(g.n, k) for k in range(g.n + 1)
-            ]
-        for k in range(g.n + 1):
-            row = f"{label},{k},{profile.z[k]},{profile.zprime[k]}"
-            if args.against_path:
-                row += f",{entry['margins'][k]}"
-            csv_rows.append(row)
-        payload.append(entry)
-        lines = [
-            f"graph {label}  (n={g.n})",
-            "  k        : " + " ".join(f"{k:>6}" for k in range(g.n + 1)),
-            "  z(G;k)   : " + " ".join(f"{v:>6}" for v in profile.z),
-            "  z'(G;k)  : " + " ".join(f"{v:>6}" for v in profile.zprime),
-            f"  Z(G) = {profile.zf_number}",
-            "  polynomial: "
-            + (" + ".join(
-                f"{c}*x^{k}" for k, c in enumerate(profile.poly_coeffs, start=1) if c
-            ) or "0"),
+def _profile_entry(args, label: str, g: Graph) -> dict:
+    profile = zf_profile(g, args.budget_subsets)
+    entry = {
+        "graph6": label,
+        "n": g.n,
+        "z": list(profile.z),
+        "zprime": list(profile.zprime),
+        "zero_forcing_number": profile.zf_number,
+        "polynomial": list(profile.poly_coeffs),
+    }
+    if args.against_path:
+        entry["margins"] = [
+            profile.zprime[k] - path_zprime(g.n, k) for k in range(g.n + 1)
         ]
-        if args.against_path:
-            lines.append(
-                "  margin   : " + " ".join(f"{v:>6}" for v in entry["margins"])
-            )
-        blocks.append("\n".join(lines))
-    if args.csv:
-        _emit("\n".join(csv_rows), args.out)
-    else:
-        _emit_entries(args, payload, blocks)
-    return EXIT_CLEAN
+    return entry
 
 
-def _cmd_decompose(args) -> int:
-    budget = args.budget_splits
-    blocks = []
-    payload = []
-    for label, g in _input_graphs(args):
-        if not is_connected(g):
-            raise ValueError(f"graph {label} is disconnected")
-        tree = splitdec.decompose(g, budget)
-        summary = splitdec.summarize(tree)
+def _profile_text(e: dict) -> str:
+    terms = [f"{c}*x^{k}" for k, c in enumerate(e["polynomial"], start=1) if c]
+    lines = [
+        f"graph {e['graph6']}  (n={e['n']})",
+        "  k        : " + " ".join(f"{k:>6}" for k in range(e["n"] + 1)),
+        "  z(G;k)   : " + " ".join(f"{v:>6}" for v in e["z"]),
+        "  z'(G;k)  : " + " ".join(f"{v:>6}" for v in e["zprime"]),
+        f"  Z(G) = {e['zero_forcing_number']}",
+        "  polynomial: " + (" + ".join(terms) or "0"),
+    ]
+    if "margins" in e:
+        lines.append("  margin   : " + " ".join(f"{v:>6}" for v in e["margins"]))
+    return "\n".join(lines)
+
+
+def _profile_csv(args, entries: list[dict]) -> list[str]:
+    columns = ["z", "zprime"] + (["margins"] if args.against_path else [])
+    rows = ["graph6,k,z,zprime" + (",margin" if args.against_path else "")]
+    for e in entries:
+        for k in range(e["n"] + 1):
+            rows.append(",".join([e["graph6"], str(k)]
+                                 + [str(e[c][k]) for c in columns]))
+    return rows
+
+
+def _decompose_entry(args, label: str, g: Graph) -> dict:
+    if not is_connected(g):
+        raise ValueError(f"graph {label} is disconnected")
+    tree = splitdec.decompose(g, args.budget_splits)
+    summary = splitdec.summarize(tree)
+    if args.check and splitdec.reconstruct(tree) != g:
+        raise RuntimeError(f"reconstruction mismatch for {label}")
+    return {
+        "graph6": label,
+        "prime_bag_count": summary.prime_bag_count,
+        "prime_labels": [write_graph6(h) for h in summary.prime_labels],
+        "is_dh": summary.is_dh,
+        "unique_prime": summary.unique_prime,
+        "star_centered_at_prime": summary.star_centered_at_prime,
+        "tree": splitdec.dump_tree(tree).splitlines(),
+    }
+
+
+def _decompose_text(e: dict) -> str:
+    summary = (f"summary: prime_bags={e['prime_bag_count']} is_dh={e['is_dh']} "
+               f"star_centered_at_prime={e['star_centered_at_prime']}")
+    return "\n".join([f"graph {e['graph6']}", *e["tree"], summary])
+
+
+def _dh_entry(args, label: str, g: Graph) -> dict:
+    trace = recognize_dh(g)
+    entry = {"graph6": label, "is_dh": trace is not None}
+    if trace is not None:
+        entry["steps"] = [
+            {"op": s.op, "removed": s.removed, "anchor": s.anchor}
+            for s in trace.steps
+        ]
         if args.check:
-            if splitdec.reconstruct(tree) != g:
-                raise RuntimeError(f"reconstruction mismatch for {label}")
-        entry = {
-            "graph6": label,
-            "prime_bag_count": summary.prime_bag_count,
-            "prime_labels": [write_graph6(h) for h in summary.prime_labels],
-            "is_dh": summary.is_dh,
-            "unique_prime": summary.unique_prime,
-            "star_centered_at_prime": summary.star_centered_at_prime,
-            "tree": splitdec.dump_tree(tree).splitlines(),
-        }
-        payload.append(entry)
-        blocks.append(
-            f"graph {label}\n{splitdec.dump_tree(tree)}\n"
-            f"summary: prime_bags={summary.prime_bag_count} "
-            f"is_dh={summary.is_dh} "
-            f"star_centered_at_prime={summary.star_centered_at_prime}"
-        )
-    _emit_entries(args, payload, blocks)
-    return EXIT_CLEAN
+            if replay_trace(trace) != g:
+                raise RuntimeError(f"trace replay mismatch for {label}")
+            entry["replay_ok"] = True
+        if g.n <= METRIC_ORACLE_MAX:
+            entry["metric_oracle"] = dh_metric_oracle(g)
+    return entry
 
 
-def _cmd_recognize_dh(args) -> int:
-    blocks = []
-    payload = []
-    all_dh = True
-    for label, g in _input_graphs(args):
-        trace = recognize_dh(g)
-        entry = {"graph6": label, "is_dh": trace is not None}
-        if trace is not None:
-            entry["steps"] = [
-                {"op": s.op, "removed": s.removed, "anchor": s.anchor}
-                for s in trace.steps
-            ]
-            if args.check:
-                replayed = replay_trace(trace)
-                if replayed != g or not are_isomorphic(replayed, g):
-                    raise RuntimeError(f"trace replay mismatch for {label}")
-                entry["replay_ok"] = True
-            if g.n <= 8:
-                entry["metric_oracle"] = dh_metric_oracle(g)
-        else:
-            all_dh = False
-        payload.append(entry)
-        if trace is None:
-            blocks.append(f"graph {label}: not distance-hereditary")
-        else:
-            steps = " ".join(f"{s.op}({s.removed}@{s.anchor})" for s in trace.steps)
-            blocks.append(f"graph {label}: distance-hereditary; trace: {steps}")
-    _emit_entries(args, payload, blocks)
-    return EXIT_CLEAN if all_dh else EXIT_COUNTEREXAMPLES
+def _dh_text(e: dict) -> str:
+    if not e["is_dh"]:
+        return f"graph {e['graph6']}: not distance-hereditary"
+    steps = " ".join(f"{s['op']}({s['removed']}@{s['anchor']})" for s in e["steps"])
+    return f"graph {e['graph6']}: distance-hereditary; trace: {steps}"
 
 
 # (campaign parameter, flag, argparse keywords) in --help order; each
@@ -249,46 +238,34 @@ def _cmd_campaign(args) -> int:
         for param, flag, _ in _CAMPAIGN_FLAGS
         if param in takes
     }
-    if "budget" in params:
-        params["budget"] = _resolve(params["budget"], "ZFX_BUDGET_SUBSETS", 20,
-                                    _NATURAL)
-    report = campaigns.run_campaign(
-        args.command, _resolve(args.jobs, "ZFX_JOBS", 1, _POSITIVE), **params
-    )
-    if args.csv:
-        rows = ["graph6,witness_k,margins,reason"]
-        for cx in report.counterexamples:
-            margins = ";".join(str(m) for m in cx.get("margins", []))
-            rows.append(
-                f"{cx['graph6']},{cx.get('witness_k')},{margins},"
-                f"\"{cx.get('reason', '')}\""
-            )
-    elif args.json:
-        rows = [report.to_json()]
-    else:
-        rows = [
-            f"campaign: {report.campaign}",
-            f"corpus: {json.dumps(report.corpus, sort_keys=True)}",
-            f"scanned={report.scanned} verified={report.verified} "
-            f"skipped={len(report.skipped)} "
-            f"counterexamples={len(report.counterexamples)} "
-            f"anomalies={len(report.anomalies)}",
-            f"time: {report.timing_seconds:.2f}s",
-        ]
-        for cx in report.counterexamples:
-            rows.append(f"COUNTEREXAMPLE {cx['graph6']}: {cx.get('reason', '')}")
-        for an in report.anomalies:
-            rows.append(f"ANOMALY {an['graph6']}: {an['reason']}")
-    _emit("\n".join(rows), args.out)
+    report = campaigns.run_campaign(args.command, args.jobs, **params)
+    csv = ["graph6,witness_k,margins,reason"]
+    for cx in report.counterexamples:
+        margins = ";".join(str(m) for m in cx.get("margins", []))
+        csv.append(
+            f"{cx['graph6']},{cx.get('witness_k')},{margins},"
+            f"\"{cx.get('reason', '')}\""
+        )
+    rows = [
+        f"campaign: {report.campaign}",
+        f"corpus: {json.dumps(report.corpus, sort_keys=True)}",
+        f"scanned={report.scanned} verified={report.verified} "
+        f"skipped={len(report.skipped)} "
+        f"counterexamples={len(report.counterexamples)} "
+        f"anomalies={len(report.anomalies)}",
+        f"time: {report.timing_seconds:.2f}s",
+    ]
+    for cx in report.counterexamples:
+        rows.append(f"COUNTEREXAMPLE {cx['graph6']}: {cx.get('reason', '')}")
+    for an in report.anomalies:
+        rows.append(f"ANOMALY {an['graph6']}: {an['reason']}")
+    _emit(args, rows, report.to_dict(), csv)
     return report.exit_code()
 
 
 def _cmd_enumerate(args) -> int:
-    lines = [
-        write_graph6(g)
-        for g in enumerate_graphs(args.n, connected_only=args.connected)
-    ]
-    _emit("\n".join(lines), args.out)
+    graphs = enumerate_graphs(args.n, connected_only=args.connected)
+    _emit(args, map(write_graph6, graphs))
     return EXIT_CLEAN
 
 
@@ -306,7 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="append margins against the path profile")
     p.add_argument("--budget-subsets", type=_NATURAL, default=None)
     _add_output(p, csv_help="emit the per-k table as CSV rows")
-    p.set_defaults(func=_cmd_profile)
+    p.set_defaults(func=partial(_per_graph, entry=_profile_entry,
+                                text=_profile_text, csv=_profile_csv))
 
     p = sub.add_parser("decompose", help="canonical split decomposition")
     _add_graph_input(p)
@@ -314,14 +292,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="re-reconstruct and compare against the input")
     p.add_argument("--budget-splits", type=_NATURAL, default=None)
     _add_output(p)
-    p.set_defaults(func=_cmd_decompose)
+    p.set_defaults(func=partial(_per_graph, entry=_decompose_entry,
+                                text=_decompose_text))
 
     p = sub.add_parser("recognize-dh", help="distance-hereditary recognition")
     _add_graph_input(p)
     p.add_argument("--check", action="store_true",
                    help="replay the elimination trace and compare")
     _add_output(p)
-    p.set_defaults(func=_cmd_recognize_dh)
+    p.set_defaults(func=partial(_per_graph, entry=_dh_entry, text=_dh_text,
+                                must="is_dh"))
 
     for spec in campaigns.CAMPAIGNS.values():
         if spec.help is None:
@@ -352,6 +332,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             return EXIT_ERROR
         raise
     try:
+        _resolve(args, "budget_subsets", "ZFX_BUDGET_SUBSETS", 20, _NATURAL)
+        _resolve(args, "jobs", "ZFX_JOBS", 1, _POSITIVE)
         return args.func(args)
     except (Graph6ParseError, CapacityError, ValueError, OSError,
             RuntimeError) as exc:

@@ -35,21 +35,6 @@ def path_z(n: int, k: int) -> int:
 
 
 @dataclass(frozen=True, slots=True)
-class PathProfile:
-    n: int
-    z: tuple[int, ...]
-    zprime: tuple[int, ...]
-
-
-def path_profile(n: int) -> PathProfile:
-    return PathProfile(
-        n,
-        tuple(path_z(n, k) for k in range(n + 1)),
-        tuple(path_zprime(n, k) for k in range(n + 1)),
-    )
-
-
-@dataclass(frozen=True, slots=True)
 class ExtremalVerdict:
     """Outcome of comparing a graph's profile against the n-path.
 

@@ -154,16 +154,15 @@ def is_connected(g: Graph) -> bool:
     return comp == g.full_mask
 
 
-def component_mask(g: Graph, start: int, within: Optional[int] = None) -> int:
-    """Connected component of ``start`` inside the optional mask."""
-    within = g.full_mask if within is None else within
+def component_mask(g: Graph, start: int) -> int:
+    """Connected component of ``start``."""
     comp = 1 << start
     frontier = comp
     while frontier:
         nxt = 0
         for v in bits(frontier):
             nxt |= g.adj[v]
-        frontier = nxt & within & ~comp
+        frontier = nxt & ~comp
         comp |= frontier
     return comp
 
@@ -202,46 +201,6 @@ def find_twin_pair(g: Graph) -> Optional[tuple[int, int, str]]:
                     return (u, v, "true")
             elif au == av:
                 return (u, v, "false")
-    return None
-
-
-def find_induced_embedding(q: Graph, h: Graph) -> Optional[tuple[int, ...]]:
-    """Smallest (by image sequence) induced embedding of q into h, or None.
-
-    Backtracks over images in ascending order with degree pruning, so the
-    first complete assignment is the lexicographic minimum.
-    """
-    if q.n > h.n:
-        return None
-    qdeg = [q.degree(v) for v in range(q.n)]
-    hdeg = [h.degree(v) for v in range(h.n)]
-    image: list[int] = []
-    used = 0
-
-    def extend(i: int) -> bool:
-        nonlocal used
-        if i == q.n:
-            return True
-        for cand in range(h.n):
-            if (used >> cand) & 1 or hdeg[cand] < qdeg[i]:
-                continue
-            ok = True
-            for j in range(i):
-                if q.has_edge(j, i) != h.has_edge(image[j], cand):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            image.append(cand)
-            used |= 1 << cand
-            if extend(i + 1):
-                return True
-            used ^= 1 << cand
-            image.pop()
-        return False
-
-    if extend(0):
-        return tuple(image)
     return None
 
 
@@ -288,6 +247,8 @@ def parse_graph6(line: str) -> Graph:
             if not 63 <= data[i] <= 126:
                 raise Graph6ParseError("bad byte in vertex count", i)
             n = (n << 6) | (data[i] - 63)
+        if n < 63:  # graph6 keeps the long form for n >= 63
+            raise Graph6ParseError("long-form vertex count below 63", 1)
         pos = 4
     else:
         if not 63 <= c <= 126:

@@ -23,6 +23,7 @@ from .errors import CapacityError, InvariantViolation, TreeError
 from .extremal import attach_pendants
 from .graphs import (
     Graph,
+    GraphKind,
     are_isomorphic,
     bits,
     classify_kind,
@@ -92,13 +93,13 @@ class Bag:
     markers: dict[int, int]
     star_center: Optional[int] = None
 
-    def marker_locals(self) -> set[int]:
-        return set(self.markers.values())
 
-
-def _bag(label: Graph, ordinary: dict[int, int], markers: dict[int, int]) -> Bag:
-    """The bag on ``label``, with its kind and star center classified."""
-    kind = classify_kind(label)
+def _bag(label: Graph, ordinary: dict[int, int], markers: dict[int, int],
+         kind: Optional[GraphKind] = None) -> Bag:
+    """The bag on ``label`` with its kind and star center, taken from
+    ``kind`` when the caller has already classified the label."""
+    if kind is None:
+        kind = classify_kind(label)
     tag = PRIME if kind.tag == "other" else kind.tag
     return Bag(label, tag, ordinary, markers, kind.center)
 
@@ -164,7 +165,7 @@ class _Builder:
         self.edge_ends[e] = [None, None]
         return e
 
-    def add_bag(self, label: Graph, tokens: tuple) -> int:
+    def add_bag(self, label: Graph, tokens: tuple, kind: GraphKind) -> int:
         bid = len(self.bags)
         ordinary: dict[int, int] = {}
         markers: dict[int, int] = {}
@@ -175,7 +176,7 @@ class _Builder:
                 _, e, side = tok
                 markers[e] = local
                 self.edge_ends[e][side] = bid
-        self.bags[bid] = _bag(label, ordinary, markers)
+        self.bags[bid] = _bag(label, ordinary, markers, kind)
         return bid
 
     def contract_edge(self, e: int) -> None:
@@ -282,11 +283,10 @@ def decompose(
 def _decompose_into(
     builder: _Builder, g: Graph, tokens: tuple, budget: Optional[int], reverse: bool
 ) -> None:
-    split = None
-    if classify_kind(g).tag == "other":
-        split = find_split(g, budget, reverse)
+    kind = classify_kind(g)
+    split = find_split(g, budget, reverse) if kind.tag == "other" else None
     if split is None:
-        builder.add_bag(g, tokens)
+        builder.add_bag(g, tokens, kind)
         return
     e = builder.new_edge()
     for side, part, frontier in (

@@ -11,7 +11,6 @@ from zfx.extremal import (
     audit_leaf_recurrence,
     check_path_extremal,
     check_pendant_extension,
-    path_profile,
     path_z,
     path_zprime,
     twin_shortcut,
@@ -33,6 +32,7 @@ def test_path_zprime_examples():
     assert path_zprime(3, 3) == 0  # C(-1,3) = 0
     assert path_zprime(6, -1) == 0
     assert path_zprime(0, 0) == 0 and path_z(0, 0) == 1
+    assert path_zprime(5, 0) == 1 and path_z(5, 5) == 1
 
 
 def test_path_formula_matches_enumeration():
@@ -41,12 +41,6 @@ def test_path_formula_matches_enumeration():
         for k in range(n + 1):
             assert profile.zprime[k] == path_zprime(n, k)
             assert profile.z[k] == path_z(n, k)
-
-
-def test_path_profile_struct():
-    pp = path_profile(5)
-    assert pp.zprime[0] == 1 and pp.z[5] == 1
-    assert pp.z == tuple(path_z(5, k) for k in range(6))
 
 
 def test_pascal_recombination():

@@ -123,7 +123,7 @@ def test_decompose_p4_two_stars():
     assert len(t.bags) == 2 and len(t.tree_edges) == 1
     for bag in t.bags.values():
         assert bag.kind == "star" and bag.label.n == 3
-        (marker_local,) = bag.marker_locals()
+        (marker_local,) = bag.markers.values()
         assert marker_local != bag.star_center  # leaf-marker on both sides
     assert dump_tree(t) == P4_DUMP
 
