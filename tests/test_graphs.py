@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from itertools import combinations, permutations
 
 import pytest
@@ -285,6 +286,15 @@ def test_enumeration_examples(graphs_by_n):
     assert len(graphs_by_n[3]) == 4
     assert len(graphs_by_n[4]) == 11
     assert sum(1 for g in graphs_by_n[4] if is_connected(g)) == 6
+
+
+def test_enumeration_digest_to_n8():
+    """Every class with 1 <= n <= 8 (13,598 graphs), in enumeration order,
+    as graph6 lines: pins the canonical rows and their order."""
+    lines = [write_graph6(g) for n in range(1, 9) for g in enumerate_graphs(n)]
+    assert len(lines) == 13598
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "430b19930d7e7ad67ee81acdd827def015ea3e0004080f99c9b6f23073c11002"
 
 
 def test_enumeration_capacity_error():

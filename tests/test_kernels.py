@@ -4,6 +4,7 @@ bit for bit, and both must match the literal definitions."""
 from __future__ import annotations
 
 import importlib.util
+import random
 import re
 import shutil
 import subprocess
@@ -71,20 +72,40 @@ def _row_major_encoding(n, adj):
     return acc
 
 
+def _factorial_minimum(n, adj):
+    best = None
+    for perm in permutations(range(n)):
+        acc = 0
+        for i in range(n):
+            for j in range(i + 1, n):
+                acc = (acc << 1) | ((adj[perm[i]] >> perm[j]) & 1)
+        if best is None or acc < best:
+            best = acc
+    return best if best is not None else 0
+
+
+def _random_adj(rng, n, p):
+    adj = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < p:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return tuple(adj)
+
+
 def test_canon_is_the_factorial_minimum(graphs_by_n):
     for n in range(0, 6):
         for g in graphs_by_n[n]:
             rows = pyk.canon_adj(g.n, g.adj)
-            got = _row_major_encoding(g.n, rows)
-            best = None
-            for perm in permutations(range(g.n)):
-                acc = 0
-                for i in range(g.n):
-                    for j in range(i + 1, g.n):
-                        acc = (acc << 1) | ((g.adj[perm[i]] >> perm[j]) & 1)
-                if best is None or acc < best:
-                    best = acc
-            assert got == (best if best is not None else 0)
+            assert _row_major_encoding(g.n, rows) == _factorial_minimum(g.n, g.adj)
+    # labelled graphs at n = 7 reach deeper searches than the class
+    # representatives above
+    rng = random.Random(7)
+    for k in range(20):
+        adj = _random_adj(rng, 7, 0.2 + 0.03 * k)
+        rows = pyk.canon_adj(7, adj)
+        assert _row_major_encoding(7, rows) == _factorial_minimum(7, adj)
 
 
 def test_backend_parity_on_enumerated_graphs(cyk, graphs_by_n):
@@ -138,18 +159,10 @@ def test_dispatcher_falls_back_for_large_canon():
 
 def test_canon_parity_at_compiled_size_limit(cyk):
     """n = 10 and 11 sit just under the compiled accumulator cap."""
-    import random
-
     rng = random.Random(11)
     for n in (10, 11):
         for _ in range(25):
-            adj = [0] * n
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if rng.random() < 0.4:
-                        adj[i] |= 1 << j
-                        adj[j] |= 1 << i
-            adj = tuple(adj)
+            adj = _random_adj(rng, n, 0.4)
             assert pyk.canon_adj(n, adj) == cyk.canon_adj(n, adj)
     with pytest.raises(OverflowError):
         cyk.canon_adj(12, tuple([0] * 12))
