@@ -2,8 +2,10 @@
 
 Graphs enter as ``(n, adj)`` where ``adj`` is a sequence of n ints, bit j of
 ``adj[i]`` set iff ij is an edge.  The compiled backend in ``_kernels_cy``
-implements the same five functions with identical semantics; ``zfx.kernels``
-picks one at import time.
+implements the same five functions with identical outputs; ``zfx.kernels``
+picks one at import time.  ``metric_dh`` gets there by a different
+algorithm: the compiled kernel checks the definition subset by subset, this
+one runs a polynomial separation test.
 """
 
 from __future__ import annotations
@@ -85,173 +87,170 @@ def canon_adj(n: int, adj) -> tuple:
 
     The relabeling minimizes the row-major upper-triangle bit string of the
     adjacency matrix over all n! vertex orders.  The search fixes positions
-    left to right, keeping only candidates whose next row is minimal given
-    the cell structure committed so far; ties branch, with twin candidates
-    collapsed (swapping twins is an automorphism).  Exactness is checked
-    against the literal factorial minimum in the test suite.
+    left to right over an ordered partition of the unplaced vertices into
+    cells (int masks with their sizes).  A candidate u of the first cell
+    contributes the least row the cells allow: per cell, zeros then
+    ``(adj[u] & cell).bit_count()`` ones.  Only candidates with the least
+    such row branch, twins among them collapsed (swapping twins is an
+    automorphism), and a branch whose prefix already exceeds the best
+    encoding is cut.  Placing u splits every cell into ``cell & ~adj[u]``
+    then ``cell & adj[u]``; once every cell is a singleton the order is
+    forced and the encoding is finished directly.  The rows are decoded
+    from the least encoding.  Exactness is checked against the literal
+    factorial minimum in the test suite.
     """
     if n <= 1:
         return tuple(adj)
 
-    best_acc = None
-    best_order = None
-    total_bits = n * (n - 1) // 2
+    best = -1
 
-    def dfs(cells, acc, bits_done, order):
-        nonlocal best_acc, best_order
-        if not cells:
-            if best_acc is None or acc < best_acc:
-                best_acc = acc
-                best_order = list(order)
-            return
-        i = len(order)
-        rem = n - 1 - i
-        c0 = cells[0]
-        # minimal achievable row for each candidate in the first cell
-        best_pat = None
-        tied = []
-        for u in c0:
-            au = adj[u]
-            pat = 0
-            rest0 = len(c0) - 1
-            ones0 = 0
-            for v in c0:
-                if v != u and (au >> v) & 1:
-                    ones0 += 1
-            pat = (pat << rest0) | ((1 << ones0) - 1)
-            for cell in cells[1:]:
-                ones = 0
-                for v in cell:
-                    if (au >> v) & 1:
-                        ones += 1
-                pat = (pat << len(cell)) | ((1 << ones) - 1)
-            if best_pat is None or pat < best_pat:
-                best_pat = pat
-                tied = [u]
-            elif pat == best_pat:
-                tied.append(u)
-        acc2 = (acc << rem) | best_pat
-        bits2 = bits_done + rem
-        if best_acc is not None and acc2 > (best_acc >> (total_bits - bits2)):
-            return
-        # drop tied candidates that are twins of an earlier one
-        unplaced = 0
-        for cell in cells:
-            for v in cell:
-                unplaced |= 1 << v
-        survivors = []
-        for u in tied:
-            dup = False
-            for w in survivors:
-                mu = adj[u] & unplaced & ~(1 << w) & ~(1 << u)
-                mw = adj[w] & unplaced & ~(1 << u) & ~(1 << w)
-                if mu == mw:
-                    dup = True
-                    break
-            if not dup:
-                survivors.append(u)
-        for u in survivors:
-            au = adj[u]
-            new_cells = []
-            first = [v for v in c0 if v != u]
-            for cell in [first] + cells[1:]:
-                non = [v for v in cell if not (au >> v) & 1]
-                yes = [v for v in cell if (au >> v) & 1]
-                if non:
-                    new_cells.append(non)
-                if yes:
-                    new_cells.append(yes)
-            order.append(u)
-            dfs(new_cells, acc2, bits2, order)
-            order.pop()
+    def dfs(cells, sizes, unplaced, acc, placed):
+        nonlocal best
+        while True:
+            if len(cells) == n - placed:
+                # all singletons: the remaining order is forced
+                for k in range(len(cells) - 1):
+                    au = adj[cells[k].bit_length() - 1]
+                    for c in cells[k + 1:]:
+                        acc = (acc << 1) | (au & c != 0)
+                if best < 0 or acc < best:
+                    best = acc
+                return
+            rem = n - 1 - placed
+            c0 = cells[0]
+            rest = list(zip(cells[1:], sizes[1:]))
+            if sizes[0] == 1:
+                au = adj[c0.bit_length() - 1]
+                best_pat = 0
+                for cell, size in rest:
+                    best_pat = (best_pat << size) | ((1 << (au & cell).bit_count()) - 1)
+                survivors = [c0]
+            else:
+                # least achievable row over the candidates of the first cell
+                best_pat = -1
+                c = c0
+                while c:
+                    low = c & -c
+                    c ^= low
+                    au = adj[low.bit_length() - 1]
+                    pat = (1 << (au & c0).bit_count()) - 1
+                    for cell, size in rest:
+                        pat = (pat << size) | ((1 << (au & cell).bit_count()) - 1)
+                    if best_pat < 0 or pat < best_pat:
+                        best_pat = pat
+                        tied = [low]
+                    elif pat == best_pat:
+                        tied.append(low)
+                survivors = None
+            acc = (acc << rem) | best_pat
+            placed += 1
+            if best >= 0 and acc > (best >> (rem * (rem - 1) // 2)):
+                return
+            if survivors is None:
+                # drop tied candidates that are twins of an earlier one
+                survivors = []
+                for lu in tied:
+                    au = adj[lu.bit_length() - 1]
+                    for lw in survivors:
+                        both = ~(lu | lw)
+                        if au & unplaced & both == adj[lw.bit_length() - 1] & unplaced & both:
+                            break
+                    else:
+                        survivors.append(lu)
+            size0 = sizes[0] - 1
+            last = len(survivors) - 1
+            for i, lu in enumerate(survivors):
+                au = adj[lu.bit_length() - 1]
+                new_cells = []
+                new_sizes = []
+                first = c0 ^ lu
+                if first:
+                    yes = first & au
+                    k = yes.bit_count()
+                    if k < size0:
+                        new_cells.append(first ^ yes)
+                        new_sizes.append(size0 - k)
+                    if k:
+                        new_cells.append(yes)
+                        new_sizes.append(k)
+                for cell, size in rest:
+                    yes = cell & au
+                    if yes and yes != cell:
+                        k = yes.bit_count()
+                        new_cells.append(cell ^ yes)
+                        new_sizes.append(size - k)
+                        new_cells.append(yes)
+                        new_sizes.append(k)
+                    else:
+                        new_cells.append(cell)
+                        new_sizes.append(size)
+                if i < last:
+                    dfs(new_cells, new_sizes, unplaced ^ lu, acc, placed)
+            # the last survivor's branch goes on in this frame
+            cells = new_cells
+            sizes = new_sizes
+            unplaced ^= lu
 
-    dfs([list(range(n))], 0, 0, [])
-    pos = {v: i for i, v in enumerate(best_order)}
-    out = []
-    for p in range(n):
-        row = 0
-        av = adj[best_order[p]]
-        while av:
-            low = av & -av
-            row |= 1 << pos[low.bit_length() - 1]
-            av ^= low
-        out.append(row)
+    full = (1 << n) - 1
+    dfs([full], [n], full, 0, 0)
+    out = [0] * n
+    bit = n * (n - 1) // 2
+    for i in range(n):
+        for j in range(i + 1, n):
+            bit -= 1
+            if best >> bit & 1:
+                out[i] |= 1 << j
+                out[j] |= 1 << i
     return tuple(out)
-
-
-def _bfs_dist(n, adj, src, within):
-    """Distance list from src inside the induced mask (-1 = unreachable)."""
-    dist = [-1] * n
-    dist[src] = 0
-    seen = 1 << src
-    frontier = 1 << src
-    d = 0
-    while frontier:
-        d += 1
-        nxt = 0
-        f = frontier
-        while f:
-            low = f & -f
-            nxt |= adj[low.bit_length() - 1]
-            f ^= low
-        frontier = nxt & within & ~seen
-        seen |= frontier
-        f = frontier
-        while f:
-            low = f & -f
-            dist[low.bit_length() - 1] = d
-            f ^= low
-    return dist
 
 
 def metric_dh(n: int, adj) -> bool:
     """True iff every connected induced subgraph preserves distances.
 
-    Assumes the input graph is connected.  Runs all-pairs BFS once, then for
-    every connected induced vertex subset BFS again and compares; exits on
-    the first stretched pair.
+    Separation test, O(n^2) mask BFS runs: the graph is distance-hereditary
+    iff every non-adjacent pair a, b with a common neighbour lies in
+    different components of G - (N(a) & N(b)).  Proof, for connected G:
+
+    1. Let v not in M.  M is isometric in M+v iff every two non-adjacent
+       neighbours of v in M have a common neighbour in M: their distance
+       in M+v is 2, and a shortest path through v can be rerouted through
+       that common neighbour.
+    2. Any connected induced H is reached from G by deleting non-cut
+       vertices one at a time (peel the leaves of a spanning tree of G
+       that extends one of H).  Isometry is transitive, so G is
+       distance-hereditary iff step 1's condition holds for every
+       connected M and every v not in M.
+    3. Step 1's condition fails iff some non-adjacent a, b in N(v) are
+       joined by a path avoiding N(a) & N(b): take M to be that path.
+
+    Pairs a, b always share a component, so on a disconnected graph the
+    test holds iff it holds on every component, which is what the literal
+    definition gives as well.
     """
-    if n <= 2:
-        return True
     full = (1 << n) - 1
-    gdist = [_bfs_dist(n, adj, u, full) for u in range(n)]
-    for mask in range(1, full + 1):
-        if bin(mask).count("1") < 3:
-            continue
-        start = (mask & -mask).bit_length() - 1
-        comp = _component(n, adj, start, mask)
-        if comp != mask:
-            continue
-        m = mask
-        while m:
-            low = m & -m
-            u = low.bit_length() - 1
-            m ^= low
-            sub = _bfs_dist(n, adj, u, mask)
-            gu = gdist[u]
-            chk = mask
-            while chk:
-                lw = chk & -chk
-                v = lw.bit_length() - 1
-                chk ^= lw
-                if sub[v] != gu[v]:
+    for a in range(n):
+        aa = adj[a]
+        later = full & ~aa & ~((2 << a) - 1)
+        while later:
+            lb = later & -later
+            later ^= lb
+            common = aa & adj[lb.bit_length() - 1]
+            if not common:
+                continue
+            allowed = full & ~common
+            reach = 1 << a
+            frontier = reach
+            while frontier:
+                nxt = 0
+                while frontier:
+                    low = frontier & -frontier
+                    nxt |= adj[low.bit_length() - 1]
+                    frontier ^= low
+                frontier = nxt & allowed & ~reach
+                if frontier & lb:
                     return False
+                reach |= frontier
     return True
-
-
-def _component(n, adj, start, within):
-    comp = 1 << start
-    frontier = comp
-    while frontier:
-        nxt = 0
-        f = frontier
-        while f:
-            low = f & -f
-            nxt |= adj[low.bit_length() - 1]
-            f ^= low
-        frontier = nxt & within & ~comp
-        comp |= frontier
-    return comp
 
 
 def find_split_mask(n: int, adj, reverse: bool = False) -> int:

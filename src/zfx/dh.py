@@ -112,7 +112,9 @@ def replay_trace(trace: EliminationTrace) -> Graph:
 
 def dh_metric_oracle(g: Graph) -> bool:
     """Independent recognizer: every connected induced subgraph must
-    preserve pairwise distances.  Exponential; capped at n = 8."""
+    preserve pairwise distances.  Capped at n = 8: the compiled kernel
+    checks the definition subset by subset, the pure-Python one runs a
+    polynomial separation test (see ``_kernels_py.metric_dh``)."""
     if g.n > METRIC_ORACLE_MAX:
         raise CapacityError(
             f"metric oracle is capped at n={METRIC_ORACLE_MAX} (got {g.n})"

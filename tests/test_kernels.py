@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from zfx import _kernels_py as pyk
 from zfx import kernels
-from zfx.graphs import graph_from_edges, is_connected
+from zfx.graphs import bits, enumerate_graphs, graph_from_edges, is_connected
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "zfx"
 
@@ -127,6 +127,17 @@ def test_backend_parity_on_enumerated_graphs(cyk, graphs_by_n):
                 ) == cyk.find_split_mask(g.n, g.adj, True)
 
 
+def test_metric_dh_parity_on_connected_classes_to_n8(cyk):
+    """The compiled kernel implements the literal definition."""
+    dh = 0
+    for n in range(1, 9):
+        for g in enumerate_graphs(n, connected_only=True):
+            got = pyk.metric_dh(g.n, g.adj)
+            assert got == cyk.metric_dh(g.n, g.adj)
+            dh += got
+    assert dh == 1893
+
+
 @settings(max_examples=200, deadline=None)
 @given(random_graph, st.integers(min_value=0))
 def test_backend_parity_random(cyk, g, seed):
@@ -149,6 +160,58 @@ def test_canon_relabeling_invariance(g, rng):
                 adj[perm[u]] |= 1 << perm[v]
                 adj[perm[v]] |= 1 << perm[u]
     assert kernels.canon_adj(g.n, g.adj) == kernels.canon_adj(g.n, tuple(adj))
+
+
+def _bfs_dist(n, adj, src, within):
+    """Distance list from src inside the induced mask (-1 = unreachable)."""
+    dist = [-1] * n
+    dist[src] = 0
+    seen = frontier = 1 << src
+    d = 0
+    while frontier:
+        d += 1
+        nxt = 0
+        for v in bits(frontier):
+            nxt |= adj[v]
+        frontier = nxt & within & ~seen
+        seen |= frontier
+        for v in bits(frontier):
+            dist[v] = d
+    return dist
+
+
+def _metric_dh_literal(n, adj):
+    """The definition: every connected induced subgraph keeps the distances
+    of the graph.  A BFS from every vertex of every connected subset."""
+    full = (1 << n) - 1
+    gdist = [_bfs_dist(n, adj, u, full) for u in range(n)]
+    for mask in range(1, full + 1):
+        if mask.bit_count() < 3:
+            continue
+        start = (mask & -mask).bit_length() - 1
+        if _bfs_dist(n, adj, start, mask).count(-1) != n - mask.bit_count():
+            continue  # not connected
+        for u in bits(mask):
+            sub = _bfs_dist(n, adj, u, mask)
+            if any(sub[v] != gdist[u][v] for v in bits(mask)):
+                return False
+    return True
+
+
+def test_metric_dh_matches_the_definition(graphs_by_n, connected_by_n):
+    """Every graph with n <= 6, disconnected ones included, and every
+    connected class at n = 7."""
+    for graphs in graphs_by_n.values():
+        for g in graphs:
+            assert pyk.metric_dh(g.n, g.adj) == _metric_dh_literal(g.n, g.adj)
+    for g in connected_by_n[7]:
+        assert pyk.metric_dh(g.n, g.adj) == _metric_dh_literal(g.n, g.adj)
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_graph)
+def test_metric_dh_matches_the_definition_random(g):
+    assert pyk.metric_dh(g.n, g.adj) == _metric_dh_literal(g.n, g.adj)
 
 
 def test_dispatcher_falls_back_for_large_canon():
