@@ -7,6 +7,8 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from zfx.cli import build_parser, main
 
@@ -311,3 +313,87 @@ def test_single_graph_outputs_pinned(capsys, monkeypatch, tmp_path):
         digest.update(f"{' '.join(argv)}\n{code}\n{out}{err}{written}\n".encode())
     assert digest.hexdigest() == (
         "601ca66ba9c176b8221c3a83a58885d279b6e1a29dc7f76738430de08a60d7a9")
+
+
+def _small(token: str) -> bool:
+    """True unless the token reads as an integer outside -4..4, so a stray
+    token never asks for a large graph, corpus or process pool."""
+    try:
+        return abs(int(token)) <= 4
+    except ValueError:
+        return True
+
+
+# Stray tokens: short (graph6 literals stay tiny) and without "/" (every
+# path they name is relative to the test's own directory).
+TOKENS = st.text(max_size=8).filter(lambda t: "/" not in t and _small(t))
+ENV_TEXT = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+    max_size=6,
+).filter(_small)
+
+
+def _positive(raw: str) -> bool:
+    try:
+        return int(raw) >= 1
+    except ValueError:
+        return False
+
+
+@st.composite
+def _cli_call(draw):
+    """(argv, env): a subcommand, some of its flags with cheap values, and
+    stray tokens, in random order."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    name = draw(st.sampled_from(sorted(sub.choices)))
+    flags = {a.option_strings[-1]: a for a in sub.choices[name]._actions
+             if a.option_strings and a.dest not in ("help", "jobs")}
+    pieces = []
+    for flag, action in sorted(flags.items()):
+        if not draw(st.booleans()):
+            continue
+        if action.nargs == 0:
+            pieces.append([flag])
+            continue
+        if flag == "--out":
+            value = st.just("out.txt")
+        elif flag == "--g6":
+            value = st.sampled_from(["corpus.g6", "C~", "A_", "Bw", "?"]) | TOKENS
+        elif action.type is not None:
+            value = st.integers(-1, 4).map(str) | TOKENS
+        else:
+            value = TOKENS
+        pieces.append([flag, draw(value)])
+    pieces += [[t] for t in draw(st.lists(TOKENS, max_size=1))]
+    argv = [name] + [a for p in draw(st.permutations(pieces)) for a in p]
+    if "--nmax" in flags and "--nmax" not in argv:  # the default is 8
+        argv += ["--nmax", str(draw(st.integers(1, 4)))]
+    env_value = st.sampled_from(["", "1", "3"]) | ENV_TEXT
+    env = {"ZFX_JOBS": draw(env_value), "ZFX_BUDGET_SUBSETS": draw(env_value)}
+    # A valid ZFX_JOBS is overridden, so no example starts a process pool;
+    # an invalid one is left for the CLI to refuse.
+    if "jobs" in {a.dest for a in sub.choices[name]._actions} and _positive(
+        env["ZFX_JOBS"]
+    ):
+        argv += ["--jobs", "1"]
+    return argv, env
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_cli_call())
+def test_cli_fuzz_exits_cleanly(capsys, monkeypatch, tmp_path, call):
+    """Any argv and environment ends in exit 0, 1 or 2, never a traceback."""
+    argv, env = call
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "corpus.g6").write_text("C~\nBw\nDhC\n")
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # --help
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), (argv, env, err)
+    assert "Traceback" not in err
