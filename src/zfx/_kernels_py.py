@@ -119,71 +119,49 @@ def canon_adj(n: int, adj) -> tuple:
             rem = n - 1 - placed
             c0 = cells[0]
             rest = list(zip(cells[1:], sizes[1:]))
-            if sizes[0] == 1:
-                au = adj[c0.bit_length() - 1]
-                best_pat = 0
+            # least achievable row over the candidates of the first cell
+            best_pat = -1
+            c = c0
+            while c:
+                low = c & -c
+                c ^= low
+                au = adj[low.bit_length() - 1]
+                pat = (1 << (au & c0).bit_count()) - 1
                 for cell, size in rest:
-                    best_pat = (best_pat << size) | ((1 << (au & cell).bit_count()) - 1)
-                survivors = [c0]
-            else:
-                # least achievable row over the candidates of the first cell
-                best_pat = -1
-                c = c0
-                while c:
-                    low = c & -c
-                    c ^= low
-                    au = adj[low.bit_length() - 1]
-                    pat = (1 << (au & c0).bit_count()) - 1
-                    for cell, size in rest:
-                        pat = (pat << size) | ((1 << (au & cell).bit_count()) - 1)
-                    if best_pat < 0 or pat < best_pat:
-                        best_pat = pat
-                        tied = [low]
-                    elif pat == best_pat:
-                        tied.append(low)
-                survivors = None
+                    pat = (pat << size) | ((1 << (au & cell).bit_count()) - 1)
+                if best_pat < 0 or pat < best_pat:
+                    best_pat = pat
+                    tied = [low]
+                elif pat == best_pat:
+                    tied.append(low)
             acc = (acc << rem) | best_pat
             placed += 1
             if best >= 0 and acc > (best >> (rem * (rem - 1) // 2)):
                 return
-            if survivors is None:
-                # drop tied candidates that are twins of an earlier one
-                survivors = []
-                for lu in tied:
-                    au = adj[lu.bit_length() - 1]
-                    for lw in survivors:
-                        both = ~(lu | lw)
-                        if au & unplaced & both == adj[lw.bit_length() - 1] & unplaced & both:
-                            break
-                    else:
-                        survivors.append(lu)
-            size0 = sizes[0] - 1
+            # drop tied candidates that are twins of an earlier one
+            survivors = []
+            for lu in tied:
+                au = adj[lu.bit_length() - 1]
+                for lw in survivors:
+                    both = ~(lu | lw)
+                    if au & unplaced & both == adj[lw.bit_length() - 1] & unplaced & both:
+                        break
+                else:
+                    survivors.append(lu)
             last = len(survivors) - 1
             for i, lu in enumerate(survivors):
                 au = adj[lu.bit_length() - 1]
                 new_cells = []
                 new_sizes = []
-                first = c0 ^ lu
-                if first:
-                    yes = first & au
+                for cell, size in [(c0 ^ lu, sizes[0] - 1)] + rest:
+                    yes = cell & au
                     k = yes.bit_count()
-                    if k < size0:
-                        new_cells.append(first ^ yes)
-                        new_sizes.append(size0 - k)
+                    if k < size:
+                        new_cells.append(cell ^ yes)
+                        new_sizes.append(size - k)
                     if k:
                         new_cells.append(yes)
                         new_sizes.append(k)
-                for cell, size in rest:
-                    yes = cell & au
-                    if yes and yes != cell:
-                        k = yes.bit_count()
-                        new_cells.append(cell ^ yes)
-                        new_sizes.append(size - k)
-                        new_cells.append(yes)
-                        new_sizes.append(k)
-                    else:
-                        new_cells.append(cell)
-                        new_sizes.append(size)
                 if i < last:
                     dfs(new_cells, new_sizes, unplaced ^ lu, acc, placed)
             # the last survivor's branch goes on in this frame

@@ -118,7 +118,6 @@ def test_backend_parity_on_enumerated_graphs(cyk, graphs_by_n):
                     g.n, g.adj, s
                 )
             if g.n >= 1 and is_connected(g):
-                assert pyk.metric_dh(g.n, g.adj) == cyk.metric_dh(g.n, g.adj)
                 assert pyk.find_split_mask(g.n, g.adj) == cyk.find_split_mask(
                     g.n, g.adj
                 )
