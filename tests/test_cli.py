@@ -327,8 +327,9 @@ def _small(token: str) -> bool:
 # Stray tokens: short (graph6 literals stay tiny) and without "/" (every
 # path they name is relative to the test's own directory).
 TOKENS = st.text(max_size=8).filter(lambda t: "/" not in t and _small(t))
+# The environment cannot hold NUL or lone surrogates.
 ENV_TEXT = st.text(
-    st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+    st.characters(exclude_categories=("Cs",), exclude_characters="\x00"),
     max_size=6,
 ).filter(_small)
 
