@@ -208,7 +208,7 @@ def metric_dh(n: int, adj) -> bool:
     full = (1 << n) - 1
     for a in range(n):
         aa = adj[a]
-        later = full & ~aa & ~((2 << a) - 1)
+        later = full & ~aa & ~((2 << a) - 1)  # b > a, not adjacent to a
         while later:
             lb = later & -later
             later ^= lb
