@@ -4,8 +4,11 @@
 Usage: python benchmarks/bench_kernels.py [--heavy]
 
 Each row times one kernel on a representative workload with both backends
-and reports the speedup.  --heavy adds the n=8 enumeration canonical-form
-workload (about 7 s of pure-Python canon_adj on one core of a 2-vCPU VM).
+and reports the speedup.  --heavy adds the n=8 exhaustive-augmentation
+canonical-form workload (about 7 s of pure-Python canon_adj on one core of
+a 2-vCPU VM).  That is every n=7 class with every new-vertex neighbourhood,
+kept as a kernel workload; ``enumerate_graphs`` no longer does this, it
+augments only where the new vertex has minimum degree.
 """
 
 from __future__ import annotations
@@ -94,7 +97,8 @@ def main() -> int:
                     rows8.append(nb)
                     seen.add(k.canon_adj(8, rows8))
 
-        bench("canon_adj (n=8 augmentation, 134k candidates)", canon_augment, rows)
+        bench("canon_adj (n=8 exhaustive augmentation, 134k candidates)",
+              canon_augment, rows)
 
     def metric_workload(k):
         for n, adj in graphs7:

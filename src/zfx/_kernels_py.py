@@ -3,9 +3,9 @@
 Graphs enter as ``(n, adj)`` where ``adj`` is a sequence of n ints, bit j of
 ``adj[i]`` set iff ij is an edge.  The compiled backend in ``_kernels_cy``
 implements the same five functions with identical outputs; ``zfx.kernels``
-picks one at import time.  ``metric_dh`` gets there by a different
-algorithm: the compiled kernel checks the definition subset by subset, this
-one runs a polynomial separation test.
+picks one at import time, except for ``metric_dh``, which it always takes
+from here.  The compiled ``metric_dh`` checks the definition subset by
+subset; this one runs a polynomial separation test.
 """
 
 from __future__ import annotations

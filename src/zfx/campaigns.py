@@ -18,7 +18,7 @@ from functools import partial
 from typing import Callable, Optional
 
 from . import kernels
-from .dh import METRIC_ORACLE_MAX, dh_metric_oracle, recognize_dh, replay_trace
+from .dh import dh_metric_oracle, recognize_dh, replay_trace
 from .errors import CapacityError, Graph6ParseError
 from .extremal import audit_leaf_recurrence, check_path_extremal
 from .forcing import is_forcing, is_fort
@@ -260,8 +260,6 @@ def _extremal_outcome(g: Graph, budget: Optional[int], reason: str) -> dict:
 
 def _dh_worker(line: str, budget: Optional[int]) -> dict:
     g = _graph(line)
-    if g.n > METRIC_ORACLE_MAX:
-        raise _Skip(f"metric oracle capped at n={METRIC_ORACLE_MAX}")
     trace = recognize_dh(g)
     oracle = dh_metric_oracle(g)
     if (trace is not None) != oracle:
@@ -287,10 +285,8 @@ def _roundtrip_worker(line: str, split_budget: Optional[int]) -> dict:
     violations = validate_reduced(tree)
     if violations:
         problems.append("not reduced: " + "; ".join(violations))
-    if g.n <= METRIC_ORACLE_MAX:
-        summary = summarize(tree)
-        if summary.is_dh != dh_metric_oracle(g):
-            problems.append("prime-bag-free does not match the metric oracle")
+    if summarize(tree).is_dh != dh_metric_oracle(g):
+        problems.append("prime-bag-free does not match the metric oracle")
     if problems:
         return {"status": COUNTEREXAMPLE, "reason": "; ".join(problems)}
     return {"status": VERIFIED}

@@ -16,7 +16,7 @@ from functools import partial
 from typing import Callable, Iterable, Optional
 
 from . import campaigns, splitdec
-from .dh import METRIC_ORACLE_MAX, dh_metric_oracle, recognize_dh, replay_trace
+from .dh import dh_metric_oracle, recognize_dh, replay_trace
 from .errors import CapacityError, Graph6ParseError
 from .extremal import path_zprime
 from .forcing import zf_profile
@@ -207,8 +207,7 @@ def _dh_entry(args, label: str, g: Graph) -> dict:
             if replay_trace(trace) != g:
                 raise RuntimeError(f"trace replay mismatch for {label}")
             entry["replay_ok"] = True
-        if g.n <= METRIC_ORACLE_MAX:
-            entry["metric_oracle"] = dh_metric_oracle(g)
+        entry["metric_oracle"] = dh_metric_oracle(g)
     return entry
 
 

@@ -11,10 +11,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import kernels
-from .errors import CapacityError, TraceError
+from .errors import TraceError
 from .graphs import Graph, find_leaf, find_twin_pair, induced_subgraph, is_connected
-
-METRIC_ORACLE_MAX = 8
 
 PENDANT = "pendant"
 FALSE_TWIN = "false_twin"
@@ -112,13 +110,9 @@ def replay_trace(trace: EliminationTrace) -> Graph:
 
 def dh_metric_oracle(g: Graph) -> bool:
     """Independent recognizer: every connected induced subgraph must
-    preserve pairwise distances.  Capped at n = 8: the compiled kernel
-    checks the definition subset by subset, the pure-Python one runs a
-    polynomial separation test (see ``_kernels_py.metric_dh``)."""
-    if g.n > METRIC_ORACLE_MAX:
-        raise CapacityError(
-            f"metric oracle is capped at n={METRIC_ORACLE_MAX} (got {g.n})"
-        )
+    preserve pairwise distances.  Decided on both backends by the
+    polynomial separation test of ``_kernels_py.metric_dh``, so no vertex
+    count is capped."""
     if not is_connected(g):
         raise ValueError("dh_metric_oracle expects a connected graph")
     return kernels.metric_dh(g.n, g.adj)

@@ -9,6 +9,8 @@ the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
+from operator import or_
 from typing import Iterable, Iterator, Optional
 
 from . import kernels
@@ -16,8 +18,8 @@ from .errors import CapacityError, Graph6ParseError, InvariantViolation
 
 MAX_VERTICES = 64
 
-# unlabeled graph counts for n = 1..8, used to sanity-check the enumerator
-KNOWN_GRAPH_COUNTS = (1, 2, 4, 11, 34, 156, 1044, 12346)
+# unlabeled graph counts for n = 1..9, used to sanity-check the enumerator
+KNOWN_GRAPH_COUNTS = (1, 2, 4, 11, 34, 156, 1044, 12346, 274668)
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -319,9 +321,32 @@ def write_graph6(g: Graph) -> str:
 
 # --- exhaustive enumeration -----------------------------------------------
 
-ENUM_MAX = 8
+ENUM_MAX = 9
 
 _levels: dict[int, tuple[Graph, ...]] = {}
+
+
+def _min_degree_neighbourhoods(base: tuple[int, ...]) -> Iterator[int]:
+    """Every neighbourhood ``nb`` of a new vertex added to ``base`` in which
+    the new vertex has minimum degree.
+
+    With ``d`` the least degree of ``base`` and ``low`` its vertices of that
+    degree, these are the masks with at most ``d`` bits, and the masks with
+    ``d + 1`` bits that contain ``low``: a new vertex of degree ``d + 1``
+    must raise every degree-``d`` vertex to ``d + 1``, and one of degree
+    ``d + 2`` or more cannot.
+    """
+    degrees = [row.bit_count() for row in base]
+    d = min(degrees)
+    low = sum(1 << i for i, k in enumerate(degrees) if k == d)
+    singles = [1 << i for i in range(len(base))]
+    for k in range(d + 1):
+        for c in combinations(singles, k):
+            yield sum(c)
+    extra = d + 1 - low.bit_count()
+    if extra >= 0:
+        for c in combinations([b for b in singles if not b & low], extra):
+            yield low | sum(c)
 
 
 def _enum_level(n: int) -> tuple[Graph, ...]:
@@ -333,13 +358,15 @@ def _enum_level(n: int) -> tuple[Graph, ...]:
         reps = (Graph(1, (0,)),)
     else:
         prev = _enum_level(n - 1)
+        top = 1 << (n - 1)
+        # added[nb]: what joining a new vertex to nb ORs into each row
+        added = [tuple(top if nb >> i & 1 else 0 for i in range(n - 1)) + (nb,)
+                 for nb in range(top)]
         seen = set()
         for g in prev:
-            base = g.adj
-            for nb in range(1 << (n - 1)):
-                adj = [base[i] | (((nb >> i) & 1) << (n - 1)) for i in range(n - 1)]
-                adj.append(nb)
-                seen.add(kernels.canon_adj(n, adj))
+            base = g.adj + (0,)
+            for nb in _min_degree_neighbourhoods(g.adj):
+                seen.add(kernels.canon_adj(n, tuple(map(or_, base, added[nb]))))
         reps = tuple(Graph(n, rows) for rows in sorted(seen))
     _levels[n] = reps
     return reps
@@ -348,8 +375,11 @@ def _enum_level(n: int) -> tuple[Graph, ...]:
 def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
     """One canonical representative per isomorphism class on n vertices.
 
-    Augments the (n-1)-vertex classes by every possible new-vertex
-    neighborhood and dedups on the minimum adjacency-matrix encoding.
+    Augments each (n-1)-vertex class by every new-vertex neighborhood in
+    which the new vertex has minimum degree, and dedups on the minimum
+    adjacency-matrix encoding.  That reaches every class: deleting a
+    minimum-degree vertex of any n-vertex graph leaves an (n-1)-vertex
+    class, and adding the vertex back is one of the augmentations kept.
     Deterministic order (sorted encodings).
     """
     if n > ENUM_MAX:

@@ -2,8 +2,12 @@
 
 The compiled extension (``zfx._kernels_cy``) is preferred when importable;
 ``ZFX_PURE=1`` in the environment forces the pure-Python fallback.  Both
-backends expose the same five functions with identical outputs; parity is
-enforced by the test suite.
+backends provide ``closure_mask``, ``profile_counts``, ``canon_adj`` and
+``find_split_mask`` with identical outputs; parity is enforced by the test
+suite.  ``metric_dh`` is the pure polynomial separation test on both
+backends: the compiled twin checks the definition on every connected
+subset, which is exponential and measured no faster, so only the parity
+tests call it, as a compiled literal oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ BACKEND = _impl.BACKEND
 
 closure_mask = _impl.closure_mask
 profile_counts = _impl.profile_counts
-metric_dh = _impl.metric_dh
+metric_dh = _kernels_py.metric_dh
 find_split_mask = _impl.find_split_mask
 
 # The compiled canonical search packs the upper-triangle encoding into a

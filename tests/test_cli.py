@@ -112,6 +112,9 @@ def test_recognize_dh(capsys):
     assert len(payload["steps"]) == 4
     code, payload, _ = run_json(capsys, "recognize-dh", "--cycle", "5")
     assert code == 2 and payload["is_dh"] is False
+    for n in ("4", "10"):  # with or without --check, at any n
+        code, payload, _ = run_json(capsys, "recognize-dh", "--star", n)
+        assert code == 0 and payload["metric_oracle"] is True
 
 
 def test_verify_dh_small(capsys):
@@ -167,7 +170,7 @@ def test_enumerate(capsys):
     assert code == 0 and len(out.strip().splitlines()) == 11
     code, out, _ = run(capsys, "enumerate", "--n", "4", "--connected")
     assert len(out.strip().splitlines()) == 6
-    code, _, err = run(capsys, "enumerate", "--n", "9")
+    code, _, err = run(capsys, "enumerate", "--n", "10")
     assert code == 1 and "graph6" in err
 
 
@@ -312,7 +315,7 @@ def test_single_graph_outputs_pinned(capsys, monkeypatch, tmp_path):
         written = target.read_text() if "OUT" in argv else ""
         digest.update(f"{' '.join(argv)}\n{code}\n{out}{err}{written}\n".encode())
     assert digest.hexdigest() == (
-        "601ca66ba9c176b8221c3a83a58885d279b6e1a29dc7f76738430de08a60d7a9")
+        "b212b18b7015f13f54b6abcbcf32cdcc268a2840c3aa665116ce2d8bafa8f8f5")
 
 
 def _small(token: str) -> bool:

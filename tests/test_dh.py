@@ -11,7 +11,7 @@ from zfx.dh import (
     recognize_dh,
     replay_trace,
 )
-from zfx.errors import CapacityError, TraceError
+from zfx.errors import TraceError
 from zfx.graphs import (
     Graph,
     are_isomorphic,
@@ -91,8 +91,7 @@ def test_metric_oracle_examples():
 
 
 def test_metric_oracle_guards():
-    with pytest.raises(CapacityError):
-        dh_metric_oracle(make_path(9))
+    assert dh_metric_oracle(make_path(9))
     with pytest.raises(ValueError):
         dh_metric_oracle(graph_from_edges(3, [(0, 1)]))
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zfx import graphs, kernels
 from zfx.errors import CapacityError, Graph6ParseError
 from zfx.graphs import (
     Graph,
@@ -297,9 +298,49 @@ def test_enumeration_digest_to_n8():
     assert digest == "430b19930d7e7ad67ee81acdd827def015ea3e0004080f99c9b6f23073c11002"
 
 
+def test_enumeration_n9_on_compiled_canon(cyk, monkeypatch):
+    """All 274,668 classes at n = 9, with the compiled ``canon_adj`` and in
+    a private level cache, so the 120 MB level does not outlive the test."""
+    monkeypatch.setattr(kernels, "canon_adj", cyk.canon_adj)
+    monkeypatch.setattr(graphs, "_levels", dict(graphs._levels))
+    level = list(enumerate_graphs(9))
+    assert len(level) == KNOWN_GRAPH_COUNTS[8]
+    assert sum(map(is_connected, level)) == 261080
+    digest = hashlib.sha256("\n".join(map(write_graph6, level)).encode()).hexdigest()
+    assert digest == "1534d7af27eadd7885f6959476e15044f16cc7d7459dfea0f95571454f91faca"
+
+
 def test_enumeration_capacity_error():
     with pytest.raises(CapacityError):
-        list(enumerate_graphs(9))
+        list(enumerate_graphs(10))
+
+
+def _full_augmentation(level):
+    """The enumerator's previous step, kept as the oracle: every class on
+    n - 1 vertices with every neighbourhood of a new vertex."""
+    seen = set()
+    for g in level:
+        for nb in range(1 << g.n):
+            adj = [g.adj[i] | (((nb >> i) & 1) << g.n) for i in range(g.n)]
+            adj.append(nb)
+            seen.add(kernels.canon_adj(g.n + 1, adj))
+    return seen
+
+
+def test_min_degree_augmentation_matches_full_augmentation():
+    """Level by level to n = 7: the same canonical rows as the full
+    augmentation, and the generated neighbourhoods are exactly those where
+    the new vertex has minimum degree, each once."""
+    for n in range(2, 8):
+        prev = list(enumerate_graphs(n - 1))
+        assert {g.adj for g in enumerate_graphs(n)} == _full_augmentation(prev)
+        for g in prev:
+            wanted = [
+                nb for nb in range(1 << g.n)
+                if all(nb.bit_count() <= row.bit_count() + (nb >> i & 1)
+                       for i, row in enumerate(g.adj))
+            ]
+            assert sorted(graphs._min_degree_neighbourhoods(g.adj)) == wanted
 
 
 def _naive_min_encoding(g: Graph) -> int:

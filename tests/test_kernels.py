@@ -3,12 +3,8 @@ bit for bit, and both must match the literal definitions."""
 
 from __future__ import annotations
 
-import importlib.util
 import random
 import re
-import shutil
-import subprocess
-import sysconfig
 from itertools import combinations, islice, permutations
 from pathlib import Path
 
@@ -21,33 +17,6 @@ from zfx import kernels
 from zfx.graphs import bits, enumerate_graphs, graph_from_edges, is_connected
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "zfx"
-
-
-@pytest.fixture(scope="session")
-def cyk(tmp_path_factory):
-    """The compiled kernels: the installed extension, else the committed
-    ``_kernels_cy.c`` built with gcc into a temporary directory."""
-    try:
-        from zfx import _kernels_cy
-
-        return _kernels_cy
-    except ImportError:
-        pass
-    gcc = shutil.which("gcc")
-    if gcc is None:
-        pytest.skip("compiled kernels not built and no gcc to build them")
-    ext = tmp_path_factory.mktemp("kernels") / (
-        "_kernels_cy" + sysconfig.get_config_var("EXT_SUFFIX")
-    )
-    subprocess.run(
-        [gcc, "-O3", "-shared", "-fPIC", "-I" + sysconfig.get_paths()["include"],
-         str(SRC / "_kernels_cy.c"), "-o", str(ext)],
-        check=True,
-    )
-    spec = importlib.util.spec_from_file_location("zfx._kernels_cy", ext)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 random_graph = st.builds(
@@ -211,6 +180,42 @@ def test_metric_dh_matches_the_definition(graphs_by_n, connected_by_n):
 @given(random_graph)
 def test_metric_dh_matches_the_definition_random(g):
     assert pyk.metric_dh(g.n, g.adj) == _metric_dh_literal(g.n, g.adj)
+
+
+def _random_dh_adj(rng, n):
+    """A connected DH graph from K1 by random pendant, false-twin and
+    true-twin additions, randomly relabelled."""
+    adj = [0]
+    for v in range(1, n):
+        a = rng.randrange(v)
+        op = rng.choice(("pendant", "false", "true") if adj[a] else ("pendant", "true"))
+        nb = 1 << a if op == "pendant" else adj[a] | (1 << a if op == "true" else 0)
+        for u in range(v):
+            if nb >> u & 1:
+                adj[u] |= 1 << v
+        adj.append(nb)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    out = [0] * n
+    for u in range(n):
+        for w in range(n):
+            if adj[u] >> w & 1:
+                out[perm[u]] |= 1 << perm[w]
+    return tuple(out)
+
+
+def test_metric_dh_matches_the_definition_at_n10_and_n11():
+    """Past the exhaustive range: seeded random labelled graphs, DH ones
+    built by one-vertex additions and G(n, p) ones."""
+    rng = random.Random(1011)
+    verdicts = set()
+    for n in (10, 11):
+        for _ in range(3):
+            for adj in (_random_dh_adj(rng, n), _random_adj(rng, n, 0.3)):
+                got = pyk.metric_dh(n, adj)
+                assert got == _metric_dh_literal(n, adj)
+                verdicts.add(got)
+    assert verdicts == {True, False}
 
 
 def test_dispatcher_falls_back_for_large_canon():
