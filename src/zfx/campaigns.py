@@ -2,8 +2,10 @@
 
 A campaign is one entry of ``CAMPAIGNS``: its parameters, the corpus
 description its report carries, and its ordered phases.  Each phase scans a
-corpus of graph6 lines (built-in enumeration or a file) with a per-graph
-worker, and ``run_campaign`` folds the records of every phase into one
+corpus with a per-graph worker.  A corpus item is a ``Graph`` of the built-in
+enumeration, or one line of a graph6 file, which only the worker parses, so
+one bad line becomes one skip.  Every record is named by its graph6 line,
+and ``run_campaign`` folds the records of every phase into one
 deterministic VerificationReport: records are sorted by graph6 string, so
 the report is independent of worker count.
 """
@@ -15,7 +17,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 from . import kernels
 from .dh import dh_metric_oracle, recognize_dh, replay_trace
@@ -104,16 +106,20 @@ class VerificationReport:
         return json.dumps(self.to_dict(include_timing=False), sort_keys=True)
 
 
-def builtin_corpus(n_max: int, connected: bool = True) -> list[str]:
-    lines = []
-    for n in range(1, n_max + 1):
-        for g in enumerate_graphs(n, connected_only=connected):
-            lines.append(write_graph6(g))
-    return lines
+# A corpus item: a built-in Graph, or a graph6 line read from a file.
+Item = Union[Graph, str]
+
+
+def builtin_corpus(n_max: int, connected: bool = True) -> list[Graph]:
+    return [g for n in range(1, n_max + 1)
+            for g in enumerate_graphs(n, connected_only=connected)]
 
 
 def load_corpus(path: str) -> list[str]:
-    with open(path, "r", encoding="ascii") as fh:
+    """The nonblank lines of a graph6 file.  Bytes that are not UTF-8 read
+    as U+FFFD, so a non-ASCII line reaches ``parse_graph6`` and is refused
+    there, alone."""
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
         return [ln.strip() for ln in fh if ln.strip()]
 
 
@@ -121,12 +127,13 @@ class _Skip(Exception):
     """Raised by a worker: its graph is skipped for this reason."""
 
 
-def _guarded(worker: Callable, line: str) -> dict:
-    """The record of ``line``: the worker's outcome, or a skip or failure,
-    so one bad graph never aborts a campaign.  A graph over a budget is
-    skipped with the cap as its reason."""
+def _guarded(worker: Callable, item: Item) -> dict:
+    """The record of ``item``, named by its graph6 line: the worker's
+    outcome, or a skip or failure, so one bad graph never aborts a campaign.
+    A graph over a budget is skipped with the cap as its reason."""
+    line = item if isinstance(item, str) else write_graph6(item)
     try:
-        return {"graph6": line, **worker(line)}
+        return {"graph6": line, **worker(item)}
     except (_Skip, CapacityError) as skip:
         return {"graph6": line, "status": SKIPPED, "reason": str(skip)}
     except Exception as exc:
@@ -134,7 +141,7 @@ def _guarded(worker: Callable, line: str) -> dict:
                 "reason": f"{type(exc).__name__}: {exc}"}
 
 
-def _run_scan(items: list[str], worker: Callable, jobs: int) -> list[dict]:
+def _run_scan(items: list[Item], worker: Callable, jobs: int) -> list[dict]:
     worker = partial(_guarded, worker)
     if jobs > 1 and len(items) > 1:
         chunk = max(1, len(items) // (jobs * 8))
@@ -172,11 +179,11 @@ def _fold(report: VerificationReport, records: list[dict]) -> None:
 @dataclass(frozen=True)
 class Phase:
     """One scan: ``worker``, with the campaign parameters named in ``args``
-    bound as keywords, maps each line of ``corpus(params)`` to an outcome
+    bound as keywords, maps each item of ``corpus(params)`` to an outcome
     dict (status, and reason or witness fields) or raises ``_Skip``."""
 
     name: Optional[str]  # key under report.phases; None adds no phases block
-    corpus: Callable[[dict], list[str]]
+    corpus: Callable[[dict], list[Item]]
     worker: Callable[..., dict]
     args: tuple[str, ...] = ()
     tag: Optional[int] = None  # stamped as "phase" on its counterexamples
@@ -229,11 +236,14 @@ def run_campaign(name: str, jobs: int = 1, **params) -> VerificationReport:
 # --- shared worker steps: each returns a value or raises _Skip -----------------
 
 
-def _graph(line: str, connected: bool = True) -> Graph:
-    try:
-        g = parse_graph6(line)
-    except (Graph6ParseError, CapacityError) as exc:
-        raise _Skip(f"parse: {exc}") from None
+def _graph(item: Item, connected: bool = True) -> Graph:
+    """The item's graph; a file line is parsed here."""
+    g = item
+    if isinstance(item, str):
+        try:
+            g = parse_graph6(item)
+        except (Graph6ParseError, CapacityError) as exc:
+            raise _Skip(f"parse: {exc}") from None
     if connected and not is_connected(g):
         raise _Skip("disconnected")
     return g
@@ -258,8 +268,8 @@ def _extremal_outcome(g: Graph, budget: Optional[int], reason: str) -> dict:
 # --- verify-dh ----------------------------------------------------------------
 
 
-def _dh_worker(line: str, budget: Optional[int]) -> dict:
-    g = _graph(line)
+def _dh_worker(item: Item, budget: Optional[int]) -> dict:
+    g = _graph(item)
     trace = recognize_dh(g)
     oracle = dh_metric_oracle(g)
     if (trace is not None) != oracle:
@@ -276,8 +286,8 @@ def _dh_worker(line: str, budget: Optional[int]) -> dict:
 # --- split-decomposition round trip --------------------------------------------
 
 
-def _roundtrip_worker(line: str, split_budget: Optional[int]) -> dict:
-    g = _graph(line)
+def _roundtrip_worker(item: Item, split_budget: Optional[int]) -> dict:
+    g = _graph(item)
     tree = decompose(g, split_budget)
     problems = []
     if reconstruct(tree) != g:
@@ -320,11 +330,11 @@ def _induced_subgraph_classes(g: Graph) -> list[Graph]:
     return out
 
 
-def _prime_core_worker(line: str, budget: Optional[int]) -> dict:
+def _prime_core_worker(item: Item, budget: Optional[int]) -> dict:
     """Phase 1: every induced subgraph of one split-prime graph is
     path-extremal.  A budget cap here is an anomaly, not a skip: phase 2
     rests on this hypothesis."""
-    classes = _induced_subgraph_classes(_graph(line))
+    classes = _induced_subgraph_classes(_graph(item))
     for checked, sub in enumerate(classes, start=1):
         try:
             verdict = check_path_extremal(sub, budget)
@@ -341,9 +351,9 @@ def _prime_core_worker(line: str, budget: Optional[int]) -> dict:
     return {"status": VERIFIED, "subgraph_classes": len(classes)}
 
 
-def _unique_prime_worker(line: str, m: int, budget: Optional[int],
+def _unique_prime_worker(item: Item, m: int, budget: Optional[int],
                          split_budget: Optional[int]) -> dict:
-    g = _graph(line)
+    g = _graph(item)
     summary = _one_prime_bag(decompose(g, split_budget))
     size = summary.prime_labels[0].n
     if size > m:
@@ -354,8 +364,8 @@ def _unique_prime_worker(line: str, m: int, budget: Optional[int],
 # --- audit-lemmas ----------------------------------------------------------------
 
 
-def _leaf_audit_worker(line: str, budget: Optional[int]) -> dict:
-    g = _graph(line, connected=False)
+def _leaf_audit_worker(item: Item, budget: Optional[int]) -> dict:
+    g = _graph(item, connected=False)
     leaves = [v for v in range(g.n) if g.degree(v) == 1]
     if not leaves:
         raise _Skip("no leaves")
@@ -368,8 +378,8 @@ def _leaf_audit_worker(line: str, budget: Optional[int]) -> dict:
     return {"status": VERIFIED}
 
 
-def _fort_audit_worker(line: str) -> dict:
-    g = _graph(line, connected=False)
+def _fort_audit_worker(item: Item) -> dict:
+    g = _graph(item, connected=False)
     full = g.full_mask
     for f in range(1, full + 1):
         if not is_fort(g, f):
@@ -386,8 +396,8 @@ def _fort_audit_worker(line: str) -> dict:
     return {"status": VERIFIED}
 
 
-def _peel_extract_worker(line: str, split_budget: Optional[int]) -> dict:
-    tree = decompose(_graph(line), split_budget)
+def _peel_extract_worker(item: Item, split_budget: Optional[int]) -> dict:
+    tree = decompose(_graph(item), split_budget)
     summary = _one_prime_bag(tree)
     try:
         if summary.star_centered_at_prime:
@@ -409,7 +419,7 @@ def _peel_extract_worker(line: str, split_budget: Optional[int]) -> dict:
 FORT_AUDIT_MAX = 5
 
 
-def _graphs(p: dict) -> list[str]:
+def _graphs(p: dict) -> list[Item]:
     """The ``g6_file`` corpus, else every connected graph on <= n_max vertices."""
     return load_corpus(p["g6_file"]) if p.get("g6_file") else builtin_corpus(p["n_max"])
 
@@ -435,11 +445,11 @@ CAMPAIGNS = {c.name: c for c in (
         lambda p: {**_graphs_descr(p), "m": p["m"]},
         (
             Phase("phase1",
-                  lambda p: [write_graph6(h) for h in split_prime_graphs(p["m"])],
+                  lambda p: split_prime_graphs(p["m"]),
                   _prime_core_worker, ("budget",), tag=1,
                   # the primes in enumeration order, not the records' graph6 order
                   extra=lambda items, records: {
-                      "prime_graphs": list(items),
+                      "prime_graphs": [write_graph6(h) for h in items],
                       "subgraph_classes": sum(r.get("subgraph_classes", 0)
                                               for r in records)}),
             Phase("phase2", _graphs, _unique_prime_worker,

@@ -138,15 +138,24 @@ def induced_subgraph(g: Graph, keep: int) -> tuple[Graph, tuple[int, ...]]:
     from new index to original vertex."""
     if keep & ~g.full_mask:
         raise ValueError("keep mask exceeds the vertex universe")
-    kept = tuple(bits(keep))
-    index = {v: i for i, v in enumerate(kept)}
+    kept = []
+    local = {}  # vertex bit -> its bit in the subgraph
+    m = keep
+    while m:
+        low = m & -m
+        local[low] = 1 << len(kept)
+        kept.append(low.bit_length() - 1)
+        m ^= low
     adj = []
     for v in kept:
+        r = g.adj[v] & keep
         row = 0
-        for w in bits(g.adj[v] & keep):
-            row |= 1 << index[w]
+        while r:
+            low = r & -r
+            row |= local[low]
+            r ^= low
         adj.append(row)
-    return Graph(len(kept), tuple(adj)), kept
+    return Graph(len(kept), tuple(adj)), tuple(kept)
 
 
 def is_connected(g: Graph) -> bool:
@@ -160,10 +169,13 @@ def component_mask(g: Graph, start: int) -> int:
     """Connected component of ``start``."""
     comp = 1 << start
     frontier = comp
+    adj = g.adj
     while frontier:
         nxt = 0
-        for v in bits(frontier):
-            nxt |= g.adj[v]
+        while frontier:
+            low = frontier & -frontier
+            nxt |= adj[low.bit_length() - 1]
+            frontier ^= low
         frontier = nxt & ~comp
         comp |= frontier
     return comp
@@ -226,6 +238,15 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
 _G6_HEADER = ">>graph6<<"
 
 
+# _G6_REV[x]: the 6 bits of x in reverse order.  The graph6 bit stream
+# runs column by column, (0,1), (0,2), (1,2), (0,3), ..., with the first bit
+# of each byte its most significant.  Packed least significant bit first,
+# the stream is the integer whose bit v(v-1)/2 + u is set iff uv is an edge,
+# so column v is the low v bits of adj[v] shifted by v(v-1)/2, and byte i
+# carries bits 6i..6i+5 of it, reversed.
+_G6_REV = [int(format(x, "06b")[::-1], 2) for x in range(64)]
+
+
 def parse_graph6(line: str) -> Graph:
     """Decode one graph6 line (optional ``>>graph6<<`` prefix tolerated)."""
     s = line.strip()
@@ -265,33 +286,23 @@ def parse_graph6(line: str) -> Graph:
         raise Graph6ParseError("truncated edge data", len(data))
     if len(data) - pos > nbytes:
         raise Graph6ParseError("trailing bytes after edge data", pos + nbytes)
-    adj = [0] * n
-    bit = 0
-    for i in range(nbytes):
-        b = data[pos + i]
+    stream = 0
+    for i, b in enumerate(data[pos:]):
         if not 63 <= b <= 126:
             raise Graph6ParseError("bad edge byte", pos + i)
-        val = b - 63
-        for k in range(5, -1, -1):
-            if bit >= nbits:
-                if (val >> k) & 1:
-                    raise Graph6ParseError("nonzero padding bits", pos + i)
-                continue
-            if (val >> k) & 1:
-                u, v = _g6_bit_to_pair(bit)
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-            bit += 1
+        stream |= _G6_REV[b - 63] << (6 * i)
+    if stream >> nbits:
+        raise Graph6ParseError("nonzero padding bits", pos + nbytes - 1)
+    adj = [0] * n
+    for v in range(1, n):
+        col = (stream >> (v * (v - 1) // 2)) & ((1 << v) - 1)
+        adj[v] |= col
+        bit = 1 << v
+        while col:
+            low = col & -col
+            adj[low.bit_length() - 1] |= bit
+            col ^= low
     return Graph(n, tuple(adj))
-
-
-def _g6_bit_to_pair(bit: int) -> tuple[int, int]:
-    # column order: (0,1), (0,2), (1,2), (0,3), ...
-    v = 1
-    while v * (v - 1) // 2 <= bit:
-        v += 1
-    v -= 1
-    return bit - v * (v - 1) // 2, v
 
 
 def write_graph6(g: Graph) -> str:
@@ -304,18 +315,10 @@ def write_graph6(g: Graph) -> str:
         out.append(((n >> 12) & 63) + 63)
         out.append(((n >> 6) & 63) + 63)
         out.append((n & 63) + 63)
-    val = 0
-    nb = 0
+    stream = 0
     for v in range(1, n):
-        for u in range(v):
-            val = (val << 1) | ((g.adj[u] >> v) & 1)
-            nb += 1
-            if nb == 6:
-                out.append(val + 63)
-                val = 0
-                nb = 0
-    if nb:
-        out.append((val << (6 - nb)) + 63)
+        stream |= (g.adj[v] & ((1 << v) - 1)) << (v * (v - 1) // 2)
+    out.extend(_G6_REV[(stream >> s) & 63] + 63 for s in range(0, n * (n - 1) // 2, 6))
     return bytes(out).decode("ascii")
 
 

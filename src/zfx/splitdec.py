@@ -25,7 +25,6 @@ from .graphs import (
     Graph,
     GraphKind,
     are_isomorphic,
-    bits,
     classify_kind,
     induced_subgraph,
     is_connected,
@@ -70,11 +69,14 @@ def find_split(
     b_mask = g.full_mask ^ a_mask
     a1 = 0
     b1 = 0
-    for a in bits(a_mask):
-        cross = g.adj[a] & b_mask
+    m = a_mask
+    while m:
+        low = m & -m
+        cross = g.adj[low.bit_length() - 1] & b_mask
         if cross:
-            a1 |= 1 << a
+            a1 |= low
             b1 = cross
+        m ^= low
     return Split(a_mask, b_mask, a1, b1)
 
 
@@ -293,13 +295,33 @@ def _decompose_into(
         (0, split.a_mask, split.a1_mask),
         (1, split.b_mask, split.b1_mask),
     ):
-        sub, kept = induced_subgraph(g, part)
-        local_frontier = mask_of(i for i, v in enumerate(kept) if (frontier >> v) & 1)
-        m = sub.n
-        adj = [sub.adj[i] | (((local_frontier >> i) & 1) << m) for i in range(m)]
-        adj.append(local_frontier)
+        # The side's label: the rows of ``part`` compacted to its ascending
+        # order, then a marker adjacent to the side's frontier.
+        kept = []
+        local = {}  # vertex bit -> its bit in the label
+        m = part
+        while m:
+            low = m & -m
+            local[low] = 1 << len(kept)
+            kept.append(low.bit_length() - 1)
+            m ^= low
+        marker = 1 << len(kept)
+        adj = []
+        marker_row = 0
+        for v in kept:
+            r = g.adj[v] & part
+            row = 0
+            while r:
+                low = r & -r
+                row |= local[low]
+                r ^= low
+            if (frontier >> v) & 1:
+                row |= marker
+                marker_row |= 1 << len(adj)
+            adj.append(row)
+        adj.append(marker_row)
         part_tokens = tuple(tokens[v] for v in kept) + (("m", e, side),)
-        _decompose_into(builder, Graph(m + 1, tuple(adj)), part_tokens, budget, reverse)
+        _decompose_into(builder, Graph(len(adj), tuple(adj)), part_tokens, budget, reverse)
 
 
 # --- reconstruction and validation -------------------------------------------
@@ -308,16 +330,17 @@ def _decompose_into(
 def check_tree(t: GraphLabelledTree) -> None:
     """Structural validity; raises TreeError on violation."""
     seen_ids: dict[int, int] = {}
+    edges = t.tree_edges
     for bid, bag in t.bags.items():
-        locals_seen = set(bag.ordinary) | set(bag.markers.values())
-        if len(locals_seen) != bag.label.n or len(bag.ordinary) + len(
-            bag.markers
-        ) != bag.label.n:
+        n = bag.label.n
+        if len(bag.ordinary) + len(bag.markers) != n or len(
+            bag.ordinary.keys() | bag.markers.values()
+        ) != n:
             raise TreeError(f"bag {bid}: markers and ordinary must partition label")
         for e in bag.markers:
-            if e not in t.tree_edges:
+            if e not in edges:
                 raise TreeError(f"bag {bid} references unknown edge {e}")
-            if bid not in t.tree_edges[e]:
+            if bid not in edges[e]:
                 raise TreeError(f"bag {bid} not an endpoint of its edge {e}")
         for orig in bag.ordinary.values():
             if orig in seen_ids:
@@ -325,20 +348,22 @@ def check_tree(t: GraphLabelledTree) -> None:
             seen_ids[orig] = bid
     if tuple(sorted(seen_ids)) != t.vertex_ids:
         raise TreeError("vertex_ids do not match the bags' ordinary vertices")
-    for e, (x, y) in t.tree_edges.items():
+    for e, (x, y) in edges.items():
         if x == y or x not in t.bags or y not in t.bags:
             raise TreeError(f"edge {e} has bad endpoints")
         if e not in t.bags[x].markers or e not in t.bags[y].markers:
             raise TreeError(f"edge {e} lacks a marker binding at an endpoint")
-    if len(t.tree_edges) != len(t.bags) - 1:
+    if len(edges) != len(t.bags) - 1:
         raise TreeError("bag graph is not a tree (edge count)")
     if t.bags:
-        first = next(iter(sorted(t.bags)))
+        first = min(t.bags)
         reach = {first}
         stack = [first]
         while stack:
             b = stack.pop()
-            for _, other in t.bag_neighbors(b):
+            for e in t.bags[b].markers:
+                x, y = edges[e]
+                other = y if x == b else x
                 if other not in reach:
                     reach.add(other)
                     stack.append(other)
@@ -348,35 +373,54 @@ def check_tree(t: GraphLabelledTree) -> None:
 
 def reconstruct(t: GraphLabelledTree) -> Graph:
     """Graph represented by the tree, on vertices compacted from the sorted
-    original ids (identity when the ids are 0..n-1)."""
+    original ids (identity when the ids are 0..n-1).
+
+    Two ordinary vertices are adjacent iff an alternating path of label
+    edges and tree edges joins them.  What a marker reaches across its tree
+    edge depends only on that directed edge, so it is computed once per
+    edge and each row is the OR over its label neighbours."""
     check_tree(t)
     idx = {orig: i for i, orig in enumerate(t.vertex_ids)}
-    n = len(t.vertex_ids)
-    adj = [0] * n
     marker_edge = {
         bid: {l: e for e, l in bag.markers.items()} for bid, bag in t.bags.items()
     }
+    across: dict[tuple[int, int], int] = {}
+    adj = [0] * len(t.vertex_ids)
     for bid, bag in t.bags.items():
         for u_local, u_orig in bag.ordinary.items():
-            src = idx[u_orig]
-            stack = [(bid, bag.label.adj[u_local])]
-            while stack:
-                b2, active = stack.pop()
-                bag2 = t.bags[b2]
-                for w in bits(active):
-                    if w in bag2.ordinary:
-                        adj[src] |= 1 << idx[bag2.ordinary[w]]
-                    else:
-                        e = marker_edge[b2][w]
-                        x, y = t.tree_edges[e]
-                        other = y if x == b2 else x
-                        m2 = t.bags[other].markers[e]
-                        stack.append((other, t.bags[other].label.adj[m2]))
-    g = Graph(n, tuple(adj))
-    for v in range(n):
+            adj[idx[u_orig]] = _reached(t, idx, marker_edge, across, bid,
+                                        bag.label.adj[u_local])
+    g = Graph(len(adj), tuple(adj))
+    for v in range(g.n):
         if (g.adj[v] >> v) & 1:
             raise TreeError("accessibility produced a loop")
     return g
+
+
+def _reached(t: GraphLabelledTree, idx: dict[int, int],
+             marker_edge: dict[int, dict[int, int]],
+             across: dict[tuple[int, int], int], bid: int, row: int) -> int:
+    """Vertices (as a mask over ``idx``) accessible from the label
+    neighbourhood ``row`` of bag ``bid``; ``across[bid, e]`` memoises what
+    the marker of tree edge ``e`` in ``bid`` reaches."""
+    bag = t.bags[bid]
+    out = 0
+    while row:
+        low = row & -row
+        w = low.bit_length() - 1
+        row ^= low
+        if w in bag.ordinary:
+            out |= 1 << idx[bag.ordinary[w]]
+            continue
+        e = marker_edge[bid][w]
+        if (bid, e) not in across:
+            x, y = t.tree_edges[e]
+            other = y if x == bid else x
+            far = t.bags[other]
+            across[bid, e] = _reached(t, idx, marker_edge, across, other,
+                                      far.label.adj[far.markers[e]])
+        out |= across[bid, e]
+    return out
 
 
 def validate_reduced(t: GraphLabelledTree) -> list[str]:

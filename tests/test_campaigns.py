@@ -44,8 +44,8 @@ def _check_report_invariants(report):
 def test_builtin_corpus_counts():
     assert len(builtin_corpus(5)) == 31
     assert len(builtin_corpus(5, connected=False)) == 52
-    for line in builtin_corpus(4):
-        parse_graph6(line)
+    for g in builtin_corpus(4):
+        assert parse_graph6(write_graph6(g)) == g
 
 
 def test_split_prime_graphs():
@@ -123,8 +123,21 @@ def test_shard_invariance_small():
 
 
 def test_corpus_lines_round_trip():
-    for line in builtin_corpus(5):
+    for line in map(write_graph6, builtin_corpus(5)):
         assert write_graph6(parse_graph6(line)) == line
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_file_corpus_matches_builtin(tmp_path, jobs):
+    """The built-in corpus carries Graphs, a file corpus graph6 lines (and a
+    pool pickles either); both must give the same records."""
+    f = tmp_path / "n6.g6"
+    f.write_text("".join(write_graph6(g) + "\n" for g in builtin_corpus(6)))
+    for campaign in (verify_dh, verify_split_roundtrip, verify_unique_prime):
+        builtin = campaign(n_max=6, jobs=jobs).to_dict(include_timing=False)
+        from_file = campaign(g6_file=str(f), jobs=jobs).to_dict(include_timing=False)
+        assert builtin.pop("corpus") != from_file.pop("corpus")
+        assert builtin == from_file
 
 
 # sha256 of each campaign's normalized_json() at n_max=6 on the builtin corpus.

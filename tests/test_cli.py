@@ -85,6 +85,20 @@ def test_bad_graph6_exits_1(capsys):
     assert code == 1 and "non-ASCII" in err
 
 
+def test_non_ascii_line_skips_in_a_campaign(capsys, tmp_path):
+    """One non-ASCII line of a corpus file is one parse skip; the lines
+    around it are still scanned, whatever bytes the file holds."""
+    for raw in ("A_\nB\u00e9\nBw\n".encode("utf-8"), b"A_\nB\xe9\nBw\n"):
+        f = tmp_path / "corpus.g6"
+        f.write_bytes(raw)
+        code, payload, err = run_json(capsys, "verify-dh", "--g6", str(f))
+        assert code == 0 and err == ""
+        assert payload["totals"] == {"scanned": 3, "verified": 2, "skipped": 1,
+                                     "counterexamples": 0}
+        (skip,) = payload["skipped"]
+        assert skip["reason"] == "parse: non-ASCII character (byte 1)"
+
+
 def test_decompose_p4(capsys):
     code, payload, _ = run_json(capsys, "decompose", "--path", "4", "--check")
     assert code == 0

@@ -232,25 +232,74 @@ def test_graph6_long_form_round_trip():
         assert parse_graph6(line) == g
 
 
+# Every refusal of parse_graph6: (line, message, byte offset).
+G6_REFUSALS = [
+    ("", "empty graph6 line", 0),
+    ("D?", "truncated edge data", 2),
+    ("C~~", "trailing bytes after edge data", 2),
+    ("E?@A@", "trailing bytes after edge data", 4),
+    ("C" + chr(62), "bad edge byte", 1),  # below the graph6 range
+    ("D?" + chr(127), "bad edge byte", 2),  # above it
+    ("A`", "nonzero padding bits", 1),
+    ("D~}", "nonzero padding bits", 2),
+    ("A\u00e9", "non-ASCII character", 1),  # not read as "?"
+    ("~?@", "truncated long-form vertex count", 3),
+    ("~??A_", "long-form vertex count below 63", 1),  # kept for n >= 63
+    (chr(62), "bad vertex-count byte", 0),
+]
+
+
 def test_graph6_errors_carry_offsets():
-    with pytest.raises(Graph6ParseError) as exc:
-        parse_graph6("D?")  # truncated
-    assert exc.value.offset == 2
-    with pytest.raises(Graph6ParseError):
-        parse_graph6("")
-    with pytest.raises(Graph6ParseError):
-        parse_graph6("C~~")  # trailing bytes
-    with pytest.raises(Graph6ParseError):
-        parse_graph6("C" + chr(62))  # byte below the graph6 range
-    with pytest.raises(Graph6ParseError):
-        parse_graph6("A`")  # nonzero padding bits
-    with pytest.raises(Graph6ParseError) as exc:
-        parse_graph6("A\u00e9")  # non-ASCII, not read as "?"
-    assert exc.value.offset == 1
-    with pytest.raises(Graph6ParseError) as exc:
-        parse_graph6("~??A_")  # K2 in the long form, which is kept for n >= 63
-    assert exc.value.offset == 1
+    for line, message, offset in G6_REFUSALS:
+        with pytest.raises(Graph6ParseError) as exc:
+            parse_graph6(line)
+        assert str(exc.value) == f"{message} (byte {offset})"
+        assert exc.value.offset == offset
     assert parse_graph6("A_") == make_complete(2)
+
+
+def _write_graph6_bitloop(g):
+    """The encoder before the column-wise one, kept as the oracle: one bit
+    of the column-order stream per loop step."""
+    n = g.n
+    out = [n + 63] if n <= 62 else [126, ((n >> 12) & 63) + 63,
+                                    ((n >> 6) & 63) + 63, (n & 63) + 63]
+    val = 0
+    nb = 0
+    for v in range(1, n):
+        for u in range(v):
+            val = (val << 1) | ((g.adj[u] >> v) & 1)
+            nb += 1
+            if nb == 6:
+                out.append(val + 63)
+                val = 0
+                nb = 0
+    if nb:
+        out.append((val << (6 - nb)) + 63)
+    return bytes(out).decode("ascii")
+
+
+def test_graph6_matches_bitloop_oracle():
+    for n in range(8):
+        for g in enumerate_graphs(n):
+            line = _write_graph6_bitloop(g)
+            assert write_graph6(g) == line
+            assert parse_graph6(line) == g
+    for n in (63, 64):
+        g = make_path(n)
+        assert write_graph6(g) == _write_graph6_bitloop(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.builds(
+    lambda n, bits_: graph_from_edges(
+        n, [uv for k, uv in enumerate(combinations(range(n), 2)) if (bits_ >> k) & 1]),
+    st.integers(min_value=0, max_value=64),
+    st.integers(min_value=0, max_value=(1 << 2016) - 1),
+))
+def test_graph6_bitloop_oracle_property(g):
+    assert write_graph6(g) == _write_graph6_bitloop(g)
+    assert parse_graph6(_write_graph6_bitloop(g)) == g
 
 
 @settings(max_examples=80, deadline=None)

@@ -220,6 +220,77 @@ def test_split_order_invariance(connected_by_n):
             assert key(t_min) == key(t_max)
 
 
+# --- reconstruct against the literal accessibility search -----------------------------
+
+
+def _reconstruct_dfs(t: GraphLabelledTree) -> Graph:
+    """The reconstruction before memoisation, kept as the oracle: from each
+    ordinary vertex, a depth-first search across the tree that crosses a
+    marker into the neighbouring bag's marker row."""
+    idx = {orig: i for i, orig in enumerate(t.vertex_ids)}
+    adj = [0] * len(t.vertex_ids)
+    marker_edge = {
+        bid: {l: e for e, l in bag.markers.items()} for bid, bag in t.bags.items()
+    }
+    for bid, bag in t.bags.items():
+        for u_local, u_orig in bag.ordinary.items():
+            src = idx[u_orig]
+            stack = [(bid, bag.label.adj[u_local])]
+            while stack:
+                b2, active = stack.pop()
+                bag2 = t.bags[b2]
+                for w in bits(active):
+                    if w in bag2.ordinary:
+                        adj[src] |= 1 << idx[bag2.ordinary[w]]
+                    else:
+                        e = marker_edge[b2][w]
+                        x, y = t.tree_edges[e]
+                        other = y if x == b2 else x
+                        m2 = t.bags[other].markers[e]
+                        stack.append((other, t.bags[other].label.adj[m2]))
+    return Graph(len(adj), tuple(adj))
+
+
+def test_reconstruct_matches_dfs_oracle(connected_by_n):
+    """Every connected n <= 8 decomposition, in both split orders, and both
+    peel results of every peelable bag of every unique-prime tree."""
+    peels = 0
+    for n in range(1, 9):
+        graphs = connected_by_n[n] if n < 8 else enumerate_graphs(8, connected_only=True)
+        for g in graphs:
+            t = decompose(g)
+            for tt in (t, decompose(g, split_order="max")):
+                assert reconstruct(tt) == _reconstruct_dfs(tt) == g
+            if len(t.prime_bag_ids()) != 1:
+                continue
+            (p,) = t.prime_bag_ids()
+            for b in sorted(t.bags):
+                if b == p or not t.is_leaf_bag(b):
+                    continue
+                (e,) = t.bags[b].markers
+                if p in t.tree_edges[e]:
+                    continue  # neighbor is prime: not peelable
+                cls = classify_leaf_bag(t, b)
+                if cls.kind == "star_leaf_attached" and cls.ordinary_leaves == 1:
+                    for tt in peel(t, b):
+                        assert reconstruct(tt) == _reconstruct_dfs(tt)
+                        peels += 1
+    assert peels == 2 * 532  # 532 peelable bags at n <= 8
+
+
+def test_reconstruct_refuses_dangling_marker():
+    t = _kk_tree()
+    bag = t.bags[1]
+    dangling = GraphLabelledTree(
+        bags={0: t.bags[0],
+              1: Bag(bag.label, bag.kind, {0: 2}, {0: 2, 5: 1}, bag.star_center)},
+        tree_edges=t.tree_edges,
+        vertex_ids=(0, 1, 2),
+    )
+    with pytest.raises(TreeError, match="unknown edge 5"):
+        reconstruct(dangling)
+
+
 # --- hand-built trees -----------------------------------------------------------------
 
 
@@ -255,6 +326,7 @@ def test_reconstruct_hand_built_p4():
     g = reconstruct(t)
     assert g.n == 4
     assert g.has_edge(0, 1)
+    assert g == _reconstruct_dfs(t)
 
 
 def test_reconstruct_single_clique_bag():
@@ -271,7 +343,7 @@ def test_reconstruct_single_clique_bag():
         tree_edges={},
         vertex_ids=(0, 1, 2),
     )
-    assert reconstruct(t) == make_complete(3)
+    assert reconstruct(t) == make_complete(3) == _reconstruct_dfs(t)
 
 
 def test_reconstruct_two_leaf_stars_is_p4():
@@ -295,7 +367,7 @@ def test_reconstruct_two_leaf_stars_is_p4():
         tree_edges={0: (0, 1)},
         vertex_ids=(0, 1, 2, 3),
     )
-    assert reconstruct(t) == make_path(4)
+    assert reconstruct(t) == make_path(4) == _reconstruct_dfs(t)
     assert validate_reduced(t) == []
 
 
@@ -325,7 +397,7 @@ def _kk_tree() -> GraphLabelledTree:
 def test_validate_reduced_flags_kk():
     violations = validate_reduced(_kk_tree())
     assert len(violations) == 1 and "KK" in violations[0]
-    assert reconstruct(_kk_tree()) == make_complete(4)
+    assert reconstruct(_kk_tree()) == make_complete(4) == _reconstruct_dfs(_kk_tree())
 
 
 def test_validate_reduced_flags_spsc():
@@ -352,6 +424,7 @@ def test_validate_reduced_flags_spsc():
     violations = validate_reduced(t)
     assert len(violations) == 1 and "SpSc" in violations[0]
     assert are_isomorphic(reconstruct(t), make_star(4))
+    assert reconstruct(t) == _reconstruct_dfs(t)
 
 
 def test_check_tree_rejects_malformed():
