@@ -5,15 +5,21 @@ Graphs enter as ``(n, adj)`` where ``adj`` is a sequence of n ints, bit j of
 implements the same five functions with identical outputs; ``zfx.kernels``
 picks one at import time, except for ``metric_dh``, which it always takes
 from here.  The compiled ``metric_dh`` checks the definition subset by
-subset; this one runs a polynomial separation test.
+subset; this one runs a polynomial separation test.  Likewise the compiled
+``profile_counts`` runs one closure per subset, while this one counts forts
+on bitsets indexed by the 2^n subsets.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+from math import comb
+
 BACKEND = "python"
 
-# Forcing-status memo tables above this size cost more memory than they save.
-MEMO_LIMIT = 20
+# profile_counts counts forts on 2^n-bit bitsets up to this many vertices
+# (about 5 MB of tables at n = 20) and runs one closure per subset above it.
+BITSET_LIMIT = 20
 
 
 def closure_mask(n: int, adj, s: int) -> int:
@@ -50,36 +56,71 @@ def closure_mask(n: int, adj, s: int) -> int:
     return blue
 
 
+@lru_cache(maxsize=None)
+def _subset_tables(n: int) -> tuple[list[int], list[int]]:
+    """Bitsets over the subsets f of range(n), bit f standing for f:
+    ``has[u]`` holds the f containing u and ``level[j]`` the f of size j.
+
+    Built by doubling: the subsets of range(m + 1) are those of range(m)
+    followed, 2^m bits up, by the same subsets with m added.
+    """
+    has: list[int] = []
+    level = [1]
+    width = 1
+    for _ in range(n):
+        has = [h | (h << width) for h in has]
+        has.append(((1 << width) - 1) << width)
+        level = [lo | (hi << width) for lo, hi in zip(level + [0], [0] + level)]
+        width <<= 1
+    return has, level
+
+
 def profile_counts(n: int, adj) -> list:
     """Exact count of zero forcing sets per size, index k = 0..n.
 
-    Enumerates subset masks in increasing numeric order (subsets precede
-    supersets), so a known-forcing subset short-circuits the closure of each
-    superset via the memo table.  Matches unpruned enumeration exactly.
+    Counts forts: a fort is a nonempty F such that no vertex outside F has
+    exactly one neighbour in F, and a set S is forcing iff it meets every
+    fort.  Proof:
+
+    1. If S misses a fort F, no vertex of F is ever forced: the first one,
+       x, would be forced by a blue u outside F whose neighbours in F are
+       all white but x, so u has exactly one neighbour in F.
+    2. If S is not forcing, the vertices its closure leaves white form a
+       fort disjoint from S: a blue vertex with exactly one white neighbour
+       would force it.
+
+    So S of size k is non-forcing iff its complement, of size n - k,
+    contains a fort.  Over bitsets indexed by the 2^n subsets f: for each
+    vertex w, mark the f holding at least one and at least two neighbours
+    of w, and keep the f that contain w or do not hold exactly one; drop
+    f = 0.  Closing that fort set upward (n shift-OR steps) gives every set
+    containing a fort, and z(G;k) is C(n, k) minus its members of size
+    n - k.  Graphs over ``BITSET_LIMIT`` vertices run one closure per
+    subset instead.
     """
-    if n == 0:
-        return [1]
-    full = (1 << n) - 1
-    z = [0] * (n + 1)
-    size = 1 << n
-    memo = bytearray(size) if n <= MEMO_LIMIT else None
-    for m in range(1, size):
-        forcing = False
-        if memo is not None:
-            mm = m
-            while mm:
-                low = mm & -mm
-                if memo[m ^ low]:
-                    forcing = True
-                    break
-                mm ^= low
-        if not forcing:
-            forcing = closure_mask(n, adj, m) == full
-        if forcing:
-            if memo is not None:
-                memo[m] = 1
-            z[bin(m).count("1")] += 1
-    return z
+    if n > BITSET_LIMIT:
+        full = (1 << n) - 1
+        z = [0] * (n + 1)
+        for m in range(1, 1 << n):
+            if closure_mask(n, adj, m) == full:
+                z[m.bit_count()] += 1
+        return z
+    has, level = _subset_tables(n)
+    forts = ((1 << (1 << n)) - 1) ^ 1
+    for w in range(n):
+        some = many = 0
+        r = adj[w]
+        while r:
+            low = r & -r
+            r ^= low
+            h = has[low.bit_length() - 1]
+            many |= some & h
+            some |= h
+        forts &= has[w] | ~some | many
+    up = forts
+    for u in range(n):
+        up |= (up & ~has[u]) << (1 << u)
+    return [comb(n, k) - (up & level[n - k]).bit_count() for k in range(n + 1)]
 
 
 def canon_adj(n: int, adj) -> tuple:

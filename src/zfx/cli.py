@@ -3,7 +3,8 @@
 Subcommands: profile, decompose, recognize-dh, verify-dh,
 verify-unique-prime, audit-lemmas, enumerate.  Configuration precedence is
 flags > environment (ZFX_BUDGET_SUBSETS, ZFX_JOBS) > defaults.  Exit codes:
-0 clean, 2 counterexamples found, 1 operational error.
+0 clean, 2 counterexamples found, 1 operational error.  ``zfx --version``
+prints the zfx version and the kernel backend.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 from functools import partial
 from typing import Callable, Iterable, Optional
 
-from . import campaigns, splitdec
+from . import KERNEL_BACKEND, __version__, campaigns, splitdec
 from .dh import dh_metric_oracle, recognize_dh, replay_trace
 from .errors import CapacityError, Graph6ParseError
 from .extremal import path_zprime
@@ -274,6 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Zero forcing profiles, distance-hereditary recognition, "
         "split decompositions, and path-extremality verification campaigns.",
     )
+    ap.add_argument("--version", action="version",
+                    version=f"zfx {__version__} ({KERNEL_BACKEND} kernels)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("profile", help="exact zero forcing profile of a graph")

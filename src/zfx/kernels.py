@@ -7,7 +7,10 @@ backends provide ``closure_mask``, ``profile_counts``, ``canon_adj`` and
 suite.  ``metric_dh`` is the pure polynomial separation test on both
 backends: the compiled twin checks the definition on every connected
 subset, which is exponential and measured no faster, so only the parity
-tests call it, as a compiled literal oracle.
+tests call it, as a compiled literal oracle.  ``profile_counts`` takes the
+same counts two ways: the compiled one runs one closure per subset, and the
+pure one counts the sets that contain a fort on bitsets indexed by the 2^n
+subsets (one closure per subset above 20 vertices).
 """
 
 from __future__ import annotations

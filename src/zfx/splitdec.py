@@ -48,6 +48,12 @@ class Split:
     b1_mask: int
 
 
+def _check_split_budget(n: int, budget: Optional[int]) -> None:
+    limit = SPLIT_BUDGET_N if budget is None else budget
+    if n > limit:
+        raise CapacityError(f"split scan over {n} vertices exceeds budget {limit}")
+
+
 def find_split(
     g: Graph, budget: Optional[int] = None, reverse: bool = False
 ) -> Optional[Split]:
@@ -56,9 +62,7 @@ def find_split(
     Scans A-sides containing vertex 0 in increasing mask order (decreasing
     with ``reverse``).  No split exists below 4 vertices.
     """
-    limit = SPLIT_BUDGET_N if budget is None else budget
-    if g.n > limit:
-        raise CapacityError(f"split scan over {g.n} vertices exceeds budget {limit}")
+    _check_split_budget(g.n, budget)
     if not is_connected(g):
         raise ValueError("find_split expects a connected graph")
     if g.n < 4:
@@ -285,18 +289,21 @@ def decompose(
 def _decompose_into(
     builder: _Builder, g: Graph, tokens: tuple, budget: Optional[int], reverse: bool
 ) -> None:
+    # ``g`` is connected, as every side of a split of a connected graph is,
+    # so the split scan runs without ``find_split``'s connectivity check.
     kind = classify_kind(g)
-    split = find_split(g, budget, reverse) if kind.tag == "other" else None
-    if split is None:
+    a_mask = 0
+    if kind.tag == "other":
+        _check_split_budget(g.n, budget)
+        a_mask = kernels.find_split_mask(g.n, g.adj, reverse)
+    if not a_mask:
         builder.add_bag(g, tokens, kind)
         return
     e = builder.new_edge()
-    for side, part, frontier in (
-        (0, split.a_mask, split.a1_mask),
-        (1, split.b_mask, split.b1_mask),
-    ):
+    for side, part in ((0, a_mask), (1, g.full_mask ^ a_mask)):
         # The side's label: the rows of ``part`` compacted to its ascending
-        # order, then a marker adjacent to the side's frontier.
+        # order, then a marker adjacent to the side's frontier (the vertices
+        # with a neighbour across).
         kept = []
         local = {}  # vertex bit -> its bit in the label
         m = part
@@ -315,7 +322,7 @@ def _decompose_into(
                 low = r & -r
                 row |= local[low]
                 r ^= low
-            if (frontier >> v) & 1:
+            if g.adj[v] & ~part:
                 row |= marker
                 marker_row |= 1 << len(adj)
             adj.append(row)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import zfx
 from zfx.cli import build_parser, main
 
 
@@ -286,6 +287,14 @@ def test_help_exits_0(capsys):
         main(["verify-dh", "--help"])
     assert exc.value.code == 0
     assert "--budget-subsets" in capsys.readouterr().out
+
+
+def test_version_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out == f"zfx {zfx.__version__} ({zfx.KERNEL_BACKEND} kernels)\n"
 
 
 SINGLE_GRAPH_RUNS = """\

@@ -14,22 +14,41 @@ from hypothesis import strategies as st
 
 from zfx import _kernels_py as pyk
 from zfx import kernels
-from zfx.graphs import bits, enumerate_graphs, graph_from_edges, is_connected
+from zfx.extremal import path_z
+from zfx.graphs import (
+    bits,
+    enumerate_graphs,
+    graph_from_edges,
+    is_connected,
+    make_path,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "zfx"
 
 
-random_graph = st.builds(
-    lambda n, bits_: graph_from_edges(
+def _graph_from_bits(n, bits_):
+    return graph_from_edges(
         n,
         [
             (u, v)
             for k, (u, v) in enumerate(combinations(range(n), 2))
             if (bits_ >> k) & 1
         ],
-    ),
+    )
+
+
+random_graph = st.builds(
+    _graph_from_bits,
     st.integers(min_value=0, max_value=9),
     st.integers(min_value=0),
+)
+
+# Up to 14 vertices, any edge set reachable: the compiled
+# profile loop is still cheap there.
+wide_graph = st.integers(min_value=0, max_value=14).flatmap(
+    lambda n: st.builds(
+        _graph_from_bits, st.just(n), st.integers(0, (1 << (n * (n - 1) // 2)) - 1)
+    )
 )
 
 
@@ -107,13 +126,13 @@ def test_metric_dh_parity_on_connected_classes_to_n8(cyk):
 
 
 @settings(max_examples=200, deadline=None)
-@given(random_graph, st.integers(min_value=0))
+@given(wide_graph, st.integers(min_value=0))
 def test_backend_parity_random(cyk, g, seed):
     s = seed & g.full_mask
     assert pyk.closure_mask(g.n, g.adj, s) == cyk.closure_mask(g.n, g.adj, s)
-    assert pyk.canon_adj(g.n, g.adj) == cyk.canon_adj(g.n, g.adj)
-    if g.n <= 8:
-        assert pyk.profile_counts(g.n, g.adj) == cyk.profile_counts(g.n, g.adj)
+    if g.n <= 11:  # the compiled canonical search stops there
+        assert pyk.canon_adj(g.n, g.adj) == cyk.canon_adj(g.n, g.adj)
+    assert pyk.profile_counts(g.n, g.adj) == cyk.profile_counts(g.n, g.adj)
 
 
 @settings(max_examples=100, deadline=None)
@@ -235,17 +254,61 @@ def test_canon_parity_at_compiled_size_limit(cyk):
         cyk.canon_adj(12, tuple([0] * 12))
 
 
-def test_profile_memo_boundary_agrees():
-    # straddle the memo cutoff in the pure backend
-    old = pyk.MEMO_LIMIT
+def _profile_by_closure(n, adj):
+    """z(G;k) by one closure per subset, in increasing mask order so that a
+    forcing subset settles each superset without its closure."""
+    if n == 0:
+        return [1]
+    full = (1 << n) - 1
+    z = [0] * (n + 1)
+    memo = bytearray(1 << n)
+    for m in range(1, 1 << n):
+        forcing = False
+        mm = m
+        while mm:
+            low = mm & -mm
+            if memo[m ^ low]:
+                forcing = True
+                break
+            mm ^= low
+        if not forcing:
+            forcing = pyk.closure_mask(n, adj, m) == full
+        if forcing:
+            memo[m] = 1
+            z[m.bit_count()] += 1
+    return z
+
+
+def test_fort_count_matches_closure_oracle(graphs_by_n):
+    """Every class with n <= 7, disconnected ones included, and seeded
+    random labelled graphs with n = 9..14."""
+    classes = [g for graphs in graphs_by_n.values() for g in graphs]
+    classes += enumerate_graphs(7)
+    assert len(classes) == 1253
+    for g in classes:
+        assert pyk.profile_counts(g.n, g.adj) == _profile_by_closure(g.n, g.adj)
+    rng = random.Random(914)
+    for n in range(9, 15):
+        for p in (0.15, 0.3, 0.5):
+            adj = _random_adj(rng, n, p)
+            assert pyk.profile_counts(n, adj) == _profile_by_closure(n, adj)
+
+
+def test_fort_count_on_paths_to_n18():
+    for n in range(19):
+        g = make_path(n)
+        assert pyk.profile_counts(n, g.adj) == [path_z(n, k) for k in range(n + 1)]
+
+
+def test_profile_bitset_boundary_agrees(monkeypatch):
+    """Forts on bitsets and one closure per subset agree on the same graph,
+    on either side of the cutoff."""
     g = graph_from_edges(9, [(i, i + 1) for i in range(8)] + [(0, 4)])
-    with_memo = pyk.profile_counts(g.n, g.adj)
-    try:
-        pyk.MEMO_LIMIT = 0
-        without = pyk.profile_counts(g.n, g.adj)
-    finally:
-        pyk.MEMO_LIMIT = old
-    assert with_memo == without
+    monkeypatch.setattr(pyk, "BITSET_LIMIT", g.n)
+    forts = pyk.profile_counts(g.n, g.adj)
+    monkeypatch.setattr(pyk, "BITSET_LIMIT", g.n - 1)
+    closures = pyk.profile_counts(g.n, g.adj)
+    assert forts == closures == _profile_by_closure(g.n, g.adj)
 
 
 def test_generated_c_matches_pyx():

@@ -153,6 +153,19 @@ def test_decompose_guards():
         decompose(make_path(4), split_order="weird")
 
 
+def test_decompose_budget_caps_split_scans_only():
+    """The split budget refuses a label the recursion would scan (neither
+    clique nor star) and no other."""
+    with pytest.raises(CapacityError, match="split scan over 5 vertices"):
+        decompose(make_cycle(5), budget=4)
+    with pytest.raises(CapacityError, match="exceeds budget 5"):
+        decompose(make_path(6), budget=5)
+    assert reconstruct(decompose(make_path(6), budget=6)) == make_path(6)
+    assert reconstruct(decompose(c5_pendant(), budget=6)) == c5_pendant()
+    for g in (make_complete(8), make_star(8)):
+        assert len(decompose(g, budget=3).bags) == 1
+
+
 def test_decompose_c5_pendant():
     t = decompose(c5_pendant())
     summary = summarize(t)
