@@ -5,9 +5,9 @@ description its report carries, and its ordered phases.  Each phase scans a
 corpus with a per-graph worker.  A corpus item is a ``Graph`` of the built-in
 enumeration, or one line of a graph6 file, which only the worker parses, so
 one bad line becomes one skip.  Every record is named by its graph6 line,
-and ``run_campaign`` folds the records of every phase into one
-deterministic VerificationReport: records are sorted by graph6 string, so
-the report is independent of worker count.
+written once per corpus, and ``run_campaign`` folds the records of every
+phase into one deterministic VerificationReport: records are sorted by
+graph6 string, so the report is independent of worker count.
 """
 
 from __future__ import annotations
@@ -108,6 +108,8 @@ class VerificationReport:
 
 # A corpus item: a built-in Graph, or a graph6 line read from a file.
 Item = Union[Graph, str]
+# An item with the graph6 line that names its records.
+Named = tuple[str, Item]
 
 
 def builtin_corpus(n_max: int, connected: bool = True) -> list[Graph]:
@@ -127,11 +129,15 @@ class _Skip(Exception):
     """Raised by a worker: its graph is skipped for this reason."""
 
 
-def _guarded(worker: Callable, item: Item) -> dict:
-    """The record of ``item``, named by its graph6 line: the worker's
+def _named(items: list[Item]) -> list[Named]:
+    return [(it if isinstance(it, str) else write_graph6(it), it) for it in items]
+
+
+def _guarded(worker: Callable, named: Named) -> dict:
+    """The record of an item, named by its graph6 line: the worker's
     outcome, or a skip or failure, so one bad graph never aborts a campaign.
     A graph over a budget is skipped with the cap as its reason."""
-    line = item if isinstance(item, str) else write_graph6(item)
+    line, item = named
     try:
         return {"graph6": line, **worker(item)}
     except (_Skip, CapacityError) as skip:
@@ -141,7 +147,7 @@ def _guarded(worker: Callable, item: Item) -> dict:
                 "reason": f"{type(exc).__name__}: {exc}"}
 
 
-def _run_scan(items: list[Item], worker: Callable, jobs: int) -> list[dict]:
+def _run_scan(items: list[Named], worker: Callable, jobs: int) -> list[dict]:
     worker = partial(_guarded, worker)
     if jobs > 1 and len(items) > 1:
         chunk = max(1, len(items) // (jobs * 8))
@@ -187,7 +193,7 @@ class Phase:
     worker: Callable[..., dict]
     args: tuple[str, ...] = ()
     tag: Optional[int] = None  # stamped as "phase" on its counterexamples
-    extra: Optional[Callable[[list, list], dict]] = None  # (items, records)
+    extra: Optional[Callable[[list, list], dict]] = None  # (named items, records)
 
 
 @dataclass(frozen=True)
@@ -201,7 +207,8 @@ class Campaign:
 
 def run_campaign(name: str, jobs: int = 1, **params) -> VerificationReport:
     """Run ``CAMPAIGNS[name]``; parameters left out or None take the
-    table's defaults.  Phases with the same corpus function share its list."""
+    table's defaults.  Phases with the same corpus function share its list
+    of named items."""
     spec = CAMPAIGNS[name]
     unknown = params.keys() - spec.params.keys()
     if unknown:
@@ -213,7 +220,7 @@ def run_campaign(name: str, jobs: int = 1, **params) -> VerificationReport:
     phases = {}
     for phase in spec.phases:
         if phase.corpus not in corpora:
-            corpora[phase.corpus] = phase.corpus(p)
+            corpora[phase.corpus] = _named(phase.corpus(p))
         items = corpora[phase.corpus]
         worker = partial(phase.worker, **{k: p[k] for k in phase.args})
         records = _run_scan(items, worker, jobs)
@@ -449,7 +456,7 @@ CAMPAIGNS = {c.name: c for c in (
                   _prime_core_worker, ("budget",), tag=1,
                   # the primes in enumeration order, not the records' graph6 order
                   extra=lambda items, records: {
-                      "prime_graphs": [write_graph6(h) for h in items],
+                      "prime_graphs": [line for line, _ in items],
                       "subgraph_classes": sum(r.get("subgraph_classes", 0)
                                               for r in records)}),
             Phase("phase2", _graphs, _unique_prime_worker,

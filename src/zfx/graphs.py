@@ -352,6 +352,23 @@ def _min_degree_neighbourhoods(base: tuple[int, ...]) -> Iterator[int]:
             yield low | sum(c)
 
 
+def _twin_classes(adj: tuple[int, ...]) -> list[list[int]]:
+    """The classes of two or more twins, each in ascending vertex order.
+
+    Twins u and w have ``adj[u] & ~(1 << w) == adj[w] & ~(1 << u)``: equal
+    open neighbourhoods (false twins) or equal closed ones (true twins).
+    No vertex has both a true and a false twin, so the classes partition
+    the vertices, and each one is all true or all false twins.
+    """
+    open_nbhd: dict[int, list[int]] = {}
+    closed_nbhd: dict[int, list[int]] = {}
+    for v, row in enumerate(adj):
+        open_nbhd.setdefault(row, []).append(v)
+        closed_nbhd.setdefault(row | 1 << v, []).append(v)
+    return [c for groups in (open_nbhd, closed_nbhd)
+            for c in groups.values() if len(c) > 1]
+
+
 def _enum_level(n: int) -> tuple[Graph, ...]:
     if n in _levels:
         return _levels[n]
@@ -367,8 +384,49 @@ def _enum_level(n: int) -> tuple[Graph, ...]:
                  for nb in range(top)]
         seen = set()
         for g in prev:
-            base = g.adj + (0,)
-            for nb in _min_degree_neighbourhoods(g.adj):
+            adj = g.adj
+            base = adj + (0,)
+            deg = [row.bit_count() for row in adj]
+            d = min(deg)
+            # by_deg[j]: the parent's vertices of degree j; sig[v]: the sum
+            # of the parent degrees of v's neighbours
+            by_deg = [0] * n
+            for v, k in enumerate(deg):
+                by_deg[k] |= 1 << v
+            sig = [sum(deg[u] for u in bits(row)) for row in adj]
+            # (u, w) bits of twins adjacent in their class, u < w
+            steps = [(1 << c[i - 1], 1 << c[i])
+                     for c in _twin_classes(adj) for i in range(1, len(c))]
+            for nb in _min_degree_neighbourhoods(adj):
+                packed = True
+                for u, w in steps:
+                    if nb & w and not nb & u:
+                        packed = False
+                        break
+                if not packed:
+                    continue
+                k = nb.bit_count()
+                if k and k >= d:
+                    # the other vertices of degree k in the child
+                    rivals = (by_deg[k] & ~nb) | (by_deg[k - 1] & nb)
+                    if rivals:
+                        new_sig = k
+                        m = nb
+                        while m:
+                            low = m & -m
+                            new_sig += deg[low.bit_length() - 1]
+                            m ^= low
+                        while rivals:
+                            low = rivals & -rivals
+                            v = low.bit_length() - 1
+                            s = sig[v] + (adj[v] & nb).bit_count()
+                            if nb & low:
+                                s += k
+                            if s > new_sig:
+                                break
+                            rivals ^= low
+                        if rivals:  # the loop stopped at a larger sigma
+                            continue
                 seen.add(kernels.canon_adj(n, tuple(map(or_, base, added[nb]))))
         reps = tuple(Graph(n, rows) for rows in sorted(seen))
     _levels[n] = reps
@@ -383,8 +441,29 @@ def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
     adjacency-matrix encoding.  That reaches every class: deleting a
     minimum-degree vertex of any n-vertex graph leaves an (n-1)-vertex
     class, and adding the vertex back is one of the augmentations kept.
-    Deterministic order (sorted encodings).
+    Two prunings drop a neighbourhood before it is canonicalized, and every
+    class is still reached (McKay 1998, isomorph-free generation):
+
+    1. Twin packing.  A neighbourhood holding a twin w of the parent but
+       not a smaller twin u is dropped.  No vertex has both a true and a
+       false twin, so the twin classes partition the vertices, and any
+       permutation inside a class is an automorphism of the parent.  It
+       maps the neighbourhood to the packed one, which holds the least
+       members of each class, and keeps the new vertex of minimum degree.
+    2. Canonical deletion.  With sigma(v) the sum of the degrees of v's
+       neighbours, a child is dropped when another vertex of the new
+       vertex's degree k has a strictly larger sigma; ties are kept.  Every
+       class G has a minimum-degree vertex x of largest sigma among them,
+       and adding x back to the class of G - x puts the new vertex in x's
+       place, so that child, or by 1 its packed image, is kept.  Below the
+       parent's least degree the new vertex is the only one of degree k,
+       so no sigma is computed.
+
+    Deterministic order (sorted encodings).  Raises ``ValueError`` for
+    n < 0 and ``CapacityError`` above ``ENUM_MAX``.
     """
+    if n < 0:
+        raise ValueError(f"no graphs on {n} vertices")
     if n > ENUM_MAX:
         raise CapacityError(
             f"built-in enumeration stops at n={ENUM_MAX}; "

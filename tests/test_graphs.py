@@ -364,6 +364,76 @@ def test_enumeration_capacity_error():
         list(enumerate_graphs(10))
 
 
+def test_enumeration_rejects_negative_n():
+    with pytest.raises(ValueError):
+        list(enumerate_graphs(-1))
+
+
+def test_enumeration_canon_calls_to_n8(monkeypatch):
+    """Twin packing and the canonical-deletion test leave 18,058
+    ``canon_adj`` calls for n <= 8 (min-degree augmentation alone made
+    32,886), counted from an empty private level cache."""
+    calls = dict.fromkeys(range(2, 9), 0)
+    canon = kernels.canon_adj
+
+    def counting(n, adj):
+        calls[n] += 1
+        return canon(n, adj)
+
+    monkeypatch.setattr(kernels, "canon_adj", counting)
+    monkeypatch.setattr(graphs, "_levels", {})
+    for n in range(1, 9):
+        assert sum(1 for _ in enumerate_graphs(n)) == KNOWN_GRAPH_COUNTS[n - 1]
+    assert calls == {2: 2, 3: 4, 4: 11, 5: 39, 6: 193, 7: 1436, 8: 16373}
+
+
+def test_twin_classes_true_and_false():
+    """A true-twin triangle {0, 1, 2} and false twins {4, 5} around a
+    hub 3, plus a pendant 6 on 4 that breaks 4's twin with 5 once added."""
+    hub = [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3), (3, 4), (3, 5)]
+    g = graph_from_edges(6, hub)
+    assert sorted(graphs._twin_classes(g.adj)) == [[0, 1, 2], [4, 5]]
+    g = graph_from_edges(7, hub + [(4, 6)])
+    assert graphs._twin_classes(g.adj) == [[0, 1, 2]]
+    assert graphs._twin_classes(make_complete(4).adj) == [[0, 1, 2, 3]]
+    assert graphs._twin_classes((0, 0, 0)) == [[0, 1, 2]]
+    assert graphs._twin_classes(make_path(4).adj) == []
+
+
+def _automorphisms(g: Graph):
+    for perm in permutations(range(g.n)):
+        if all(g.adj[perm[v]] == mask_of(perm[u] for u in bits(g.adj[v]))
+               for v in range(g.n)):
+            yield perm
+
+
+def _twin_packed(nb: int, classes) -> bool:
+    """No twins u < w with w in ``nb`` and u not."""
+    return all(not (nb >> w & 1 and not nb >> u & 1)
+               for c in classes for u, w in combinations(c, 2))
+
+
+def test_twin_packing_keeps_an_image_of_every_pruned_neighbourhood(graphs_by_n):
+    """For every parent with 1 <= n <= 6, each min-degree neighbourhood
+    that twin packing drops is mapped by an automorphism of the parent to
+    one it keeps, so the child's class is still reached."""
+    pruned = 0
+    for n in range(1, 7):
+        for g in graphs_by_n[n]:
+            classes = graphs._twin_classes(g.adj)
+            candidates = set(graphs._min_degree_neighbourhoods(g.adj))
+            dropped = [nb for nb in candidates if not _twin_packed(nb, classes)]
+            if not dropped:
+                continue
+            autos = list(_automorphisms(g))
+            for nb in dropped:
+                images = {mask_of(perm[v] for v in bits(nb)) for perm in autos}
+                assert any(_twin_packed(im, classes) and im in candidates
+                           for im in images)
+            pruned += len(dropped)
+    assert pruned > 0
+
+
 def _full_augmentation(level):
     """The enumerator's previous step, kept as the oracle: every class on
     n - 1 vertices with every neighbourhood of a new vertex."""
