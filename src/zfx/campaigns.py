@@ -7,11 +7,13 @@ enumeration, or one line of a graph6 file, which only the worker parses, so
 one bad line becomes one skip.  Every record is named by its graph6 line,
 written once per corpus, and ``run_campaign`` folds the records of every
 phase into one deterministic VerificationReport: records are sorted by
-graph6 string, so the report is independent of worker count.
+graph6 string, so the report is independent of worker count.  The library
+functions are ``run_campaign`` bound to a table name, keywords only.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -184,14 +186,13 @@ def _fold(report: VerificationReport, records: list[dict]) -> None:
 
 @dataclass(frozen=True)
 class Phase:
-    """One scan: ``worker``, with the campaign parameters named in ``args``
-    bound as keywords, maps each item of ``corpus(params)`` to an outcome
-    dict (status, and reason or witness fields) or raises ``_Skip``."""
+    """One scan: ``worker``, given the campaign parameters its signature names
+    after ``item``, maps each item of ``corpus(params)`` to an outcome dict
+    (status, and reason or witness fields) or raises ``_Skip``."""
 
     name: Optional[str]  # key under report.phases; None adds no phases block
     corpus: Callable[[dict], list[Item]]
     worker: Callable[..., dict]
-    args: tuple[str, ...] = ()
     tag: Optional[int] = None  # stamped as "phase" on its counterexamples
     extra: Optional[Callable[[list, list], dict]] = None  # (named items, records)
 
@@ -205,7 +206,7 @@ class Campaign:
     help: Optional[str] = None  # CLI subcommand help; None: library only
 
 
-def run_campaign(name: str, jobs: int = 1, **params) -> VerificationReport:
+def run_campaign(name: str, /, *, jobs: int = 1, **params) -> VerificationReport:
     """Run ``CAMPAIGNS[name]``; parameters left out or None take the
     table's defaults.  Phases with the same corpus function share its list
     of named items."""
@@ -222,7 +223,8 @@ def run_campaign(name: str, jobs: int = 1, **params) -> VerificationReport:
         if phase.corpus not in corpora:
             corpora[phase.corpus] = _named(phase.corpus(p))
         items = corpora[phase.corpus]
-        worker = partial(phase.worker, **{k: p[k] for k in phase.args})
+        takes = list(inspect.signature(phase.worker).parameters)[1:]
+        worker = partial(phase.worker, **{k: p[k] for k in takes})
         records = _run_scan(items, worker, jobs)
         before_cx = len(report.counterexamples)
         _fold(report, records)
@@ -315,14 +317,8 @@ def _roundtrip_worker(item: Item, split_budget: Optional[int]) -> dict:
 def split_prime_graphs(m: int) -> list[Graph]:
     """All split-prime graphs on at most m vertices (connected, no split,
     neither clique nor star)."""
-    out = []
-    for n in range(1, m + 1):
-        for g in enumerate_graphs(n, connected_only=True):
-            if classify_kind(g).tag != "other":
-                continue
-            if find_split(g) is None:
-                out.append(g)
-    return out
+    return [g for g in builtin_corpus(m)
+            if classify_kind(g).tag == "other" and find_split(g) is None]
 
 
 def _induced_subgraph_classes(g: Graph) -> list[Graph]:
@@ -437,15 +433,15 @@ def _graphs_descr(p: dict) -> dict:
     return {"source": "builtin", "n_max": p["n_max"], "connected": True}
 
 
-_PEEL_EXTRACT = Phase("peel_extract", _graphs, _peel_extract_worker, ("split_budget",))
+_PEEL_EXTRACT = Phase("peel_extract", _graphs, _peel_extract_worker)
 
 CAMPAIGNS = {c.name: c for c in (
     Campaign("verify-dh", {"n_max": 8, "g6_file": None, "budget": None}, _graphs_descr,
-             (Phase(None, _graphs, _dh_worker, ("budget",)),),
+             (Phase(None, _graphs, _dh_worker),),
              help="campaign: distance-hereditary graphs are path-extremal"),
     Campaign("verify-split-roundtrip",
              {"n_max": 8, "g6_file": None, "split_budget": None}, _graphs_descr,
-             (Phase(None, _graphs, _roundtrip_worker, ("split_budget",)),)),
+             (Phase(None, _graphs, _roundtrip_worker),)),
     Campaign(
         "verify-unique-prime",
         {"n_max": 8, "m": 5, "g6_file": None, "budget": None, "split_budget": None},
@@ -453,14 +449,13 @@ CAMPAIGNS = {c.name: c for c in (
         (
             Phase("phase1",
                   lambda p: split_prime_graphs(p["m"]),
-                  _prime_core_worker, ("budget",), tag=1,
+                  _prime_core_worker, tag=1,
                   # the primes in enumeration order, not the records' graph6 order
                   extra=lambda items, records: {
                       "prime_graphs": [line for line, _ in items],
                       "subgraph_classes": sum(r.get("subgraph_classes", 0)
                                               for r in records)}),
-            Phase("phase2", _graphs, _unique_prime_worker,
-                  ("m", "budget", "split_budget"), tag=2),
+            Phase("phase2", _graphs, _unique_prime_worker, tag=2),
         ),
         help="campaign: bounded prime cores, both phases",
     ),
@@ -472,7 +467,7 @@ CAMPAIGNS = {c.name: c for c in (
         lambda p: {"source": "builtin", "n_max": p["n_max"],
                    "fort_n_max": FORT_AUDIT_MAX},
         (
-            Phase("leaf_recurrence", _graphs, _leaf_audit_worker, ("budget",)),
+            Phase("leaf_recurrence", _graphs, _leaf_audit_worker),
             Phase("fort_avoidance", lambda p: builtin_corpus(
                 min(p["n_max"], FORT_AUDIT_MAX), connected=False), _fort_audit_worker),
             _PEEL_EXTRACT,
@@ -482,56 +477,33 @@ CAMPAIGNS = {c.name: c for c in (
 )}
 
 
-# --- the campaigns as functions --------------------------------------------------
+# --- the campaigns as functions: run_campaign bound to a table name ----------------
 
 
-def verify_dh(n_max: Optional[int] = None, g6_file: Optional[str] = None,
-              jobs: int = 1, budget: Optional[int] = None) -> VerificationReport:
-    """Check that every connected distance-hereditary graph in the
-    corpus is path-extremal.  Recognizer disagreements surface as anomalies,
-    never as counterexamples."""
-    return run_campaign("verify-dh", jobs, n_max=n_max, g6_file=g6_file,
-                        budget=budget)
+def _bound(name: str, doc: str) -> partial:
+    fn = partial(run_campaign, name)
+    fn.__name__, fn.__doc__ = name.replace("-", "_"), doc
+    return fn
 
 
-def verify_split_roundtrip(n_max: Optional[int] = None,
-                           g6_file: Optional[str] = None, jobs: int = 1,
-                           split_budget: Optional[int] = None) -> VerificationReport:
-    """Decompose every corpus graph, re-reconstruct, check reducedness, and
-    cross-check prime-bag-freeness against the metric DH oracle."""
-    return run_campaign("verify-split-roundtrip", jobs, n_max=n_max,
-                        g6_file=g6_file, split_budget=split_budget)
-
-
-def verify_unique_prime(n_max: Optional[int] = None, m: Optional[int] = None,
-                        jobs: int = 1, budget: Optional[int] = None,
-                        split_budget: Optional[int] = None,
-                        g6_file: Optional[str] = None) -> VerificationReport:
-    """Finite verification of the bounded-prime-core reduction.
+verify_dh = _bound("verify-dh", """Check that every connected
+    distance-hereditary graph in the corpus is path-extremal.  Recognizer
+    disagreements surface as anomalies, never as counterexamples.""")
+verify_split_roundtrip = _bound("verify-split-roundtrip", """Decompose every
+    corpus graph, re-reconstruct, check reducedness, and cross-check
+    prime-bag-freeness against the metric DH oracle.""")
+verify_unique_prime = _bound("verify-unique-prime", """Finite verification of
+    the bounded-prime-core reduction.
 
     Phase 1 discharges the hypothesis: every induced subgraph of every
     split-prime graph on <= m vertices is path-extremal.  Phase 2 checks the
     conclusion on the corpus: every connected graph whose decomposition has
-    exactly one prime bag of size <= m is path-extremal.
-    """
-    return run_campaign("verify-unique-prime", jobs, n_max=n_max, m=m,
-                        budget=budget, split_budget=split_budget, g6_file=g6_file)
-
-
-def audit_peel_extract(n_max: Optional[int] = None, jobs: int = 1,
-                       split_budget: Optional[int] = None) -> VerificationReport:
-    """Peel and prime-core reductions over the unique-prime corpus: every
-    peel must reconstruct G-x and G-{x,c} with the prime label intact, and
-    every star-centered tree must extract a core Q with G = Q + pendants."""
-    return run_campaign("audit-peel-extract", jobs, n_max=n_max,
-                        split_budget=split_budget)
-
-
-def audit_lemmas(n_max: Optional[int] = None, jobs: int = 1,
-                 budget: Optional[int] = None,
-                 split_budget: Optional[int] = None) -> VerificationReport:
-    """Executable lemma audits: the leaf recurrence on every connected graph
-    with a leaf, fort avoidance exhaustively at n <= 5, and the peel /
-    prime-core reductions on the unique-prime corpus."""
-    return run_campaign("audit-lemmas", jobs, n_max=n_max, budget=budget,
-                        split_budget=split_budget)
+    exactly one prime bag of size <= m is path-extremal.""")
+audit_peel_extract = _bound("audit-peel-extract", """Peel and prime-core
+    reductions over the unique-prime corpus: every peel must reconstruct G-x
+    and G-{x,c} with the prime label intact, and every star-centered tree
+    must extract a core Q with G = Q + pendants.""")
+audit_lemmas = _bound("audit-lemmas", """Executable lemma audits: the leaf
+    recurrence on every connected graph with a leaf, fort avoidance
+    exhaustively at n <= 5, and the peel / prime-core reductions on the
+    unique-prime corpus.""")

@@ -16,7 +16,7 @@ import sys
 from functools import partial
 from typing import Callable, Iterable, Optional
 
-from . import KERNEL_BACKEND, __version__, campaigns, splitdec
+from . import KERNEL_BACKEND, __version__, campaigns, forcing, splitdec
 from .dh import dh_metric_oracle, recognize_dh, replay_trace
 from .errors import CapacityError, Graph6ParseError
 from .extremal import path_zprime
@@ -238,7 +238,7 @@ def _cmd_campaign(args) -> int:
         for param, flag, _ in _CAMPAIGN_FLAGS
         if param in takes
     }
-    report = campaigns.run_campaign(args.command, args.jobs, **params)
+    report = campaigns.run_campaign(args.command, jobs=args.jobs, **params)
     csv = ["graph6,witness_k,margins,reason"]
     for cx in report.counterexamples:
         margins = ";".join(str(m) for m in cx.get("margins", []))
@@ -334,7 +334,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             return EXIT_ERROR
         raise
     try:
-        _resolve(args, "budget_subsets", "ZFX_BUDGET_SUBSETS", 20, _NATURAL)
+        _resolve(args, "budget_subsets", "ZFX_BUDGET_SUBSETS",
+                 forcing.DEFAULT_SUBSET_BUDGET, _NATURAL)
         _resolve(args, "jobs", "ZFX_JOBS", 1, _POSITIVE)
         return args.func(args)
     except (Graph6ParseError, CapacityError, ValueError, OSError,

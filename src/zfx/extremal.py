@@ -117,17 +117,13 @@ class LeafAudit:
         return all(r.holds for r in self.rows)
 
 
-def audit_leaf_recurrence(
-    g: Graph, x: int, v: Optional[int] = None, budget: Optional[int] = None
-) -> LeafAudit:
-    """Exact check of z'(G;k) >= z'(G-x;k) + z'(G-{x,v};k-1) for all k >= 1."""
+def audit_leaf_recurrence(g: Graph, x: int, *,
+                          budget: Optional[int] = None) -> LeafAudit:
+    """Exact check of z'(G;k) >= z'(G-x;k) + z'(G-{x,v};k-1) for all k >= 1,
+    where v is the neighbour of the leaf x."""
     if g.degree(x) != 1:
         raise ValueError(f"vertex {x} is not a leaf")
-    nbr = g.adj[x].bit_length() - 1
-    if v is None:
-        v = nbr
-    elif v != nbr:
-        raise ValueError(f"vertex {v} is not the neighbor of leaf {x}")
+    v = g.adj[x].bit_length() - 1
     p_g = zf_profile(g, budget)
     g_x, _ = induced_subgraph(g, g.full_mask & ~(1 << x))
     g_xv, _ = induced_subgraph(g, g.full_mask & ~(1 << x) & ~(1 << v))

@@ -460,7 +460,8 @@ def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
        so no sigma is computed.
 
     Deterministic order (sorted encodings).  Raises ``ValueError`` for
-    n < 0 and ``CapacityError`` above ``ENUM_MAX``.
+    n < 0 and ``CapacityError`` above ``ENUM_MAX`` at the call, not at the
+    first item.
     """
     if n < 0:
         raise ValueError(f"no graphs on {n} vertices")
@@ -469,7 +470,4 @@ def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
             f"built-in enumeration stops at n={ENUM_MAX}; "
             "supply larger corpora as graph6 files"
         )
-    for g in _enum_level(n):
-        if connected_only and not is_connected(g):
-            continue
-        yield g
+    return (g for g in _enum_level(n) if not connected_only or is_connected(g))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 
 import pytest
@@ -178,3 +179,32 @@ def test_worker_failure_becomes_anomaly(monkeypatch):
     assert r.anomalies[0]["reason"] == "TraceError: injected failure"
     assert r.scanned == 31 and r.verified == 27
     assert r.exit_code() == 1
+
+
+def test_library_functions_are_the_table_bound():
+    for name in campaigns.CAMPAIGNS:
+        fn = getattr(campaigns, name.replace("-", "_"))
+        assert fn.__name__ == name.replace("-", "_")
+        assert fn.__doc__ and fn.__doc__.strip()
+    assert (verify_dh(n_max=4).normalized_json()
+            == campaigns.run_campaign("verify-dh", n_max=4).normalized_json())
+
+
+def test_library_functions_take_keywords_only():
+    with pytest.raises(TypeError):
+        verify_dh(4)
+    with pytest.raises(TypeError):
+        campaigns.run_campaign("verify-dh", 1)
+    with pytest.raises(TypeError, match="n_maks"):
+        verify_dh(n_maks=4)
+    with pytest.raises(TypeError, match="budget"):
+        audit_peel_extract(n_max=3, budget=5)
+
+
+def test_phase_workers_take_campaign_parameters():
+    """A phase passes its worker the campaign parameters that the worker's
+    parameters after ``item`` name, so each must be one of the campaign's."""
+    for spec in campaigns.CAMPAIGNS.values():
+        for phase in spec.phases:
+            takes = list(inspect.signature(phase.worker).parameters)[1:]
+            assert set(takes) <= spec.params.keys(), (spec.name, phase.worker)

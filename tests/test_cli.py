@@ -72,6 +72,15 @@ def test_budget_env_and_flag_precedence(capsys, monkeypatch):
     assert code == 0
 
 
+def test_budget_default_is_the_forcing_constant(capsys, monkeypatch):
+    """With neither flag nor environment, the CLI's subset budget is
+    ``forcing.DEFAULT_SUBSET_BUDGET``, read when it runs."""
+    monkeypatch.delenv("ZFX_BUDGET_SUBSETS", raising=False)
+    monkeypatch.setattr(zfx.forcing, "DEFAULT_SUBSET_BUDGET", 3)
+    code, _, err = run(capsys, "profile", "--path", "4")
+    assert code == 1 and "exceeds budget 3" in err
+
+
 def test_empty_g6_file(capsys, tmp_path):
     f = tmp_path / "empty.g6"
     f.write_text("")

@@ -92,12 +92,12 @@ def test_leaf_recurrence_path_is_tight():
 
 
 def test_leaf_recurrence_star():
-    audit = audit_leaf_recurrence(make_star(4), 1, 0)
+    audit = audit_leaf_recurrence(make_star(4), 1)
     assert audit.holds
 
 
 def test_leaf_recurrence_degenerate_p2():
-    audit = audit_leaf_recurrence(make_path(2), 0, 1)
+    audit = audit_leaf_recurrence(make_path(2), 0)
     assert audit.holds
     assert audit.rows[0].zprime_without_both == 0  # z'(P_0; 0) = 0
 
@@ -105,8 +105,12 @@ def test_leaf_recurrence_degenerate_p2():
 def test_leaf_recurrence_rejects_non_leaves():
     with pytest.raises(ValueError):
         audit_leaf_recurrence(make_cycle(4), 0)
-    with pytest.raises(ValueError):
-        audit_leaf_recurrence(make_path(4), 0, v=3)
+
+
+def test_leaf_recurrence_budget_is_keyword_only():
+    with pytest.raises(TypeError):
+        audit_leaf_recurrence(make_path(4), 0, 1)
+    assert audit_leaf_recurrence(make_path(4), 0, budget=4).holds
 
 
 def test_leaf_recurrence_exhaustive(connected_by_n):

@@ -369,6 +369,15 @@ def test_enumeration_rejects_negative_n():
         list(enumerate_graphs(-1))
 
 
+def test_enumeration_refuses_at_the_call():
+    """The refusals fire when ``enumerate_graphs`` is called, not at the
+    first ``next()`` of what it returns."""
+    with pytest.raises(CapacityError):
+        enumerate_graphs(10)
+    with pytest.raises(ValueError):
+        enumerate_graphs(-1)
+
+
 def test_enumeration_canon_calls_to_n8(monkeypatch):
     """Twin packing and the canonical-deletion test leave 18,058
     ``canon_adj`` calls for n <= 8 (min-degree augmentation alone made
