@@ -27,6 +27,7 @@ from .errors import CapacityError, Graph6ParseError
 from .extremal import audit_leaf_recurrence, check_path_extremal
 from .forcing import is_forcing, is_fort
 from .graphs import (
+    ENUM_MAX,
     Graph,
     classify_kind,
     enumerate_graphs,
@@ -316,7 +317,11 @@ def _roundtrip_worker(item: Item, split_budget: Optional[int]) -> dict:
 
 def split_prime_graphs(m: int) -> list[Graph]:
     """All split-prime graphs on at most m vertices (connected, no split,
-    neither clique nor star)."""
+    neither clique nor star).  They come from the built-in enumeration
+    whatever the corpus is, so m is capped at ``ENUM_MAX``."""
+    if m > ENUM_MAX:
+        raise CapacityError(f"m={m} exceeds ENUM_MAX={ENUM_MAX}: the split-prime "
+                            "graphs on <= m vertices come from the built-in enumeration")
     return [g for g in builtin_corpus(m)
             if classify_kind(g).tag == "other" and find_split(g) is None]
 

@@ -223,7 +223,7 @@ def _dh_text(e: dict) -> str:
 # campaign subcommand gets the flags of the parameters its table entry takes.
 _CAMPAIGN_FLAGS = (
     ("n_max", "--nmax", {"type": _POSITIVE}),
-    ("m", "--m", {"type": _POSITIVE, "default": 5}),
+    ("m", "--m", {"type": _POSITIVE}),
     ("g6_file", "--g6", {"help": "graph6 corpus file"}),
     ("jobs", "--jobs", {"type": _POSITIVE}),
     ("budget", "--budget-subsets", {"type": _NATURAL}),

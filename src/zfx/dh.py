@@ -1,8 +1,10 @@
 """Distance-hereditary recognition by greedy leaf/twin elimination, the
 metric oracle, and construction replay.
 
-A successful elimination is a certificate: replaying it in reverse as
-pendant / false-twin / true-twin additions rebuilds the input exactly.
+The elimination runs on a mask of live vertices over the input's rows, so
+no graph is built per step.  A successful elimination is a certificate:
+replaying it in reverse as pendant / false-twin / true-twin additions
+rebuilds the input exactly.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from typing import Optional
 
 from . import kernels
 from .errors import TraceError
-from .graphs import Graph, find_leaf, find_twin_pair, induced_subgraph, is_connected
+from .graphs import Graph, bits, is_connected
 
 PENDANT = "pendant"
 FALSE_TWIN = "false_twin"
@@ -37,6 +39,23 @@ class EliminationTrace:
 def recognize_dh(g: Graph) -> Optional[EliminationTrace]:
     """Greedily strip the least leaf, else the least twin pair.
 
+    The graph at each step is the subgraph induced by the mask ``live`` of
+    the vertices not yet removed; no graph is built per step.
+
+    - The least leaf is the lowest live vertex with one live neighbour.  It
+      is removed, and that neighbour is the anchor.
+    - Otherwise the least twin pair (u, v), u < v, has the least u, then
+      the least v.  One pass over the live vertices looks up each v's
+      ``adj[v] & live`` (equal for false twins) and the same with v's bit
+      added (equal for true twins) among the keys of the earlier vertices
+      that met no key.  The first hit in a twin class is its two lowest
+      vertices, and the pair kept has the least u.  v is removed and u is
+      the anchor.  One dict holds both kinds of key, since no open
+      neighbourhood equals a closed one.
+    - A vertex's id in a step is ``(live & (bit - 1)).bit_count()``, its
+      rank among the live vertices: the index it has in the
+      order-preserving induced subgraph on ``live`` at removal time.
+
     Success (reaching K_1) certifies distance-hereditariness; the trace
     replays to the input.  Returns None when a graph with neither leaf nor
     twin is reached.
@@ -45,23 +64,42 @@ def recognize_dh(g: Graph) -> Optional[EliminationTrace]:
         raise ValueError("recognize_dh needs at least one vertex")
     if not is_connected(g):
         raise ValueError("recognize_dh expects a connected graph")
+    adj = g.adj
+    live = g.full_mask
     steps = []
-    cur = g
-    while cur.n > 1:
-        leaf = find_leaf(cur)
-        if leaf is not None:
-            removed = leaf
-            anchor = cur.adj[leaf].bit_length() - 1
-            op = PENDANT
+    while live & (live - 1):  # two or more live vertices
+        m = live
+        while m:
+            low = m & -m
+            nbrs = adj[low.bit_length() - 1] & live
+            if nbrs.bit_count() == 1:
+                break
+            m ^= low
+        if m:
+            op, removed, anchor = PENDANT, low, nbrs
         else:
-            pair = find_twin_pair(cur)
+            first: dict[int, int] = {}  # open or closed key -> its class's first bit
+            pair = None  # (op, removed bit, anchor bit)
+            m = live
+            while m:
+                low = m & -m
+                m ^= low
+                row = adj[low.bit_length() - 1] & live
+                u = first.get(row)
+                op = FALSE_TWIN
+                if u is None:
+                    u = first.get(row | low)
+                    op = TRUE_TWIN
+                if u is None:
+                    first[row] = first[row | low] = low
+                elif pair is None or u < pair[2]:
+                    pair = (op, low, u)
             if pair is None:
                 return None
-            u, v, kind = pair
-            removed, anchor = v, u
-            op = TRUE_TWIN if kind == "true" else FALSE_TWIN
-        steps.append(TraceStep(op, removed, anchor))
-        cur, _ = induced_subgraph(cur, cur.full_mask & ~(1 << removed))
+            op, removed, anchor = pair
+        steps.append(TraceStep(op, (live & (removed - 1)).bit_count(),
+                               (live & (anchor - 1)).bit_count()))
+        live ^= removed
     return EliminationTrace(steps=tuple(steps), final_ok=True)
 
 
@@ -70,28 +108,19 @@ def _shift_up(mask: int, pos: int) -> int:
     return low | ((mask >> pos) << (pos + 1))
 
 
-def _insert_vertex(g: Graph, pos: int, nbrs_new: int) -> Graph:
-    """Insert a vertex at index pos with the given (new-label) neighborhood."""
-    adj = []
-    for w in range(g.n + 1):
-        if w == pos:
-            adj.append(nbrs_new)
-        else:
-            old = w if w < pos else w - 1
-            row = _shift_up(g.adj[old], pos)
-            if (nbrs_new >> w) & 1:
-                row |= 1 << pos
-            adj.append(row)
-    return Graph(g.n + 1, tuple(adj))
-
-
 def replay_trace(trace: EliminationTrace) -> Graph:
-    """Rebuild the recognized graph from K_1 by reversing the removals."""
+    """Rebuild the recognized graph from K_1 by reversing the removals.
+
+    Works on a list of rows, one vertex inserted per step at its recorded
+    id, and builds one ``Graph`` at the end.  Each step is checked on its
+    own (ids in range and distinct, a known operation), independently of
+    how the recognizer chose it.
+    """
     if not trace.final_ok:
         raise TraceError("trace did not reach K_1")
-    g = Graph(1, (0,))
+    rows = [0]
     for step in reversed(trace.steps):
-        m = g.n + 1
+        m = len(rows) + 1
         r, a = step.removed, step.anchor
         if not (0 <= r < m and 0 <= a < m) or r == a:
             raise TraceError(f"step ({step.op},{r},{a}) invalid for size {m}")
@@ -99,13 +128,17 @@ def replay_trace(trace: EliminationTrace) -> Graph:
         if step.op == PENDANT:
             nbrs = 1 << a
         elif step.op == FALSE_TWIN:
-            nbrs = _shift_up(g.adj[a_small], r)
+            nbrs = _shift_up(rows[a_small], r)
         elif step.op == TRUE_TWIN:
-            nbrs = _shift_up(g.adj[a_small], r) | (1 << a)
+            nbrs = _shift_up(rows[a_small], r) | (1 << a)
         else:
             raise TraceError(f"unknown operation {step.op!r}")
-        g = _insert_vertex(g, r, nbrs)
-    return g
+        rows = [_shift_up(row, r) for row in rows]
+        rows.insert(r, nbrs)
+        bit = 1 << r
+        for w in bits(nbrs):
+            rows[w] |= bit
+    return Graph(len(rows), tuple(rows))
 
 
 def dh_metric_oracle(g: Graph) -> bool:

@@ -9,7 +9,7 @@ the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 from operator import or_
 from typing import Iterable, Iterator, Optional
 
@@ -326,7 +326,9 @@ def write_graph6(g: Graph) -> str:
 
 ENUM_MAX = 9
 
-_levels: dict[int, tuple[Graph, ...]] = {}
+# n -> (every class on n vertices, one is_connected byte per class or None
+# until a caller first asks for the connected ones)
+_levels: dict[int, tuple[tuple[Graph, ...], Optional[bytes]]] = {}
 
 
 def _min_degree_neighbourhoods(base: tuple[int, ...]) -> Iterator[int]:
@@ -371,7 +373,7 @@ def _twin_classes(adj: tuple[int, ...]) -> list[list[int]]:
 
 def _enum_level(n: int) -> tuple[Graph, ...]:
     if n in _levels:
-        return _levels[n]
+        return _levels[n][0]
     if n == 0:
         reps: tuple[Graph, ...] = (Graph(0, ()),)
     elif n == 1:
@@ -429,8 +431,17 @@ def _enum_level(n: int) -> tuple[Graph, ...]:
                             continue
                 seen.add(kernels.canon_adj(n, tuple(map(or_, base, added[nb]))))
         reps = tuple(Graph(n, rows) for rows in sorted(seen))
-    _levels[n] = reps
+    _levels[n] = (reps, None)
     return reps
+
+
+def _connected_flags(n: int) -> bytes:
+    level = _enum_level(n)
+    flags = _levels[n][1]
+    if flags is None:
+        flags = bytes(map(is_connected, level))
+        _levels[n] = (level, flags)
+    return flags
 
 
 def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
@@ -459,9 +470,10 @@ def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
        parent's least degree the new vertex is the only one of degree k,
        so no sigma is computed.
 
-    Deterministic order (sorted encodings).  Raises ``ValueError`` for
-    n < 0 and ``CapacityError`` above ``ENUM_MAX`` at the call, not at the
-    first item.
+    Deterministic order (sorted encodings).  Each level, and which of its
+    classes are connected once asked for, is cached for the process in
+    ``_levels``.  Raises ``ValueError`` for n < 0 and ``CapacityError``
+    above ``ENUM_MAX`` at the call, not at the first item.
     """
     if n < 0:
         raise ValueError(f"no graphs on {n} vertices")
@@ -470,4 +482,5 @@ def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
             f"built-in enumeration stops at n={ENUM_MAX}; "
             "supply larger corpora as graph6 files"
         )
-    return (g for g in _enum_level(n) if not connected_only or is_connected(g))
+    level = _enum_level(n)
+    return compress(level, _connected_flags(n)) if connected_only else iter(level)

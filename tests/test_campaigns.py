@@ -18,8 +18,9 @@ from zfx.campaigns import (
     verify_split_roundtrip,
     verify_unique_prime,
 )
-from zfx.errors import TraceError
+from zfx.errors import CapacityError, TraceError
 from zfx.graphs import (
+    ENUM_MAX,
     are_isomorphic,
     make_cycle,
     make_path,
@@ -99,6 +100,15 @@ def test_unique_prime_file_corpus(tmp_path):
     _check_report_invariants(r)
     assert r.corpus == {"source": str(f), "m": 5}
     assert [s["reason"] for s in r.skipped] == ["disconnected"]
+
+
+def test_unique_prime_refuses_m_above_enum_max():
+    """Phase 1's split-prime graphs come from the built-in enumeration
+    whatever the corpus is, so no m above ``ENUM_MAX`` can run."""
+    with pytest.raises(CapacityError, match=f"m={ENUM_MAX + 1} exceeds ENUM_MAX={ENUM_MAX}"):
+        verify_unique_prime(n_max=3, m=ENUM_MAX + 1)
+    with pytest.raises(CapacityError, match=f"m={ENUM_MAX + 1} exceeds ENUM_MAX"):
+        split_prime_graphs(ENUM_MAX + 1)
 
 
 def test_audit_lemmas_report():

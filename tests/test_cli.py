@@ -5,13 +5,16 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import zfx
+from zfx import campaigns
 from zfx.cli import build_parser, main
+from zfx.graphs import ENUM_MAX
 
 
 def run(capsys, *argv):
@@ -179,6 +182,24 @@ def test_verify_unique_prime_m4_vacuous(capsys):
     assert payload["phases"]["phase2"]["verified"] == 0  # nothing qualifies
 
 
+def test_verify_unique_prime_m_defaults_to_the_table(capsys, monkeypatch):
+    """Without --m the campaign table's default reaches the run."""
+    spec = campaigns.CAMPAIGNS["verify-unique-prime"]
+    monkeypatch.setitem(campaigns.CAMPAIGNS, "verify-unique-prime",
+                        replace(spec, params={**spec.params, "m": 4}))
+    code, payload, _ = run_json(capsys, "verify-unique-prime", "--nmax", "3")
+    assert code == 0 and payload["corpus"]["m"] == 4
+
+
+def test_verify_unique_prime_m_above_enum_max_exits_1(capsys):
+    code, out, err = run(capsys, "verify-unique-prime", "--nmax", "3",
+                         "--m", str(ENUM_MAX + 1))
+    assert code == 1 and out == ""
+    assert err == (f"error: m={ENUM_MAX + 1} exceeds ENUM_MAX={ENUM_MAX}: the "
+                   "split-prime graphs on <= m vertices come from the built-in "
+                   "enumeration\n")
+
+
 def test_audit_lemmas_small(capsys):
     code, payload, _ = run_json(capsys, "audit-lemmas", "--nmax", "5")
     assert code == 0 and payload["counterexamples"] == []
@@ -244,7 +265,7 @@ OUTPUT_FLAGS = [("--json", False), ("--csv", False), ("--out", None)]
 @pytest.mark.parametrize("command,flags", [
     ("verify-dh", [("--nmax", None), ("--g6", None), ("--jobs", None),
                    ("--budget-subsets", None)] + OUTPUT_FLAGS),
-    ("verify-unique-prime", [("--nmax", None), ("--m", 5), ("--g6", None),
+    ("verify-unique-prime", [("--nmax", None), ("--m", None), ("--g6", None),
                              ("--jobs", None), ("--budget-subsets", None),
                              ("--budget-splits", None)] + OUTPUT_FLAGS),
     ("audit-lemmas", [("--nmax", None), ("--jobs", None), ("--budget-subsets", None),

@@ -2,9 +2,18 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+import random
+from typing import Optional
+
 import pytest
 
+from zfx import graphs, kernels
 from zfx.dh import (
+    FALSE_TWIN,
+    PENDANT,
+    TRUE_TWIN,
     EliminationTrace,
     TraceStep,
     dh_metric_oracle,
@@ -14,7 +23,9 @@ from zfx.dh import (
 from zfx.errors import TraceError
 from zfx.graphs import (
     Graph,
+    enumerate_graphs,
     are_isomorphic,
+    bits,
     canonical_form,
     find_leaf,
     find_twin_pair,
@@ -133,3 +144,102 @@ def test_dh_hereditary(connected_by_n):
                     continue
                 seen_dh.add(key)
                 assert dh_metric_oracle(sub)
+
+
+def _recognize_dh_reference(g: Graph) -> Optional[EliminationTrace]:
+    """The literal greedy, the reference ``recognize_dh`` must match: one
+    induced subgraph per step, searched with ``find_leaf`` and
+    ``find_twin_pair``."""
+    if g.n < 1:
+        raise ValueError("recognize_dh needs at least one vertex")
+    if not is_connected(g):
+        raise ValueError("recognize_dh expects a connected graph")
+    steps = []
+    cur = g
+    while cur.n > 1:
+        leaf = find_leaf(cur)
+        if leaf is not None:
+            removed = leaf
+            anchor = cur.adj[leaf].bit_length() - 1
+            op = PENDANT
+        else:
+            pair = find_twin_pair(cur)
+            if pair is None:
+                return None
+            u, v, kind = pair
+            removed, anchor = v, u
+            op = TRUE_TWIN if kind == "true" else FALSE_TWIN
+        steps.append(TraceStep(op, removed, anchor))
+        cur, _ = induced_subgraph(cur, cur.full_mask & ~(1 << removed))
+    return EliminationTrace(steps=tuple(steps), final_ok=True)
+
+
+def _random_graph(rng: random.Random, n: int, p: float) -> Graph:
+    return graph_from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                if rng.random() < p])
+
+
+def _random_dh(rng: random.Random, n: int) -> Graph:
+    """A connected DH graph grown from K_1 by random pendant, false-twin and
+    true-twin additions, randomly relabelled."""
+    adj = [0]
+    for v in range(1, n):
+        a = rng.randrange(v)
+        op = rng.choice((PENDANT, FALSE_TWIN, TRUE_TWIN) if adj[a] else (PENDANT, TRUE_TWIN))
+        nbrs = 1 << a if op == PENDANT else adj[a] | (1 << a if op == TRUE_TWIN else 0)
+        for u in bits(nbrs):
+            adj[u] |= 1 << v
+        adj.append(nbrs)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return graph_from_edges(n, [(perm[u], perm[w]) for u in range(n)
+                                for w in bits(adj[u]) if u < w])
+
+
+def _assert_matches_reference(g: Graph) -> bool:
+    trace = recognize_dh(g)
+    assert trace == _recognize_dh_reference(g), g
+    if trace is not None:
+        assert replay_trace(trace) == g, g
+    return trace is not None
+
+
+def test_recognizer_matches_the_reference_to_n8():
+    """Every connected class with n <= 8 (1,893 of them DH)."""
+    dh = sum(_assert_matches_reference(g)
+             for n in range(1, 9) for g in enumerate_graphs(n, connected_only=True))
+    assert dh == 1893
+
+
+def test_recognizer_matches_the_reference_random_to_n16():
+    """Seeded random connected labelled graphs with 9 <= n <= 16: G(n, p),
+    DH graphs grown by one-vertex additions, and the same with one random
+    edge added, which may leave a graph that fails late."""
+    rng = random.Random(1116)
+    verdicts = []
+    for n in range(9, 17):
+        for _ in range(12):
+            dh = _random_dh(rng, n)
+            u, w = rng.sample(range(n), 2)
+            cases = [_random_graph(rng, n, rng.uniform(0.25, 0.6)), dh,
+                     graph_from_edges(n, [*dh.edges(), (u, w)])]
+            verdicts += [_assert_matches_reference(g) for g in cases if is_connected(g)]
+    assert len(verdicts) > 260 and 0 < sum(verdicts) < len(verdicts)
+
+
+def test_traces_pinned_to_n9(cyk, monkeypatch):
+    """Every trace, or None, of the connected classes with n <= 9 (273,193
+    graphs) in enumeration order, over one sha256.  The n = 9 level is
+    built with the compiled ``canon_adj`` in a private level cache, so it
+    does not outlive the test."""
+    monkeypatch.setattr(kernels, "canon_adj", cyk.canon_adj)
+    monkeypatch.setattr(graphs, "_levels", dict(graphs._levels))
+    out = []
+    for n in range(1, 10):
+        for g in enumerate_graphs(n, connected_only=True):
+            trace = recognize_dh(g)
+            out.append(None if trace is None
+                       else [[s.op, s.removed, s.anchor] for s in trace.steps])
+    assert len(out) == 273193
+    assert hashlib.sha256(json.dumps(out).encode()).hexdigest() == (
+        "9595ef4cf2e7085e9db8592d878bf1c4ff87b1d203955e475b334b2be243a255")

@@ -349,14 +349,36 @@ def test_enumeration_digest_to_n8():
 
 def test_enumeration_n9_on_compiled_canon(cyk, monkeypatch):
     """All 274,668 classes at n = 9, with the compiled ``canon_adj`` and in
-    a private level cache, so the 120 MB level does not outlive the test."""
+    a private level cache, so the 120 MB level and its connectedness
+    bytes do not outlive the test."""
     monkeypatch.setattr(kernels, "canon_adj", cyk.canon_adj)
     monkeypatch.setattr(graphs, "_levels", dict(graphs._levels))
     level = list(enumerate_graphs(9))
     assert len(level) == KNOWN_GRAPH_COUNTS[8]
-    assert sum(map(is_connected, level)) == 261080
+    assert sum(1 for _ in enumerate_graphs(9, connected_only=True)) == 261080
     digest = hashlib.sha256("\n".join(map(write_graph6, level)).encode()).hexdigest()
     assert digest == "1534d7af27eadd7885f6959476e15044f16cc7d7459dfea0f95571454f91faca"
+
+
+def test_connected_classes_filtered_once_per_level(monkeypatch):
+    """A level's classes are tested for connectedness on the first
+    ``connected_only`` request only, and the connected ones come back in
+    enumeration order."""
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return is_connected(g)
+
+    monkeypatch.setattr(graphs, "_levels", {})
+    monkeypatch.setattr(graphs, "is_connected", counting)
+    first = [list(enumerate_graphs(n, connected_only=True)) for n in range(1, 7)]
+    assert len(calls) == sum(KNOWN_GRAPH_COUNTS[:6])
+    again = [list(enumerate_graphs(n, connected_only=True)) for n in range(1, 7)]
+    assert len(calls) == sum(KNOWN_GRAPH_COUNTS[:6])
+    assert again == first == [[g for g in enumerate_graphs(n) if is_connected(g)]
+                              for n in range(1, 7)]
+    assert [len(level) for level in first] == [1, 1, 2, 6, 21, 112]
 
 
 def test_enumeration_capacity_error():
