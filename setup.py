@@ -1,10 +1,9 @@
 """Build script: compiles the kernel extension when a toolchain is present.
 
-The extension builds from the committed ``src/zfx/_kernels_cy.c``, so no
-Cython is needed at install time; regenerate that file with
-``cython -3 src/zfx/_kernels_cy.pyx`` after editing the ``.pyx``.  The
-extension is optional; the package falls back to the pure-Python kernels
-at import time, so a failed compile only costs speed.
+The extension is one hand-written CPython-API C file,
+``src/zfx/_kernels_cy.c``, so a C compiler is all it needs.  It is
+optional; the package falls back to the pure-Python kernels at import
+time, so a failed compile only costs speed.
 """
 
 import sys

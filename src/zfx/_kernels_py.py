@@ -2,12 +2,13 @@
 
 Graphs enter as ``(n, adj)`` where ``adj`` is a sequence of n ints, bit j of
 ``adj[i]`` set iff ij is an edge.  The compiled backend in ``_kernels_cy``
-implements the same five functions with identical outputs; ``zfx.kernels``
+implements the same six functions with identical outputs; ``zfx.kernels``
 picks one at import time, except for ``metric_dh``, which it always takes
 from here.  The compiled ``metric_dh`` checks the definition subset by
 subset; this one runs a polynomial separation test.  Likewise the compiled
 ``profile_counts`` runs one closure per subset, while this one counts forts
-on bitsets indexed by the 2^n subsets.
+on bitsets indexed by the 2^n subsets.  ``split_bags`` runs the whole split
+recursion of ``splitdec.decompose`` and returns its bags.
 """
 
 from __future__ import annotations
@@ -307,3 +308,70 @@ def find_split_mask(n: int, adj, reverse: bool = False) -> int:
         if ok and b1:
             return a_mask
     return 0
+
+
+def split_bags(n: int, adj, reverse: bool = False) -> tuple[int, list]:
+    """The bags of the split recursion of a connected graph, with the
+    number of tree edges between them.
+
+    A part is a bag when it is a clique, a star or has no split (kind
+    "clique", "star" or "prime"; a star carries its center, the first vertex
+    of degree n - 1).  Otherwise its first split (``find_split_mask``) takes
+    the next tree edge e, and each side becomes a part of its own: its
+    vertices in ascending order, then a marker adjacent to the side's
+    frontier (the vertices with a neighbour across).  Side A is split before
+    side B.  Each bag is ``(rows, tokens, kind, center)`` in the order the
+    recursion reaches it; a token is an original vertex, or ``~(2e + side)``
+    for the marker of tree edge e on side 0 (A) or 1 (B).
+    """
+    bags = []
+    edges = 0
+    todo = [(tuple(adj[:n]), tuple(range(n)))]
+    while todo:
+        rows, tokens = todo.pop()
+        k = len(rows)
+        degrees = [row.bit_count() for row in rows]
+        total = sum(degrees)
+        center = None
+        a_mask = 0
+        if total == k * (k - 1):
+            kind = "clique"
+        elif total == 2 * (k - 1) and k - 1 in degrees:
+            kind, center = "star", degrees.index(k - 1)
+        else:
+            kind = "prime"
+            a_mask = find_split_mask(k, rows, reverse)
+        if not a_mask:
+            bags.append((rows, tokens, kind, center))
+            continue
+        e = edges
+        edges += 1
+        sides = []
+        for side, part in ((0, a_mask), (1, ((1 << k) - 1) ^ a_mask)):
+            kept = []
+            local = {}  # vertex bit -> its bit in the side
+            m = part
+            while m:
+                low = m & -m
+                local[low] = 1 << len(kept)
+                kept.append(low.bit_length() - 1)
+                m ^= low
+            marker = 1 << len(kept)
+            sub = []
+            marker_row = 0
+            for v in kept:
+                r = rows[v] & part
+                row = 0
+                while r:
+                    low = r & -r
+                    row |= local[low]
+                    r ^= low
+                if rows[v] & ~part:
+                    row |= marker
+                    marker_row |= 1 << len(sub)
+                sub.append(row)
+            sub.append(marker_row)
+            sides.append((tuple(sub),
+                          tuple(tokens[v] for v in kept) + (~(2 * e + side),)))
+        todo += reversed(sides)  # A comes off the stack first
+    return edges, bags

@@ -216,6 +216,9 @@ def run_campaign(name: str, /, *, jobs: int = 1, **params) -> VerificationReport
     if unknown:
         raise TypeError(f"{name} takes no parameter {', '.join(sorted(unknown))}")
     p = {**spec.params, **{k: v for k, v in params.items() if v is not None}}
+    if "g6_file" not in spec.params and p["n_max"] > ENUM_MAX:
+        raise CapacityError(f"n_max={p['n_max']} exceeds ENUM_MAX={ENUM_MAX}: "
+                            f"{name} reads only the built-in enumeration")
     report = VerificationReport(name, spec.corpus(p))
     t0 = time.perf_counter()
     corpora: dict = {}
@@ -247,13 +250,15 @@ def run_campaign(name: str, /, *, jobs: int = 1, **params) -> VerificationReport
 
 
 def _graph(item: Item, connected: bool = True) -> Graph:
-    """The item's graph; a file line is parsed here."""
-    g = item
-    if isinstance(item, str):
-        try:
-            g = parse_graph6(item)
-        except (Graph6ParseError, CapacityError) as exc:
-            raise _Skip(f"parse: {exc}") from None
+    """The item's graph.  A file line is parsed here, and skipped when it
+    is disconnected and ``connected`` asks for connected graphs; a built-in
+    item already comes from the enumeration ``connected`` names."""
+    if not isinstance(item, str):
+        return item
+    try:
+        g = parse_graph6(item)
+    except (Graph6ParseError, CapacityError) as exc:
+        raise _Skip(f"parse: {exc}") from None
     if connected and not is_connected(g):
         raise _Skip("disconnected")
     return g

@@ -23,7 +23,6 @@ from .errors import CapacityError, InvariantViolation, TreeError
 from .extremal import attach_pendants
 from .graphs import (
     Graph,
-    GraphKind,
     are_isomorphic,
     classify_kind,
     induced_subgraph,
@@ -48,8 +47,12 @@ class Split:
     b1_mask: int
 
 
+def _split_limit(budget: Optional[int]) -> int:
+    return SPLIT_BUDGET_N if budget is None else budget
+
+
 def _check_split_budget(n: int, budget: Optional[int]) -> None:
-    limit = SPLIT_BUDGET_N if budget is None else budget
+    limit = _split_limit(budget)
     if n > limit:
         raise CapacityError(f"split scan over {n} vertices exceeds budget {limit}")
 
@@ -100,12 +103,9 @@ class Bag:
     star_center: Optional[int] = None
 
 
-def _bag(label: Graph, ordinary: dict[int, int], markers: dict[int, int],
-         kind: Optional[GraphKind] = None) -> Bag:
-    """The bag on ``label`` with its kind and star center, taken from
-    ``kind`` when the caller has already classified the label."""
-    if kind is None:
-        kind = classify_kind(label)
+def _bag(label: Graph, ordinary: dict[int, int], markers: dict[int, int]) -> Bag:
+    """The bag on ``label`` with its kind and star center."""
+    kind = classify_kind(label)
     tag = PRIME if kind.tag == "other" else kind.tag
     return Bag(label, tag, ordinary, markers, kind.center)
 
@@ -156,34 +156,14 @@ class DecompositionSummary:
 
 
 class _Builder:
-    """Bags and tree edges under construction.  Only splitting adds bags and
-    edges, starting from an empty builder, so their counts are the next free
-    ids; bags are replaced, never edited, so seeding shares a tree's bags."""
+    """Bags and tree edges under reduction.  Bags are replaced, never
+    edited, so seeding shares a tree's bags."""
 
     def __init__(
         self, bags: Mapping[int, Bag], tree_edges: Mapping[int, tuple[int, int]]
     ) -> None:
         self.bags = dict(bags)
         self.edge_ends = {e: list(ends) for e, ends in tree_edges.items()}
-
-    def new_edge(self) -> int:
-        e = len(self.edge_ends)
-        self.edge_ends[e] = [None, None]
-        return e
-
-    def add_bag(self, label: Graph, tokens: tuple, kind: GraphKind) -> int:
-        bid = len(self.bags)
-        ordinary: dict[int, int] = {}
-        markers: dict[int, int] = {}
-        for local, tok in enumerate(tokens):
-            if isinstance(tok, int):
-                ordinary[local] = tok
-            else:
-                _, e, side = tok
-                markers[e] = local
-                self.edge_ends[e][side] = bid
-        self.bags[bid] = _bag(label, ordinary, markers, kind)
-        return bid
 
     def contract_edge(self, e: int) -> None:
         """Merge the two end bags of ``e`` into one, preserving accessibility."""
@@ -270,9 +250,10 @@ def decompose(
 ) -> GraphLabelledTree:
     """Canonical split decomposition as a reduced graph-labelled tree.
 
-    ``split_order`` picks which valid split the recursion uses ("min" or
-    "max" mask scan); the reduced result must not depend on it, which the
-    test suite exercises.
+    ``kernels.split_bags`` splits the graph into bags, which are then
+    reduced.  ``split_order`` picks which valid split the recursion uses
+    ("min" or "max" mask scan); the reduced result must not depend on it,
+    which the test suite exercises.
     """
     if g.n < 1:
         raise ValueError("decompose needs a nonempty graph")
@@ -280,55 +261,28 @@ def decompose(
         raise ValueError("decompose expects a connected graph")
     if split_order not in ("min", "max"):
         raise ValueError("split_order must be 'min' or 'max'")
-    builder = _Builder({}, {})
-    _decompose_into(builder, g, tuple(range(g.n)), budget, split_order == "max")
+    # Only a part that is neither clique nor star is scanned for a split,
+    # and every side of a split is smaller than the graph, so the budget
+    # holds for the whole recursion iff it holds for the graph.
+    if g.n > _split_limit(budget) and classify_kind(g).tag == "other":
+        _check_split_budget(g.n, budget)
+    edge_count, raw = kernels.split_bags(g.n, g.adj, split_order == "max")
+    edge_ends = [[None, None] for _ in range(edge_count)]
+    bags = {}
+    for bid, (rows, tokens, kind, center) in enumerate(raw):
+        ordinary: dict[int, int] = {}
+        markers: dict[int, int] = {}
+        for local, tok in enumerate(tokens):
+            if tok >= 0:
+                ordinary[local] = tok
+            else:  # ~(2e + side)
+                tok = ~tok
+                markers[tok >> 1] = local
+                edge_ends[tok >> 1][tok & 1] = bid
+        bags[bid] = Bag(Graph(len(rows), rows), kind, ordinary, markers, center)
+    builder = _Builder(bags, dict(enumerate(edge_ends)))
     builder.reduce()
     return builder.freeze()
-
-
-def _decompose_into(
-    builder: _Builder, g: Graph, tokens: tuple, budget: Optional[int], reverse: bool
-) -> None:
-    # ``g`` is connected, as every side of a split of a connected graph is,
-    # so the split scan runs without ``find_split``'s connectivity check.
-    kind = classify_kind(g)
-    a_mask = 0
-    if kind.tag == "other":
-        _check_split_budget(g.n, budget)
-        a_mask = kernels.find_split_mask(g.n, g.adj, reverse)
-    if not a_mask:
-        builder.add_bag(g, tokens, kind)
-        return
-    e = builder.new_edge()
-    for side, part in ((0, a_mask), (1, g.full_mask ^ a_mask)):
-        # The side's label: the rows of ``part`` compacted to its ascending
-        # order, then a marker adjacent to the side's frontier (the vertices
-        # with a neighbour across).
-        kept = []
-        local = {}  # vertex bit -> its bit in the label
-        m = part
-        while m:
-            low = m & -m
-            local[low] = 1 << len(kept)
-            kept.append(low.bit_length() - 1)
-            m ^= low
-        marker = 1 << len(kept)
-        adj = []
-        marker_row = 0
-        for v in kept:
-            r = g.adj[v] & part
-            row = 0
-            while r:
-                low = r & -r
-                row |= local[low]
-                r ^= low
-            if g.adj[v] & ~part:
-                row |= marker
-                marker_row |= 1 << len(adj)
-            adj.append(row)
-        adj.append(marker_row)
-        part_tokens = tuple(tokens[v] for v in kept) + (("m", e, side),)
-        _decompose_into(builder, Graph(len(adj), tuple(adj)), part_tokens, budget, reverse)
 
 
 # --- reconstruction and validation -------------------------------------------

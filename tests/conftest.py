@@ -26,27 +26,33 @@ def connected_by_n() -> dict[int, list[Graph]]:
 
 
 @pytest.fixture(scope="session")
-def cyk(tmp_path_factory):
-    """The compiled kernels: the installed extension, else the committed
-    ``_kernels_cy.c`` built with gcc into a temporary directory."""
-    try:
-        from zfx import _kernels_cy
-
-        return _kernels_cy
-    except ImportError:
-        pass
+def built_kernels(tmp_path_factory):
+    """The committed ``_kernels_cy.c`` built with gcc, warnings as errors,
+    into a temporary directory."""
     gcc = shutil.which("gcc")
     if gcc is None:
-        pytest.skip("compiled kernels not built and no gcc to build them")
+        pytest.skip("no gcc to build the compiled kernels")
     ext = tmp_path_factory.mktemp("kernels") / (
         "_kernels_cy" + sysconfig.get_config_var("EXT_SUFFIX")
     )
     subprocess.run(
-        [gcc, "-O3", "-shared", "-fPIC", "-I" + sysconfig.get_paths()["include"],
-         str(SRC / "_kernels_cy.c"), "-o", str(ext)],
+        [gcc, "-O3", "-Wall", "-Wextra", "-Werror", "-shared", "-fPIC",
+         "-I" + sysconfig.get_paths()["include"], str(SRC / "_kernels_cy.c"),
+         "-o", str(ext)],
         check=True,
     )
     spec = importlib.util.spec_from_file_location("zfx._kernels_cy", ext)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="session")
+def cyk(request):
+    """The compiled kernels: the installed extension, else ``built_kernels``."""
+    try:
+        from zfx import _kernels_cy
+
+        return _kernels_cy
+    except ImportError:
+        return request.getfixturevalue("built_kernels")

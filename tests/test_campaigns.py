@@ -102,6 +102,26 @@ def test_unique_prime_file_corpus(tmp_path):
     assert [s["reason"] for s in r.skipped] == ["disconnected"]
 
 
+@pytest.mark.parametrize("campaign", [verify_dh, verify_split_roundtrip,
+                                      verify_unique_prime])
+def test_disconnected_graph6_line_is_skipped(tmp_path, campaign):
+    """Built-in items come from the connected enumeration; a file line is
+    checked for connectivity after it is parsed."""
+    f = tmp_path / "mixed.g6"
+    f.write_text("C?\nCF\n")  # the empty graph on 4 vertices, then K_{1,3}
+    r = campaign(g6_file=str(f))
+    _check_report_invariants(r)
+    reasons = {s["graph6"]: s["reason"] for s in r.skipped}
+    assert reasons["C?"] == "disconnected" and reasons.get("CF") != "disconnected"
+
+
+def test_audit_campaigns_refuse_n_max_above_enum_max():
+    for campaign in (audit_lemmas, audit_peel_extract):
+        with pytest.raises(CapacityError, match=f"n_max={ENUM_MAX + 1} exceeds "
+                           f"ENUM_MAX={ENUM_MAX}: audit-.* reads only the built-in"):
+            campaign(n_max=ENUM_MAX + 1)
+
+
 def test_unique_prime_refuses_m_above_enum_max():
     """Phase 1's split-prime graphs come from the built-in enumeration
     whatever the corpus is, so no m above ``ENUM_MAX`` can run."""

@@ -200,6 +200,15 @@ def test_verify_unique_prime_m_above_enum_max_exits_1(capsys):
                    "enumeration\n")
 
 
+def test_audit_lemmas_nmax_above_enum_max_exits_1(capsys):
+    """audit-lemmas reads no graph6 file, so n_max is refused by name
+    rather than with advice to supply one."""
+    code, out, err = run(capsys, "audit-lemmas", "--nmax", str(ENUM_MAX + 1))
+    assert code == 1 and out == ""
+    assert err == (f"error: n_max={ENUM_MAX + 1} exceeds ENUM_MAX={ENUM_MAX}: "
+                   "audit-lemmas reads only the built-in enumeration\n")
+
+
 def test_audit_lemmas_small(capsys):
     code, payload, _ = run_json(capsys, "audit-lemmas", "--nmax", "5")
     assert code == 0 and payload["counterexamples"] == []

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import random
 import re
-from itertools import combinations, islice, permutations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
@@ -125,6 +125,68 @@ def test_metric_dh_parity_on_connected_classes_to_n8(cyk):
     assert dh == 1893
 
 
+def test_split_bags_parity_on_connected_classes_to_n8(cyk):
+    """The whole split recursion, bag for bag, in both scan orders."""
+    for n in range(1, 9):
+        for g in enumerate_graphs(n, connected_only=True):
+            for reverse in (False, True):
+                assert pyk.split_bags(g.n, g.adj, reverse) == cyk.split_bags(
+                    g.n, g.adj, reverse
+                )
+
+
+def _random_connected_adj(rng, n, p):
+    """G(n, p) plus a random spanning tree, randomly labelled."""
+    adj = list(_random_adj(rng, n, p))
+    for v in range(1, n):
+        u = rng.randrange(v)
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return _relabelled(rng, adj)
+
+
+def _relabelled(rng, adj):
+    n = len(adj)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    out = [0] * n
+    for u in range(n):
+        for w in range(n):
+            if adj[u] >> w & 1:
+                out[perm[u]] |= 1 << perm[w]
+    return tuple(out)
+
+
+def _grown_adj(rng, adj, n):
+    """The connected graph ``adj`` grown to n vertices by random pendant,
+    false-twin and true-twin additions, randomly relabelled."""
+    adj = list(adj)
+    for v in range(len(adj), n):
+        a = rng.randrange(v)
+        op = rng.choice(("pendant", "false", "true") if adj[a] else ("pendant", "true"))
+        nb = 1 << a if op == "pendant" else adj[a] | (1 << a if op == "true" else 0)
+        for u in range(v):
+            if nb >> u & 1:
+                adj[u] |= 1 << v
+        adj.append(nb)
+    return _relabelled(rng, adj)
+
+
+def test_split_bags_parity_random_n9_to_n16(cyk):
+    rng = random.Random(916)
+    edge_counts = set()
+    for n in range(9, 17):
+        grown = [_grown_adj(rng, _random_connected_adj(rng, k, 0.5), n)
+                 for k in (4, 6)]
+        for adj in [_random_connected_adj(rng, n, 0.15),
+                    _random_connected_adj(rng, n, 0.4)] + grown:
+            for reverse in (False, True):
+                got = pyk.split_bags(n, adj, reverse)
+                assert got == cyk.split_bags(n, adj, reverse)
+                edge_counts.add(got[0])
+    assert 0 in edge_counts and max(edge_counts) >= 8
+
+
 @settings(max_examples=200, deadline=None)
 @given(wide_graph, st.integers(min_value=0))
 def test_backend_parity_random(cyk, g, seed):
@@ -204,23 +266,7 @@ def test_metric_dh_matches_the_definition_random(g):
 def _random_dh_adj(rng, n):
     """A connected DH graph from K1 by random pendant, false-twin and
     true-twin additions, randomly relabelled."""
-    adj = [0]
-    for v in range(1, n):
-        a = rng.randrange(v)
-        op = rng.choice(("pendant", "false", "true") if adj[a] else ("pendant", "true"))
-        nb = 1 << a if op == "pendant" else adj[a] | (1 << a if op == "true" else 0)
-        for u in range(v):
-            if nb >> u & 1:
-                adj[u] |= 1 << v
-        adj.append(nb)
-    perm = list(range(n))
-    rng.shuffle(perm)
-    out = [0] * n
-    for u in range(n):
-        for w in range(n):
-            if adj[u] >> w & 1:
-                out[perm[u]] |= 1 << perm[w]
-    return tuple(out)
+    return _grown_adj(rng, [0], n)
 
 
 def test_metric_dh_matches_the_definition_at_n10_and_n11():
@@ -311,18 +357,12 @@ def test_profile_bitset_boundary_agrees(monkeypatch):
     assert forts == closures == _profile_by_closure(g.n, g.adj)
 
 
-def test_generated_c_matches_pyx():
-    """Cython quotes each compiled .pyx line in the .c, marked with
-    ``# <<<<<<<<<<<<<<``; a .pyx edit without regenerating the .c fails here."""
-    pyx = (SRC / "_kernels_cy.pyx").read_text().splitlines()
-    c_lines = (SRC / "_kernels_cy.c").read_text().splitlines()
-    marker = "             # <<<<<<<<<<<<<<"
-    checked = []
-    for i, line in enumerate(c_lines):
-        m = re.fullmatch(r'\s*/\* "zfx/_kernels_cy\.pyx":(\d+)', line)
-        if m is None:
-            continue
-        quoted = next(q for q in islice(c_lines, i + 1, None) if q.endswith(marker))
-        checked.append((int(m.group(1)), quoted[3:-len(marker)]))
-    assert checked
-    assert [(n, text) for n, text in checked if pyx[n - 1] != text] == []
+def test_kernels_c_builds_warning_free(built_kernels):
+    """The hand-written extension compiles under -Wall -Wextra -Werror and
+    exports the backend tag and every kernel ``kernels.py`` takes from it,
+    plus the literal ``metric_dh`` the parity tests use."""
+    assert built_kernels.BACKEND == "cython"
+    bound = set(re.findall(r"_impl\.(\w+)", (SRC / "kernels.py").read_text()))
+    assert {"BACKEND", "canon_adj", "split_bags"} <= bound
+    for name in bound | {"metric_dh"}:
+        assert hasattr(built_kernels, name), name

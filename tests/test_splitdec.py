@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zfx import kernels
 from zfx.dh import dh_metric_oracle
 from zfx.errors import CapacityError, TreeError
 from zfx.extremal import attach_pendants
@@ -164,6 +165,13 @@ def test_decompose_budget_caps_split_scans_only():
     assert reconstruct(decompose(c5_pendant(), budget=6)) == c5_pendant()
     for g in (make_complete(8), make_star(8)):
         assert len(decompose(g, budget=3).bags) == 1
+
+
+def test_decompose_budget_on_the_compiled_split_kernel(cyk, monkeypatch):
+    """The budget is checked before the split kernel runs, so the compiled
+    recursion refuses and admits the same graphs."""
+    monkeypatch.setattr(kernels, "split_bags", cyk.split_bags)
+    test_decompose_budget_caps_split_scans_only()
 
 
 def test_decompose_c5_pendant():
