@@ -1,4 +1,6 @@
-/* Compiled twins of the hot kernels in ``_kernels_py``.
+/* Compiled twins of three hot kernels in ``_kernels_py``: ``canon_adj``,
+ * ``profile_counts`` and ``split_bags``, the ones whose compiled form moves
+ * a campaign's run time.  Every other kernel is pure on both backends.
  *
  * Same functions, same outputs; graphs arrive as (n, adj-row ints) with
  * n <= 64 so every mask fits a 64-bit word.  The canonical search packs its
@@ -115,25 +117,6 @@ static u64 closure(int n, const u64 *adj, u64 s)
         }
     }
     return blue;
-}
-
-static PyObject *closure_mask(PyObject *Py_UNUSED(self), PyObject *args,
-                              PyObject *kwargs)
-{
-    static char *kwlist[] = {"n", "adj", "s", NULL};
-    int n;
-    PyObject *adj, *s_obj;
-    u64 cadj[64], s;
-
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iOO", kwlist, &n, &adj,
-                                     &s_obj))
-        return NULL;
-    if (read_adj(n, adj, cadj) < 0)
-        return NULL;
-    s = PyLong_AsUnsignedLongLong(s_obj);
-    if (s == (u64)-1 && PyErr_Occurred())
-        return NULL;
-    return PyLong_FromUnsignedLongLong(closure(n, cadj, s));
 }
 
 /* One closure per subset, in increasing mask order; up to MEMO_LIMIT
@@ -365,97 +348,17 @@ static PyObject *canon_adj(PyObject *Py_UNUSED(self), PyObject *args,
     return int_tuple(n, rows, NULL);
 }
 
-/* --- metric oracle ------------------------------------------------------- */
-
-/* BFS distances from src inside ``within`` (-1: unreachable). */
-static void bfs_all(int n, const u64 *adj, u64 within, int src,
-                    signed char *dist)
-{
-    int i, d = 0;
-    u64 seen, frontier, nxt, f;
-
-    for (i = 0; i < n; i++)
-        dist[i] = -1;
-    dist[src] = 0;
-    seen = frontier = (u64)1 << src;
-    while (frontier) {
-        d++;
-        nxt = 0;
-        for (f = frontier; f; f &= f - 1)
-            nxt |= adj[CTZ(f)];
-        frontier = nxt & within & ~seen;
-        seen |= frontier;
-        for (f = frontier; f; f &= f - 1)
-            dist[CTZ(f)] = (signed char)d;
-    }
-}
-
-static u64 component(const u64 *adj, int start, u64 within)
-{
-    u64 comp = (u64)1 << start;
-    u64 frontier = comp, nxt, f;
-
-    while (frontier) {
-        nxt = 0;
-        for (f = frontier; f; f &= f - 1)
-            nxt |= adj[CTZ(f)];
-        frontier = nxt & within & ~comp;
-        comp |= frontier;
-    }
-    return comp;
-}
-
-/* The literal definition: every connected induced subgraph on >= 3
- * vertices keeps the distances of the graph.  Exponential; the tests use it
- * as an oracle for the pure separation test. */
-static PyObject *metric_dh(PyObject *Py_UNUSED(self), PyObject *args,
-                           PyObject *kwargs)
-{
-    static char *kwlist[] = {"n", "adj", NULL};
-    int n, u, v;
-    PyObject *adj;
-    u64 cadj[64], full, mask, m, chk;
-    signed char gdist[64][64], sub[64];
-
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iO", kwlist, &n, &adj))
-        return NULL;
-    if (n <= 2)
-        Py_RETURN_TRUE;
-    if (n > 24) {
-        PyErr_SetString(PyExc_OverflowError, "metric_dh supports n <= 24");
-        return NULL;
-    }
-    if (read_adj(n, adj, cadj) < 0)
-        return NULL;
-    full = ((u64)1 << n) - 1;
-    for (u = 0; u < n; u++)
-        bfs_all(n, cadj, full, u, gdist[u]);
-    for (mask = 1; mask <= full; mask++) {
-        if (POPCOUNT(mask) < 3 || component(cadj, CTZ(mask), mask) != mask)
-            continue;
-        for (m = mask; m; m &= m - 1) {
-            u = CTZ(m);
-            bfs_all(n, cadj, mask, u, sub);
-            for (chk = mask; chk; chk &= chk - 1) {
-                v = CTZ(chk);
-                if (sub[v] != gdist[u][v])
-                    Py_RETURN_FALSE;
-            }
-        }
-    }
-    Py_RETURN_TRUE;
-}
-
 /* --- splits -------------------------------------------------------------- */
 
 /* First split of a connected graph as its A-side mask, 0 if none: A-sides
  * hold vertex 0 and are scanned in increasing mask order (decreasing when
- * ``reverse``).  A bipartition is a split iff every A-vertex with cross
- * edges sees the same nonempty cross neighbourhood. */
+ * ``reverse``), so each holds at least two vertices.  A bipartition is a
+ * split iff every A-vertex with cross edges sees the same nonempty cross
+ * neighbourhood. */
 static u64 first_split(int n, const u64 *adj, int reverse)
 {
     u64 full, m, a_mask, b_mask, b1, cross, am, top;
-    int pa, ok;
+    int ok;
 
     if (n < 4)
         return 0;
@@ -463,8 +366,7 @@ static u64 first_split(int n, const u64 *adj, int reverse)
     top = (u64)1 << (n - 1);
     for (m = reverse ? top - 1 : 1; 1 <= m && m < top; reverse ? m-- : m++) {
         a_mask = (m << 1) | 1;
-        pa = POPCOUNT(a_mask);
-        if (pa < 2 || pa > n - 2)
+        if (POPCOUNT(a_mask) > n - 2)
             continue;
         b_mask = full ^ a_mask;
         b1 = 0;
@@ -484,24 +386,6 @@ static u64 first_split(int n, const u64 *adj, int reverse)
             return a_mask;
     }
     return 0;
-}
-
-static PyObject *find_split_mask(PyObject *Py_UNUSED(self), PyObject *args,
-                                 PyObject *kwargs)
-{
-    static char *kwlist[] = {"n", "adj", "reverse", NULL};
-    int n, reverse = 0;
-    PyObject *adj;
-    u64 cadj[64];
-
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iO|p", kwlist, &n, &adj,
-                                     &reverse))
-        return NULL;
-    if (n < 4)
-        return PyLong_FromLong(0);
-    if (read_adj(n, adj, cadj) < 0)
-        return NULL;
-    return PyLong_FromUnsignedLongLong(first_split(n, cadj, reverse));
 }
 
 typedef struct {
@@ -616,14 +500,9 @@ static PyObject *split_bags(PyObject *Py_UNUSED(self), PyObject *args,
      doc}
 
 static PyMethodDef kernel_methods[] = {
-    KERNEL(closure_mask, "closure_mask(n, adj, s): zero forcing closure of s."),
     KERNEL(profile_counts,
            "profile_counts(n, adj): zero forcing sets per size, k = 0..n."),
     KERNEL(canon_adj, "canon_adj(n, adj): canonically relabelled rows."),
-    KERNEL(metric_dh,
-           "metric_dh(n, adj): distance-hereditary by the literal definition."),
-    KERNEL(find_split_mask,
-           "find_split_mask(n, adj, reverse=False): first split's A-side mask."),
     KERNEL(split_bags,
            "split_bags(n, adj, reverse=False): (edge count, bags) of the split "
            "recursion."),
@@ -633,7 +512,7 @@ static PyMethodDef kernel_methods[] = {
 static struct PyModuleDef kernels_module = {
     PyModuleDef_HEAD_INIT,
     "_kernels_cy",
-    "Compiled twins of the hot kernels in zfx._kernels_py.",
+    "Compiled twins of three hot kernels in zfx._kernels_py.",
     -1,
     kernel_methods,
     NULL,

@@ -2,13 +2,14 @@
 
 Graphs enter as ``(n, adj)`` where ``adj`` is a sequence of n ints, bit j of
 ``adj[i]`` set iff ij is an edge.  The compiled backend in ``_kernels_cy``
-implements the same six functions with identical outputs; ``zfx.kernels``
-picks one at import time, except for ``metric_dh``, which it always takes
-from here.  The compiled ``metric_dh`` checks the definition subset by
-subset; this one runs a polynomial separation test.  Likewise the compiled
-``profile_counts`` runs one closure per subset, while this one counts forts
-on bitsets indexed by the 2^n subsets.  ``split_bags`` runs the whole split
-recursion of ``splitdec.decompose`` and returns its bags.
+implements three of these functions with identical outputs: ``canon_adj``,
+``profile_counts`` and ``split_bags`` (the whole split recursion of
+``splitdec.decompose``, returning its bags).  ``zfx.kernels`` picks those
+three at import time and takes ``closure_mask``, ``metric_dh`` and
+``find_split_mask`` from here on both backends.  ``metric_dh`` runs a
+polynomial separation test.  The compiled ``profile_counts`` runs one
+closure per subset, while this one counts forts on bitsets indexed by the
+2^n subsets.
 """
 
 from __future__ import annotations
@@ -276,10 +277,10 @@ def metric_dh(n: int, adj) -> bool:
 def find_split_mask(n: int, adj, reverse: bool = False) -> int:
     """First valid split of a connected graph, as the A-side mask.
 
-    Scans A-side masks containing vertex 0 in increasing numeric order
-    (decreasing when ``reverse``); returns 0 when no split exists.  A
-    bipartition is a split iff every A-vertex with cross edges sees the same
-    nonempty cross neighborhood.
+    Scans A-side masks containing vertex 0 and at least one more vertex in
+    increasing numeric order (decreasing when ``reverse``); returns 0 when
+    no split exists.  A bipartition is a split iff every A-vertex with cross
+    edges sees the same nonempty cross neighborhood.
     """
     if n < 4:
         return 0
@@ -288,8 +289,7 @@ def find_split_mask(n: int, adj, reverse: bool = False) -> int:
     rng = range(hi - 1, lo - 1, -1) if reverse else range(lo, hi)
     for m in rng:
         a_mask = (m << 1) | 1
-        pa = bin(a_mask).count("1")
-        if pa < 2 or pa > n - 2:
+        if a_mask.bit_count() > n - 2:
             continue
         b_mask = full ^ a_mask
         b1 = 0

@@ -29,7 +29,6 @@ from .forcing import is_forcing, is_fort
 from .graphs import (
     ENUM_MAX,
     Graph,
-    classify_kind,
     enumerate_graphs,
     induced_subgraph,
     is_connected,
@@ -37,9 +36,9 @@ from .graphs import (
     write_graph6,
 )
 from .splitdec import (
+    PRIME,
     decompose,
     extract_prime_core,
-    find_split,
     peel,
     pick_peelable_bag,
     reconstruct,
@@ -322,13 +321,14 @@ def _roundtrip_worker(item: Item, split_budget: Optional[int]) -> dict:
 
 def split_prime_graphs(m: int) -> list[Graph]:
     """All split-prime graphs on at most m vertices (connected, no split,
-    neither clique nor star).  They come from the built-in enumeration
-    whatever the corpus is, so m is capped at ``ENUM_MAX``."""
+    neither clique nor star): those the split recursion keeps whole, as one
+    prime bag.  They come from the built-in enumeration whatever the corpus
+    is, so m is capped at ``ENUM_MAX``."""
     if m > ENUM_MAX:
         raise CapacityError(f"m={m} exceeds ENUM_MAX={ENUM_MAX}: the split-prime "
                             "graphs on <= m vertices come from the built-in enumeration")
     return [g for g in builtin_corpus(m)
-            if classify_kind(g).tag == "other" and find_split(g) is None]
+            if [bag[2] for bag in kernels.split_bags(g.n, g.adj)[1]] == [PRIME]]
 
 
 def _induced_subgraph_classes(g: Graph) -> list[Graph]:

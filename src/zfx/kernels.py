@@ -1,14 +1,13 @@
 """Backend selection for the hot kernels.
 
 The compiled extension (``zfx._kernels_cy``) is preferred when importable;
-``ZFX_PURE=1`` in the environment forces the pure-Python fallback.  Both
-backends provide ``closure_mask``, ``profile_counts``, ``canon_adj``,
-``find_split_mask`` and ``split_bags`` (the whole split recursion of
-``splitdec.decompose`` in one call) with identical outputs; parity is
-enforced by the test suite.  ``metric_dh`` is the pure polynomial
-separation test on both backends: the compiled twin checks the definition
-on every connected subset, which is exponential and measured no faster, so
-only the parity tests call it, as a compiled literal oracle.  ``profile_counts`` takes the
+``ZFX_PURE=1`` in the environment forces the pure-Python fallback.  A kernel
+has a compiled twin only where it moves a campaign's run time:
+``canon_adj`` (corpus enumeration), ``profile_counts`` and ``split_bags``
+(the whole split recursion of ``splitdec.decompose`` in one call), with
+outputs identical to the pure ones; parity is enforced by the test suite.
+``closure_mask``, ``metric_dh`` (the polynomial separation test) and
+``find_split_mask`` are pure on both backends.  ``profile_counts`` takes the
 same counts two ways: the compiled one runs one closure per subset, and the
 pure one counts the sets that contain a fort on bitsets indexed by the 2^n
 subsets (one closure per subset above 20 vertices).
@@ -30,11 +29,11 @@ else:
 
 BACKEND = _impl.BACKEND
 
-closure_mask = _impl.closure_mask
 profile_counts = _impl.profile_counts
-metric_dh = _kernels_py.metric_dh
-find_split_mask = _impl.find_split_mask
 split_bags = _impl.split_bags
+closure_mask = _kernels_py.closure_mask
+metric_dh = _kernels_py.metric_dh
+find_split_mask = _kernels_py.find_split_mask
 
 # The compiled canonical search packs the upper-triangle encoding into a
 # 64-bit accumulator, which caps it at n = 11; larger graphs fall back to

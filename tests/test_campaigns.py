@@ -5,10 +5,13 @@ from __future__ import annotations
 import hashlib
 import inspect
 import json
+from functools import cache
 
 import pytest
 
 import zfx.campaigns as campaigns
+from zfx import _kernels_py as pyk
+from zfx import kernels
 from zfx.campaigns import (
     audit_lemmas,
     audit_peel_extract,
@@ -22,11 +25,13 @@ from zfx.errors import CapacityError, TraceError
 from zfx.graphs import (
     ENUM_MAX,
     are_isomorphic,
+    classify_kind,
     make_cycle,
     make_path,
     parse_graph6,
     write_graph6,
 )
+from zfx.splitdec import find_split
 
 
 def _check_report_invariants(report):
@@ -55,6 +60,24 @@ def test_split_prime_graphs():
     primes = split_prime_graphs(5)
     assert len(primes) == 3
     assert any(are_isomorphic(h, make_cycle(5)) for h in primes)
+
+
+@cache
+def _split_prime_by_definition(m):
+    return [g for g in builtin_corpus(m)
+            if classify_kind(g).tag == "other" and find_split(g) is None]
+
+
+@pytest.mark.parametrize("backend", ["python", "cython"])
+def test_split_prime_graphs_match_the_definition_to_n8(backend, request, monkeypatch):
+    """One prime bag out of the split recursion is the definition (neither
+    clique nor star, and no split) on the connected classes with n <= 8."""
+    module = pyk if backend == "python" else request.getfixturevalue("cyk")
+    monkeypatch.setattr(kernels, "split_bags", module.split_bags)
+    assert len(split_prime_graphs(5)) == 3
+    primes = split_prime_graphs(8)
+    assert len(primes) == 3644
+    assert primes == _split_prime_by_definition(8)
 
 
 def test_verify_dh_report_shape():
