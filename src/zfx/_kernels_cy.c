@@ -1,12 +1,20 @@
-/* Compiled twins of three hot kernels in ``_kernels_py``: ``canon_adj``,
- * ``profile_counts`` and ``split_bags``, the ones whose compiled form moves
- * a campaign's run time.  Every other kernel is pure on both backends.
+/* Compiled twins of four hot kernels in ``_kernels_py``: ``canon_adj``,
+ * ``profile_counts``, ``split_bags`` and ``accessible_rows``, the ones
+ * whose compiled form moves a campaign's run time.  Every other kernel is
+ * pure on both backends.
  *
  * Same functions, same outputs; graphs arrive as (n, adj-row ints) with
  * n <= 64 so every mask fits a 64-bit word.  The canonical search packs its
  * encoding into one u64, capping it at n = 11 (the dispatcher falls back to
  * the big-int Python search above that).  ``split_bags`` runs the whole
- * split recursion of ``splitdec.decompose`` in one call.
+ * split recursion of ``splitdec.decompose`` in one call and emits finished
+ * bags (their ``ordinary`` and ``markers`` dicts) with the ends of every
+ * tree edge; ``accessible_rows`` is ``splitdec.reconstruct``'s whole
+ * accessibility search, over at most 256 label vertices.  It raises
+ * ValueError on unordered or unknown ids, a label vertex that is not
+ * exactly one of ordinary and marker, a tree edge without exactly two
+ * markers and an alternating path that closes a cycle; the shape of the
+ * bag graph is ``splitdec.check_tree``'s job.
  *
  * Build: gcc -O3 -shared -fPIC -I<python include> _kernels_cy.c -o
  * _kernels_cy<EXT_SUFFIX>, or ``pip install .`` through setup.py.
@@ -61,8 +69,8 @@ static int read_adj(int n, PyObject *adj, u64 *out)
     return 0;
 }
 
-/* A tuple of n ints, read as unsigned words or as signed tokens. */
-static PyObject *int_tuple(int n, const u64 *words, const long long *tokens)
+/* A tuple of n ints from unsigned words. */
+static PyObject *int_tuple(int n, const u64 *words)
 {
     PyObject *out = PyTuple_New(n);
     PyObject *item;
@@ -71,8 +79,7 @@ static PyObject *int_tuple(int n, const u64 *words, const long long *tokens)
     if (out == NULL)
         return NULL;
     for (i = 0; i < n; i++) {
-        item = words ? PyLong_FromUnsignedLongLong(words[i])
-                     : PyLong_FromLongLong(tokens[i]);
+        item = PyLong_FromUnsignedLongLong(words[i]);
         if (item == NULL) {
             Py_DECREF(out);
             return NULL;
@@ -345,7 +352,7 @@ static PyObject *canon_adj(PyObject *Py_UNUSED(self), PyObject *args,
         for (av = st.adj[st.best_order[p]]; av; av &= av - 1)
             rows[p] |= (u64)1 << pos[CTZ(av)];
     }
-    return int_tuple(n, rows, NULL);
+    return int_tuple(n, rows);
 }
 
 /* --- splits -------------------------------------------------------------- */
@@ -388,11 +395,65 @@ static u64 first_split(int n, const u64 *adj, int reverse)
     return 0;
 }
 
+/* A tree of E edges has E + 1 bags of at least three label vertices, and
+ * n + 2E label vertices in all, so E <= n - 3 < 64. */
 typedef struct {
-    PyObject *bags; /* list of (rows, tokens, kind, star center) */
-    long long edges;
+    PyObject *bags; /* list of (rows, ordinary, markers, kind, star center) */
+    int edges;
+    int ends[64][2]; /* bag ids holding the markers of each tree edge */
     int reverse;
 } Splitter;
+
+/* Appends the part on ``adj`` as a finished bag: its tokens become the
+ * ``ordinary`` and ``markers`` dicts, and each marker records its bag among
+ * the ends of its tree edge. */
+static int emit_bag(Splitter *sp, int n, const u64 *adj, const long long *tok,
+                    PyObject *kind, int center)
+{
+    int bid = (int)PyList_GET_SIZE(sp->bags), i, rc = -1, set;
+    long long t;
+    PyObject *ordinary = PyDict_New(), *markers = PyDict_New();
+    PyObject *rows = NULL, *cobj = NULL, *bag = NULL, *key, *val;
+
+    if (ordinary == NULL || markers == NULL)
+        goto done;
+    for (i = 0; i < n; i++) {
+        if (tok[i] >= 0) {
+            key = PyLong_FromLong(i);
+            val = PyLong_FromLongLong(tok[i]);
+        } else {
+            t = ~tok[i];
+            sp->ends[t >> 1][t & 1] = bid;
+            key = PyLong_FromLongLong(t >> 1);
+            val = PyLong_FromLong(i);
+        }
+        set = key != NULL && val != NULL
+              && PyDict_SetItem(tok[i] >= 0 ? ordinary : markers, key, val) == 0;
+        Py_XDECREF(key);
+        Py_XDECREF(val);
+        if (!set)
+            goto done;
+    }
+    rows = int_tuple(n, adj);
+    if (rows == NULL)
+        goto done;
+    if (center < 0) {
+        Py_INCREF(Py_None);
+        cobj = Py_None;
+    } else if ((cobj = PyLong_FromLong(center)) == NULL) {
+        goto done;
+    }
+    bag = PyTuple_Pack(5, rows, ordinary, markers, kind, cobj);
+    if (bag != NULL && PyList_Append(sp->bags, bag) == 0)
+        rc = 0;
+done:
+    Py_XDECREF(ordinary);
+    Py_XDECREF(markers);
+    Py_XDECREF(rows);
+    Py_XDECREF(cobj);
+    Py_XDECREF(bag);
+    return rc;
+}
 
 /* Splits the graph on ``adj`` until every part is a clique, a star or has
  * no split, appending the parts as bags.  A split takes the next tree edge
@@ -401,11 +462,11 @@ typedef struct {
  * split before side B. */
 static int split_rec(Splitter *sp, int n, const u64 *adj, const long long *tok)
 {
-    int deg[64], total = 0, center = -1, i, side, k, local[64];
+    int deg[64], total = 0, center = -1, i, side, k, local[64], e;
     u64 a_mask = 0, part, marker, marker_row, row, m, r;
     u64 sub[64];
-    long long subtok[64], e;
-    PyObject *kind, *bag;
+    long long subtok[64];
+    PyObject *kind;
 
     for (i = 0; i < n; i++) {
         deg[i] = POPCOUNT(adj[i]);
@@ -422,19 +483,8 @@ static int split_rec(Splitter *sp, int n, const u64 *adj, const long long *tok)
         if (center < 0)
             a_mask = first_split(n, adj, sp->reverse);
     }
-    if (!a_mask) {
-        if (center < 0)
-            Py_INCREF(Py_None);
-        bag = Py_BuildValue("(NNON)", int_tuple(n, adj, NULL),
-                            int_tuple(n, NULL, tok), kind,
-                            center < 0 ? Py_None : PyLong_FromLong(center));
-        if (bag == NULL || PyList_Append(sp->bags, bag) < 0) {
-            Py_XDECREF(bag);
-            return -1;
-        }
-        Py_DECREF(bag);
-        return 0;
-    }
+    if (!a_mask)
+        return emit_bag(sp, n, adj, tok, kind, center);
     e = sp->edges++;
     for (side = 0; side < 2; side++) {
         part = side ? FULL(n) ^ a_mask : a_mask;
@@ -457,7 +507,7 @@ static int split_rec(Splitter *sp, int n, const u64 *adj, const long long *tok)
             subtok[k] = tok[i];
         }
         sub[k] = marker_row;
-        subtok[k] = ~(2 * e + side);
+        subtok[k] = ~(2 * (long long)e + side);
         if (split_rec(sp, k + 1, sub, subtok) < 0)
             return -1;
     }
@@ -468,8 +518,8 @@ static PyObject *split_bags(PyObject *Py_UNUSED(self), PyObject *args,
                             PyObject *kwargs)
 {
     static char *kwlist[] = {"n", "adj", "reverse", NULL};
-    int n, i, reverse = 0;
-    PyObject *adj;
+    int n, i, e, reverse = 0;
+    PyObject *adj, *ends, *pair;
     u64 cadj[64];
     long long tok[64];
     Splitter sp;
@@ -486,11 +536,233 @@ static PyObject *split_bags(PyObject *Py_UNUSED(self), PyObject *args,
         return NULL;
     sp.edges = 0;
     sp.reverse = reverse;
-    if (split_rec(&sp, n, cadj, tok) < 0) {
+    if (split_rec(&sp, n, cadj, tok) < 0
+        || (ends = PyList_New(sp.edges)) == NULL) {
         Py_DECREF(sp.bags);
         return NULL;
     }
-    return Py_BuildValue("(LN)", sp.edges, sp.bags);
+    for (e = 0; e < sp.edges; e++) {
+        pair = Py_BuildValue("(ii)", sp.ends[e][0], sp.ends[e][1]);
+        if (pair == NULL) {
+            Py_DECREF(ends);
+            Py_DECREF(sp.bags);
+            return NULL;
+        }
+        PyList_SET_ITEM(ends, e, pair);
+    }
+    return Py_BuildValue("(NN)", ends, sp.bags);
+}
+
+/* --- accessibility ------------------------------------------------------- */
+
+/* The represented graph of a graph-labelled tree, as ``_kernels_py``'s
+ * ``accessible_rows``: label vertices of all bags are numbered in one flat
+ * range, and a marker's ``out`` memoises what it reaches across its edge
+ * (an ordinary vertex's ``out`` is its own bit over the ids). */
+#define ACCESS_MAX 256
+
+enum { UNSET, ORDINARY, MARKER, BUSY, DONE };
+
+typedef struct {
+    u64 row[ACCESS_MAX];   /* label row, over the vertex's own bag */
+    u64 out[ACCESS_MAX];
+    int base[ACCESS_MAX];  /* first label vertex of the vertex's bag */
+    int partner[ACCESS_MAX];
+    unsigned char state[ACCESS_MAX];
+} Access;
+
+typedef struct {
+    long long edge;
+    int vertex;
+} EdgeMarker;
+
+static int by_edge(const void *a, const void *b)
+{
+    long long x = ((const EdgeMarker *)a)->edge, y = ((const EdgeMarker *)b)->edge;
+
+    return (x > y) - (x < y);
+}
+
+/* What the label neighbourhood ``row`` of the bag starting at ``base``
+ * reaches, or -1 when an alternating path returns to a marker it is
+ * crossing. */
+static int reach(Access *ac, int base, u64 row, u64 *out)
+{
+    u64 acc = 0;
+    int v, p;
+
+    for (; row; row &= row - 1) {
+        v = base + CTZ(row);
+        if (ac->state[v] == BUSY)
+            return -1;
+        if (ac->state[v] == MARKER) {
+            p = ac->partner[v];
+            ac->state[v] = BUSY;
+            if (reach(ac, ac->base[p], ac->row[p], &ac->out[v]) < 0)
+                return -1;
+            ac->state[v] = DONE;
+        }
+        acc |= ac->out[v];
+    }
+    *out = acc;
+    return 0;
+}
+
+/* Reads one (rows, ordinary, markers) bag into label vertices nv.. of
+ * ``ac``; returns its size, or -1 with an exception set. */
+static int read_bag(Access *ac, int nv, PyObject *item, const long long *ids,
+                    int n, EdgeMarker *em, int *nm, int *ordv, int *no)
+{
+    PyObject *rows_obj, *ordinary, *markers, *rows, *key, *val;
+    Py_ssize_t pos;
+    long local;
+    long long id;
+    int k, i, j;
+
+    if (!PyArg_ParseTuple(item, "OO!O!;a bag is (rows, ordinary, markers)",
+                          &rows_obj, &PyDict_Type, &ordinary, &PyDict_Type,
+                          &markers))
+        return -1;
+    rows = PySequence_Fast(rows_obj, "label rows must be a sequence of ints");
+    if (rows == NULL)
+        return -1;
+    k = (int)PySequence_Fast_GET_SIZE(rows);
+    if (k > 64 || nv + k > ACCESS_MAX) {
+        Py_DECREF(rows);
+        PyErr_Format(PyExc_OverflowError,
+                     "accessible_rows supports labels of <= 64 and trees of "
+                     "<= %d label vertices", ACCESS_MAX);
+        return -1;
+    }
+    for (i = 0; i < k; i++) {
+        ac->row[nv + i] = PyLong_AsUnsignedLongLong(
+            PySequence_Fast_GET_ITEM(rows, i));
+        if (ac->row[nv + i] == (u64)-1 && PyErr_Occurred()) {
+            Py_DECREF(rows);
+            return -1;
+        }
+        ac->base[nv + i] = nv;
+        ac->state[nv + i] = UNSET;
+    }
+    Py_DECREF(rows);
+    for (i = 0; i < k; i++)
+        if (ac->row[nv + i] & ~FULL(k))
+            goto stray;
+    pos = 0;
+    while (PyDict_Next(ordinary, &pos, &key, &val)) {
+        if ((local = PyLong_AsLong(key)) == -1 && PyErr_Occurred())
+            return -1;
+        if ((id = PyLong_AsLongLong(val)) == -1 && PyErr_Occurred())
+            return -1;
+        if (local < 0 || local >= k || ac->state[nv + local] != UNSET)
+            goto stray;
+        for (j = 0; j < n && ids[j] != id; j++)
+            ;
+        if (j == n) {
+            PyErr_Format(PyExc_ValueError, "unknown id %lld", id);
+            return -1;
+        }
+        ac->state[nv + local] = ORDINARY;
+        ac->out[nv + local] = (u64)1 << j;
+        ordv[(*no)++] = nv + (int)local;
+    }
+    pos = 0;
+    while (PyDict_Next(markers, &pos, &key, &val)) {
+        em[*nm].edge = PyLong_AsLongLong(key);
+        if (em[*nm].edge == -1 && PyErr_Occurred())
+            return -1;
+        if ((local = PyLong_AsLong(val)) == -1 && PyErr_Occurred())
+            return -1;
+        if (local < 0 || local >= k || ac->state[nv + local] != UNSET)
+            goto stray;
+        ac->state[nv + local] = MARKER;
+        em[(*nm)++].vertex = nv + (int)local;
+    }
+    for (i = 0; i < k; i++)
+        if (ac->state[nv + i] == UNSET)
+            goto stray;
+    return k;
+stray:
+    PyErr_SetString(PyExc_ValueError,
+                    "label vertices must be ordinary or markers, each "
+                    "exactly one");
+    return -1;
+}
+
+static PyObject *accessible_rows(PyObject *Py_UNUSED(self), PyObject *args,
+                                 PyObject *kwargs)
+{
+    static char *kwlist[] = {"ids", "bags", NULL};
+    PyObject *ids_obj, *bags_obj, *seq;
+    Access ac;
+    EdgeMarker em[ACCESS_MAX];
+    long long ids[64];
+    u64 adj[64];
+    int ordv[ACCESS_MAX];
+    int n, i, nb, nv = 0, nm = 0, no = 0, k, v;
+
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OO", kwlist, &ids_obj,
+                                     &bags_obj))
+        return NULL;
+    seq = PySequence_Fast(ids_obj, "ids must be a sequence of ints");
+    if (seq == NULL)
+        return NULL;
+    n = (int)PySequence_Fast_GET_SIZE(seq);
+    if (n > 64) {
+        Py_DECREF(seq);
+        PyErr_SetString(PyExc_OverflowError, "accessible_rows supports <= 64 ids");
+        return NULL;
+    }
+    for (i = 0; i < n; i++) {
+        ids[i] = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(seq, i));
+        if (ids[i] == -1 && PyErr_Occurred()) {
+            Py_DECREF(seq);
+            return NULL;
+        }
+    }
+    Py_DECREF(seq);
+    for (i = 1; i < n; i++)
+        if (ids[i - 1] >= ids[i]) {
+            PyErr_SetString(PyExc_ValueError, "ids must be strictly increasing");
+            return NULL;
+        }
+    seq = PySequence_Fast(bags_obj, "bags must be a sequence");
+    if (seq == NULL)
+        return NULL;
+    nb = (int)PySequence_Fast_GET_SIZE(seq);
+    for (i = 0; i < nb; i++) {
+        k = read_bag(&ac, nv, PySequence_Fast_GET_ITEM(seq, i), ids, n, em,
+                     &nm, ordv, &no);
+        if (k < 0) {
+            Py_DECREF(seq);
+            return NULL;
+        }
+        nv += k;
+    }
+    Py_DECREF(seq);
+    /* markers sorted by edge pair up two by two */
+    qsort(em, nm, sizeof em[0], by_edge);
+    for (i = 0; i < nm; i = k) {
+        for (k = i + 1; k < nm && em[k].edge == em[i].edge; k++)
+            ;
+        if (k - i != 2) {
+            PyErr_Format(PyExc_ValueError, "tree edge %lld has %d markers, not 2",
+                         em[i].edge, k - i);
+            return NULL;
+        }
+        ac.partner[em[i].vertex] = em[i + 1].vertex;
+        ac.partner[em[i + 1].vertex] = em[i].vertex;
+    }
+    memset(adj, 0, sizeof adj);
+    for (i = 0; i < no; i++) {
+        v = ordv[i];
+        if (reach(&ac, ac.base[v], ac.row[v], &adj[CTZ(ac.out[v])]) < 0) {
+            PyErr_SetString(PyExc_ValueError,
+                            "an alternating path closes a cycle");
+            return NULL;
+        }
+    }
+    return int_tuple(n, adj);
 }
 
 /* --- module -------------------------------------------------------------- */
@@ -504,15 +776,18 @@ static PyMethodDef kernel_methods[] = {
            "profile_counts(n, adj): zero forcing sets per size, k = 0..n."),
     KERNEL(canon_adj, "canon_adj(n, adj): canonically relabelled rows."),
     KERNEL(split_bags,
-           "split_bags(n, adj, reverse=False): (edge count, bags) of the split "
+           "split_bags(n, adj, reverse=False): (ends, bags) of the split "
            "recursion."),
+    KERNEL(accessible_rows,
+           "accessible_rows(ids, bags): rows of the graph a graph-labelled "
+           "tree represents."),
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef kernels_module = {
     PyModuleDef_HEAD_INIT,
     "_kernels_cy",
-    "Compiled twins of three hot kernels in zfx._kernels_py.",
+    "Compiled twins of four hot kernels in zfx._kernels_py.",
     -1,
     kernel_methods,
     NULL,

@@ -2,10 +2,12 @@
 
 Graphs enter as ``(n, adj)`` where ``adj`` is a sequence of n ints, bit j of
 ``adj[i]`` set iff ij is an edge.  The compiled backend in ``_kernels_cy``
-implements three of these functions with identical outputs: ``canon_adj``,
-``profile_counts`` and ``split_bags`` (the whole split recursion of
-``splitdec.decompose``, returning its bags).  ``zfx.kernels`` picks those
-three at import time and takes ``closure_mask``, ``metric_dh`` and
+implements four of these functions with identical outputs: ``canon_adj``,
+``profile_counts``, ``split_bags`` (the whole split recursion of
+``splitdec.decompose``, returning finished bags and the tree edges between
+them) and ``accessible_rows`` (the graph a graph-labelled tree represents,
+for ``splitdec.reconstruct``).  ``zfx.kernels`` picks those four at
+import time and takes ``closure_mask``, ``metric_dh`` and
 ``find_split_mask`` from here on both backends.  ``metric_dh`` runs a
 polynomial separation test.  The compiled ``profile_counts`` runs one
 closure per subset, while this one counts forts on bitsets indexed by the
@@ -310,22 +312,29 @@ def find_split_mask(n: int, adj, reverse: bool = False) -> int:
     return 0
 
 
-def split_bags(n: int, adj, reverse: bool = False) -> tuple[int, list]:
-    """The bags of the split recursion of a connected graph, with the
-    number of tree edges between them.
+def split_bags(n: int, adj, reverse: bool = False) -> tuple[list, list]:
+    """The bags of the split recursion of a connected graph, and the tree
+    edges between them.
 
     A part is a bag when it is a clique, a star or has no split (kind
     "clique", "star" or "prime"; a star carries its center, the first vertex
     of degree n - 1).  Otherwise its first split (``find_split_mask``) takes
     the next tree edge e, and each side becomes a part of its own: its
-    vertices in ascending order, then a marker adjacent to the side's
+    vertices in ascending order, then a marker for e adjacent to the side's
     frontier (the vertices with a neighbour across).  Side A is split before
-    side B.  Each bag is ``(rows, tokens, kind, center)`` in the order the
-    recursion reaches it; a token is an original vertex, or ``~(2e + side)``
-    for the marker of tree edge e on side 0 (A) or 1 (B).
+    side B.  Bag ids count the bags in the order the recursion reaches them.
+
+    Returns ``(ends, bags)``.  ``ends[e]`` is the pair of bag ids holding
+    the markers of tree edge e, side A's first: every bag of side A comes
+    before every bag of side B, so that is ``(min, max)``.  Each bag is
+    ``(rows, ordinary, markers, kind, center)``, where ``ordinary`` maps
+    label vertices to original vertices and ``markers`` maps tree edges to
+    label vertices, both in ascending label order.
     """
     bags = []
-    edges = 0
+    ends = []
+    # a token is an original vertex, or ~(2e + side) for the marker of tree
+    # edge e on side 0 (A) or 1 (B)
     todo = [(tuple(adj[:n]), tuple(range(n)))]
     while todo:
         rows, tokens = todo.pop()
@@ -342,10 +351,19 @@ def split_bags(n: int, adj, reverse: bool = False) -> tuple[int, list]:
             kind = "prime"
             a_mask = find_split_mask(k, rows, reverse)
         if not a_mask:
-            bags.append((rows, tokens, kind, center))
+            ordinary = {}
+            markers = {}
+            for local, tok in enumerate(tokens):
+                if tok >= 0:
+                    ordinary[local] = tok
+                else:
+                    tok = ~tok
+                    markers[tok >> 1] = local
+                    ends[tok >> 1][tok & 1] = len(bags)
+            bags.append((rows, ordinary, markers, kind, center))
             continue
-        e = edges
-        edges += 1
+        e = len(ends)
+        ends.append([None, None])
         sides = []
         for side, part in ((0, a_mask), (1, ((1 << k) - 1) ^ a_mask)):
             kept = []
@@ -374,4 +392,78 @@ def split_bags(n: int, adj, reverse: bool = False) -> tuple[int, list]:
             sides.append((tuple(sub),
                           tuple(tokens[v] for v in kept) + (~(2 * e + side),)))
         todo += reversed(sides)  # A comes off the stack first
-    return edges, bags
+    return [tuple(pair) for pair in ends], bags
+
+
+def accessible_rows(ids, bags) -> tuple:
+    """Rows of the graph a graph-labelled tree represents, over ``ids``.
+
+    ``bags`` lists ``(rows, ordinary, markers)`` per bag: the label's
+    adjacency rows, ``{label vertex: original id}`` and ``{tree edge:
+    label vertex}``.  A tree edge is the pair of markers that name it, one
+    in each of two bags.  Two ordinary vertices are adjacent iff an
+    alternating path of label edges and tree edges joins them.  What a
+    marker reaches across its tree edge depends only on that marker, so it
+    is computed once and each row is the OR over the label neighbours.
+    Row i belongs to ``ids[i]``, and ``ids`` must be strictly increasing.
+
+    Raises ``ValueError`` on ids that are not strictly increasing, an
+    original id not in ``ids``, a label vertex that is not exactly one of
+    ordinary and marker (or a row bit outside its label), a tree edge
+    without exactly two markers, and an alternating path that closes a
+    cycle.  The shape of the bag graph is ``splitdec.check_tree``'s job: on
+    bags joined by two tree edges, or on a forest, the rows come back
+    without an error.  These checks repeat part of ``check_tree`` so that
+    both backends refuse the same inputs with the same message; on the
+    trees of the n <= 8 corpus they take about a third of this function's
+    time.
+    """
+    if any(a >= b for a, b in zip(ids, ids[1:])):
+        raise ValueError("ids must be strictly increasing")
+    idx = {orig: i for i, orig in enumerate(ids)}
+    partner = {}  # tree edge -> its markers as (bag, label vertex)
+    marker_edge = []  # per bag: label vertex -> tree edge
+    for b, (rows, ordinary, markers) in enumerate(bags):
+        k = len(rows)
+        labels = set(ordinary) | set(markers.values())
+        if (len(ordinary) + len(markers) != k or labels != set(range(k))
+                or any(row >> k for row in rows)):
+            raise ValueError("label vertices must be ordinary or markers, "
+                             "each exactly one")
+        for orig in ordinary.values():
+            if orig not in idx:
+                raise ValueError(f"unknown id {orig}")
+        for e, local in markers.items():
+            partner.setdefault(e, []).append((b, local))
+        marker_edge.append({local: e for e, local in markers.items()})
+    for e, ends in partner.items():
+        if len(ends) != 2:
+            raise ValueError(f"tree edge {e} has {len(ends)} markers, not 2")
+    across: dict = {}  # (bag, edge) -> what its marker reaches; None: busy
+
+    def reached(b: int, row: int) -> int:
+        ordinary = bags[b][1]
+        out = 0
+        while row:
+            low = row & -row
+            w = low.bit_length() - 1
+            row ^= low
+            if w in ordinary:
+                out |= 1 << idx[ordinary[w]]
+                continue
+            e = marker_edge[b][w]
+            if (b, e) not in across:
+                across[b, e] = None
+                x, y = partner[e]
+                far, far_local = y if x[0] == b else x
+                across[b, e] = reached(far, bags[far][0][far_local])
+            elif across[b, e] is None:
+                raise ValueError("an alternating path closes a cycle")
+            out |= across[b, e]
+        return out
+
+    adj = [0] * len(ids)
+    for b, (rows, ordinary, _) in enumerate(bags):
+        for local, orig in ordinary.items():
+            adj[idx[orig]] = reached(b, rows[local])
+    return tuple(adj)

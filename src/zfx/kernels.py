@@ -3,9 +3,11 @@
 The compiled extension (``zfx._kernels_cy``) is preferred when importable;
 ``ZFX_PURE=1`` in the environment forces the pure-Python fallback.  A kernel
 has a compiled twin only where it moves a campaign's run time:
-``canon_adj`` (corpus enumeration), ``profile_counts`` and ``split_bags``
-(the whole split recursion of ``splitdec.decompose`` in one call), with
-outputs identical to the pure ones; parity is enforced by the test suite.
+``canon_adj`` (corpus enumeration), ``profile_counts``, ``split_bags``
+(the whole split recursion of ``splitdec.decompose`` in one call, up to
+finished bags) and ``accessible_rows`` (all of ``splitdec.reconstruct``'s
+accessibility search in one call), with outputs identical to the pure
+ones; parity is enforced by the test suite.
 ``closure_mask``, ``metric_dh`` (the polynomial separation test) and
 ``find_split_mask`` are pure on both backends.  ``profile_counts`` takes the
 same counts two ways: the compiled one runs one closure per subset, and the
@@ -31,6 +33,7 @@ BACKEND = _impl.BACKEND
 
 profile_counts = _impl.profile_counts
 split_bags = _impl.split_bags
+accessible_rows = _impl.accessible_rows
 closure_mask = _kernels_py.closure_mask
 metric_dh = _kernels_py.metric_dh
 find_split_mask = _kernels_py.find_split_mask

@@ -10,7 +10,10 @@ reduction never changes the represented graph.
 
 Bags are immutable and classified once, when they are made: building,
 reduction and peeling replace bags rather than edit them, so a builder
-seeded from a tree shares that tree's bags.
+seeded from a tree shares that tree's bags.  A tree is checked once, when
+it is made: ``GraphLabelledTree`` runs ``check_tree`` on construction, so
+reconstruction, validation and the reductions read trees that already
+passed it.
 """
 
 from __future__ import annotations
@@ -123,9 +126,17 @@ def _without(label: Graph, v: int) -> tuple[list[int], int]:
 
 @dataclass(frozen=True, slots=True)
 class GraphLabelledTree:
+    """Bags joined by tree edges (``(min, max)`` bag ids), over the sorted
+    original ``vertex_ids``.  ``check_tree`` runs when one is made and not
+    again, so its dicts are never edited afterwards: reduction and peeling
+    build new trees."""
+
     bags: dict[int, Bag]
     tree_edges: dict[int, tuple[int, int]]
     vertex_ids: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        check_tree(self)
 
     def bag_neighbors(self, bag_id: int) -> Iterator[tuple[int, int]]:
         """(edge id, neighbor bag id) pairs, ascending by edge id."""
@@ -197,24 +208,9 @@ class _Builder:
         del self.bags[bid]
         del self.edge_ends[e]
 
-    def _mergeable_edge(self) -> Optional[int]:
-        for e in sorted(self.edge_ends):
-            x, y = self.edge_ends[e]
-            bx, by = self.bags[x], self.bags[y]
-            if bx.label.n <= 2 or by.label.n <= 2:
-                return e
-            if bx.kind == CLIQUE and by.kind == CLIQUE:
-                return e
-            if bx.kind == STAR and by.kind == STAR:
-                x_center = bx.markers[e] == bx.star_center
-                y_center = by.markers[e] == by.star_center
-                if x_center != y_center:
-                    return e
-        return None
-
     def reduce(self) -> None:
         while True:
-            e = self._mergeable_edge()
+            e = _mergeable(self.bags, self.edge_ends)
             if e is None:
                 return
             x, y = self.edge_ends[e]
@@ -229,15 +225,28 @@ class _Builder:
 
     def freeze(self) -> GraphLabelledTree:
         bags = {bid: self.bags[bid] for bid in sorted(self.bags)}
-        tree_edges = {}
-        for e, (x, y) in self.edge_ends.items():
-            if x is None or y is None:
-                raise TreeError(f"tree edge {e} misses an endpoint")
-            tree_edges[e] = (min(x, y), max(x, y))
+        tree_edges = {e: (min(xy), max(xy)) for e, xy in self.edge_ends.items()}
         ids = sorted(o for bag in bags.values() for o in bag.ordinary.values())
-        t = GraphLabelledTree(bags=bags, tree_edges=tree_edges, vertex_ids=tuple(ids))
-        check_tree(t)
-        return t
+        return GraphLabelledTree(bags=bags, tree_edges=tree_edges, vertex_ids=tuple(ids))
+
+
+def _mergeable(bags: Mapping[int, Bag],
+               edge_ends: Mapping[int, tuple[int, int]]) -> Optional[int]:
+    """The least tree edge that one of the three merge rules contracts, or
+    None when the tree is reduced."""
+    for e in sorted(edge_ends):
+        x, y = edge_ends[e]
+        bx, by = bags[x], bags[y]
+        if bx.label.n <= 2 or by.label.n <= 2:
+            return e
+        if bx.kind == CLIQUE and by.kind == CLIQUE:
+            return e
+        if bx.kind == STAR and by.kind == STAR:
+            x_center = bx.markers[e] == bx.star_center
+            y_center = by.markers[e] == by.star_center
+            if x_center != y_center:
+                return e
+    return None
 
 
 # --- decomposition ----------------------------------------------------------
@@ -250,10 +259,10 @@ def decompose(
 ) -> GraphLabelledTree:
     """Canonical split decomposition as a reduced graph-labelled tree.
 
-    ``kernels.split_bags`` splits the graph into bags, which are then
-    reduced.  ``split_order`` picks which valid split the recursion uses
-    ("min" or "max" mask scan); the reduced result must not depend on it,
-    which the test suite exercises.
+    ``kernels.split_bags`` splits the graph into finished bags, which are
+    reduced when some tree edge is mergeable.  ``split_order`` picks which
+    valid split the recursion uses ("min" or "max" mask scan); the reduced
+    result must not depend on it, which the test suite exercises.
     """
     if g.n < 1:
         raise ValueError("decompose needs a nonempty graph")
@@ -266,21 +275,13 @@ def decompose(
     # holds for the whole recursion iff it holds for the graph.
     if g.n > _split_limit(budget) and classify_kind(g).tag == "other":
         _check_split_budget(g.n, budget)
-    edge_count, raw = kernels.split_bags(g.n, g.adj, split_order == "max")
-    edge_ends = [[None, None] for _ in range(edge_count)]
-    bags = {}
-    for bid, (rows, tokens, kind, center) in enumerate(raw):
-        ordinary: dict[int, int] = {}
-        markers: dict[int, int] = {}
-        for local, tok in enumerate(tokens):
-            if tok >= 0:
-                ordinary[local] = tok
-            else:  # ~(2e + side)
-                tok = ~tok
-                markers[tok >> 1] = local
-                edge_ends[tok >> 1][tok & 1] = bid
-        bags[bid] = Bag(Graph(len(rows), rows), kind, ordinary, markers, center)
-    builder = _Builder(bags, dict(enumerate(edge_ends)))
+    ends, raw = kernels.split_bags(g.n, g.adj, split_order == "max")
+    bags = {bid: Bag(Graph(len(rows), rows), kind, ordinary, markers, center)
+            for bid, (rows, ordinary, markers, kind, center) in enumerate(raw)}
+    tree_edges = dict(enumerate(ends))
+    if _mergeable(bags, tree_edges) is None:
+        return GraphLabelledTree(bags, tree_edges, tuple(range(g.n)))
+    builder = _Builder(bags, tree_edges)
     builder.reduce()
     return builder.freeze()
 
@@ -337,51 +338,15 @@ def reconstruct(t: GraphLabelledTree) -> Graph:
     original ids (identity when the ids are 0..n-1).
 
     Two ordinary vertices are adjacent iff an alternating path of label
-    edges and tree edges joins them.  What a marker reaches across its tree
-    edge depends only on that directed edge, so it is computed once per
-    edge and each row is the OR over its label neighbours."""
-    check_tree(t)
-    idx = {orig: i for i, orig in enumerate(t.vertex_ids)}
-    marker_edge = {
-        bid: {l: e for e, l in bag.markers.items()} for bid, bag in t.bags.items()
-    }
-    across: dict[tuple[int, int], int] = {}
-    adj = [0] * len(t.vertex_ids)
-    for bid, bag in t.bags.items():
-        for u_local, u_orig in bag.ordinary.items():
-            adj[idx[u_orig]] = _reached(t, idx, marker_edge, across, bid,
-                                        bag.label.adj[u_local])
-    g = Graph(len(adj), tuple(adj))
-    for v in range(g.n):
-        if (g.adj[v] >> v) & 1:
+    edges and tree edges joins them (``kernels.accessible_rows``)."""
+    rows = kernels.accessible_rows(
+        t.vertex_ids,
+        [(bag.label.adj, bag.ordinary, bag.markers) for bag in t.bags.values()],
+    )
+    for v, row in enumerate(rows):
+        if (row >> v) & 1:
             raise TreeError("accessibility produced a loop")
-    return g
-
-
-def _reached(t: GraphLabelledTree, idx: dict[int, int],
-             marker_edge: dict[int, dict[int, int]],
-             across: dict[tuple[int, int], int], bid: int, row: int) -> int:
-    """Vertices (as a mask over ``idx``) accessible from the label
-    neighbourhood ``row`` of bag ``bid``; ``across[bid, e]`` memoises what
-    the marker of tree edge ``e`` in ``bid`` reaches."""
-    bag = t.bags[bid]
-    out = 0
-    while row:
-        low = row & -row
-        w = low.bit_length() - 1
-        row ^= low
-        if w in bag.ordinary:
-            out |= 1 << idx[bag.ordinary[w]]
-            continue
-        e = marker_edge[bid][w]
-        if (bid, e) not in across:
-            x, y = t.tree_edges[e]
-            other = y if x == bid else x
-            far = t.bags[other]
-            across[bid, e] = _reached(t, idx, marker_edge, across, other,
-                                      far.label.adj[far.markers[e]])
-        out |= across[bid, e]
-    return out
+    return Graph(len(rows), rows)
 
 
 def validate_reduced(t: GraphLabelledTree) -> list[str]:

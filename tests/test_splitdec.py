@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import hashlib
+import random
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zfx import kernels
+from zfx import _kernels_py as pyk
+from zfx import kernels, splitdec
 from zfx.dh import dh_metric_oracle
 from zfx.errors import CapacityError, TreeError
 from zfx.extremal import attach_pendants
@@ -272,7 +274,29 @@ def _reconstruct_dfs(t: GraphLabelledTree) -> Graph:
     return Graph(len(adj), tuple(adj))
 
 
-def test_reconstruct_matches_dfs_oracle(connected_by_n):
+@pytest.fixture(scope="module")
+def access_kernels(request):
+    """The pure ``accessible_rows``, and the compiled one when it builds."""
+    found = [pyk.accessible_rows]
+    try:
+        found.append(request.getfixturevalue("cyk").accessible_rows)
+    except pytest.skip.Exception:
+        pass
+    return found
+
+
+def _agree_with_dfs(t: GraphLabelledTree, access_kernels) -> Graph:
+    """``reconstruct``, the oracle and every ``accessible_rows`` backend give
+    the same graph, which is returned."""
+    g = _reconstruct_dfs(t)
+    assert reconstruct(t) == g
+    bags = [(bag.label.adj, bag.ordinary, bag.markers) for bag in t.bags.values()]
+    for accessible_rows in access_kernels:
+        assert accessible_rows(t.vertex_ids, bags) == g.adj
+    return g
+
+
+def test_reconstruct_matches_dfs_oracle(connected_by_n, access_kernels):
     """Every connected n <= 8 decomposition, in both split orders, and both
     peel results of every peelable bag of every unique-prime tree."""
     peels = 0
@@ -281,7 +305,7 @@ def test_reconstruct_matches_dfs_oracle(connected_by_n):
         for g in graphs:
             t = decompose(g)
             for tt in (t, decompose(g, split_order="max")):
-                assert reconstruct(tt) == _reconstruct_dfs(tt) == g
+                assert _agree_with_dfs(tt, access_kernels) == g
             if len(t.prime_bag_ids()) != 1:
                 continue
             (p,) = t.prime_bag_ids()
@@ -294,22 +318,106 @@ def test_reconstruct_matches_dfs_oracle(connected_by_n):
                 cls = classify_leaf_bag(t, b)
                 if cls.kind == "star_leaf_attached" and cls.ordinary_leaves == 1:
                     for tt in peel(t, b):
-                        assert reconstruct(tt) == _reconstruct_dfs(tt)
+                        _agree_with_dfs(tt, access_kernels)
                         peels += 1
     assert peels == 2 * 532  # 532 peelable bags at n <= 8
 
 
+def _random_connected(rng: random.Random, n: int, p: float) -> Graph:
+    """A random spanning tree plus G(n, p) edges."""
+    adj = [0] * n
+    for v in range(1, n):
+        for u in [rng.randrange(v)] + [u for u in range(v) if rng.random() < p]:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    return Graph(n, tuple(adj))
+
+
+def _grown(rng: random.Random, g: Graph, n: int) -> Graph:
+    """``g`` grown to n vertices by random pendant and twin additions, which
+    hang ever more bags off its tree."""
+    adj = list(g.adj)
+    for v in range(g.n, n):
+        a = rng.randrange(v)
+        nb = rng.choice((1 << a, adj[a], adj[a] | 1 << a))
+        for u in range(v):
+            if nb >> u & 1:
+                adj[u] |= 1 << v
+        adj.append(nb)
+    return Graph(n, tuple(adj))
+
+
+def test_accessible_rows_random_n9_to_n16(access_kernels):
+    """Seeded random connected graphs past the exhaustive range, prime-rich
+    and split-rich, in both split orders."""
+    rng = random.Random(916)
+    bag_counts = set()
+    for n in range(9, 17):
+        graphs = [_random_connected(rng, n, 0.15), _random_connected(rng, n, 0.4)]
+        graphs += [_grown(rng, _random_connected(rng, k, 0.5), n) for k in (4, 6)]
+        for g in graphs:
+            for order in ("min", "max"):
+                t = decompose(g, split_order=order)
+                assert _agree_with_dfs(t, access_kernels) == g
+                bag_counts.add(len(t.bags))
+    assert 1 in bag_counts and max(bag_counts) >= 8
+
+
+# (ids, bags, message) that no graph-labelled tree gives
+MALFORMED = [
+    ((0, 1), [((2, 1), {0: 0}, {5: 1})], "tree edge 5 has 1 markers, not 2"),
+    ((0, 1, 2), [((2, 1), {0: 0}, {0: 1}), ((2, 1), {0: 1}, {0: 1}),
+                 ((2, 1), {0: 2}, {0: 1})], "tree edge 0 has 3 markers, not 2"),
+    ((0, 1), [((2, 1), {0: 0}, {})], "ordinary or markers, each exactly one"),
+    ((0, 1), [((2, 1), {0: 0, 1: 1}, {0: 1})], "ordinary or markers, each exactly one"),
+    ((0, 1), [((2, 1), {0: 0, 1: 7}, {})], "unknown id 7"),
+    ((1, 0), [((2, 1), {0: 0, 1: 1}, {})], "strictly increasing"),
+    # the path o - m0 - m1 in both bags: crossing m0 leads back to m0
+    ((0, 1), [((2, 5, 2), {0: 0}, {0: 1, 1: 2}), ((2, 5, 2), {0: 1}, {0: 1, 1: 2})],
+     "closes a cycle"),
+]
+
+
+@pytest.mark.parametrize("backend", ["python", "cython"])
+@pytest.mark.parametrize("ids,bags,message", MALFORMED)
+def test_accessible_rows_refuses_malformed(backend, ids, bags, message, request):
+    module = pyk if backend == "python" else request.getfixturevalue("cyk")
+    with pytest.raises(ValueError, match=message):
+        module.accessible_rows(ids, bags)
+
+
+def test_check_tree_runs_once_per_graph(monkeypatch):
+    """One graph through decompose, reconstruct, validate_reduced and
+    summarize checks its tree once, on the direct path and through the
+    builder alike."""
+    calls = []
+    check = splitdec.check_tree
+    monkeypatch.setattr(splitdec, "check_tree", lambda t: calls.append(t) or check(t))
+    spider = graph_from_edges(5, [(0, 4), (1, 4), (3, 4), (2, 3)])
+    # three bags out of the split recursion, two after a star-star merge
+    assert len(kernels.split_bags(spider.n, spider.adj)[1]) == 3
+    assert len(decompose(spider).bags) == 2
+    for g in (make_path(5), c5_pendant(), spider, make_complete(4)):
+        calls.clear()
+        t = decompose(g)
+        assert reconstruct(t) == g
+        assert validate_reduced(t) == []
+        summarize(t)
+        assert calls == [t]
+
+
 def test_reconstruct_refuses_dangling_marker():
+    """A tree is checked when it is made, so a dangling marker never
+    reaches ``reconstruct``."""
     t = _kk_tree()
     bag = t.bags[1]
-    dangling = GraphLabelledTree(
-        bags={0: t.bags[0],
-              1: Bag(bag.label, bag.kind, {0: 2}, {0: 2, 5: 1}, bag.star_center)},
-        tree_edges=t.tree_edges,
-        vertex_ids=(0, 1, 2),
-    )
     with pytest.raises(TreeError, match="unknown edge 5"):
-        reconstruct(dangling)
+        GraphLabelledTree(
+            bags={0: t.bags[0],
+                  1: Bag(bag.label, bag.kind, {0: 2}, {0: 2, 5: 1}, bag.star_center)},
+            tree_edges=t.tree_edges,
+            vertex_ids=(0, 1, 2),
+        )
 
 
 # --- hand-built trees -----------------------------------------------------------------
@@ -450,27 +558,25 @@ def test_validate_reduced_flags_spsc():
 
 def test_check_tree_rejects_malformed():
     t = _kk_tree()
-    broken = GraphLabelledTree(
-        bags=t.bags, tree_edges={0: (0, 1), 1: (0, 1)}, vertex_ids=t.vertex_ids
-    )
     with pytest.raises(TreeError):
-        reconstruct(broken)
-    dup = GraphLabelledTree(
-        bags={
-            0: t.bags[0],
-            1: Bag(
-                label=make_complete(3),
-                kind="clique",
-                ordinary={0: 0, 1: 3},  # original 0 appears twice
-                markers={0: 2},
-                star_center=None,
-            ),
-        },
-        tree_edges={0: (0, 1)},
-        vertex_ids=(0, 1, 3),
-    )
+        GraphLabelledTree(
+            bags=t.bags, tree_edges={0: (0, 1), 1: (0, 1)}, vertex_ids=t.vertex_ids
+        )
     with pytest.raises(TreeError):
-        reconstruct(dup)
+        GraphLabelledTree(
+            bags={
+                0: t.bags[0],
+                1: Bag(
+                    label=make_complete(3),
+                    kind="clique",
+                    ordinary={0: 0, 1: 3},  # original 0 appears twice
+                    markers={0: 2},
+                    star_center=None,
+                ),
+            },
+            tree_edges={0: (0, 1)},
+            vertex_ids=(0, 1, 3),
+        )
 
 
 # --- leaf-bag classification and twins ---------------------------------------------
