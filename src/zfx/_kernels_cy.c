@@ -3,18 +3,17 @@
  * whose compiled form moves a campaign's run time.  Every other kernel is
  * pure on both backends.
  *
- * Same functions, same outputs; graphs arrive as (n, adj-row ints) with
- * n <= 64 so every mask fits a 64-bit word.  The canonical search packs its
- * encoding into one u64, capping it at n = 11 (the dispatcher falls back to
- * the big-int Python search above that).  ``split_bags`` runs the whole
- * split recursion of ``splitdec.decompose`` in one call and emits finished
- * bags (their ``ordinary`` and ``markers`` dicts) with the ends of every
- * tree edge; ``accessible_rows`` is ``splitdec.reconstruct``'s whole
- * accessibility search, over at most 256 label vertices.  It raises
- * ValueError on unordered or unknown ids, a label vertex that is not
- * exactly one of ordinary and marker, a tree edge without exactly two
- * markers and an alternating path that closes a cycle; the shape of the
- * bag graph is ``splitdec.check_tree``'s job.
+ * Same functions, same methods, same outputs; graphs arrive as (n, adj-row
+ * ints) with n <= 64 so every mask fits a 64-bit word.  ``profile_counts``
+ * counts forts on a 2^n-bit table of subsets, so it takes n <= 32.
+ * ``split_bags`` runs the whole split recursion of ``splitdec.decompose``
+ * in one call and emits finished bags (their ``ordinary`` and ``markers``
+ * dicts) with the ends of every tree edge; ``accessible_rows`` is
+ * ``splitdec.reconstruct``'s whole accessibility search, over at most 256
+ * label vertices.  It raises ValueError on unordered or unknown ids, a
+ * label vertex that is not exactly one of ordinary and marker, a tree edge
+ * without exactly two markers and an alternating path that closes a cycle;
+ * the shape of the bag graph is ``splitdec.check_tree``'s job.
  *
  * Build: gcc -O3 -shared -fPIC -I<python include> _kernels_cy.c -o
  * _kernels_cy<EXT_SUFFIX>, or ``pip install .`` through setup.py.
@@ -28,11 +27,8 @@
 
 typedef unsigned long long u64;
 
-#define MEMO_LIMIT 20
-#define CANON_MAX_N 11
 #define CTZ(x) __builtin_ctzll(x)
 #define POPCOUNT(x) __builtin_popcountll(x)
-#define LOWBIT(x) ((x) & (~(x) + 1))
 #define FULL(n) ((n) < 64 ? ((u64)1 << (n)) - 1 : ~(u64)0)
 
 static PyObject *KIND_CLIQUE, *KIND_STAR, *KIND_PRIME;
@@ -89,105 +85,94 @@ static PyObject *int_tuple(int n, const u64 *words)
     return out;
 }
 
-/* --- closure and profile ------------------------------------------------ */
+/* --- profile ------------------------------------------------------------ */
 
-static u64 closure(int n, const u64 *adj, u64 s)
+/* Bit f of a word over subsets f of range(6): the f holding vertex u < 6,
+ * and the f of size j. */
+static const u64 LOW_HAS[6] = {
+    0xAAAAAAAAAAAAAAAAULL, 0xCCCCCCCCCCCCCCCCULL, 0xF0F0F0F0F0F0F0F0ULL,
+    0xFF00FF00FF00FF00ULL, 0xFFFF0000FFFF0000ULL, 0xFFFFFFFF00000000ULL,
+};
+static const u64 LOW_LEVEL[7] = {
+    0x0000000000000001ULL, 0x0000000100010116ULL, 0x0001011601161668ULL,
+    0x0116166816686880ULL, 0x1668688068808000ULL, 0x6880800080000000ULL,
+    0x8000000000000000ULL,
+};
+
+/* The subsets holding vertex u among the 64 of word i. */
+static u64 subsets_with(int u, u64 i)
 {
-    u64 full = FULL(n);
-    u64 blue = s & full;
-    u64 white = full ^ blue;
-    u64 w, nb, low;
-    /* 64 seeds, then per force (at most 64) one vertex and its blue
-     * neighbours: 64 + 64 * 65 entries at most */
-    int stack[4480];
-    int top = 0;
-    int v, u;
-
-    if (white == 0)
-        return blue;
-    for (nb = blue; nb; nb ^= low) {
-        low = LOWBIT(nb);
-        stack[top++] = CTZ(low);
-    }
-    while (top > 0) {
-        v = stack[--top];
-        w = adj[v] & white;
-        if (w != 0 && (w & (w - 1)) == 0) {
-            blue |= w;
-            white ^= w;
-            u = CTZ(w);
-            stack[top++] = u;
-            for (nb = adj[u] & blue; nb; nb ^= low) {
-                low = LOWBIT(nb);
-                stack[top++] = CTZ(low);
-            }
-        }
-    }
-    return blue;
+    return u < 6 ? LOW_HAS[u] : -((i >> (u - 6)) & 1);
 }
 
-/* One closure per subset, in increasing mask order; up to MEMO_LIMIT
- * vertices a byte per subset records forcing sets, so a set with a forcing
- * subset one vertex smaller skips its closure. */
+/* The pure kernel's fort count, one word of 64 subsets at a time: bit b of
+ * word i stands for the subset (i << 6) | b, so vertex u < 6 is the in-word
+ * pattern LOW_HAS[u] and vertex u >= 6 is bit u - 6 of i.  A subset f is a
+ * fort iff it is nonempty and every vertex w lies in f or has zero or at
+ * least two neighbours in f.  Closing the forts upward gives the subsets
+ * holding a fort, the complements of the non-forcing sets, and held[s]
+ * counts those of size s, so z(G;k) = C(n,k) - held[n - k].  The table is
+ * 2^n bits, refused over 32 vertices (512 MB). */
 static PyObject *profile_counts(PyObject *Py_UNUSED(self), PyObject *args,
                                 PyObject *kwargs)
 {
     static char *kwlist[] = {"n", "adj", NULL};
-    int n, k;
+    int n, k, w, u, j, low_n;
     PyObject *adj, *out, *item;
-    u64 cadj[64], m, mm, low, size, full;
-    long long zc[65];
-    unsigned char *memo = NULL;
-    int forcing;
+    u64 cadj[64], *table, words, i, step, base, f, r, h, some, many;
+    long long held[33] = {0}, choose = 1;
 
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iO", kwlist, &n, &adj))
         return NULL;
     if (n == 0)
         return Py_BuildValue("[i]", 1);
-    if (n > 62) {
-        PyErr_SetString(PyExc_OverflowError, "profile_counts supports n <= 62");
+    if (n > 32) {
+        PyErr_SetString(PyExc_OverflowError, "profile_counts supports n <= 32");
         return NULL;
     }
     if (read_adj(n, adj, cadj) < 0)
         return NULL;
-    memset(zc, 0, sizeof zc);
-    full = ((u64)1 << n) - 1;
-    size = (u64)1 << n;
-    if (n <= MEMO_LIMIT) {
-        memo = calloc(size, 1);
-        if (memo == NULL)
-            return PyErr_NoMemory();
-    }
-    for (m = 1; m < size; m++) {
-        forcing = 0;
-        if (memo != NULL) {
-            for (mm = m; mm; mm ^= low) {
-                low = LOWBIT(mm);
-                if (memo[m ^ low]) {
-                    forcing = 1;
-                    break;
-                }
+    low_n = n < 6 ? n : 6;
+    words = n > 6 ? (u64)1 << (n - 6) : 1;
+    table = malloc(words * sizeof *table);
+    if (table == NULL)
+        return PyErr_NoMemory();
+    for (i = 0; i < words; i++) {
+        f = n < 6 ? ((u64)1 << (1 << n)) - 1 : ~(u64)0;
+        for (w = 0; w < n; w++) {
+            some = many = 0;
+            for (r = cadj[w]; r; r &= r - 1) {
+                h = subsets_with(CTZ(r), i);
+                many |= some & h;
+                some |= h;
             }
+            f &= subsets_with(w, i) | ~some | many;
         }
-        if (!forcing)
-            forcing = closure(n, cadj, m) == full;
-        if (forcing) {
-            if (memo != NULL)
-                memo[m] = 1;
-            zc[POPCOUNT(m)]++;
-        }
+        if (i == 0)
+            f &= ~(u64)1; /* the empty set is no fort */
+        for (u = 0; u < low_n; u++)
+            f |= (f & ~LOW_HAS[u]) << (1 << u);
+        table[i] = f;
     }
-    free(memo);
+    for (step = 1; step < words; step <<= 1)
+        for (base = 0; base < words; base += 2 * step)
+            for (i = base; i < base + step; i++)
+                table[i + step] |= table[i];
+    for (i = 0; i < words; i++)
+        for (j = 0; j <= low_n; j++)
+            held[POPCOUNT(i) + j] += POPCOUNT(table[i] & LOW_LEVEL[j]);
+    free(table);
     out = PyList_New(n + 1);
     if (out == NULL)
         return NULL;
     for (k = 0; k <= n; k++) {
-        item = PyLong_FromLongLong(zc[k]);
+        item = PyLong_FromLongLong(choose - held[n - k]);
         if (item == NULL) {
             Py_DECREF(out);
             return NULL;
         }
         PyList_SET_ITEM(out, k, item);
+        choose = choose * (n - k) / (k + 1);
     }
     return out;
 }
@@ -197,35 +182,45 @@ static PyObject *profile_counts(PyObject *Py_UNUSED(self), PyObject *args,
 /* The least row-major upper-triangle encoding over all vertex orders, by the
  * same cell-refining search as the pure ``canon_adj``: candidates of the
  * first cell with the least achievable row branch, twins among them
- * collapsed, and a prefix above the best encoding is cut. */
+ * collapsed, and a prefix above the best encoding is cut.  The encoding is
+ * kept as its row at each depth, the n - 1 - depth bits the placed vertex
+ * contributes, so two prefixes compare row by row. */
 typedef struct {
     int n;
-    int total_bits;
     u64 adj[64];
-    u64 best_acc;
+    u64 rows[64];
+    u64 best_rows[64];
     int best_set;
-    int best_order[64];
 } Canon;
 
+/* -1, 0 or 1 as rows 0..depth of the current encoding compare with the
+ * best one. */
+static int prefix_cmp(const Canon *st, int depth)
+{
+    int d;
+
+    for (d = 0; d <= depth; d++)
+        if (st->rows[d] != st->best_rows[d])
+            return st->rows[d] < st->best_rows[d] ? -1 : 1;
+    return 0;
+}
+
 static void canon_dfs(Canon *st, const int *verts, const int *starts,
-                      int ncells, u64 acc, int bits_done, int *order, int depth)
+                      int ncells, int depth)
 {
     int n = st->n;
-    int i, j, c, u, w, size, ones, nsurv, ntied, rem, pos, nc, dup, have_pat;
-    u64 pat, best_pat, acc2, au, mu, mw, unplaced;
+    int i, j, c, u, w, size, ones, nsurv, ntied, pos, nc, dup, have_pat;
+    u64 pat, best_pat, au, mu, mw, unplaced;
     int tied[64], surv[64], nverts[64], nstarts[66];
 
     if (ncells == 0) {
-        if (!st->best_set || acc < st->best_acc) {
-            st->best_acc = acc;
+        if (!st->best_set || prefix_cmp(st, n - 1) < 0) {
             st->best_set = 1;
-            for (i = 0; i < n; i++)
-                st->best_order[i] = order[i];
+            memcpy(st->best_rows, st->rows, n * sizeof st->rows[0]);
         }
         return;
     }
 
-    rem = n - 1 - depth;
     best_pat = 0;
     have_pat = 0;
     ntied = 0;
@@ -259,9 +254,8 @@ static void canon_dfs(Canon *st, const int *verts, const int *starts,
         }
     }
 
-    acc2 = (acc << rem) | best_pat;
-    if (st->best_set
-        && acc2 > (st->best_acc >> (st->total_bits - bits_done - rem)))
+    st->rows[depth] = best_pat;
+    if (st->best_set && prefix_cmp(st, depth) > 0)
         return;
 
     unplaced = 0;
@@ -309,9 +303,7 @@ static void canon_dfs(Canon *st, const int *verts, const int *starts,
             if (pos > size)
                 nstarts[++nc] = pos;
         }
-        order[depth] = u;
-        canon_dfs(st, nverts, nstarts, nc, acc2, bits_done + rem, order,
-                  depth + 1);
+        canon_dfs(st, nverts, nstarts, nc, depth + 1);
     }
 }
 
@@ -319,39 +311,33 @@ static PyObject *canon_adj(PyObject *Py_UNUSED(self), PyObject *args,
                            PyObject *kwargs)
 {
     static char *kwlist[] = {"n", "adj", NULL};
-    int n, i, p;
+    int n, i, j;
     PyObject *adj;
     Canon st;
-    int verts[64], starts[66], order[64], pos[64];
-    u64 rows[64], av;
+    int verts[64], starts[66];
+    u64 rows[64], r;
 
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iO", kwlist, &n, &adj))
         return NULL;
     if (n <= 1)
         return PySequence_Tuple(adj);
-    if (n > CANON_MAX_N) {
-        PyErr_Format(PyExc_OverflowError,
-                     "compiled canon_adj supports n <= %d", CANON_MAX_N);
-        return NULL;
-    }
     if (read_adj(n, adj, st.adj) < 0)
         return NULL;
     st.n = n;
-    st.total_bits = n * (n - 1) / 2;
     st.best_set = 0;
-    st.best_acc = 0;
     for (i = 0; i < n; i++)
         verts[i] = i;
     starts[0] = 0;
     starts[1] = n;
-    canon_dfs(&st, verts, starts, 1, 0, 0, order, 0);
-    for (p = 0; p < n; p++)
-        pos[st.best_order[p]] = p;
-    for (p = 0; p < n; p++) {
-        rows[p] = 0;
-        for (av = st.adj[st.best_order[p]]; av; av &= av - 1)
-            rows[p] |= (u64)1 << pos[CTZ(av)];
-    }
+    canon_dfs(&st, verts, starts, 1, 0);
+    /* bit n - 1 - j of the row at depth i is the pair ij, j > i */
+    memset(rows, 0, sizeof rows);
+    for (i = 0; i < n; i++)
+        for (r = st.best_rows[i]; r; r &= r - 1) {
+            j = n - 1 - CTZ(r);
+            rows[i] |= (u64)1 << j;
+            rows[j] |= (u64)1 << i;
+        }
     return int_tuple(n, rows);
 }
 

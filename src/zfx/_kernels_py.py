@@ -9,9 +9,8 @@ them) and ``accessible_rows`` (the graph a graph-labelled tree represents,
 for ``splitdec.reconstruct``).  ``zfx.kernels`` picks those four at
 import time and takes ``closure_mask``, ``metric_dh`` and
 ``find_split_mask`` from here on both backends.  ``metric_dh`` runs a
-polynomial separation test.  The compiled ``profile_counts`` runs one
-closure per subset, while this one counts forts on bitsets indexed by the
-2^n subsets.
+polynomial separation test.  ``profile_counts`` counts forts on bitsets
+indexed by the 2^n subsets, here and in C (which refuses n > 32).
 """
 
 from __future__ import annotations

@@ -12,6 +12,8 @@ from .errors import CapacityError
 from .graphs import Graph, bits
 
 DEFAULT_SUBSET_BUDGET = 20
+# The largest budget honoured: the compiled fort table holds 2^n bits.
+PROFILE_MAX_N = 32
 
 
 def closure(g: Graph, s: int) -> int:
@@ -68,7 +70,7 @@ def _profile_cached(n: int, adj: tuple[int, ...]) -> ZfProfile:
 
 def zf_profile(g: Graph, budget: Optional[int] = None) -> ZfProfile:
     """Exact profile by subset enumeration; refuses graphs over the budget."""
-    limit = DEFAULT_SUBSET_BUDGET if budget is None else min(budget, 62)
+    limit = DEFAULT_SUBSET_BUDGET if budget is None else min(budget, PROFILE_MAX_N)
     if g.n > limit:
         raise CapacityError(
             f"subset enumeration over {g.n} vertices exceeds budget {limit}"

@@ -295,9 +295,9 @@ def check_tree(t: GraphLabelledTree) -> None:
     edges = t.tree_edges
     for bid, bag in t.bags.items():
         n = bag.label.n
-        if len(bag.ordinary) + len(bag.markers) != n or len(
-            bag.ordinary.keys() | bag.markers.values()
-        ) != n:
+        if len(bag.ordinary) + len(bag.markers) != n or (
+            bag.ordinary.keys() | bag.markers.values() != set(range(n))
+        ):
             raise TreeError(f"bag {bid}: markers and ordinary must partition label")
         for e in bag.markers:
             if e not in edges:

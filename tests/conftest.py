@@ -25,26 +25,38 @@ def connected_by_n() -> dict[int, list[Graph]]:
     return {n: list(enumerate_graphs(n, connected_only=True)) for n in range(1, 8)}
 
 
-@pytest.fixture(scope="session")
-def built_kernels(tmp_path_factory):
-    """The committed ``_kernels_cy.c`` built with gcc, warnings as errors,
-    into a temporary directory."""
+def compile_kernels(out_dir: Path, *flags: str) -> Path:
+    """The committed ``_kernels_cy.c`` built with gcc and ``flags``, warnings
+    as errors, into ``out_dir``; skips the test when there is no gcc."""
     gcc = shutil.which("gcc")
     if gcc is None:
         pytest.skip("no gcc to build the compiled kernels")
-    ext = tmp_path_factory.mktemp("kernels") / (
-        "_kernels_cy" + sysconfig.get_config_var("EXT_SUFFIX")
-    )
+    ext = out_dir / ("_kernels_cy" + sysconfig.get_config_var("EXT_SUFFIX"))
     subprocess.run(
-        [gcc, "-O3", "-Wall", "-Wextra", "-Werror", "-shared", "-fPIC",
+        [gcc, *flags, "-Wall", "-Wextra", "-Werror", "-shared", "-fPIC",
          "-I" + sysconfig.get_paths()["include"], str(SRC / "_kernels_cy.c"),
          "-o", str(ext)],
         check=True,
     )
+    return ext
+
+
+@pytest.fixture(scope="session")
+def built_kernels(tmp_path_factory):
+    """The compiled kernels built with ``-O3`` into a temporary directory."""
+    ext = compile_kernels(tmp_path_factory.mktemp("kernels"), "-O3")
     spec = importlib.util.spec_from_file_location("zfx._kernels_cy", ext)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="session")
+def ubsan_kernels(tmp_path_factory) -> Path:
+    """The compiled kernels built with UndefinedBehaviorSanitizer, aborting
+    on the first report; their path, for loading in a subprocess."""
+    return compile_kernels(tmp_path_factory.mktemp("ubsan"), "-O1", "-g",
+                           "-fsanitize=undefined", "-fno-sanitize-recover=all")
 
 
 @pytest.fixture(scope="session")

@@ -3,8 +3,11 @@ bit for bit, and both must match the literal definitions."""
 
 from __future__ import annotations
 
+import os
 import random
 import re
+import subprocess
+import sys
 from itertools import combinations, permutations
 from pathlib import Path
 
@@ -14,11 +17,14 @@ from hypothesis import strategies as st
 
 from zfx import _kernels_py as pyk
 from zfx import kernels
+from zfx.errors import CapacityError
 from zfx.extremal import path_z
+from zfx.forcing import zf_profile
 from zfx.graphs import (
     bits,
     enumerate_graphs,
     graph_from_edges,
+    make_cycle,
     make_path,
 )
 
@@ -42,8 +48,8 @@ random_graph = st.builds(
     st.integers(min_value=0),
 )
 
-# Up to 14 vertices, any edge set reachable: the compiled
-# profile loop is still cheap there.
+# Up to 14 vertices, any edge set reachable: the pure kernels, the slower
+# twins, are still cheap there.
 wide_graph = st.integers(min_value=0, max_value=14).flatmap(
     lambda n: st.builds(
         _graph_from_bits, st.just(n), st.integers(0, (1 << (n * (n - 1) // 2)) - 1)
@@ -179,8 +185,7 @@ def test_split_bags_parity_random_n9_to_n16(cyk):
 @settings(max_examples=200, deadline=None)
 @given(wide_graph)
 def test_backend_parity_random(cyk, g):
-    if g.n <= 11:  # the compiled canonical search stops there
-        assert pyk.canon_adj(g.n, g.adj) == cyk.canon_adj(g.n, g.adj)
+    assert pyk.canon_adj(g.n, g.adj) == cyk.canon_adj(g.n, g.adj)
     assert pyk.profile_counts(g.n, g.adj) == cyk.profile_counts(g.n, g.adj)
 
 
@@ -267,21 +272,44 @@ def test_metric_dh_matches_the_definition_at_n10_and_n11():
     assert verdicts == {True, False}
 
 
-def test_dispatcher_falls_back_for_large_canon():
-    g = graph_from_edges(14, [(i, i + 1) for i in range(13)])
-    rows = kernels.canon_adj(g.n, g.adj)
-    assert rows == pyk.canon_adj(g.n, g.adj)
-
-
-def test_canon_parity_at_compiled_size_limit(cyk):
-    """n = 10 and 11 sit just under the compiled accumulator cap."""
+def test_canon_parity_n10_to_n20(cyk):
+    """Seeded labelled graphs: the compiled search equals the pure one and
+    is invariant under relabelling."""
     rng = random.Random(11)
-    for n in (10, 11):
-        for _ in range(25):
-            adj = _random_adj(rng, n, 0.4)
-            assert pyk.canon_adj(n, adj) == cyk.canon_adj(n, adj)
+    for n in range(10, 21):
+        for p in (0.15, 0.4, 0.7):
+            adj = _random_adj(rng, n, p)
+            rows = cyk.canon_adj(n, adj)
+            assert rows == pyk.canon_adj(n, adj)
+            assert cyk.canon_adj(n, _relabelled(rng, adj)) == rows
+
+
+def test_canon_compiled_at_n64(cyk):
+    """P_64 and C_64, each under four relabellings, at the word size."""
+    rng = random.Random(64)
+    for adj in (make_path(64).adj, make_cycle(64).adj):
+        rows = cyk.canon_adj(64, adj)
+        assert sorted(map(int.bit_count, rows)) == sorted(map(int.bit_count, adj))
+        assert cyk.canon_adj(64, rows) == rows
+        for _ in range(4):
+            assert cyk.canon_adj(64, _relabelled(rng, adj)) == rows
+
+
+def test_compiled_fort_count_on_paths_n19_to_n24(cyk):
+    """From P_19, where the pure kernel's path test stops, to P_24, past its
+    ``BITSET_LIMIT``, against the path formula."""
+    for n in range(19, 25):
+        assert cyk.profile_counts(n, make_path(n).adj) == [path_z(n, k) for k in range(n + 1)]
+
+
+def test_profile_refuses_n33(cyk):
+    """The compiled fort table stops at 32 vertices, and ``zf_profile``
+    refuses larger graphs by name on either backend, before any kernel
+    runs."""
     with pytest.raises(OverflowError):
-        cyk.canon_adj(12, tuple([0] * 12))
+        cyk.profile_counts(33, make_path(33).adj)
+    with pytest.raises(CapacityError, match="exceeds budget 32"):
+        zf_profile(make_path(33), budget=40)
 
 
 def _profile_by_closure(n, adj):
@@ -352,3 +380,36 @@ def test_kernels_c_builds_warning_free(built_kernels):
     exported = {name for name in dir(built_kernels)
                 if callable(getattr(built_kernels, name))}
     assert exported == bound - {"BACKEND"}
+
+
+# Runs every compiled kernel on each class with n <= 7 (split_bags and
+# accessible_rows on the connected ones), on P_24 and on C_64.
+_UBSAN_DRIVER = """
+import importlib.util, sys
+from zfx.graphs import enumerate_graphs, is_connected, make_cycle, make_path
+spec = importlib.util.spec_from_file_location("zfx._kernels_cy", sys.argv[1])
+cyk = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(cyk)
+graphs = [g for n in range(8) for g in enumerate_graphs(n)] + [make_path(24)]
+for g in graphs:
+    cyk.canon_adj(g.n, g.adj)
+    cyk.profile_counts(g.n, g.adj)
+    if g.n and is_connected(g):
+        for reverse in (False, True):
+            _, bags = cyk.split_bags(g.n, g.adj, reverse)
+            rows = cyk.accessible_rows(range(g.n), [bag[:3] for bag in bags])
+            assert rows == tuple(g.adj)
+cyk.canon_adj(64, make_cycle(64).adj)
+"""
+
+
+def test_kernels_c_clean_under_ubsan(ubsan_kernels):
+    """The extension built with UndefinedBehaviorSanitizer runs every kernel
+    without a report."""
+    done = subprocess.run(
+        [sys.executable, "-c", _UBSAN_DRIVER, str(ubsan_kernels)],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+    )
+    assert "runtime error" not in done.stderr
+    assert done.returncode == 0, done.stderr

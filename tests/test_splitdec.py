@@ -577,6 +577,13 @@ def test_check_tree_rejects_malformed():
             tree_edges={0: (0, 1)},
             vertex_ids=(0, 1, 3),
         )
+    with pytest.raises(TreeError, match="partition label"):
+        GraphLabelledTree(  # local 5 is no vertex of the 1-vertex label
+            bags={0: Bag(label=make_complete(1), kind="clique",
+                         ordinary={5: 0}, markers={}, star_center=None)},
+            tree_edges={},
+            vertex_ids=(0,),
+        )
 
 
 # --- leaf-bag classification and twins ---------------------------------------------
