@@ -8,7 +8,7 @@
  * counts forts on a 2^n-bit table of subsets, so it takes n <= 32.
  * ``split_bags`` runs the whole split recursion of ``splitdec.decompose``
  * in one call and emits finished bags (their ``ordinary`` and ``markers``
- * dicts) with the ends of every tree edge; ``accessible_rows`` is
+ * dicts, whose markers name the tree edges); ``accessible_rows`` is
  * ``splitdec.reconstruct``'s whole accessibility search, over at most 256
  * label vertices.  It raises ValueError on unordered or unknown ids, a
  * label vertex that is not exactly one of ordinary and marker, a tree edge
@@ -381,23 +381,18 @@ static u64 first_split(int n, const u64 *adj, int reverse)
     return 0;
 }
 
-/* A tree of E edges has E + 1 bags of at least three label vertices, and
- * n + 2E label vertices in all, so E <= n - 3 < 64. */
 typedef struct {
     PyObject *bags; /* list of (rows, ordinary, markers, kind, star center) */
     int edges;
-    int ends[64][2]; /* bag ids holding the markers of each tree edge */
     int reverse;
 } Splitter;
 
 /* Appends the part on ``adj`` as a finished bag: its tokens become the
- * ``ordinary`` and ``markers`` dicts, and each marker records its bag among
- * the ends of its tree edge. */
+ * ``ordinary`` and ``markers`` dicts. */
 static int emit_bag(Splitter *sp, int n, const u64 *adj, const long long *tok,
                     PyObject *kind, int center)
 {
-    int bid = (int)PyList_GET_SIZE(sp->bags), i, rc = -1, set;
-    long long t;
+    int i, rc = -1, set;
     PyObject *ordinary = PyDict_New(), *markers = PyDict_New();
     PyObject *rows = NULL, *cobj = NULL, *bag = NULL, *key, *val;
 
@@ -408,9 +403,7 @@ static int emit_bag(Splitter *sp, int n, const u64 *adj, const long long *tok,
             key = PyLong_FromLong(i);
             val = PyLong_FromLongLong(tok[i]);
         } else {
-            t = ~tok[i];
-            sp->ends[t >> 1][t & 1] = bid;
-            key = PyLong_FromLongLong(t >> 1);
+            key = PyLong_FromLongLong(~tok[i]);
             val = PyLong_FromLong(i);
         }
         set = key != NULL && val != NULL
@@ -444,8 +437,8 @@ done:
 /* Splits the graph on ``adj`` until every part is a clique, a star or has
  * no split, appending the parts as bags.  A split takes the next tree edge
  * e; each side keeps its vertices in ascending order plus a marker, last,
- * adjacent to the side's frontier and tokened ~(2e + side).  Side A is
- * split before side B. */
+ * adjacent to the side's frontier and tokened ~e.  Side A is split before
+ * side B. */
 static int split_rec(Splitter *sp, int n, const u64 *adj, const long long *tok)
 {
     int deg[64], total = 0, center = -1, i, side, k, local[64], e;
@@ -493,7 +486,7 @@ static int split_rec(Splitter *sp, int n, const u64 *adj, const long long *tok)
             subtok[k] = tok[i];
         }
         sub[k] = marker_row;
-        subtok[k] = ~(2 * (long long)e + side);
+        subtok[k] = ~(long long)e;
         if (split_rec(sp, k + 1, sub, subtok) < 0)
             return -1;
     }
@@ -504,8 +497,8 @@ static PyObject *split_bags(PyObject *Py_UNUSED(self), PyObject *args,
                             PyObject *kwargs)
 {
     static char *kwlist[] = {"n", "adj", "reverse", NULL};
-    int n, i, e, reverse = 0;
-    PyObject *adj, *ends, *pair;
+    int n, i, reverse = 0;
+    PyObject *adj;
     u64 cadj[64];
     long long tok[64];
     Splitter sp;
@@ -522,21 +515,11 @@ static PyObject *split_bags(PyObject *Py_UNUSED(self), PyObject *args,
         return NULL;
     sp.edges = 0;
     sp.reverse = reverse;
-    if (split_rec(&sp, n, cadj, tok) < 0
-        || (ends = PyList_New(sp.edges)) == NULL) {
+    if (split_rec(&sp, n, cadj, tok) < 0) {
         Py_DECREF(sp.bags);
         return NULL;
     }
-    for (e = 0; e < sp.edges; e++) {
-        pair = Py_BuildValue("(ii)", sp.ends[e][0], sp.ends[e][1]);
-        if (pair == NULL) {
-            Py_DECREF(ends);
-            Py_DECREF(sp.bags);
-            return NULL;
-        }
-        PyList_SET_ITEM(ends, e, pair);
-    }
-    return Py_BuildValue("(NN)", ends, sp.bags);
+    return sp.bags;
 }
 
 /* --- accessibility ------------------------------------------------------- */
@@ -762,8 +745,7 @@ static PyMethodDef kernel_methods[] = {
            "profile_counts(n, adj): zero forcing sets per size, k = 0..n."),
     KERNEL(canon_adj, "canon_adj(n, adj): canonically relabelled rows."),
     KERNEL(split_bags,
-           "split_bags(n, adj, reverse=False): (ends, bags) of the split "
-           "recursion."),
+           "split_bags(n, adj, reverse=False): bags of the split recursion."),
     KERNEL(accessible_rows,
            "accessible_rows(ids, bags): rows of the graph a graph-labelled "
            "tree represents."),

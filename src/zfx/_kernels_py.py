@@ -4,11 +4,12 @@ Graphs enter as ``(n, adj)`` where ``adj`` is a sequence of n ints, bit j of
 ``adj[i]`` set iff ij is an edge.  The compiled backend in ``_kernels_cy``
 implements four of these functions with identical outputs: ``canon_adj``,
 ``profile_counts``, ``split_bags`` (the whole split recursion of
-``splitdec.decompose``, returning finished bags and the tree edges between
-them) and ``accessible_rows`` (the graph a graph-labelled tree represents,
-for ``splitdec.reconstruct``).  ``zfx.kernels`` picks those four at
-import time and takes ``closure_mask``, ``metric_dh`` and
-``find_split_mask`` from here on both backends.  ``metric_dh`` runs a
+``splitdec.decompose``, returning finished bags whose markers name the
+tree edges between them) and ``accessible_rows`` (the graph a
+graph-labelled tree represents, for ``splitdec.reconstruct``).
+``zfx.kernels`` picks those four at import time and takes
+``closure_mask``, ``metric_dh`` and ``find_split_mask`` from here on both
+backends.  ``metric_dh`` runs a
 polynomial separation test.  ``profile_counts`` counts forts on bitsets
 indexed by the 2^n subsets, here and in C (which refuses n > 32).
 """
@@ -311,9 +312,8 @@ def find_split_mask(n: int, adj, reverse: bool = False) -> int:
     return 0
 
 
-def split_bags(n: int, adj, reverse: bool = False) -> tuple[list, list]:
-    """The bags of the split recursion of a connected graph, and the tree
-    edges between them.
+def split_bags(n: int, adj, reverse: bool = False) -> list:
+    """The bags of the split recursion of a connected graph.
 
     A part is a bag when it is a clique, a star or has no split (kind
     "clique", "star" or "prime"; a star carries its center, the first vertex
@@ -323,17 +323,14 @@ def split_bags(n: int, adj, reverse: bool = False) -> tuple[list, list]:
     frontier (the vertices with a neighbour across).  Side A is split before
     side B.  Bag ids count the bags in the order the recursion reaches them.
 
-    Returns ``(ends, bags)``.  ``ends[e]`` is the pair of bag ids holding
-    the markers of tree edge e, side A's first: every bag of side A comes
-    before every bag of side B, so that is ``(min, max)``.  Each bag is
-    ``(rows, ordinary, markers, kind, center)``, where ``ordinary`` maps
-    label vertices to original vertices and ``markers`` maps tree edges to
-    label vertices, both in ascending label order.
+    Each bag is ``(rows, ordinary, markers, kind, center)``, where
+    ``ordinary`` maps label vertices to original vertices and ``markers``
+    maps tree edges to label vertices, both in ascending label order.  Tree
+    edge e is held by exactly two bags, one on each side of its split.
     """
     bags = []
-    ends = []
-    # a token is an original vertex, or ~(2e + side) for the marker of tree
-    # edge e on side 0 (A) or 1 (B)
+    edges = 0
+    # a token is an original vertex, or ~e for a marker of tree edge e
     todo = [(tuple(adj[:n]), tuple(range(n)))]
     while todo:
         rows, tokens = todo.pop()
@@ -350,21 +347,14 @@ def split_bags(n: int, adj, reverse: bool = False) -> tuple[list, list]:
             kind = "prime"
             a_mask = find_split_mask(k, rows, reverse)
         if not a_mask:
-            ordinary = {}
-            markers = {}
-            for local, tok in enumerate(tokens):
-                if tok >= 0:
-                    ordinary[local] = tok
-                else:
-                    tok = ~tok
-                    markers[tok >> 1] = local
-                    ends[tok >> 1][tok & 1] = len(bags)
+            ordinary = {l: tok for l, tok in enumerate(tokens) if tok >= 0}
+            markers = {~tok: l for l, tok in enumerate(tokens) if tok < 0}
             bags.append((rows, ordinary, markers, kind, center))
             continue
-        e = len(ends)
-        ends.append([None, None])
+        e = edges
+        edges += 1
         sides = []
-        for side, part in ((0, a_mask), (1, ((1 << k) - 1) ^ a_mask)):
+        for part in (a_mask, ((1 << k) - 1) ^ a_mask):
             kept = []
             local = {}  # vertex bit -> its bit in the side
             m = part
@@ -389,9 +379,9 @@ def split_bags(n: int, adj, reverse: bool = False) -> tuple[list, list]:
                 sub.append(row)
             sub.append(marker_row)
             sides.append((tuple(sub),
-                          tuple(tokens[v] for v in kept) + (~(2 * e + side),)))
+                          tuple(tokens[v] for v in kept) + (~e,)))
         todo += reversed(sides)  # A comes off the stack first
-    return [tuple(pair) for pair in ends], bags
+    return bags
 
 
 def accessible_rows(ids, bags) -> tuple:

@@ -328,7 +328,7 @@ def split_prime_graphs(m: int) -> list[Graph]:
         raise CapacityError(f"m={m} exceeds ENUM_MAX={ENUM_MAX}: the split-prime "
                             "graphs on <= m vertices come from the built-in enumeration")
     return [g for g in builtin_corpus(m)
-            if [bag[3] for bag in kernels.split_bags(g.n, g.adj)[1]] == [PRIME]]
+            if [bag[3] for bag in kernels.split_bags(g.n, g.adj)] == [PRIME]]
 
 
 def _induced_subgraph_classes(g: Graph) -> list[Graph]:

@@ -145,7 +145,6 @@ def dh_metric_oracle(g: Graph) -> bool:
     """Independent recognizer: every connected induced subgraph must
     preserve pairwise distances.  Decided on both backends by the
     polynomial separation test of ``_kernels_py.metric_dh``, so no vertex
-    count is capped."""
-    if not is_connected(g):
-        raise ValueError("dh_metric_oracle expects a connected graph")
+    count is capped; the test is exact on disconnected graphs as well, where
+    it holds iff it holds on every component."""
     return kernels.metric_dh(g.n, g.adj)

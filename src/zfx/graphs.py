@@ -205,17 +205,14 @@ def find_leaf(g: Graph) -> Optional[int]:
 
 
 def find_twin_pair(g: Graph) -> Optional[tuple[int, int, str]]:
-    """Lexicographically least twin pair (u, v, kind) with u < v, or None."""
-    for u in range(g.n):
-        au = g.adj[u]
-        for v in range(u + 1, g.n):
-            av = g.adj[v]
-            if (au >> v) & 1:
-                if au & ~(1 << v) == av & ~(1 << u):
-                    return (u, v, "true")
-            elif au == av:
-                return (u, v, "false")
-    return None
+    """Lexicographically least twin pair (u, v, kind) with u < v, or None:
+    the first two vertices of the twin class with the least first vertex,
+    true twins iff adjacent."""
+    classes = _twin_classes(g.adj)
+    if not classes:
+        return None
+    u, v = min((c[0], c[1]) for c in classes)
+    return (u, v, "true" if g.has_edge(u, v) else "false")
 
 
 def canonical_form(g: Graph) -> Graph:

@@ -5,10 +5,11 @@ The compiled extension (``zfx._kernels_cy``) is preferred when importable;
 has a compiled twin only where it moves a campaign's run time:
 ``canon_adj`` (corpus enumeration), ``profile_counts``, ``split_bags``
 (the whole split recursion of ``splitdec.decompose`` in one call, up to
-finished bags) and ``accessible_rows`` (all of ``splitdec.reconstruct``'s
-accessibility search in one call).  Each twin runs its pure kernel's
-method with identical outputs and is bound here directly, with no fallback
-by n; parity is enforced by the test suite.  ``closure_mask``,
+finished bags, whose markers name the tree edges) and ``accessible_rows``
+(all of ``splitdec.reconstruct``'s accessibility search in one call).
+Each twin runs its pure kernel's method with identical outputs and is
+bound here directly, with no fallback by n; parity is enforced by the
+test suite.  ``closure_mask``,
 ``metric_dh`` (the polynomial separation test) and ``find_split_mask`` are
 pure on both backends.
 """

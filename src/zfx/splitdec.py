@@ -10,16 +10,17 @@ reduction never changes the represented graph.
 
 Bags are immutable and classified once, when they are made: building,
 reduction and peeling replace bags rather than edit them, so a builder
-seeded from a tree shares that tree's bags.  A tree is checked once, when
-it is made: ``GraphLabelledTree`` runs ``check_tree`` on construction, so
-reconstruction, validation and the reductions read trees that already
-passed it.
+seeded from a tree shares that tree's bags.  A tree is its bags: a tree
+edge is an id that exactly two bags hold as a marker.  It is checked once,
+when it is made: ``GraphLabelledTree(bags)`` runs ``check_tree``, which
+also derives the tree edges and the vertex ids, so reconstruction,
+validation and the reductions read trees that already passed it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional
+from dataclasses import dataclass, field
+from typing import Iterator, Mapping, Optional, Sequence
 
 from . import kernels
 from .errors import CapacityError, InvariantViolation, TreeError
@@ -126,17 +127,20 @@ def _without(label: Graph, v: int) -> tuple[list[int], int]:
 
 @dataclass(frozen=True, slots=True)
 class GraphLabelledTree:
-    """Bags joined by tree edges (``(min, max)`` bag ids), over the sorted
-    original ``vertex_ids``.  ``check_tree`` runs when one is made and not
-    again, so its dicts are never edited afterwards: reduction and peeling
-    build new trees."""
+    """Bags joined by the tree edges their markers name.  ``check_tree``
+    runs when one is made, and not again; it derives ``tree_edges`` (each
+    edge's ``(min, max)`` bag ids) and the sorted original ``vertex_ids``.
+    So the bags are never edited afterwards: reduction and peeling build
+    new trees."""
 
     bags: dict[int, Bag]
-    tree_edges: dict[int, tuple[int, int]]
-    vertex_ids: tuple[int, ...]
+    tree_edges: dict[int, tuple[int, int]] = field(init=False)
+    vertex_ids: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        check_tree(self)
+        edges, ids = check_tree(self)
+        object.__setattr__(self, "tree_edges", edges)
+        object.__setattr__(self, "vertex_ids", ids)
 
     def bag_neighbors(self, bag_id: int) -> Iterator[tuple[int, int]]:
         """(edge id, neighbor bag id) pairs, ascending by edge id."""
@@ -171,7 +175,7 @@ class _Builder:
     edited, so seeding shares a tree's bags."""
 
     def __init__(
-        self, bags: Mapping[int, Bag], tree_edges: Mapping[int, tuple[int, int]]
+        self, bags: Mapping[int, Bag], tree_edges: Mapping[int, Sequence[int]]
     ) -> None:
         self.bags = dict(bags)
         self.edge_ends = {e: list(ends) for e, ends in tree_edges.items()}
@@ -224,14 +228,11 @@ class _Builder:
             self.contract_edge(e)
 
     def freeze(self) -> GraphLabelledTree:
-        bags = {bid: self.bags[bid] for bid in sorted(self.bags)}
-        tree_edges = {e: (min(xy), max(xy)) for e, xy in self.edge_ends.items()}
-        ids = sorted(o for bag in bags.values() for o in bag.ordinary.values())
-        return GraphLabelledTree(bags=bags, tree_edges=tree_edges, vertex_ids=tuple(ids))
+        return GraphLabelledTree({bid: self.bags[bid] for bid in sorted(self.bags)})
 
 
 def _mergeable(bags: Mapping[int, Bag],
-               edge_ends: Mapping[int, tuple[int, int]]) -> Optional[int]:
+               edge_ends: Mapping[int, Sequence[int]]) -> Optional[int]:
     """The least tree edge that one of the three merge rules contracts, or
     None when the tree is reduced."""
     for e in sorted(edge_ends):
@@ -275,13 +276,16 @@ def decompose(
     # holds for the whole recursion iff it holds for the graph.
     if g.n > _split_limit(budget) and classify_kind(g).tag == "other":
         _check_split_budget(g.n, budget)
-    ends, raw = kernels.split_bags(g.n, g.adj, split_order == "max")
-    bags = {bid: Bag(Graph(len(rows), rows), kind, ordinary, markers, center)
-            for bid, (rows, ordinary, markers, kind, center) in enumerate(raw)}
-    tree_edges = dict(enumerate(ends))
-    if _mergeable(bags, tree_edges) is None:
-        return GraphLabelledTree(bags, tree_edges, tuple(range(g.n)))
-    builder = _Builder(bags, tree_edges)
+    bags = {}
+    edge_ends: dict[int, list[int]] = {}
+    raw = kernels.split_bags(g.n, g.adj, split_order == "max")
+    for bid, (rows, ordinary, markers, kind, center) in enumerate(raw):
+        bags[bid] = Bag(Graph(len(rows), rows), kind, ordinary, markers, center)
+        for e in markers:
+            edge_ends.setdefault(e, []).append(bid)
+    if _mergeable(bags, edge_ends) is None:
+        return GraphLabelledTree(bags)
+    builder = _Builder(bags, edge_ends)
     builder.reduce()
     return builder.freeze()
 
@@ -289,10 +293,16 @@ def decompose(
 # --- reconstruction and validation -------------------------------------------
 
 
-def check_tree(t: GraphLabelledTree) -> None:
-    """Structural validity; raises TreeError on violation."""
-    seen_ids: dict[int, int] = {}
-    edges = t.tree_edges
+def check_tree(
+    t: GraphLabelledTree,
+) -> tuple[dict[int, tuple[int, int]], tuple[int, ...]]:
+    """Structural validity of ``t.bags``; raises TreeError on violation.
+
+    Returns what the bags fix: each tree edge as the ``(min, max)`` ids of
+    the two bags holding its markers, and the sorted original vertex ids.
+    """
+    held: dict[int, list[int]] = {}
+    seen_ids: set[int] = set()
     for bid, bag in t.bags.items():
         n = bag.label.n
         if len(bag.ordinary) + len(bag.markers) != n or (
@@ -300,37 +310,32 @@ def check_tree(t: GraphLabelledTree) -> None:
         ):
             raise TreeError(f"bag {bid}: markers and ordinary must partition label")
         for e in bag.markers:
-            if e not in edges:
-                raise TreeError(f"bag {bid} references unknown edge {e}")
-            if bid not in edges[e]:
-                raise TreeError(f"bag {bid} not an endpoint of its edge {e}")
+            held.setdefault(e, []).append(bid)
         for orig in bag.ordinary.values():
             if orig in seen_ids:
                 raise TreeError(f"original vertex {orig} appears in two bags")
-            seen_ids[orig] = bid
-    if tuple(sorted(seen_ids)) != t.vertex_ids:
-        raise TreeError("vertex_ids do not match the bags' ordinary vertices")
-    for e, (x, y) in edges.items():
-        if x == y or x not in t.bags or y not in t.bags:
-            raise TreeError(f"edge {e} has bad endpoints")
-        if e not in t.bags[x].markers or e not in t.bags[y].markers:
-            raise TreeError(f"edge {e} lacks a marker binding at an endpoint")
+            seen_ids.add(orig)
+    edges = {}
+    for e, ends in held.items():
+        if len(ends) != 2:
+            raise TreeError(f"tree edge {e} has {len(ends)} markers, not 2")
+        x, y = ends
+        edges[e] = (x, y) if x < y else (y, x)
     if len(edges) != len(t.bags) - 1:
         raise TreeError("bag graph is not a tree (edge count)")
-    if t.bags:
-        first = min(t.bags)
-        reach = {first}
-        stack = [first]
-        while stack:
-            b = stack.pop()
-            for e in t.bags[b].markers:
-                x, y = edges[e]
-                other = y if x == b else x
-                if other not in reach:
-                    reach.add(other)
-                    stack.append(other)
-        if len(reach) != len(t.bags):
-            raise TreeError("bag graph is not connected")
+    stack = [min(t.bags)]  # the edge count leaves at least one bag
+    reach = set(stack)
+    while stack:
+        b = stack.pop()
+        for e in t.bags[b].markers:
+            x, y = edges[e]
+            other = y if x == b else x
+            if other not in reach:
+                reach.add(other)
+                stack.append(other)
+    if len(reach) != len(t.bags):
+        raise TreeError("bag graph is not connected")
+    return edges, tuple(sorted(seen_ids))
 
 
 def reconstruct(t: GraphLabelledTree) -> Graph:
@@ -353,7 +358,9 @@ def validate_reduced(t: GraphLabelledTree) -> list[str]:
     """Reducedness violations; empty list iff the tree is reduced.
 
     The single-bag tree is exempt from the minimum-size rule: the whole
-    graph is one bag there, and 1- or 2-vertex graphs are legitimate.
+    graph is one bag there, and 1- or 2-vertex graphs are legitimate.  A
+    leaf bag of a larger tree has one marker, so the same rule is what
+    refuses a clique or star leaf with fewer than 2 ordinary vertices.
     """
     out = []
     multi = len(t.bags) > 1
@@ -361,16 +368,6 @@ def validate_reduced(t: GraphLabelledTree) -> list[str]:
         bag = t.bags[bid]
         if multi and bag.kind in (CLIQUE, STAR) and bag.label.n < 3:
             out.append(f"bag {bid}: {bag.kind} bag with fewer than 3 vertices")
-        if t.is_leaf_bag(bid):
-            if bag.kind == CLIQUE and len(bag.ordinary) < 2:
-                out.append(f"bag {bid}: clique leaf bag with <2 ordinary vertices")
-            if bag.kind == STAR:
-                (e,) = bag.markers
-                if bag.markers[e] == bag.star_center and len(bag.ordinary) < 2:
-                    out.append(
-                        f"bag {bid}: center-attached star leaf bag with <2 "
-                        "ordinary leaves"
-                    )
     for e in sorted(t.tree_edges):
         x, y = t.tree_edges[e]
         bx, by = t.bags[x], t.bags[y]
@@ -456,27 +453,19 @@ def twin_from_leaf_bag(
 ) -> Optional[tuple[int, int]]:
     """Twin pair of the represented graph read off a non-prime leaf bag.
 
-    Clique bags give true twins; center-attached stars and multi-leaf
-    leaf-attached stars give false twins; a leaf-attached star with exactly
-    one ordinary leaf gives none.  The returned pair is verified against the
-    reconstructed graph.
+    The candidates are the bag's ordinary vertices other than a star's
+    center (a clique has no center, and a center-attached star's center is
+    its marker): true twins in a clique, false twins in a star.  A
+    leaf-attached star with exactly one ordinary leaf gives none.  The
+    returned pair is verified against the reconstructed graph.
     """
     bag = t.bags[bag_id]
     cls = classify_leaf_bag(t, bag_id)
-    if cls.kind == "clique":
-        cands = sorted(bag.ordinary.values())
-        expected = "true"
-    elif cls.kind == "star_center_attached":
-        cands = sorted(bag.ordinary.values())
-        expected = "false"
-    else:
-        cands = sorted(
-            orig for l, orig in bag.ordinary.items() if l != bag.star_center
-        )
-        expected = "false"
-        if len(cands) < 2:
-            return None
+    cands = sorted(o for l, o in bag.ordinary.items() if l != bag.star_center)
+    expected = "true" if bag.kind == CLIQUE else "false"
     if len(cands) < 2:
+        if cls.kind == "star_leaf_attached":
+            return None
         raise InvariantViolation(
             f"bag {bag_id} violates the reduced leaf-bag facts ({cls.kind})"
         )

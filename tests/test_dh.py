@@ -8,6 +8,7 @@ import random
 from typing import Optional
 
 import pytest
+from test_kernels import _metric_dh_literal
 
 from zfx import graphs, kernels
 from zfx.dh import (
@@ -102,9 +103,18 @@ def test_metric_oracle_examples():
 
 
 def test_metric_oracle_guards():
+    """No connectivity guard: the oracle is the literal definition on all
+    256 disconnected classes with n <= 7, a graph being distance-hereditary
+    iff each of its components is."""
     assert dh_metric_oracle(make_path(9))
-    with pytest.raises(ValueError):
-        dh_metric_oracle(graph_from_edges(3, [(0, 1)]))
+    assert dh_metric_oracle(graph_from_edges(3, [(0, 1)]))
+    c5_k1 = Graph(6, make_cycle(5).adj + (0,))
+    assert not dh_metric_oracle(c5_k1)
+    disconnected = [g for n in range(8) for g in enumerate_graphs(n)
+                    if g.n and not is_connected(g)]
+    assert len(disconnected) == 256
+    for g in disconnected:
+        assert dh_metric_oracle(g) == _metric_dh_literal(g.n, g.adj)
 
 
 def test_certificate_soundness_small(connected_by_n):

@@ -141,10 +141,26 @@ def _twin_scan_oracle(g: Graph):
     return None
 
 
-def test_find_twin_pair_matches_oracle(graphs_by_n):
-    for n, graphs in graphs_by_n.items():
-        for g in graphs:
-            assert find_twin_pair(g) == _twin_scan_oracle(g)
+def _twin_double_loop(g: Graph):
+    """The scan ``find_twin_pair`` ran before it read the twin classes."""
+    for u in range(g.n):
+        au = g.adj[u]
+        for v in range(u + 1, g.n):
+            av = g.adj[v]
+            if (au >> v) & 1:
+                if au & ~(1 << v) == av & ~(1 << u):
+                    return (u, v, "true")
+            elif au == av:
+                return (u, v, "false")
+    return None
+
+
+def test_find_twin_pair_matches_oracle():
+    """Every class with n <= 7, disconnected ones included."""
+    classes = [g for n in range(8) for g in enumerate_graphs(n)]
+    assert len(classes) == 1253
+    for g in classes:
+        assert find_twin_pair(g) == _twin_scan_oracle(g) == _twin_double_loop(g)
 
 
 # --- isomorphism ---------------------------------------------------------------

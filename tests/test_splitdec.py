@@ -395,7 +395,7 @@ def test_check_tree_runs_once_per_graph(monkeypatch):
     monkeypatch.setattr(splitdec, "check_tree", lambda t: calls.append(t) or check(t))
     spider = graph_from_edges(5, [(0, 4), (1, 4), (3, 4), (2, 3)])
     # three bags out of the split recursion, two after a star-star merge
-    assert len(kernels.split_bags(spider.n, spider.adj)[1]) == 3
+    assert len(kernels.split_bags(spider.n, spider.adj)) == 3
     assert len(decompose(spider).bags) == 2
     for g in (make_path(5), c5_pendant(), spider, make_complete(4)):
         calls.clear()
@@ -411,12 +411,10 @@ def test_reconstruct_refuses_dangling_marker():
     reaches ``reconstruct``."""
     t = _kk_tree()
     bag = t.bags[1]
-    with pytest.raises(TreeError, match="unknown edge 5"):
+    with pytest.raises(TreeError, match="tree edge 5 has 1 markers, not 2"):
         GraphLabelledTree(
             bags={0: t.bags[0],
                   1: Bag(bag.label, bag.kind, {0: 2}, {0: 2, 5: 1}, bag.star_center)},
-            tree_edges=t.tree_edges,
-            vertex_ids=(0, 1, 2),
         )
 
 
@@ -446,9 +444,9 @@ def test_reconstruct_hand_built_p4():
                 star_center=0,
             ),
         },
-        tree_edges={0: (0, 1)},
-        vertex_ids=(0, 1, 2, 3),
     )
+    assert t.tree_edges == {0: (0, 1)} and t.vertex_ids == (0, 1, 2, 3)
+    assert GraphLabelledTree(dict(reversed(t.bags.items()))).tree_edges == {0: (0, 1)}
     # bag 1 is attached through its center, so ordinary 2 sits at a leaf:
     # accessibility gives 1~2 (through markers) and 2~3 inside bag 1... the
     # center is the marker, so leaves 2 and 3 are both adjacent only across.
@@ -469,9 +467,8 @@ def test_reconstruct_single_clique_bag():
                 star_center=None,
             )
         },
-        tree_edges={},
-        vertex_ids=(0, 1, 2),
     )
+    assert t.tree_edges == {} and t.vertex_ids == (0, 1, 2)
     assert reconstruct(t) == make_complete(3) == _reconstruct_dfs(t)
 
 
@@ -493,8 +490,6 @@ def test_reconstruct_two_leaf_stars_is_p4():
                 star_center=1,
             ),
         },
-        tree_edges={0: (0, 1)},
-        vertex_ids=(0, 1, 2, 3),
     )
     assert reconstruct(t) == make_path(4) == _reconstruct_dfs(t)
     assert validate_reduced(t) == []
@@ -518,8 +513,6 @@ def _kk_tree() -> GraphLabelledTree:
                 star_center=None,
             ),
         },
-        tree_edges={0: (0, 1)},
-        vertex_ids=(0, 1, 2, 3),
     )
 
 
@@ -527,6 +520,19 @@ def test_validate_reduced_flags_kk():
     violations = validate_reduced(_kk_tree())
     assert len(violations) == 1 and "KK" in violations[0]
     assert reconstruct(_kk_tree()) == make_complete(4) == _reconstruct_dfs(_kk_tree())
+
+
+def test_validate_reduced_small_leaf_bag_is_one_violation():
+    """A leaf bag of a multi-bag tree has one marker, so a clique leaf with
+    one ordinary vertex, or a center-attached star leaf with one leaf, breaks
+    the size rule and nothing else."""
+    c5 = Bag(make_cycle(5), "prime", {0: 1, 1: 2, 2: 3, 3: 4}, {0: 4}, None)
+    for leaf in (Bag(make_complete(2), "clique", {0: 0}, {0: 1}, None),
+                 Bag(make_complete(2), "star", {1: 0}, {0: 0}, 0)):
+        t = GraphLabelledTree({0: leaf, 1: c5})
+        assert validate_reduced(t) == [
+            f"bag 0: {leaf.kind} bag with fewer than 3 vertices"
+        ]
 
 
 def test_validate_reduced_flags_spsc():
@@ -547,8 +553,6 @@ def test_validate_reduced_flags_spsc():
                 star_center=0,
             ),
         },
-        tree_edges={0: (0, 1)},
-        vertex_ids=(0, 1, 2, 3),
     )
     violations = validate_reduced(t)
     assert len(violations) == 1 and "SpSc" in violations[0]
@@ -556,13 +560,27 @@ def test_validate_reduced_flags_spsc():
     assert reconstruct(t) == _reconstruct_dfs(t)
 
 
+def _clique_bag(ordinary: dict[int, int], markers: dict[int, int]) -> Bag:
+    """A clique bag on as many label vertices as it has locals."""
+    return Bag(make_complete(len(ordinary) + len(markers)), "clique",
+               ordinary, markers, None)
+
+
 def test_check_tree_rejects_malformed():
+    """The shape of a tree is what its bags' markers say, so each malformed
+    tree is malformed bags."""
     t = _kk_tree()
-    with pytest.raises(TreeError):
-        GraphLabelledTree(
-            bags=t.bags, tree_edges={0: (0, 1), 1: (0, 1)}, vertex_ids=t.vertex_ids
-        )
-    with pytest.raises(TreeError):
+    with pytest.raises(TreeError, match="tree edge 0 has 3 markers, not 2"):
+        GraphLabelledTree({**t.bags, 2: _clique_bag({0: 4, 1: 5}, {0: 2})})
+    with pytest.raises(TreeError, match="edge count"):  # two edges join bags 0, 1
+        GraphLabelledTree({0: _clique_bag({0: 0}, {0: 1, 1: 2}),
+                           1: _clique_bag({0: 1}, {0: 1, 1: 2})})
+    with pytest.raises(TreeError, match="not connected"):  # a cycle and a bag apart
+        GraphLabelledTree({0: _clique_bag({0: 0}, {0: 1, 2: 2}),
+                           1: _clique_bag({0: 1}, {0: 1, 1: 2}),
+                           2: _clique_bag({0: 2}, {1: 1, 2: 2}),
+                           3: _clique_bag({0: 3}, {})})
+    with pytest.raises(TreeError, match="original vertex 0 appears in two bags"):
         GraphLabelledTree(
             bags={
                 0: t.bags[0],
@@ -574,15 +592,11 @@ def test_check_tree_rejects_malformed():
                     star_center=None,
                 ),
             },
-            tree_edges={0: (0, 1)},
-            vertex_ids=(0, 1, 3),
         )
     with pytest.raises(TreeError, match="partition label"):
         GraphLabelledTree(  # local 5 is no vertex of the 1-vertex label
             bags={0: Bag(label=make_complete(1), kind="clique",
                          ordinary={5: 0}, markers={}, star_center=None)},
-            tree_edges={},
-            vertex_ids=(0,),
         )
 
 
@@ -648,9 +662,8 @@ def test_center_attached_star_yields_false_twins():
                 star_center=None,
             ),
         },
-        tree_edges={0: (0, 1)},
-        vertex_ids=(10, 11, 12, 13),
     )
+    assert t.tree_edges == {0: (0, 1)} and t.vertex_ids == (10, 11, 12, 13)
     cls = classify_leaf_bag(t, 0)
     assert cls.kind == "star_center_attached" and cls.ordinary_leaves == 2
     assert twin_from_leaf_bag(t, 0) == (10, 11)
