@@ -9,17 +9,23 @@ written once per corpus, and ``run_campaign`` folds the records of every
 phase into one deterministic VerificationReport: records are sorted by
 graph6 string, so the report is independent of worker count.  The library
 functions are ``run_campaign`` bound to a table name, keywords only.
+
+At jobs > 1 one process pool serves the whole campaign.  Its workers get
+every corpus once, when they start (inherited under fork, pickled once per
+worker otherwise); a task names a worker, a corpus and an index range, and
+sends back outcomes only, which the main process names from its own list.
 """
 
 from __future__ import annotations
 
 import inspect
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from . import kernels
 from .dh import dh_metric_oracle, recognize_dh, replay_trace
@@ -110,8 +116,6 @@ class VerificationReport:
 
 # A corpus item: a built-in Graph, or a graph6 line read from a file.
 Item = Union[Graph, str]
-# An item with the graph6 line that names its records.
-Named = tuple[str, Item]
 
 
 def builtin_corpus(n_max: int, connected: bool = True) -> list[Graph]:
@@ -131,32 +135,76 @@ class _Skip(Exception):
     """Raised by a worker: its graph is skipped for this reason."""
 
 
-def _named(items: list[Item]) -> list[Named]:
-    return [(it if isinstance(it, str) else write_graph6(it), it) for it in items]
+class _Corpus(NamedTuple):
+    """A corpus, and the graph6 line that names each item's record."""
+
+    items: list[Item]
+    lines: list[str]
 
 
-def _guarded(worker: Callable, named: Named) -> dict:
-    """The record of an item, named by its graph6 line: the worker's
-    outcome, or a skip or failure, so one bad graph never aborts a campaign.
-    A graph over a budget is skipped with the cap as its reason."""
-    line, item = named
+def _corpus(items: list[Item]) -> _Corpus:
+    return _Corpus(items, [it if isinstance(it, str) else write_graph6(it)
+                           for it in items])
+
+
+def _outcome(worker: Callable, item: Item) -> dict:
+    """The worker's outcome for one item, a new dict, or a skip or failure,
+    so one bad graph never aborts a campaign.  A graph over a budget is
+    skipped with the cap as its reason."""
     try:
-        return {"graph6": line, **worker(item)}
+        return worker(item)
     except (_Skip, CapacityError) as skip:
-        return {"graph6": line, "status": SKIPPED, "reason": str(skip)}
+        return {"status": SKIPPED, "reason": str(skip)}
     except Exception as exc:
-        return {"graph6": line, "status": ANOMALY,
-                "reason": f"{type(exc).__name__}: {exc}"}
+        return {"status": ANOMALY, "reason": f"{type(exc).__name__}: {exc}"}
 
 
-def _run_scan(items: list[Named], worker: Callable, jobs: int) -> list[dict]:
-    worker = partial(_guarded, worker)
-    if jobs > 1 and len(items) > 1:
-        chunk = max(1, len(items) // (jobs * 8))
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            records = list(ex.map(worker, items, chunksize=chunk))
+# In a pool worker process: the corpora of the campaign that started the
+# pool, set once by ``_init_worker``.  The main process never sets it.
+_CORPORA: tuple = ()
+
+
+def _init_worker(corpora: tuple) -> None:
+    global _CORPORA
+    _CORPORA = corpora
+
+
+def _scan_range(worker: Callable, index: int, start: int, stop: int) -> list[dict]:
+    """One pool task: the outcomes of items ``start:stop`` of a corpus."""
+    return [_outcome(worker, item) for item in _CORPORA[index][start:stop]]
+
+
+class _Pool(NamedTuple):
+    """A campaign's worker processes, and which of their corpora a scan reads."""
+
+    executor: ProcessPoolExecutor
+    workers: int
+    index: int
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_scan(corpus: _Corpus, worker: Callable, pool: Optional[_Pool]) -> list[dict]:
+    """The records of ``worker`` over ``corpus``, sorted by graph6: each
+    item's outcome, named by its line.  Without a pool, each item is one
+    ``worker(item)`` call here.  With one, a task is an index range of the
+    corpus its workers already hold, and they send back outcomes only."""
+    if pool is None:
+        records = [_outcome(worker, item) for item in corpus.items]
     else:
-        records = [worker(it) for it in items]
+        size = len(corpus.items)
+        chunk = max(1, size // (pool.workers * 8))
+        futures = [pool.executor.submit(_scan_range, worker, pool.index,
+                                        start, start + chunk)
+                   for start in range(0, size, chunk)]
+        records = [out for f in futures for out in f.result()]
+    for line, rec in zip(corpus.lines, records, strict=True):
+        rec["graph6"] = line
     records.sort(key=lambda r: r["graph6"])
     return records
 
@@ -187,14 +235,15 @@ def _fold(report: VerificationReport, records: list[dict]) -> None:
 @dataclass(frozen=True)
 class Phase:
     """One scan: ``worker``, given the campaign parameters its signature names
-    after ``item``, maps each item of ``corpus(params)`` to an outcome dict
-    (status, and reason or witness fields) or raises ``_Skip``."""
+    after ``item``, maps each item of ``corpus(params)`` to a new outcome dict
+    (status, and reason or witness fields), which becomes the item's record,
+    or raises ``_Skip``."""
 
     name: Optional[str]  # key under report.phases; None adds no phases block
     corpus: Callable[[dict], list[Item]]
     worker: Callable[..., dict]
     tag: Optional[int] = None  # stamped as "phase" on its counterexamples
-    extra: Optional[Callable[[list, list], dict]] = None  # (named items, records)
+    extra: Optional[Callable[[_Corpus, list], dict]] = None  # (corpus, records)
 
 
 @dataclass(frozen=True)
@@ -208,8 +257,10 @@ class Campaign:
 
 def run_campaign(name: str, /, *, jobs: int = 1, **params) -> VerificationReport:
     """Run ``CAMPAIGNS[name]``; parameters left out or None take the
-    table's defaults.  Phases with the same corpus function share its list
-    of named items."""
+    table's defaults.  Every corpus is built first, and phases with the same
+    corpus function share one list.  At jobs > 1 one process pool serves
+    every phase, with min(jobs, usable CPUs, largest corpus) workers that
+    receive the corpora once, when they start."""
     spec = CAMPAIGNS[name]
     unknown = params.keys() - spec.params.keys()
     if unknown:
@@ -220,26 +271,38 @@ def run_campaign(name: str, /, *, jobs: int = 1, **params) -> VerificationReport
                             f"{name} reads only the built-in enumeration")
     report = VerificationReport(name, spec.corpus(p))
     t0 = time.perf_counter()
-    corpora: dict = {}
-    phases = {}
+    index: dict = {}  # corpus function -> its position in corpora
+    corpora: list[_Corpus] = []
     for phase in spec.phases:
-        if phase.corpus not in corpora:
-            corpora[phase.corpus] = _named(phase.corpus(p))
-        items = corpora[phase.corpus]
-        takes = list(inspect.signature(phase.worker).parameters)[1:]
-        worker = partial(phase.worker, **{k: p[k] for k in takes})
-        records = _run_scan(items, worker, jobs)
-        before_cx = len(report.counterexamples)
-        _fold(report, records)
-        if phase.tag is not None:
-            for cx in report.counterexamples[before_cx:]:
-                cx["phase"] = phase.tag
-        if phase.name is not None:
-            phases[phase.name] = {
-                "scanned": len(records),
-                "verified": sum(r["status"] == VERIFIED for r in records),
-                **(phase.extra(items, records) if phase.extra else {}),
-            }
+        if phase.corpus not in index:
+            index[phase.corpus] = len(corpora)
+            corpora.append(_corpus(phase.corpus(p)))
+    workers = min(jobs, _usable_cpus(), max(len(c.items) for c in corpora))
+    executor = (ProcessPoolExecutor(workers, initializer=_init_worker,
+                                    initargs=(tuple(c.items for c in corpora),))
+                if workers > 1 else None)
+    phases = {}
+    try:
+        for phase in spec.phases:
+            i = index[phase.corpus]
+            takes = list(inspect.signature(phase.worker).parameters)[1:]
+            worker = partial(phase.worker, **{k: p[k] for k in takes})
+            pool = None if executor is None else _Pool(executor, workers, i)
+            records = _run_scan(corpora[i], worker, pool)
+            before_cx = len(report.counterexamples)
+            _fold(report, records)
+            if phase.tag is not None:
+                for cx in report.counterexamples[before_cx:]:
+                    cx["phase"] = phase.tag
+            if phase.name is not None:
+                phases[phase.name] = {
+                    "scanned": len(records),
+                    "verified": sum(r["status"] == VERIFIED for r in records),
+                    **(phase.extra(corpora[i], records) if phase.extra else {}),
+                }
+    finally:
+        if executor is not None:
+            executor.shutdown(cancel_futures=True)
     report.phases = phases or None
     report.timing_seconds = time.perf_counter() - t0
     return report
@@ -461,8 +524,8 @@ CAMPAIGNS = {c.name: c for c in (
                   lambda p: split_prime_graphs(p["m"]),
                   _prime_core_worker, tag=1,
                   # the primes in enumeration order, not the records' graph6 order
-                  extra=lambda items, records: {
-                      "prime_graphs": [line for line, _ in items],
+                  extra=lambda corpus, records: {
+                      "prime_graphs": list(corpus.lines),
                       "subgraph_classes": sum(r.get("subgraph_classes", 0)
                                               for r in records)}),
             Phase("phase2", _graphs, _unique_prime_worker, tag=2),

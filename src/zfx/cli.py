@@ -75,8 +75,8 @@ _MAKERS = {"path": make_path, "cycle": make_cycle, "complete": make_complete,
 
 def _add_graph_input(p: argparse.ArgumentParser) -> None:
     grp = p.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--g6", metavar="FILE|LITERAL",
-                     help="graph6 line, or a file of graph6 lines")
+    grp.add_argument("--g6", metavar="LINE", help="one graph6 line")
+    grp.add_argument("--g6-file", metavar="FILE", help="a file of graph6 lines")
     for name in _MAKERS:
         grp.add_argument(f"--{name}", type=_NATURAL, metavar="N")
 
@@ -94,8 +94,8 @@ def _input_graphs(args) -> list[tuple[str, Graph]]:
         if getattr(args, name) is not None:
             g = make(getattr(args, name))
             return [(write_graph6(g), g)]
-    if os.path.exists(args.g6):
-        return [(ln, parse_graph6(ln)) for ln in campaigns.load_corpus(args.g6)]
+    if args.g6_file is not None:
+        return [(ln, parse_graph6(ln)) for ln in campaigns.load_corpus(args.g6_file)]
     return [(args.g6, parse_graph6(args.g6))]
 
 
@@ -224,7 +224,7 @@ def _dh_text(e: dict) -> str:
 _CAMPAIGN_FLAGS = (
     ("n_max", "--nmax", {"type": _POSITIVE}),
     ("m", "--m", {"type": _POSITIVE}),
-    ("g6_file", "--g6", {"help": "graph6 corpus file"}),
+    ("g6_file", "--g6-file", {"metavar": "FILE", "help": "graph6 corpus file"}),
     ("jobs", "--jobs", {"type": _POSITIVE}),
     ("budget", "--budget-subsets", {"type": _NATURAL}),
     ("split_budget", "--budget-splits", {"type": _NATURAL}),

@@ -5,6 +5,8 @@ from __future__ import annotations
 import hashlib
 import inspect
 import json
+import os
+from concurrent.futures import Future, ProcessPoolExecutor
 from functools import cache
 
 import pytest
@@ -24,6 +26,7 @@ from zfx.campaigns import (
 from zfx.errors import CapacityError, TraceError
 from zfx.graphs import (
     ENUM_MAX,
+    Graph,
     are_isomorphic,
     classify_kind,
     make_cycle,
@@ -174,6 +177,112 @@ def test_shard_invariance_small():
     c = audit_lemmas(n_max=4, jobs=1)
     d = audit_lemmas(n_max=4, jobs=2)
     assert c.normalized_json() == d.normalized_json()
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Every process pool a campaign starts, each recording the corpora it
+    hands its workers and the arguments of every task submitted to it.
+    Two CPUs are usable, whatever the machine has."""
+    made = []
+
+    class Recording(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            (self.corpora,) = kwargs["initargs"]
+            self.tasks = []
+            made.append(self)
+
+        def submit(self, fn, /, *args, **kwargs):
+            self.tasks.append(args)
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(campaigns, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(campaigns, "_usable_cpus", lambda: 2)
+    return made
+
+
+def test_one_pool_per_campaign(pools):
+    """All three audit-lemmas phases run on one pool, whose workers hold the
+    two corpora; a task names a corpus and an index range, never a graph."""
+    report = audit_lemmas(n_max=5, jobs=2)
+    assert report.normalized_json() == audit_lemmas(n_max=5, jobs=1).normalized_json()
+    (pool,) = pools
+    assert len(pool.corpora) == 2  # leaf_recurrence and peel_extract share one
+    for args in pool.tasks:
+        assert not any(isinstance(a, (Graph, list, tuple)) for a in args), args
+    _, corpus, _, _ = zip(*pool.tasks)
+    assert set(corpus) == {0, 1}
+    assert sum(min(stop, len(pool.corpora[c])) - start
+               for _, c, start, stop in pool.tasks) == report.scanned
+
+
+def test_unique_prime_corpora_share_one_pool(pools):
+    report = verify_unique_prime(n_max=6, m=5, jobs=2)
+    (pool,) = pools
+    assert len(pool.corpora) == 2  # phase 1's primes, phase 2's graphs
+    assert (report.normalized_json()
+            == verify_unique_prime(n_max=6, m=5, jobs=1).normalized_json())
+
+
+def test_bad_file_line_skips_alike_in_a_pool(pools, tmp_path):
+    f = tmp_path / "corpus.g6"
+    f.write_text("DhC\nD?\nC~\nBw\n")  # D? is cut short
+    serial = verify_dh(g6_file=str(f), jobs=1)
+    pooled = verify_dh(g6_file=str(f), jobs=2)
+    assert len(pools) == 1
+    assert pooled.skipped == serial.skipped
+    parse_skips = [s["graph6"] for s in serial.skipped if s["reason"].startswith("parse")]
+    assert parse_skips == ["D?"]
+    assert pooled.normalized_json() == serial.normalized_json()
+
+
+class _InlineExecutor:
+    """Stands in for the process pool: runs each task here, at once, and
+    records the worker count it was asked for."""
+
+    made: list = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.max_workers = max_workers
+        initializer(*initargs)
+        _InlineExecutor.made.append(self)
+
+    def submit(self, fn, /, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, cancel_futures=False):
+        pass
+
+
+@pytest.mark.parametrize("jobs,cpus,lines,workers", [
+    (10_000, 4, None, 4),  # never more workers than usable CPUs
+    (3, 4, None, 3),
+    (8, 4, "A_\nBw\n", 2),  # nor than items in the largest corpus
+    (8, 4, "Bw\n", None),  # one item: no pool at all
+])
+def test_pool_size_is_bounded(monkeypatch, tmp_path, jobs, cpus, lines, workers):
+    monkeypatch.setattr(campaigns, "ProcessPoolExecutor", _InlineExecutor)
+    monkeypatch.setattr(campaigns, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(campaigns, "_CORPORA", ())  # the initializer sets it here
+    monkeypatch.setattr(_InlineExecutor, "made", [])
+    params = {"n_max": 4}
+    if lines is not None:
+        (tmp_path / "c.g6").write_text(lines)
+        params = {"g6_file": str(tmp_path / "c.g6")}
+    report = verify_dh(jobs=jobs, **params)
+    assert [e.max_workers for e in _InlineExecutor.made] == (
+        [] if workers is None else [workers])
+    assert report.normalized_json() == verify_dh(jobs=1, **params).normalized_json()
+
+
+def test_usable_cpus(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert campaigns._usable_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+    assert campaigns._usable_cpus() == (os.cpu_count() or 1)
 
 
 def test_corpus_lines_round_trip():

@@ -47,6 +47,19 @@ def test_profile_g6_literal(capsys):
     assert payload["zero_forcing_number"] == 3
 
 
+def test_g6_is_a_literal_even_when_a_file_has_its_name(capsys, tmp_path, monkeypatch):
+    """``--g6`` never reads a file and ``--g6-file`` always does."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "C~").write_text("DhC\n")  # P_5
+    code, payload, _ = run_json(capsys, "profile", "--g6", "C~")
+    assert code == 0 and payload["graph6"] == "C~"
+    assert payload["z"] == [0, 0, 0, 4, 1]  # K_4
+    code, payload, _ = run_json(capsys, "profile", "--g6-file", "C~")
+    assert code == 0 and payload["graph6"] == "DhC" and payload["n"] == 5
+    code, _, err = run(capsys, "profile", "--g6-file", "missing.g6")
+    assert code == 1 and "error:" in err
+
+
 def test_profile_against_path(capsys):
     code, payload, _ = run_json(capsys, "profile", "--path", "5", "--against-path")
     assert code == 0 and payload["margins"] == [0] * 6
@@ -63,7 +76,7 @@ def test_profile_human_output(capsys):
 def test_profile_file_input(capsys, tmp_path):
     f = tmp_path / "corpus.g6"
     f.write_text("C~\nDhC\n")
-    code, payload, _ = run_json(capsys, "profile", "--g6", str(f))
+    code, payload, _ = run_json(capsys, "profile", "--g6-file", str(f))
     assert code == 0 and len(payload) == 2
 
 
@@ -87,7 +100,7 @@ def test_budget_default_is_the_forcing_constant(capsys, monkeypatch):
 def test_empty_g6_file(capsys, tmp_path):
     f = tmp_path / "empty.g6"
     f.write_text("")
-    code, payload, _ = run_json(capsys, "profile", "--g6", str(f))
+    code, payload, _ = run_json(capsys, "profile", "--g6-file", str(f))
     assert code == 0 and payload == []
 
 
@@ -104,7 +117,7 @@ def test_non_ascii_line_skips_in_a_campaign(capsys, tmp_path):
     for raw in ("A_\nB\u00e9\nBw\n".encode("utf-8"), b"A_\nB\xe9\nBw\n"):
         f = tmp_path / "corpus.g6"
         f.write_bytes(raw)
-        code, payload, err = run_json(capsys, "verify-dh", "--g6", str(f))
+        code, payload, err = run_json(capsys, "verify-dh", "--g6-file", str(f))
         assert code == 0 and err == ""
         assert payload["totals"] == {"scanned": 3, "verified": 2, "skipped": 1,
                                      "counterexamples": 0}
@@ -128,7 +141,7 @@ def test_decompose_c5(capsys):
 def test_decompose_disconnected_errors(capsys, tmp_path):
     f = tmp_path / "disc.g6"
     f.write_text("C?\n")  # empty graph on 4 vertices
-    code, _, err = run(capsys, "decompose", "--g6", str(f))
+    code, _, err = run(capsys, "decompose", "--g6-file", str(f))
     assert code == 1 and "disconnected" in err
 
 
@@ -157,7 +170,7 @@ def test_verify_dh_small(capsys):
 def test_verify_dh_corpus_with_c5(capsys, tmp_path):
     f = tmp_path / "c.g6"
     f.write_text("DhC\nDLo\n")  # P_5 and C_5
-    code, payload, _ = run_json(capsys, "verify-dh", "--g6", str(f))
+    code, payload, _ = run_json(capsys, "verify-dh", "--g6-file", str(f))
     assert code == 0
     assert payload["totals"]["verified"] == 1
     assert payload["skipped"][0]["graph6"] == "DLo"
@@ -272,9 +285,9 @@ OUTPUT_FLAGS = [("--json", False), ("--csv", False), ("--out", None)]
 
 
 @pytest.mark.parametrize("command,flags", [
-    ("verify-dh", [("--nmax", None), ("--g6", None), ("--jobs", None),
+    ("verify-dh", [("--nmax", None), ("--g6-file", None), ("--jobs", None),
                    ("--budget-subsets", None)] + OUTPUT_FLAGS),
-    ("verify-unique-prime", [("--nmax", None), ("--m", None), ("--g6", None),
+    ("verify-unique-prime", [("--nmax", None), ("--m", None), ("--g6-file", None),
                              ("--jobs", None), ("--budget-subsets", None),
                              ("--budget-splits", None)] + OUTPUT_FLAGS),
     ("audit-lemmas", [("--nmax", None), ("--jobs", None), ("--budget-subsets", None),
@@ -345,21 +358,21 @@ profile --cycle 5 --against-path
 profile --cycle 5 --against-path --json
 profile --cycle 5 --against-path --csv
 profile --cycle 5 --csv --json
-profile --g6 FILE
-profile --g6 FILE --json
-profile --g6 FILE --csv --against-path
+profile --g6-file FILE
+profile --g6-file FILE --json
+profile --g6-file FILE --csv --against-path
 profile --path 4 --out OUT
 decompose --path 4 --check
 decompose --cycle 5 --json
 decompose --complete 1
-decompose --g6 FILE --check
-decompose --g6 FILE --json
+decompose --g6-file FILE --check
+decompose --g6-file FILE --json
 recognize-dh --path 5 --check
 recognize-dh --cycle 5
 recognize-dh --cycle 5 --json
 recognize-dh --path 9 --check --json
-recognize-dh --g6 FILE
-recognize-dh --g6 FILE --check --json
+recognize-dh --g6-file FILE
+recognize-dh --g6-file FILE --check --json
 """
 
 
@@ -377,7 +390,7 @@ def test_single_graph_outputs_pinned(capsys, monkeypatch, tmp_path):
         written = target.read_text() if "OUT" in argv else ""
         digest.update(f"{' '.join(argv)}\n{code}\n{out}{err}{written}\n".encode())
     assert digest.hexdigest() == (
-        "b212b18b7015f13f54b6abcbcf32cdcc268a2840c3aa665116ce2d8bafa8f8f5")
+        "63a5d9324f607f49c007b3cf4a4439004d43397d55ee4ddf4a4e75515f7884e2")
 
 
 def _small(token: str) -> bool:
@@ -425,7 +438,9 @@ def _cli_call(draw):
         if flag == "--out":
             value = st.just("out.txt")
         elif flag == "--g6":
-            value = st.sampled_from(["corpus.g6", "C~", "A_", "Bw", "?"]) | TOKENS
+            value = st.sampled_from(["C~", "A_", "Bw", "?"]) | TOKENS
+        elif flag == "--g6-file":
+            value = st.just("corpus.g6") | TOKENS
         elif action.type is not None:
             value = st.integers(-1, 4).map(str) | TOKENS
         else:

@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import importlib
 import json
+import sys
 import types
 from pathlib import Path
+
+import pytest
 
 import zfx.campaigns
 import zfx.forcing
@@ -19,6 +22,15 @@ import zfx.forcing
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 LAYERS = PERFBENCH / "layers.json"
 GATES = PERFBENCH / "gates.py"
+
+
+def _from_text(name: str) -> types.ModuleType:
+    """perfbench/<name>.py run from its text: no .pyc is written beside it."""
+    path = PERFBENCH / f"{name}.py"
+    module = types.ModuleType(name)
+    module.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), vars(module))
+    return module
 
 
 def test_traced_functions_resolve():
@@ -41,9 +53,48 @@ def test_campaign_hooks_resolve():
 def test_pinned_campaigns_take_the_benchmark_call():
     """perfbench calls each campaign in ``gates.PINS`` as
     ``fn(n_max=..., jobs=...)``; that call shape must keep working."""
-    gates = types.ModuleType("gates")  # run from its text: no .pyc beside it
-    exec(compile(GATES.read_text(), str(GATES), "exec"), vars(gates))
+    gates = _from_text("gates")
     assert gates.PINS
     for name in gates.PINS:
         report = getattr(zfx.campaigns, name)(n_max=3, jobs=1)
         assert isinstance(report, zfx.campaigns.VerificationReport), name
+
+
+def test_scan_and_fold_wrappers_see_every_phase(monkeypatch):
+    """perfbench replaces ``_run_scan`` with ``(items, worker, jobs)`` and
+    passes the third argument on positionally, and ``_fold`` with
+    ``(report, records)``; one call each per phase, same report."""
+    plain = zfx.campaigns.audit_lemmas(n_max=4, jobs=2).normalized_json()
+    run_scan, fold = zfx.campaigns._run_scan, zfx.campaigns._fold
+    calls = {"scan": 0, "fold": 0}
+
+    def timed_scan(items, worker, jobs):
+        calls["scan"] += 1
+        return run_scan(items, worker, jobs)
+
+    def timed_fold(report, records):
+        calls["fold"] += 1
+        return fold(report, records)
+
+    monkeypatch.setattr(zfx.campaigns, "_run_scan", timed_scan)
+    monkeypatch.setattr(zfx.campaigns, "_fold", timed_fold)
+    wrapped = zfx.campaigns.audit_lemmas(n_max=4, jobs=2).normalized_json()
+    assert calls == {"scan": 3, "fold": 3}
+    assert wrapped == plain
+
+
+@pytest.mark.parametrize("jobs,per_item", [(1, True), (2, False)])
+def test_benchmark_timers_run(monkeypatch, jobs, per_item):
+    """perfbench's own ``time_scans``: traced (jobs=1), it wraps each
+    ``worker(item)`` call, and sees one per scanned item."""
+    monkeypatch.setitem(sys.modules, "gates", _from_text("gates"))
+    bench = _from_text("campaign")
+    plain = zfx.campaigns.audit_lemmas(n_max=4, jobs=jobs)
+    # saved, so the timers time_scans installs are taken out afterwards
+    monkeypatch.setattr(zfx.campaigns, "_run_scan", zfx.campaigns._run_scan)
+    monkeypatch.setattr(zfx.campaigns, "_fold", zfx.campaigns._fold)
+    acc = bench.time_scans(zfx.campaigns, per_item)
+    report = zfx.campaigns.audit_lemmas(n_max=4, jobs=jobs)
+    assert report.normalized_json() == plain.normalized_json()
+    assert acc["scan_s"] > 0
+    assert len(acc["worker_s"]) == (report.scanned if per_item else 0)
