@@ -21,7 +21,6 @@ import zfx.forcing
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 LAYERS = PERFBENCH / "layers.json"
-GATES = PERFBENCH / "gates.py"
 
 
 def _from_text(name: str) -> types.ModuleType:
