@@ -1,19 +1,23 @@
-/* Compiled twins of four hot kernels in ``_kernels_py``: ``canon_adj``,
- * ``profile_counts``, ``split_bags`` and ``accessible_rows``, the ones
- * whose compiled form moves a campaign's run time.  Every other kernel is
- * pure on both backends.
+/* Compiled twins of five hot kernels in ``_kernels_py``: ``canon_adj``,
+ * ``augment``, ``profile_counts``, ``split_bags`` and ``accessible_rows``,
+ * the ones whose compiled form moves a campaign's run time.  Every other
+ * kernel is pure on both backends.
  *
  * Same functions, same methods, same outputs; graphs arrive as (n, adj-row
  * ints) with n <= 64 so every mask fits a 64-bit word.  ``profile_counts``
  * counts forts on a 2^n-bit table of subsets, so it takes n <= 32.
+ * ``augment`` is one parent's step of ``graphs.enumerate_graphs``, its
+ * children generated, pruned and canonicalised in C; a child must fit in
+ * 64 bits, so it takes parents with 1 <= n <= 63.
  * ``split_bags`` runs the whole split recursion of ``splitdec.decompose``
  * in one call and emits finished bags (their ``ordinary`` and ``markers``
- * dicts, whose markers name the tree edges); ``accessible_rows`` is
- * ``splitdec.reconstruct``'s whole accessibility search, over at most 256
- * label vertices.  It raises ValueError on unordered or unknown ids, a
- * label vertex that is not exactly one of ordinary and marker, a tree edge
- * without exactly two markers and an alternating path that closes a cycle;
- * the shape of the bag graph is ``splitdec.check_tree``'s job.
+ * dicts, whose markers name the tree edges), refusing a disconnected graph;
+ * ``accessible_rows`` is ``splitdec.reconstruct``'s whole accessibility
+ * search, over at most 256 label vertices.  It raises ValueError on
+ * unordered or unknown ids, a label vertex that is not exactly one of
+ * ordinary and marker, a tree edge without exactly two markers and an
+ * alternating path that closes a cycle; the shape of the bag graph is
+ * ``splitdec.check_tree``'s job.
  *
  * Build: gcc -O3 -shared -fPIC -I<python include> _kernels_cy.c -o
  * _kernels_cy<EXT_SUFFIX>, or ``pip install .`` through setup.py.
@@ -307,38 +311,201 @@ static void canon_dfs(Canon *st, const int *verts, const int *starts,
     }
 }
 
-static PyObject *canon_adj(PyObject *Py_UNUSED(self), PyObject *args,
-                           PyObject *kwargs)
+/* The canonical rows of the graph on ``adj``, n >= 1, into ``rows``. */
+static void canon_words(int n, const u64 *adj, u64 *rows)
 {
-    static char *kwlist[] = {"n", "adj", NULL};
-    int n, i, j;
-    PyObject *adj;
     Canon st;
-    int verts[64], starts[66];
-    u64 rows[64], r;
+    int verts[64] = {0}, starts[66];
+    int i, j;
+    u64 r;
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iO", kwlist, &n, &adj))
-        return NULL;
-    if (n <= 1)
-        return PySequence_Tuple(adj);
-    if (read_adj(n, adj, st.adj) < 0)
-        return NULL;
     st.n = n;
     st.best_set = 0;
+    memcpy(st.adj, adj, n * sizeof adj[0]);
     for (i = 0; i < n; i++)
         verts[i] = i;
     starts[0] = 0;
     starts[1] = n;
     canon_dfs(&st, verts, starts, 1, 0);
     /* bit n - 1 - j of the row at depth i is the pair ij, j > i */
-    memset(rows, 0, sizeof rows);
+    memset(rows, 0, n * sizeof rows[0]);
     for (i = 0; i < n; i++)
         for (r = st.best_rows[i]; r; r &= r - 1) {
             j = n - 1 - CTZ(r);
             rows[i] |= (u64)1 << j;
             rows[j] |= (u64)1 << i;
         }
+}
+
+static PyObject *canon_adj(PyObject *Py_UNUSED(self), PyObject *args,
+                           PyObject *kwargs)
+{
+    static char *kwlist[] = {"n", "adj", NULL};
+    int n;
+    PyObject *adj;
+    u64 cadj[64], rows[64];
+
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iO", kwlist, &n, &adj))
+        return NULL;
+    if (n <= 1)
+        return PySequence_Tuple(adj);
+    if (read_adj(n, adj, cadj) < 0)
+        return NULL;
+    canon_words(n, cadj, rows);
     return int_tuple(n, rows);
+}
+
+/* --- enumeration step ---------------------------------------------------- */
+
+/* One parent on n vertices, as the pure ``augment`` reads it: its least
+ * degree d, by_deg[j] the vertices of degree j, sig[v] the sum of the
+ * degrees of v's neighbours, and the twin steps (u, w), u < w adjacent in
+ * their twin class.  ``out`` collects the canonical rows of the kept
+ * children. */
+typedef struct {
+    int n, d, nsteps;
+    u64 adj[64];
+    int deg[64], sig[64];
+    u64 by_deg[65];
+    u64 step_u[64], step_w[64];
+    PyObject *out;
+} Augment;
+
+/* Appends the canonical rows of the child whose new vertex n has the
+ * neighbourhood ``nb``, unless twin packing or canonical deletion drops
+ * it. */
+static int augment_child(Augment *a, u64 nb)
+{
+    int i, k, v, s, new_sig, rc;
+    u64 rivals, m, child[64], rows[64];
+    PyObject *t;
+
+    for (i = 0; i < a->nsteps; i++)
+        if ((nb & a->step_w[i]) && !(nb & a->step_u[i]))
+            return 0;
+    k = POPCOUNT(nb);
+    if (k && k >= a->d) {
+        /* the other vertices of degree k in the child */
+        rivals = (a->by_deg[k] & ~nb) | (a->by_deg[k - 1] & nb);
+        if (rivals) {
+            new_sig = k;
+            for (m = nb; m; m &= m - 1)
+                new_sig += a->deg[CTZ(m)];
+            for (; rivals; rivals &= rivals - 1) {
+                v = CTZ(rivals);
+                s = a->sig[v] + POPCOUNT(a->adj[v] & nb);
+                if ((nb >> v) & 1)
+                    s += k;
+                if (s > new_sig)
+                    return 0;
+            }
+        }
+    }
+    for (i = 0; i < a->n; i++)
+        child[i] = a->adj[i] | (((nb >> i) & 1) << a->n);
+    child[a->n] = nb;
+    canon_words(a->n + 1, child, rows);
+    t = int_tuple(a->n + 1, rows);
+    if (t == NULL)
+        return -1;
+    rc = PyList_Append(a->out, t);
+    Py_DECREF(t);
+    return rc;
+}
+
+/* Runs ``augment_child`` on base | {pool[i] : i in c} for every k-subset c
+ * of range(m), in ``itertools.combinations`` order. */
+static int augment_combinations(Augment *a, const int *pool, int m, int k,
+                                u64 base)
+{
+    int idx[64], i;
+    u64 nb;
+
+    if (k > m)
+        return 0;
+    for (i = 0; i < k; i++)
+        idx[i] = i;
+    for (;;) {
+        nb = base;
+        for (i = 0; i < k; i++)
+            nb |= (u64)1 << pool[idx[i]];
+        if (augment_child(a, nb) < 0)
+            return -1;
+        for (i = k - 1; i >= 0 && idx[i] == m - k + i; i--)
+            ;
+        if (i < 0)
+            return 0;
+        for (idx[i]++, i++; i < k; i++)
+            idx[i] = idx[i - 1] + 1;
+    }
+}
+
+/* The pure ``augment``: the neighbourhoods in which a new vertex n has
+ * minimum degree, in the order of ``_min_degree_neighbourhoods`` (every
+ * mask of at most d bits, then every mask of d + 1 bits holding the
+ * degree-d vertices), pruned and canonicalised as there. */
+static PyObject *augment(PyObject *Py_UNUSED(self), PyObject *args,
+                         PyObject *kwargs)
+{
+    static char *kwlist[] = {"n", "adj", NULL};
+    int n, i, u, w, k, m, pool[64];
+    u64 low, r;
+    PyObject *adj;
+    Augment a;
+
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iO", kwlist, &n, &adj))
+        return NULL;
+    if (n < 1 || n > 63) {
+        PyErr_Format(PyExc_ValueError,
+                     "augment takes parents with 1 <= n <= 63 (got %d)", n);
+        return NULL;
+    }
+    memset(&a, 0, sizeof a);
+    if (read_adj(n, adj, a.adj) < 0)
+        return NULL;
+    a.n = n;
+    a.d = 64;
+    for (i = 0; i < n; i++) {
+        a.deg[i] = POPCOUNT(a.adj[i]);
+        if (a.deg[i] < a.d)
+            a.d = a.deg[i];
+        a.by_deg[a.deg[i]] |= (u64)1 << i;
+    }
+    low = 0;
+    for (i = 0; i < n; i++) {
+        if (a.deg[i] == a.d)
+            low |= (u64)1 << i;
+        for (r = a.adj[i]; r; r &= r - 1)
+            a.sig[i] += a.deg[CTZ(r)];
+    }
+    /* twins u < w: adj[u] - w == adj[w] - u; the largest such u is w's
+     * predecessor in its class */
+    for (w = 1; w < n; w++)
+        for (u = w - 1; u >= 0; u--)
+            if ((a.adj[u] & ~((u64)1 << w)) == (a.adj[w] & ~((u64)1 << u))) {
+                a.step_u[a.nsteps] = (u64)1 << u;
+                a.step_w[a.nsteps++] = (u64)1 << w;
+                break;
+            }
+    a.out = PyList_New(0);
+    if (a.out == NULL)
+        return NULL;
+    for (i = 0; i < n; i++)
+        pool[i] = i;
+    for (k = 0; k <= a.d; k++)
+        if (augment_combinations(&a, pool, n, k, 0) < 0)
+            goto fail;
+    m = 0;
+    for (i = 0; i < n; i++)
+        if (!((low >> i) & 1))
+            pool[m++] = i;
+    k = a.d + 1 - POPCOUNT(low);
+    if (k >= 0 && augment_combinations(&a, pool, m, k, low) < 0)
+        goto fail;
+    return a.out;
+fail:
+    Py_DECREF(a.out);
+    return NULL;
 }
 
 /* --- splits -------------------------------------------------------------- */
@@ -493,6 +660,22 @@ static int split_rec(Splitter *sp, int n, const u64 *adj, const long long *tok)
     return 0;
 }
 
+/* True iff every vertex is reached from vertex 0 (the empty graph too). */
+static int connected(int n, const u64 *adj)
+{
+    u64 reach, frontier, next, m;
+
+    reach = frontier = n ? 1 : 0;
+    while (frontier) {
+        next = 0;
+        for (m = frontier; m; m &= m - 1)
+            next |= adj[CTZ(m)];
+        frontier = next & ~reach;
+        reach |= frontier;
+    }
+    return reach == FULL(n);
+}
+
 static PyObject *split_bags(PyObject *Py_UNUSED(self), PyObject *args,
                             PyObject *kwargs)
 {
@@ -508,6 +691,11 @@ static PyObject *split_bags(PyObject *Py_UNUSED(self), PyObject *args,
         return NULL;
     if (read_adj(n, adj, cadj) < 0)
         return NULL;
+    if (!connected(n, cadj)) {
+        PyErr_SetString(PyExc_ValueError,
+                        "decompose expects a connected graph");
+        return NULL;
+    }
     for (i = 0; i < n; i++)
         tok[i] = i;
     sp.bags = PyList_New(0);
@@ -744,6 +932,9 @@ static PyMethodDef kernel_methods[] = {
     KERNEL(profile_counts,
            "profile_counts(n, adj): zero forcing sets per size, k = 0..n."),
     KERNEL(canon_adj, "canon_adj(n, adj): canonically relabelled rows."),
+    KERNEL(augment,
+           "augment(n, adj): canonical rows of the children the enumeration "
+           "keeps from one parent."),
     KERNEL(split_bags,
            "split_bags(n, adj, reverse=False): bags of the split recursion."),
     KERNEL(accessible_rows,
@@ -755,7 +946,7 @@ static PyMethodDef kernel_methods[] = {
 static struct PyModuleDef kernels_module = {
     PyModuleDef_HEAD_INIT,
     "_kernels_cy",
-    "Compiled twins of four hot kernels in zfx._kernels_py.",
+    "Compiled twins of five hot kernels in zfx._kernels_py.",
     -1,
     kernel_methods,
     NULL,

@@ -2,12 +2,13 @@
 
 Graphs enter as ``(n, adj)`` where ``adj`` is a sequence of n ints, bit j of
 ``adj[i]`` set iff ij is an edge.  The compiled backend in ``_kernels_cy``
-implements four of these functions with identical outputs: ``canon_adj``,
-``profile_counts``, ``split_bags`` (the whole split recursion of
-``splitdec.decompose``, returning finished bags whose markers name the
-tree edges between them) and ``accessible_rows`` (the graph a
-graph-labelled tree represents, for ``splitdec.reconstruct``).
-``zfx.kernels`` picks those four at import time and takes
+implements five of these functions with identical outputs: ``canon_adj``,
+``augment`` (one parent's step of ``graphs.enumerate_graphs``, its kept
+children canonicalised), ``profile_counts``, ``split_bags`` (the whole
+split recursion of ``splitdec.decompose``, returning finished bags whose
+markers name the tree edges between them) and ``accessible_rows`` (the
+graph a graph-labelled tree represents, for ``splitdec.reconstruct``).
+``zfx.kernels`` picks those five at import time and takes
 ``closure_mask``, ``metric_dh`` and ``find_split_mask`` from here on both
 backends.  ``metric_dh`` runs a
 polynomial separation test.  ``profile_counts`` counts forts on bitsets
@@ -17,7 +18,10 @@ indexed by the 2^n subsets, here and in C (which refuses n > 32).
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 from math import comb
+from operator import or_
+from typing import Iterator
 
 BACKEND = "python"
 
@@ -227,6 +231,135 @@ def canon_adj(n: int, adj) -> tuple:
     return tuple(out)
 
 
+def _min_degree_neighbourhoods(base: tuple[int, ...]) -> Iterator[int]:
+    """Every neighbourhood ``nb`` of a new vertex added to ``base`` in which
+    the new vertex has minimum degree.
+
+    With ``d`` the least degree of ``base`` and ``low`` its vertices of that
+    degree, these are the masks with at most ``d`` bits, and the masks with
+    ``d + 1`` bits that contain ``low``: a new vertex of degree ``d + 1``
+    must raise every degree-``d`` vertex to ``d + 1``, and one of degree
+    ``d + 2`` or more cannot.
+    """
+    degrees = [row.bit_count() for row in base]
+    d = min(degrees)
+    low = sum(1 << i for i, k in enumerate(degrees) if k == d)
+    singles = [1 << i for i in range(len(base))]
+    for k in range(d + 1):
+        for c in combinations(singles, k):
+            yield sum(c)
+    extra = d + 1 - low.bit_count()
+    if extra >= 0:
+        for c in combinations([b for b in singles if not b & low], extra):
+            yield low | sum(c)
+
+
+def _twin_classes(adj: tuple[int, ...]) -> list[list[int]]:
+    """The classes of two or more twins, each in ascending vertex order.
+
+    Twins u and w have ``adj[u] & ~(1 << w) == adj[w] & ~(1 << u)``: equal
+    open neighbourhoods (false twins) or equal closed ones (true twins).
+    No vertex has both a true and a false twin, so the classes partition
+    the vertices, and each one is all true or all false twins.
+    """
+    open_nbhd: dict[int, list[int]] = {}
+    closed_nbhd: dict[int, list[int]] = {}
+    for v, row in enumerate(adj):
+        open_nbhd.setdefault(row, []).append(v)
+        closed_nbhd.setdefault(row | 1 << v, []).append(v)
+    return [c for groups in (open_nbhd, closed_nbhd)
+            for c in groups.values() if len(c) > 1]
+
+
+class _Added(dict):
+    """``added[nb]``: what joining vertex n to the neighbourhood ``nb`` ORs
+    into each row of an n-vertex parent extended by an empty row n, built
+    on first use."""
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.n = n
+
+    def __missing__(self, nb: int) -> tuple:
+        top = 1 << self.n
+        out = self[nb] = tuple(top if nb >> i & 1 else 0
+                               for i in range(self.n)) + (nb,)
+        return out
+
+
+@lru_cache(maxsize=None)
+def _added(n: int) -> _Added:
+    return _Added(n)
+
+
+def augment(n: int, adj) -> list:
+    """The canonical rows of the children that ``graphs.enumerate_graphs``
+    keeps from one parent on n vertices: one tuple per canonicalised
+    candidate, in generation order, duplicates kept.
+
+    The candidates are the neighbourhoods of a new vertex n in which it has
+    minimum degree (``_min_degree_neighbourhoods`` order); twin packing and
+    canonical deletion, as ``enumerate_graphs`` states them, drop some
+    before ``canon_adj`` runs.  Refuses n < 1 and n > 63, so that the child
+    fits in 64-bit rows.
+    """
+    if not 1 <= n <= 63:
+        raise ValueError(f"augment takes parents with 1 <= n <= 63 (got {n})")
+    adj = tuple(adj[:n])
+    base = adj + (0,)
+    added = _added(n)
+    deg = [row.bit_count() for row in adj]
+    d = min(deg)
+    # by_deg[j]: the parent's vertices of degree j; sig[v]: the sum of the
+    # parent degrees of v's neighbours
+    by_deg = [0] * (n + 1)
+    sig = []
+    for v, row in enumerate(adj):
+        by_deg[deg[v]] |= 1 << v
+        s = 0
+        while row:
+            low = row & -row
+            s += deg[low.bit_length() - 1]
+            row ^= low
+        sig.append(s)
+    # (u, w) bits of twins adjacent in their class, u < w
+    steps = [(1 << c[i - 1], 1 << c[i])
+             for c in _twin_classes(adj) for i in range(1, len(c))]
+    out = []
+    for nb in _min_degree_neighbourhoods(adj):
+        packed = True
+        for u, w in steps:
+            if nb & w and not nb & u:
+                packed = False
+                break
+        if not packed:
+            continue
+        k = nb.bit_count()
+        if k and k >= d:
+            # the other vertices of degree k in the child
+            rivals = (by_deg[k] & ~nb) | (by_deg[k - 1] & nb)
+            if rivals:
+                new_sig = k
+                m = nb
+                while m:
+                    low = m & -m
+                    new_sig += deg[low.bit_length() - 1]
+                    m ^= low
+                while rivals:
+                    low = rivals & -rivals
+                    v = low.bit_length() - 1
+                    s = sig[v] + (adj[v] & nb).bit_count()
+                    if nb & low:
+                        s += k
+                    if s > new_sig:
+                        break
+                    rivals ^= low
+                if rivals:  # the loop stopped at a larger sigma
+                    continue
+        out.append(canon_adj(n + 1, tuple(map(or_, base, added[nb]))))
+    return out
+
+
 def metric_dh(n: int, adj) -> bool:
     """True iff every connected induced subgraph preserves distances.
 
@@ -327,7 +460,19 @@ def split_bags(n: int, adj, reverse: bool = False) -> list:
     ``ordinary`` maps label vertices to original vertices and ``markers``
     maps tree edges to label vertices, both in ascending label order.  Tree
     edge e is held by exactly two bags, one on each side of its split.
+    Raises ``ValueError`` on a disconnected graph.
     """
+    reach = frontier = 1 if n else 0
+    while frontier:
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            nxt |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & ~reach
+        reach |= frontier
+    if reach != (1 << n) - 1:
+        raise ValueError("decompose expects a connected graph")
     bags = []
     edges = 0
     # a token is an original vertex, or ~e for a marker of tree edge e

@@ -9,11 +9,12 @@ the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, compress
-from operator import or_
+from itertools import compress
 from typing import Iterable, Iterator, Optional
 
 from . import kernels
+# the enumeration helpers live beside ``augment`` and keep their names here
+from ._kernels_py import _min_degree_neighbourhoods, _twin_classes  # noqa: F401
 from .errors import CapacityError, Graph6ParseError, InvariantViolation
 
 MAX_VERTICES = 64
@@ -328,46 +329,6 @@ ENUM_MAX = 9
 _levels: dict[int, tuple[tuple[Graph, ...], Optional[bytes]]] = {}
 
 
-def _min_degree_neighbourhoods(base: tuple[int, ...]) -> Iterator[int]:
-    """Every neighbourhood ``nb`` of a new vertex added to ``base`` in which
-    the new vertex has minimum degree.
-
-    With ``d`` the least degree of ``base`` and ``low`` its vertices of that
-    degree, these are the masks with at most ``d`` bits, and the masks with
-    ``d + 1`` bits that contain ``low``: a new vertex of degree ``d + 1``
-    must raise every degree-``d`` vertex to ``d + 1``, and one of degree
-    ``d + 2`` or more cannot.
-    """
-    degrees = [row.bit_count() for row in base]
-    d = min(degrees)
-    low = sum(1 << i for i, k in enumerate(degrees) if k == d)
-    singles = [1 << i for i in range(len(base))]
-    for k in range(d + 1):
-        for c in combinations(singles, k):
-            yield sum(c)
-    extra = d + 1 - low.bit_count()
-    if extra >= 0:
-        for c in combinations([b for b in singles if not b & low], extra):
-            yield low | sum(c)
-
-
-def _twin_classes(adj: tuple[int, ...]) -> list[list[int]]:
-    """The classes of two or more twins, each in ascending vertex order.
-
-    Twins u and w have ``adj[u] & ~(1 << w) == adj[w] & ~(1 << u)``: equal
-    open neighbourhoods (false twins) or equal closed ones (true twins).
-    No vertex has both a true and a false twin, so the classes partition
-    the vertices, and each one is all true or all false twins.
-    """
-    open_nbhd: dict[int, list[int]] = {}
-    closed_nbhd: dict[int, list[int]] = {}
-    for v, row in enumerate(adj):
-        open_nbhd.setdefault(row, []).append(v)
-        closed_nbhd.setdefault(row | 1 << v, []).append(v)
-    return [c for groups in (open_nbhd, closed_nbhd)
-            for c in groups.values() if len(c) > 1]
-
-
 def _enum_level(n: int) -> tuple[Graph, ...]:
     if n in _levels:
         return _levels[n][0]
@@ -376,57 +337,9 @@ def _enum_level(n: int) -> tuple[Graph, ...]:
     elif n == 1:
         reps = (Graph(1, (0,)),)
     else:
-        prev = _enum_level(n - 1)
-        top = 1 << (n - 1)
-        # added[nb]: what joining a new vertex to nb ORs into each row
-        added = [tuple(top if nb >> i & 1 else 0 for i in range(n - 1)) + (nb,)
-                 for nb in range(top)]
         seen = set()
-        for g in prev:
-            adj = g.adj
-            base = adj + (0,)
-            deg = [row.bit_count() for row in adj]
-            d = min(deg)
-            # by_deg[j]: the parent's vertices of degree j; sig[v]: the sum
-            # of the parent degrees of v's neighbours
-            by_deg = [0] * n
-            for v, k in enumerate(deg):
-                by_deg[k] |= 1 << v
-            sig = [sum(deg[u] for u in bits(row)) for row in adj]
-            # (u, w) bits of twins adjacent in their class, u < w
-            steps = [(1 << c[i - 1], 1 << c[i])
-                     for c in _twin_classes(adj) for i in range(1, len(c))]
-            for nb in _min_degree_neighbourhoods(adj):
-                packed = True
-                for u, w in steps:
-                    if nb & w and not nb & u:
-                        packed = False
-                        break
-                if not packed:
-                    continue
-                k = nb.bit_count()
-                if k and k >= d:
-                    # the other vertices of degree k in the child
-                    rivals = (by_deg[k] & ~nb) | (by_deg[k - 1] & nb)
-                    if rivals:
-                        new_sig = k
-                        m = nb
-                        while m:
-                            low = m & -m
-                            new_sig += deg[low.bit_length() - 1]
-                            m ^= low
-                        while rivals:
-                            low = rivals & -rivals
-                            v = low.bit_length() - 1
-                            s = sig[v] + (adj[v] & nb).bit_count()
-                            if nb & low:
-                                s += k
-                            if s > new_sig:
-                                break
-                            rivals ^= low
-                        if rivals:  # the loop stopped at a larger sigma
-                            continue
-                seen.add(kernels.canon_adj(n, tuple(map(or_, base, added[nb]))))
+        for g in _enum_level(n - 1):
+            seen.update(kernels.augment(n - 1, g.adj))
         reps = tuple(Graph(n, rows) for rows in sorted(seen))
     _levels[n] = (reps, None)
     return reps
@@ -449,8 +362,10 @@ def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
     adjacency-matrix encoding.  That reaches every class: deleting a
     minimum-degree vertex of any n-vertex graph leaves an (n-1)-vertex
     class, and adding the vertex back is one of the augmentations kept.
-    Two prunings drop a neighbourhood before it is canonicalized, and every
-    class is still reached (McKay 1998, isomorph-free generation):
+    ``kernels.augment`` runs that step for one parent: it generates the
+    neighbourhoods, applies two prunings that drop a neighbourhood before
+    it is canonicalized, and canonicalizes the rest.  Every class is still
+    reached (McKay 1998, isomorph-free generation):
 
     1. Twin packing.  A neighbourhood holding a twin w of the parent but
        not a smaller twin u is dropped.  No vertex has both a true and a

@@ -2,8 +2,9 @@
 
 The compiled extension (``zfx._kernels_cy``) is preferred when importable;
 ``ZFX_PURE=1`` in the environment forces the pure-Python fallback.  A kernel
-has a compiled twin only where it moves a campaign's run time:
-``canon_adj`` (corpus enumeration), ``profile_counts``, ``split_bags``
+has a compiled twin only where it moves a campaign's run time, five in
+all: ``canon_adj``, ``augment`` (one parent's step of the corpus
+enumeration, canonical forms included), ``profile_counts``, ``split_bags``
 (the whole split recursion of ``splitdec.decompose`` in one call, up to
 finished bags, whose markers name the tree edges) and ``accessible_rows``
 (all of ``splitdec.reconstruct``'s accessibility search in one call).
@@ -31,6 +32,7 @@ else:
 BACKEND = _impl.BACKEND
 
 canon_adj = _impl.canon_adj
+augment = _impl.augment
 profile_counts = _impl.profile_counts
 split_bags = _impl.split_bags
 accessible_rows = _impl.accessible_rows

@@ -263,12 +263,12 @@ def decompose(
     ``kernels.split_bags`` splits the graph into finished bags, which are
     reduced when some tree edge is mergeable.  ``split_order`` picks which
     valid split the recursion uses ("min" or "max" mask scan); the reduced
-    result must not depend on it, which the test suite exercises.
+    result must not depend on it, which the test suite exercises.  A
+    disconnected graph gets ``ValueError`` from the kernel, after the
+    ``split_order`` and budget checks.
     """
     if g.n < 1:
         raise ValueError("decompose needs a nonempty graph")
-    if not is_connected(g):
-        raise ValueError("decompose expects a connected graph")
     if split_order not in ("min", "max"):
         raise ValueError("split_order must be 'min' or 'max'")
     # Only a part that is neither clique nor star is scanned for a split,

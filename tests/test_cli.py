@@ -349,48 +349,96 @@ def test_version_exits_0(capsys):
     assert out == f"zfx {zfx.__version__} ({zfx.KERNEL_BACKEND} kernels)\n"
 
 
-SINGLE_GRAPH_RUNS = """\
-profile --path 4
-profile --path 4 --json
-profile --path 0
-profile --star 1
-profile --cycle 5 --against-path
-profile --cycle 5 --against-path --json
-profile --cycle 5 --against-path --csv
-profile --cycle 5 --csv --json
-profile --g6-file FILE
-profile --g6-file FILE --json
-profile --g6-file FILE --csv --against-path
-profile --path 4 --out OUT
-decompose --path 4 --check
-decompose --cycle 5 --json
-decompose --complete 1
-decompose --g6-file FILE --check
-decompose --g6-file FILE --json
-recognize-dh --path 5 --check
-recognize-dh --cycle 5
-recognize-dh --cycle 5 --json
-recognize-dh --path 9 --check --json
-recognize-dh --g6-file FILE
-recognize-dh --g6-file FILE --check --json
-"""
+# label: (argv, sha256 of the run's exit code, stdout, stderr and --out
+# text); FILE and OUT stand for a graph6 corpus and an output path
+SINGLE_GRAPH_RUNS = {
+    "profile-p4": (
+        "profile --path 4",
+        "38055a3c3dbf751999b7dd51c21d85eeac206a7dfc1fe5d19e8926d6ba61b152"),
+    "profile-p4-json": (
+        "profile --path 4 --json",
+        "66573d9450d969ac696c9da26707b60e779915924dfaf0238de3acd090e1e95e"),
+    "profile-p0": (
+        "profile --path 0",
+        "2cb19738dca58de47cb37e718fb1f8236277e487ceddddc34164dde413c62d71"),
+    "profile-star1": (
+        "profile --star 1",
+        "f98a566212983b7111618d8e786b39ec3eae35521aa88f56f3cee9f255b678aa"),
+    "profile-c5-vs-path": (
+        "profile --cycle 5 --against-path",
+        "0fb9c5929abc7d21b01104ca02ad04c9eb351387fa0244d4aa4dcdef3fed71c1"),
+    "profile-c5-vs-path-json": (
+        "profile --cycle 5 --against-path --json",
+        "4272474c49d91319241f7438a3e11af47cf7dbcf0df3c66e7c1074758bd5915d"),
+    "profile-c5-vs-path-csv": (
+        "profile --cycle 5 --against-path --csv",
+        "3306cab9d8edfd6b241e12977e4f79053e5710b1785f4ce126e97c5f91bc6b5d"),
+    "profile-c5-csv-json": (
+        "profile --cycle 5 --csv --json",
+        "ca6fd65e744021f0083fece5d7ff7ae409ab57059ddec88cc12f298ff278e2da"),
+    "profile-file": (
+        "profile --g6-file FILE",
+        "faa0564153cd41d0ee401609a05655a3b585727cd629cf5bcadacfd1e94aa0ea"),
+    "profile-file-json": (
+        "profile --g6-file FILE --json",
+        "f1e16b17424e742a20a73058406bea7731fb8e46079b3e5883a93db09e4ba100"),
+    "profile-file-csv-vs-path": (
+        "profile --g6-file FILE --csv --against-path",
+        "8e125519593f8a1764168d95169e340a0c766652da9a3a07200c85e90b604e90"),
+    "profile-p4-out": (
+        "profile --path 4 --out OUT",
+        "38055a3c3dbf751999b7dd51c21d85eeac206a7dfc1fe5d19e8926d6ba61b152"),
+    "decompose-p4-check": (
+        "decompose --path 4 --check",
+        "3139fece405d1c9dc40e0c80f1fa5eb9ec1086e8559fb4dae6ec553d39071670"),
+    "decompose-c5-json": (
+        "decompose --cycle 5 --json",
+        "345137eff9e9b09ad908da8ffb17bd24ae4ca89b7eb56ee97fe4eaec43d57584"),
+    "decompose-k1": (
+        "decompose --complete 1",
+        "c074ef318f11d8023bf8f625c7e8f7d9f55d78b6aa6f08843a3c4dd4b660fd4e"),
+    "decompose-file-check": (
+        "decompose --g6-file FILE --check",
+        "793b3e145cc026968375ba53601e3b61f5874c1cc66a5ff2c9fc1cefb1e3ba33"),
+    "decompose-file-json": (
+        "decompose --g6-file FILE --json",
+        "05e9a417353c74604b39e3b82989e20f5efa7f50566101554cf11a267d836d69"),
+    "dh-p5-check": (
+        "recognize-dh --path 5 --check",
+        "e198751ed60fb237770e9e500980e81236386a47de46787f380f77c70e086912"),
+    "dh-c5": (
+        "recognize-dh --cycle 5",
+        "a3e03a26dff8dacc9efc337b7cd51e1b8cbd40d9c802c29757a91734063e495d"),
+    "dh-c5-json": (
+        "recognize-dh --cycle 5 --json",
+        "746a142ab5f783b3bfbaa6eecf968b37c93dbcfcb48b7d8a99d7cd439a80dafd"),
+    "dh-p9-check-json": (
+        "recognize-dh --path 9 --check --json",
+        "ad9e23ae8259149969cc6846acc0365efe74bede75270389ac65bc332573d448"),
+    "dh-file": (
+        "recognize-dh --g6-file FILE",
+        "2f158dcac9f8b3536217687ddff9a33466b0a8583cb945f0dccdaf0c1efb12c0"),
+    "dh-file-check-json": (
+        "recognize-dh --g6-file FILE --check --json",
+        "824aab9b00acd28fe5ea41bee46188c14a134305f4d98cbf736cd7f1558d56af"),
+}
 
 
 def test_single_graph_outputs_pinned(capsys, monkeypatch, tmp_path):
-    """Stdout, stderr, --out text and exit code of profile, decompose and
-    recognize-dh, byte for byte, over one sha256."""
+    """Exit code, stdout, stderr and --out text of profile, decompose and
+    recognize-dh runs, byte for byte, one sha256 per run: a renamed flag
+    leaves every pin, and a failure names its run."""
     monkeypatch.delenv("ZFX_BUDGET_SUBSETS", raising=False)
     corpus, target = tmp_path / "corpus.g6", tmp_path / "out.txt"
     corpus.write_text("C~\nDhC\nDhc\nBw\n")
     paths = {"FILE": str(corpus), "OUT": str(target)}
-    digest = hashlib.sha256()
-    for line in SINGLE_GRAPH_RUNS.splitlines():
+    got = {}
+    for label, (line, _) in SINGLE_GRAPH_RUNS.items():
         argv = line.split()
         code, out, err = run(capsys, *(paths.get(a, a) for a in argv))
         written = target.read_text() if "OUT" in argv else ""
-        digest.update(f"{' '.join(argv)}\n{code}\n{out}{err}{written}\n".encode())
-    assert digest.hexdigest() == (
-        "63a5d9324f607f49c007b3cf4a4439004d43397d55ee4ddf4a4e75515f7884e2")
+        got[label] = hashlib.sha256(f"{code}\n{out}{err}{written}".encode()).hexdigest()
+    assert got == {label: pin for label, (_, pin) in SINGLE_GRAPH_RUNS.items()}
 
 
 def _small(token: str) -> bool:

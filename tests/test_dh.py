@@ -240,9 +240,9 @@ def test_recognizer_matches_the_reference_random_to_n16():
 def test_traces_pinned_to_n9(cyk, monkeypatch):
     """Every trace, or None, of the connected classes with n <= 9 (273,193
     graphs) in enumeration order, over one sha256.  The n = 9 level is
-    built with the compiled ``canon_adj`` in a private level cache, so it
+    built with the compiled ``augment`` in a private level cache, so it
     does not outlive the test."""
-    monkeypatch.setattr(kernels, "canon_adj", cyk.canon_adj)
+    monkeypatch.setattr(kernels, "augment", cyk.augment)
     monkeypatch.setattr(graphs, "_levels", dict(graphs._levels))
     out = []
     for n in range(1, 10):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zfx import _kernels_py as pyk
 from zfx import graphs, kernels
 from zfx.errors import CapacityError, Graph6ParseError
 from zfx.graphs import (
@@ -364,10 +365,10 @@ def test_enumeration_digest_to_n8():
 
 
 def test_enumeration_n9_on_compiled_canon(cyk, monkeypatch):
-    """All 274,668 classes at n = 9, with the compiled ``canon_adj`` and in
-    a private level cache, so the 120 MB level and its connectedness
-    bytes do not outlive the test."""
-    monkeypatch.setattr(kernels, "canon_adj", cyk.canon_adj)
+    """All 274,668 classes at n = 9, with the compiled ``augment`` (which
+    canonicalises the children itself) and in a private level cache, so
+    the 120 MB level and its connectedness bytes do not outlive the test."""
+    monkeypatch.setattr(kernels, "augment", cyk.augment)
     monkeypatch.setattr(graphs, "_levels", dict(graphs._levels))
     level = list(enumerate_graphs(9))
     assert len(level) == KNOWN_GRAPH_COUNTS[8]
@@ -416,22 +417,24 @@ def test_enumeration_refuses_at_the_call():
         enumerate_graphs(-1)
 
 
-def test_enumeration_canon_calls_to_n8(monkeypatch):
+def test_enumeration_canon_calls_to_n8(cyk, monkeypatch):
     """Twin packing and the canonical-deletion test leave 18,058
-    ``canon_adj`` calls for n <= 8 (min-degree augmentation alone made
-    32,886), counted from an empty private level cache."""
-    calls = dict.fromkeys(range(2, 9), 0)
-    canon = kernels.canon_adj
+    canonicalised children for n <= 8 (min-degree augmentation alone made
+    32,886), counted per child level as the length of what ``augment``
+    returns, on each backend, from an empty private level cache."""
+    for module in (pyk, cyk):
+        calls = dict.fromkeys(range(2, 9), 0)
 
-    def counting(n, adj):
-        calls[n] += 1
-        return canon(n, adj)
+        def counting(n, adj, augment=module.augment):
+            children = augment(n, adj)
+            calls[n + 1] += len(children)
+            return children
 
-    monkeypatch.setattr(kernels, "canon_adj", counting)
-    monkeypatch.setattr(graphs, "_levels", {})
-    for n in range(1, 9):
-        assert sum(1 for _ in enumerate_graphs(n)) == KNOWN_GRAPH_COUNTS[n - 1]
-    assert calls == {2: 2, 3: 4, 4: 11, 5: 39, 6: 193, 7: 1436, 8: 16373}
+        monkeypatch.setattr(kernels, "augment", counting)
+        monkeypatch.setattr(graphs, "_levels", {})
+        for n in range(1, 9):
+            assert sum(1 for _ in enumerate_graphs(n)) == KNOWN_GRAPH_COUNTS[n - 1]
+        assert calls == {2: 2, 3: 4, 4: 11, 5: 39, 6: 193, 7: 1436, 8: 16373}
 
 
 def test_twin_classes_true_and_false():

@@ -297,6 +297,36 @@ def test_canon_compiled_at_n64(cyk):
             assert cyk.canon_adj(64, _relabelled(rng, adj)) == rows
 
 
+def test_augment_parity_to_n7(cyk):
+    """Every parent with n <= 7: the same children, in the same order,
+    duplicates included."""
+    parents = [g for n in range(1, 8) for g in enumerate_graphs(n)]
+    assert len(parents) == 1252
+    for g in parents:
+        assert pyk.augment(g.n, g.adj) == cyk.augment(g.n, g.adj)
+
+
+def test_augment_random_n9_to_n12(cyk):
+    """Seeded random labelled parents past the enumeration: both backends
+    agree, and every child comes back in canonical form."""
+    rng = random.Random(912)
+    for n in range(9, 13):
+        for p in (0.2, 0.45):
+            adj = _random_adj(rng, n, p)
+            children = cyk.augment(n, adj)
+            assert children and children == pyk.augment(n, adj)
+            for c in children:
+                assert len(c) == n + 1 and cyk.canon_adj(n + 1, c) == c
+
+
+def test_augment_refuses_n0_and_n64(cyk):
+    """A parent needs a vertex, and its child must fit in 64 bits."""
+    for module in (pyk, cyk):
+        for n in (0, 64):
+            with pytest.raises(ValueError, match=rf"1 <= n <= 63 \(got {n}\)"):
+                module.augment(n, (0,) * n)
+
+
 def test_compiled_fort_count_on_paths_n19_to_n24(cyk):
     """From P_19, where the pure kernel's path test stops, to P_24, past its
     ``BITSET_LIMIT``, against the path formula."""
@@ -377,15 +407,16 @@ def test_kernels_c_builds_warning_free(built_kernels):
     from it, so a compiled kernel that nothing dispatches cannot linger."""
     assert built_kernels.BACKEND == "cython"
     bound = set(re.findall(r"_impl\.(\w+)", (SRC / "kernels.py").read_text()))
-    assert bound == {"BACKEND", "canon_adj", "profile_counts", "split_bags",
-                     "accessible_rows"}
+    assert bound == {"BACKEND", "canon_adj", "augment", "profile_counts",
+                     "split_bags", "accessible_rows"}
     exported = {name for name in dir(built_kernels)
                 if callable(getattr(built_kernels, name))}
     assert exported == bound - {"BACKEND"}
 
 
 # Runs every compiled kernel on each class with n <= 7 (split_bags and
-# accessible_rows on the connected ones), on P_24 and on C_64.
+# accessible_rows on the connected ones, augment on those with
+# 1 <= n <= 6), on P_24 and on C_64.
 _UBSAN_DRIVER = """
 import importlib.util, sys
 from zfx.graphs import enumerate_graphs, is_connected, make_cycle, make_path
@@ -396,6 +427,8 @@ graphs = [g for n in range(8) for g in enumerate_graphs(n)] + [make_path(24)]
 for g in graphs:
     cyk.canon_adj(g.n, g.adj)
     cyk.profile_counts(g.n, g.adj)
+    if 1 <= g.n <= 6:
+        cyk.augment(g.n, g.adj)
     if g.n and is_connected(g):
         for reverse in (False, True):
             bags = cyk.split_bags(g.n, g.adj, reverse)

@@ -176,6 +176,16 @@ def test_decompose_budget_on_the_compiled_split_kernel(cyk, monkeypatch):
     test_decompose_budget_caps_split_scans_only()
 
 
+@pytest.mark.parametrize("backend", ["python", "cython"])
+def test_decompose_refuses_a_disconnected_graph(backend, monkeypatch, request):
+    """K2 + K1: the split kernel, not ``decompose``, tests connectivity,
+    and both backends refuse with the same message."""
+    module = pyk if backend == "python" else request.getfixturevalue("cyk")
+    monkeypatch.setattr(kernels, "split_bags", module.split_bags)
+    with pytest.raises(ValueError, match="decompose expects a connected graph"):
+        decompose(graph_from_edges(3, [(0, 1)]))
+
+
 def test_decompose_c5_pendant():
     t = decompose(c5_pendant())
     summary = summarize(t)
