@@ -9,7 +9,7 @@ from .errors import (
     TraceError,
     TreeError,
 )
-from .forcing import ZfProfile, closure, fort_avoidance_floor, is_forcing, is_fort, zf_profile
+from .forcing import ZfProfile, closure, is_forcing, zf_profile
 from .extremal import (
     ExtremalVerdict,
     attach_pendants,

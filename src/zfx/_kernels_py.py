@@ -9,10 +9,11 @@ split recursion of ``splitdec.decompose``, returning finished bags whose
 markers name the tree edges between them) and ``accessible_rows`` (the
 graph a graph-labelled tree represents, for ``splitdec.reconstruct``).
 ``zfx.kernels`` picks those five at import time and takes
-``closure_mask``, ``metric_dh`` and ``find_split_mask`` from here on both
-backends.  ``metric_dh`` runs a
-polynomial separation test.  ``profile_counts`` counts forts on bitsets
-indexed by the 2^n subsets, here and in C (which refuses n > 32).
+``closure_mask``, ``closure_counts``, ``metric_dh`` and ``find_split_mask``
+from here on both backends.  ``metric_dh`` runs a polynomial separation
+test.  ``profile_counts`` counts forts on bitsets indexed by the 2^n
+subsets, here and in C (which refuses n > 32); ``closure_counts`` gives
+the same counts by one closure per subset.
 """
 
 from __future__ import annotations
@@ -64,6 +65,18 @@ def closure_mask(n: int, adj, s: int) -> int:
     return blue
 
 
+def closure_counts(n: int, adj) -> list:
+    """Exact count of zero forcing sets per size, index k = 0..n, by one
+    closure per subset: the definition, which ``profile_counts`` answers
+    through forts instead."""
+    full = (1 << n) - 1
+    z = [0] * (n + 1)
+    for m in range(1 << n):
+        if closure_mask(n, adj, m) == full:
+            z[m.bit_count()] += 1
+    return z
+
+
 @lru_cache(maxsize=None)
 def _subset_tables(n: int) -> tuple[list[int], list[int]]:
     """Bitsets over the subsets f of range(n), bit f standing for f:
@@ -103,16 +116,11 @@ def profile_counts(n: int, adj) -> list:
     of w, and keep the f that contain w or do not hold exactly one; drop
     f = 0.  Closing that fort set upward (n shift-OR steps) gives every set
     containing a fort, and z(G;k) is C(n, k) minus its members of size
-    n - k.  Graphs over ``BITSET_LIMIT`` vertices run one closure per
-    subset instead.
+    n - k.  Graphs over ``BITSET_LIMIT`` vertices run ``closure_counts``
+    instead.
     """
     if n > BITSET_LIMIT:
-        full = (1 << n) - 1
-        z = [0] * (n + 1)
-        for m in range(1, 1 << n):
-            if closure_mask(n, adj, m) == full:
-                z[m.bit_count()] += 1
-        return z
+        return closure_counts(n, adj)
     has, level = _subset_tables(n)
     forts = ((1 << (1 << n)) - 1) ^ 1
     for w in range(n):

@@ -31,7 +31,6 @@ from . import kernels
 from .dh import dh_metric_oracle, recognize_dh, replay_trace
 from .errors import CapacityError, Graph6ParseError
 from .extremal import audit_leaf_recurrence, check_path_extremal
-from .forcing import is_forcing, is_fort
 from .graphs import (
     ENUM_MAX,
     Graph,
@@ -455,20 +454,17 @@ def _leaf_audit_worker(item: Item, budget: Optional[int]) -> dict:
 
 
 def _fort_audit_worker(item: Item) -> dict:
+    """The fort-count identity: a set is non-forcing iff it misses a fort,
+    so the campaigns' ``profile_counts``, which counts forts, gives at every
+    k the number of forcing k-sets that one closure per subset finds."""
     g = _graph(item, connected=False)
-    full = g.full_mask
-    for f in range(1, full + 1):
-        if not is_fort(g, f):
-            continue
-        outside = full & ~f
-        sub = outside
-        while True:
-            if is_forcing(g, sub):
-                return {"status": COUNTEREXAMPLE, "witness_k": sub.bit_count(),
-                        "reason": f"set avoiding fort {f:#x} is forcing"}
-            if sub == 0:
-                break
-            sub = (sub - 1) & outside
+    forts = kernels.profile_counts(g.n, g.adj)
+    closures = kernels.closure_counts(g.n, g.adj)
+    for k, (by_forts, by_closures) in enumerate(zip(forts, closures, strict=True)):
+        if by_forts != by_closures:
+            return {"status": COUNTEREXAMPLE, "witness_k": k,
+                    "reason": f"fort count {by_forts} != closure count "
+                              f"{by_closures} of forcing {k}-sets"}
     return {"status": VERIFIED}
 
 
@@ -493,6 +489,11 @@ def _peel_extract_worker(item: Item, split_budget: Optional[int]) -> dict:
 # --- the campaign table ------------------------------------------------------------
 
 FORT_AUDIT_MAX = 5
+
+
+def _fort_n_max(p: dict) -> int:
+    """The fort audit's corpus is every graph with n up to this."""
+    return min(p["n_max"], FORT_AUDIT_MAX)
 
 
 def _graphs(p: dict) -> list[Item]:
@@ -538,14 +539,15 @@ CAMPAIGNS = {c.name: c for c in (
         "audit-lemmas",
         {"n_max": 6, "budget": None, "split_budget": None},
         lambda p: {"source": "builtin", "n_max": p["n_max"],
-                   "fort_n_max": FORT_AUDIT_MAX},
+                   "fort_n_max": _fort_n_max(p)},
         (
             Phase("leaf_recurrence", _graphs, _leaf_audit_worker),
-            Phase("fort_avoidance", lambda p: builtin_corpus(
-                min(p["n_max"], FORT_AUDIT_MAX), connected=False), _fort_audit_worker),
+            Phase("fort_avoidance",
+                  lambda p: builtin_corpus(_fort_n_max(p), connected=False),
+                  _fort_audit_worker),
             _PEEL_EXTRACT,
         ),
-        help="campaign: leaf recurrence, fort avoidance, peel/extract",
+        help="campaign: leaf recurrence, fort-count identity, peel/extract",
     ),
 )}
 
@@ -577,6 +579,7 @@ audit_peel_extract = _bound("audit-peel-extract", """Peel and prime-core
     and G-{x,c} with the prime label intact, and every star-centered tree
     must extract a core Q with G = Q + pendants.""")
 audit_lemmas = _bound("audit-lemmas", """Executable lemma audits: the leaf
-    recurrence on every connected graph with a leaf, fort avoidance
-    exhaustively at n <= 5, and the peel / prime-core reductions on the
+    recurrence on every connected graph with a leaf, the fort-count identity
+    (forts and closures give the same z(G;k) at every k) on every graph with
+    n <= min(n_max, 5), and the peel / prime-core reductions on the
     unique-prime corpus.""")

@@ -1,4 +1,4 @@
-"""The zero forcing process, exact counts of forcing sets by size, and forts."""
+"""The zero forcing process and exact counts of forcing sets by size."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from typing import Optional
 
 from . import kernels
 from .errors import CapacityError
-from .graphs import Graph, bits
+from .graphs import Graph
 
 DEFAULT_SUBSET_BUDGET = 20
 # The largest budget honoured: the compiled fort table holds 2^n bits.
@@ -69,30 +69,16 @@ def _profile_cached(n: int, adj: tuple[int, ...]) -> ZfProfile:
 
 
 def zf_profile(g: Graph, budget: Optional[int] = None) -> ZfProfile:
-    """Exact profile by subset enumeration; refuses graphs over the budget."""
+    """Exact profile by subset enumeration; refuses graphs over the budget.
+
+    The compiled backend counts forts up to n = 32.  The pure one counts
+    them up to n = 20 and runs one closure per subset above: on a 2-core
+    VM P_20 takes 0.03 s, P_21 16 to 26 s, and the time about doubles with
+    each vertex after.
+    """
     limit = DEFAULT_SUBSET_BUDGET if budget is None else min(budget, PROFILE_MAX_N)
     if g.n > limit:
         raise CapacityError(
             f"subset enumeration over {g.n} vertices exceeds budget {limit}"
         )
     return _profile_cached(g.n, g.adj)
-
-
-def is_fort(g: Graph, f: int) -> bool:
-    """True iff every outside vertex has 0 or >= 2 neighbors in f."""
-    if f & ~g.full_mask:
-        raise ValueError("fort candidate exceeds the vertex universe")
-    outside = g.full_mask & ~f
-    for w in bits(outside):
-        k = (g.adj[w] & f).bit_count()
-        if k == 1:
-            return False
-    return True
-
-
-def fort_avoidance_floor(g: Graph, f: int) -> tuple[int, ...]:
-    """Lower bounds C(n-|f|, k) on the non-forcing counts from a fort."""
-    if f == 0 or not is_fort(g, f):
-        raise ValueError("fort_avoidance_floor needs a nonempty fort")
-    outside = g.n - f.bit_count()
-    return tuple(comb(outside, k) for k in range(g.n + 1))

@@ -13,8 +13,7 @@ from itertools import compress
 from typing import Iterable, Iterator, Optional
 
 from . import kernels
-# the enumeration helpers live beside ``augment`` and keep their names here
-from ._kernels_py import _min_degree_neighbourhoods, _twin_classes  # noqa: F401
+from ._kernels_py import _twin_classes
 from .errors import CapacityError, Graph6ParseError, InvariantViolation
 
 MAX_VERTICES = 64

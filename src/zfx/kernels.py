@@ -10,9 +10,10 @@ finished bags, whose markers name the tree edges) and ``accessible_rows``
 (all of ``splitdec.reconstruct``'s accessibility search in one call).
 Each twin runs its pure kernel's method with identical outputs and is
 bound here directly, with no fallback by n; parity is enforced by the
-test suite.  ``closure_mask``,
-``metric_dh`` (the polynomial separation test) and ``find_split_mask`` are
-pure on both backends.
+test suite.  ``closure_mask``, ``closure_counts`` (the per-size counts of
+``profile_counts`` by one closure per subset), ``metric_dh`` (the
+polynomial separation test) and ``find_split_mask`` are pure on both
+backends.
 """
 
 from __future__ import annotations
@@ -37,5 +38,6 @@ profile_counts = _impl.profile_counts
 split_bags = _impl.split_bags
 accessible_rows = _impl.accessible_rows
 closure_mask = _kernels_py.closure_mask
+closure_counts = _kernels_py.closure_counts
 metric_dh = _kernels_py.metric_dh
 find_split_mask = _kernels_py.find_split_mask

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from zfx import graphs, kernels
 from zfx.graphs import Graph, enumerate_graphs
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "zfx"
@@ -68,3 +69,15 @@ def cyk(request):
         return _kernels_cy
     except ImportError:
         return request.getfixturevalue("built_kernels")
+
+
+@pytest.fixture(scope="session")
+def level9(cyk) -> tuple[tuple[Graph, ...], bytes]:
+    """Every class on 9 vertices (274,668), in enumeration order, and one
+    ``is_connected`` byte per class.  Built once, with the compiled
+    ``augment``, in a private level cache: ``graphs._levels`` never holds
+    the 120 MB level."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "augment", cyk.augment)
+        mp.setattr(graphs, "_levels", dict(graphs._levels))
+        return graphs._enum_level(9), graphs._connected_flags(9)

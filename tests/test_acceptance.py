@@ -12,6 +12,7 @@ import time
 from math import comb
 
 import pytest
+from test_forcing import is_fort
 
 from zfx.campaigns import (
     audit_peel_extract,
@@ -20,7 +21,7 @@ from zfx.campaigns import (
     verify_unique_prime,
 )
 from zfx.extremal import audit_leaf_recurrence, path_zprime
-from zfx.forcing import is_forcing, is_fort, zf_profile
+from zfx.forcing import is_forcing, zf_profile
 from zfx.graphs import (
     are_isomorphic,
     enumerate_graphs,

@@ -28,6 +28,7 @@ from zfx.graphs import (
     ENUM_MAX,
     Graph,
     are_isomorphic,
+    canonical_form,
     classify_kind,
     make_cycle,
     make_path,
@@ -162,6 +163,34 @@ def test_audit_lemmas_report():
     _check_report_invariants(r)
     assert r.clean
     assert set(r.phases) == {"leaf_recurrence", "fort_avoidance", "peel_extract"}
+
+
+def test_fort_audit_corpus_follows_n_max():
+    """Below ``FORT_AUDIT_MAX`` the fort audit scans every graph with
+    n <= n_max (1 + 2 + 4 at n_max = 3), and the corpus block says so."""
+    r = audit_lemmas(n_max=3)
+    assert r.corpus == {"source": "builtin", "n_max": 3, "fort_n_max": 3}
+    assert r.phases["fort_avoidance"] == {"scanned": 7, "verified": 7}
+
+
+def test_fort_audit_catches_a_wrong_fort_count(monkeypatch):
+    """A fort count off by one at one k on one graph of the n <= 5 corpus
+    is one counterexample of the fort audit, named by graph and k."""
+    real = kernels.profile_counts
+    c4 = canonical_form(make_cycle(4))
+
+    def off_by_one(n, adj):
+        z = real(n, adj)
+        if (n, tuple(adj)) == (c4.n, c4.adj):
+            z[2] += 1
+        return z
+
+    monkeypatch.setattr(kernels, "profile_counts", off_by_one)
+    r = audit_lemmas(n_max=5)
+    assert r.phases["fort_avoidance"] == {"scanned": 52, "verified": 51}
+    assert [cx for cx in r.counterexamples if cx["reason"].startswith("fort")] == [
+        {"graph6": write_graph6(c4), "witness_k": 2, "margins": [],
+         "reason": "fort count 5 != closure count 4 of forcing 2-sets"}]
 
 
 def test_audit_peel_extract_small():

@@ -5,12 +5,12 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from itertools import compress
 from typing import Optional
 
 import pytest
 from test_kernels import _metric_dh_literal
 
-from zfx import graphs, kernels
 from zfx.dh import (
     FALSE_TWIN,
     PENDANT,
@@ -237,19 +237,17 @@ def test_recognizer_matches_the_reference_random_to_n16():
     assert len(verdicts) > 260 and 0 < sum(verdicts) < len(verdicts)
 
 
-def test_traces_pinned_to_n9(cyk, monkeypatch):
+def test_traces_pinned_to_n9(level9):
     """Every trace, or None, of the connected classes with n <= 9 (273,193
-    graphs) in enumeration order, over one sha256.  The n = 9 level is
-    built with the compiled ``augment`` in a private level cache, so it
-    does not outlive the test."""
-    monkeypatch.setattr(kernels, "augment", cyk.augment)
-    monkeypatch.setattr(graphs, "_levels", dict(graphs._levels))
+    graphs) in enumeration order, over one sha256."""
+    level, connected = level9
+    corpus = [g for n in range(1, 9) for g in enumerate_graphs(n, connected_only=True)]
+    corpus += compress(level, connected)
     out = []
-    for n in range(1, 10):
-        for g in enumerate_graphs(n, connected_only=True):
-            trace = recognize_dh(g)
-            out.append(None if trace is None
-                       else [[s.op, s.removed, s.anchor] for s in trace.steps])
+    for g in corpus:
+        trace = recognize_dh(g)
+        out.append(None if trace is None
+                   else [[s.op, s.removed, s.anchor] for s in trace.steps])
     assert len(out) == 273193
     assert hashlib.sha256(json.dumps(out).encode()).hexdigest() == (
         "9595ef4cf2e7085e9db8592d878bf1c4ff87b1d203955e475b334b2be243a255")

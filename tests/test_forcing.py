@@ -10,15 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zfx.errors import CapacityError
-from zfx.forcing import (
-    closure,
-    fort_avoidance_floor,
-    is_forcing,
-    is_fort,
-    zf_profile,
-)
+from zfx.forcing import closure, is_forcing, zf_profile
 from zfx.graphs import (
     Graph,
+    bits,
     find_twin_pair,
     graph_from_edges,
     make_complete,
@@ -180,6 +175,20 @@ def test_poly_coeffs():
 
 
 # --- forts --------------------------------------------------------------------------
+
+
+def is_fort(g: Graph, f: int) -> bool:
+    """Oracle: every outside vertex has 0 or >= 2 neighbours in f."""
+    return all((g.adj[w] & f).bit_count() != 1 for w in bits(g.full_mask & ~f))
+
+
+def fort_avoidance_floor(g: Graph, f: int) -> tuple[int, ...]:
+    """Oracle: the lower bounds C(n - |f|, k) on the non-forcing counts that
+    a nonempty fort f gives, since every k-set avoiding f is non-forcing."""
+    if f == 0 or not is_fort(g, f):
+        raise ValueError("fort_avoidance_floor needs a nonempty fort")
+    outside = g.n - f.bit_count()
+    return tuple(comb(outside, k) for k in range(g.n + 1))
 
 
 def test_is_fort_examples():

@@ -364,15 +364,12 @@ def test_enumeration_digest_to_n8():
     assert digest == "430b19930d7e7ad67ee81acdd827def015ea3e0004080f99c9b6f23073c11002"
 
 
-def test_enumeration_n9_on_compiled_canon(cyk, monkeypatch):
-    """All 274,668 classes at n = 9, with the compiled ``augment`` (which
-    canonicalises the children itself) and in a private level cache, so
-    the 120 MB level and its connectedness bytes do not outlive the test."""
-    monkeypatch.setattr(kernels, "augment", cyk.augment)
-    monkeypatch.setattr(graphs, "_levels", dict(graphs._levels))
-    level = list(enumerate_graphs(9))
+def test_enumeration_n9_on_compiled_canon(level9):
+    """All 274,668 classes at n = 9, built with the compiled ``augment``
+    (which canonicalises the children itself)."""
+    level, connected = level9
     assert len(level) == KNOWN_GRAPH_COUNTS[8]
-    assert sum(1 for _ in enumerate_graphs(9, connected_only=True)) == 261080
+    assert sum(connected) == 261080
     digest = hashlib.sha256("\n".join(map(write_graph6, level)).encode()).hexdigest()
     assert digest == "1534d7af27eadd7885f6959476e15044f16cc7d7459dfea0f95571454f91faca"
 
@@ -471,7 +468,7 @@ def test_twin_packing_keeps_an_image_of_every_pruned_neighbourhood(graphs_by_n):
     for n in range(1, 7):
         for g in graphs_by_n[n]:
             classes = graphs._twin_classes(g.adj)
-            candidates = set(graphs._min_degree_neighbourhoods(g.adj))
+            candidates = set(pyk._min_degree_neighbourhoods(g.adj))
             dropped = [nb for nb in candidates if not _twin_packed(nb, classes)]
             if not dropped:
                 continue
@@ -509,7 +506,7 @@ def test_min_degree_augmentation_matches_full_augmentation():
                 if all(nb.bit_count() <= row.bit_count() + (nb >> i & 1)
                        for i, row in enumerate(g.adj))
             ]
-            assert sorted(graphs._min_degree_neighbourhoods(g.adj)) == wanted
+            assert sorted(pyk._min_degree_neighbourhoods(g.adj)) == wanted
 
 
 def _naive_min_encoding(g: Graph) -> int:

@@ -370,18 +370,21 @@ def _profile_by_closure(n, adj):
 
 
 def test_fort_count_matches_closure_oracle(graphs_by_n):
-    """Every class with n <= 7, disconnected ones included, and seeded
-    random labelled graphs with n = 9..14."""
+    """The fort count and the kernel ``closure_counts`` against the memoised
+    closure loop: every class with n <= 7, disconnected ones included, and
+    seeded random labelled graphs with n = 9..14."""
     classes = [g for graphs in graphs_by_n.values() for g in graphs]
     classes += enumerate_graphs(7)
     assert len(classes) == 1253
     for g in classes:
-        assert pyk.profile_counts(g.n, g.adj) == _profile_by_closure(g.n, g.adj)
+        assert (pyk.profile_counts(g.n, g.adj) == pyk.closure_counts(g.n, g.adj)
+                == _profile_by_closure(g.n, g.adj))
     rng = random.Random(914)
     for n in range(9, 15):
         for p in (0.15, 0.3, 0.5):
             adj = _random_adj(rng, n, p)
-            assert pyk.profile_counts(n, adj) == _profile_by_closure(n, adj)
+            assert (pyk.profile_counts(n, adj) == pyk.closure_counts(n, adj)
+                    == _profile_by_closure(n, adj))
 
 
 def test_fort_count_on_paths_to_n18():
