@@ -15,7 +15,6 @@ from .extremal import (
     attach_pendants,
     audit_leaf_recurrence,
     check_path_extremal,
-    check_pendant_extension,
     path_z,
     path_zprime,
     twin_shortcut,
@@ -47,12 +46,10 @@ from .splitdec import (
     DecompositionSummary,
     GraphLabelledTree,
     PrimeCoreResult,
-    Split,
     classify_leaf_bag,
     decompose,
     dump_tree,
     extract_prime_core,
-    find_split,
     peel,
     pick_peelable_bag,
     reconstruct,

@@ -511,11 +511,10 @@ fail:
 /* --- splits -------------------------------------------------------------- */
 
 /* First split of a connected graph as its A-side mask, 0 if none: A-sides
- * hold vertex 0 and are scanned in increasing mask order (decreasing when
- * ``reverse``), so each holds at least two vertices.  A bipartition is a
- * split iff every A-vertex with cross edges sees the same nonempty cross
- * neighbourhood. */
-static u64 first_split(int n, const u64 *adj, int reverse)
+ * hold vertex 0 and are scanned in increasing mask order, so each holds at
+ * least two vertices.  A bipartition is a split iff every A-vertex with
+ * cross edges sees the same nonempty cross neighbourhood. */
+static u64 first_split(int n, const u64 *adj)
 {
     u64 full, m, a_mask, b_mask, b1, cross, am, top;
     int ok;
@@ -524,7 +523,7 @@ static u64 first_split(int n, const u64 *adj, int reverse)
         return 0;
     full = FULL(n);
     top = (u64)1 << (n - 1);
-    for (m = reverse ? top - 1 : 1; 1 <= m && m < top; reverse ? m-- : m++) {
+    for (m = 1; m < top; m++) {
         a_mask = (m << 1) | 1;
         if (POPCOUNT(a_mask) > n - 2)
             continue;
@@ -551,7 +550,6 @@ static u64 first_split(int n, const u64 *adj, int reverse)
 typedef struct {
     PyObject *bags; /* list of (rows, ordinary, markers, kind, star center) */
     int edges;
-    int reverse;
 } Splitter;
 
 /* Appends the part on ``adj`` as a finished bag: its tokens become the
@@ -627,7 +625,7 @@ static int split_rec(Splitter *sp, int n, const u64 *adj, const long long *tok)
                     center = i;
         kind = center < 0 ? KIND_PRIME : KIND_STAR;
         if (center < 0)
-            a_mask = first_split(n, adj, sp->reverse);
+            a_mask = first_split(n, adj);
     }
     if (!a_mask)
         return emit_bag(sp, n, adj, tok, kind, center);
@@ -679,15 +677,14 @@ static int connected(int n, const u64 *adj)
 static PyObject *split_bags(PyObject *Py_UNUSED(self), PyObject *args,
                             PyObject *kwargs)
 {
-    static char *kwlist[] = {"n", "adj", "reverse", NULL};
-    int n, i, reverse = 0;
+    static char *kwlist[] = {"n", "adj", NULL};
+    int n, i;
     PyObject *adj;
     u64 cadj[64];
     long long tok[64];
     Splitter sp;
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iO|p", kwlist, &n, &adj,
-                                     &reverse))
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iO", kwlist, &n, &adj))
         return NULL;
     if (read_adj(n, adj, cadj) < 0)
         return NULL;
@@ -702,7 +699,6 @@ static PyObject *split_bags(PyObject *Py_UNUSED(self), PyObject *args,
     if (sp.bags == NULL)
         return NULL;
     sp.edges = 0;
-    sp.reverse = reverse;
     if (split_rec(&sp, n, cadj, tok) < 0) {
         Py_DECREF(sp.bags);
         return NULL;
@@ -936,7 +932,9 @@ static PyMethodDef kernel_methods[] = {
            "augment(n, adj): canonical rows of the children the enumeration "
            "keeps from one parent."),
     KERNEL(split_bags,
-           "split_bags(n, adj, reverse=False): bags of the split recursion."),
+           "split_bags(n, adj): bags of the split recursion, each part's "
+           "first split taken with A-sides holding vertex 0, in increasing "
+           "mask order."),
     KERNEL(accessible_rows,
            "accessible_rows(ids, bags): rows of the graph a graph-labelled "
            "tree represents."),

@@ -11,9 +11,10 @@ graph a graph-labelled tree represents, for ``splitdec.reconstruct``).
 ``zfx.kernels`` picks those five at import time and takes
 ``closure_mask``, ``closure_counts``, ``metric_dh`` and ``find_split_mask``
 from here on both backends.  ``metric_dh`` runs a polynomial separation
-test.  ``profile_counts`` counts forts on bitsets indexed by the 2^n
-subsets, here and in C (which refuses n > 32); ``closure_counts`` gives
-the same counts by one closure per subset.
+test.  ``find_split_mask`` is the split scan ``split_bags`` runs on each
+part, in its one order.  ``profile_counts`` counts forts on bitsets
+indexed by the 2^n subsets, here and in C (which refuses n > 32);
+``closure_counts`` gives the same counts by one closure per subset.
 """
 
 from __future__ import annotations
@@ -417,20 +418,18 @@ def metric_dh(n: int, adj) -> bool:
     return True
 
 
-def find_split_mask(n: int, adj, reverse: bool = False) -> int:
+def find_split_mask(n: int, adj) -> int:
     """First valid split of a connected graph, as the A-side mask.
 
     Scans A-side masks containing vertex 0 and at least one more vertex in
-    increasing numeric order (decreasing when ``reverse``); returns 0 when
-    no split exists.  A bipartition is a split iff every A-vertex with cross
-    edges sees the same nonempty cross neighborhood.
+    increasing numeric order; returns 0 when no split exists.  A
+    bipartition is a split iff every A-vertex with cross edges sees the
+    same nonempty cross neighborhood.
     """
     if n < 4:
         return 0
     full = (1 << n) - 1
-    lo, hi = 1, 1 << (n - 1)
-    rng = range(hi - 1, lo - 1, -1) if reverse else range(lo, hi)
-    for m in rng:
+    for m in range(1, 1 << (n - 1)):
         a_mask = (m << 1) | 1
         if a_mask.bit_count() > n - 2:
             continue
@@ -453,12 +452,13 @@ def find_split_mask(n: int, adj, reverse: bool = False) -> int:
     return 0
 
 
-def split_bags(n: int, adj, reverse: bool = False) -> list:
+def split_bags(n: int, adj) -> list:
     """The bags of the split recursion of a connected graph.
 
     A part is a bag when it is a clique, a star or has no split (kind
     "clique", "star" or "prime"; a star carries its center, the first vertex
-    of degree n - 1).  Otherwise its first split (``find_split_mask``) takes
+    of degree n - 1).  Otherwise its first split (``find_split_mask``, the
+    one scan order: A-sides hold vertex 0, in increasing mask order) takes
     the next tree edge e, and each side becomes a part of its own: its
     vertices in ascending order, then a marker for e adjacent to the side's
     frontier (the vertices with a neighbour across).  Side A is split before
@@ -498,7 +498,7 @@ def split_bags(n: int, adj, reverse: bool = False) -> list:
             kind, center = "star", degrees.index(k - 1)
         else:
             kind = "prime"
-            a_mask = find_split_mask(k, rows, reverse)
+            a_mask = find_split_mask(k, rows)
         if not a_mask:
             ordinary = {l: tok for l, tok in enumerate(tokens) if tok >= 0}
             markers = {~tok: l for l, tok in enumerate(tokens) if tok < 0}

@@ -147,24 +147,3 @@ def attach_pendants(q: Graph, attach: list[int]) -> Graph:
         adj[p] |= 1 << target
         adj[target] |= 1 << p
     return Graph(n, tuple(adj))
-
-
-def check_pendant_extension(
-    q: Graph, attach: list[int], budget: Optional[int] = None
-) -> ExtremalVerdict:
-    """Extremality of q with pendants attached, cross-checking the twin
-    shortcut (two pendants on one vertex are false twins) against the
-    enumerated profile whenever the shortcut applies."""
-    g = attach_pendants(q, attach)
-    verdict = check_path_extremal(g, budget)
-    if len(set(attach)) < len(attach):
-        short = twin_shortcut(g)
-        if short is None:
-            raise InvariantViolation(
-                "repeated pendant targets must create false twins"
-            )
-        if short.is_path_extremal != verdict.is_path_extremal:
-            raise InvariantViolation(
-                "twin shortcut disagrees with the enumerated verdict"
-            )
-    return verdict

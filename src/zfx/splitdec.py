@@ -30,7 +30,6 @@ from .graphs import (
     are_isomorphic,
     classify_kind,
     induced_subgraph,
-    is_connected,
     mask_of,
 )
 
@@ -39,56 +38,6 @@ SPLIT_BUDGET_N = 24
 CLIQUE = "clique"
 STAR = "star"
 PRIME = "prime"
-
-
-@dataclass(frozen=True, slots=True)
-class Split:
-    """Bipartition (A,B) whose cross edges are exactly A1 x B1."""
-
-    a_mask: int
-    b_mask: int
-    a1_mask: int
-    b1_mask: int
-
-
-def _split_limit(budget: Optional[int]) -> int:
-    return SPLIT_BUDGET_N if budget is None else budget
-
-
-def _check_split_budget(n: int, budget: Optional[int]) -> None:
-    limit = _split_limit(budget)
-    if n > limit:
-        raise CapacityError(f"split scan over {n} vertices exceeds budget {limit}")
-
-
-def find_split(
-    g: Graph, budget: Optional[int] = None, reverse: bool = False
-) -> Optional[Split]:
-    """Deterministic first split of a connected graph, or None.
-
-    Scans A-sides containing vertex 0 in increasing mask order (decreasing
-    with ``reverse``).  No split exists below 4 vertices.
-    """
-    _check_split_budget(g.n, budget)
-    if not is_connected(g):
-        raise ValueError("find_split expects a connected graph")
-    if g.n < 4:
-        return None
-    a_mask = kernels.find_split_mask(g.n, g.adj, reverse)
-    if not a_mask:
-        return None
-    b_mask = g.full_mask ^ a_mask
-    a1 = 0
-    b1 = 0
-    m = a_mask
-    while m:
-        low = m & -m
-        cross = g.adj[low.bit_length() - 1] & b_mask
-        if cross:
-            a1 |= low
-            b1 = cross
-        m ^= low
-    return Split(a_mask, b_mask, a1, b1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -253,32 +202,28 @@ def _mergeable(bags: Mapping[int, Bag],
 # --- decomposition ----------------------------------------------------------
 
 
-def decompose(
-    g: Graph,
-    budget: Optional[int] = None,
-    split_order: str = "min",
-) -> GraphLabelledTree:
+def decompose(g: Graph, budget: Optional[int] = None) -> GraphLabelledTree:
     """Canonical split decomposition as a reduced graph-labelled tree.
 
     ``kernels.split_bags`` splits the graph into finished bags, which are
-    reduced when some tree edge is mergeable.  ``split_order`` picks which
-    valid split the recursion uses ("min" or "max" mask scan); the reduced
-    result must not depend on it, which the test suite exercises.  A
-    disconnected graph gets ``ValueError`` from the kernel, after the
-    ``split_order`` and budget checks.
+    reduced when some tree edge is mergeable.  The recursion takes each
+    part's first split in one fixed scan order (A-sides hold vertex 0, in
+    increasing mask order).  The reduced tree is unique (Cunningham 1982),
+    so that order cannot show in it; the test suite checks this by
+    relabelling.  A disconnected graph gets ``ValueError`` from the kernel,
+    after the budget check.
     """
     if g.n < 1:
         raise ValueError("decompose needs a nonempty graph")
-    if split_order not in ("min", "max"):
-        raise ValueError("split_order must be 'min' or 'max'")
     # Only a part that is neither clique nor star is scanned for a split,
     # and every side of a split is smaller than the graph, so the budget
     # holds for the whole recursion iff it holds for the graph.
-    if g.n > _split_limit(budget) and classify_kind(g).tag == "other":
-        _check_split_budget(g.n, budget)
+    limit = SPLIT_BUDGET_N if budget is None else budget
+    if g.n > limit and classify_kind(g).tag == "other":
+        raise CapacityError(f"split scan over {g.n} vertices exceeds budget {limit}")
     bags = {}
     edge_ends: dict[int, list[int]] = {}
-    raw = kernels.split_bags(g.n, g.adj, split_order == "max")
+    raw = kernels.split_bags(g.n, g.adj)
     for bid, (rows, ordinary, markers, kind, center) in enumerate(raw):
         bags[bid] = Bag(Graph(len(rows), rows), kind, ordinary, markers, center)
         for e in markers:

@@ -35,7 +35,6 @@ from zfx.graphs import (
     parse_graph6,
     write_graph6,
 )
-from zfx.splitdec import find_split
 
 
 def _check_report_invariants(report):
@@ -68,8 +67,8 @@ def test_split_prime_graphs():
 
 @cache
 def _split_prime_by_definition(m):
-    return [g for g in builtin_corpus(m)
-            if classify_kind(g).tag == "other" and find_split(g) is None]
+    return [g for g in builtin_corpus(m) if classify_kind(g).tag == "other"
+            and kernels.find_split_mask(g.n, g.adj) == 0]
 
 
 @pytest.mark.parametrize("backend", ["python", "cython"])

@@ -41,7 +41,7 @@ from zfx.graphs import (
 
 def test_recognize_path():
     trace = recognize_dh(make_path(5))
-    assert trace is not None and trace.final_ok
+    assert trace is not None
     assert [s.op for s in trace.steps] == ["pendant"] * 4
     assert replay_trace(trace) == make_path(5)
 
@@ -66,18 +66,16 @@ def test_recognize_rejects_bad_input():
 
 
 def test_replay_empty_trace_is_k1():
-    assert replay_trace(EliminationTrace((), True)) == Graph(1, (0,))
+    assert replay_trace(EliminationTrace(())) == Graph(1, (0,))
 
 
 def test_replay_rejects_malformed_traces():
     with pytest.raises(TraceError):
-        replay_trace(EliminationTrace((), False))
+        replay_trace(EliminationTrace((TraceStep("pendant", 0, 0),)))
     with pytest.raises(TraceError):
-        replay_trace(EliminationTrace((TraceStep("pendant", 0, 0),), True))
+        replay_trace(EliminationTrace((TraceStep("pendant", 2, 0),)))
     with pytest.raises(TraceError):
-        replay_trace(EliminationTrace((TraceStep("pendant", 2, 0),), True))
-    with pytest.raises(TraceError):
-        replay_trace(EliminationTrace((TraceStep("mystery", 1, 0),), True))
+        replay_trace(EliminationTrace((TraceStep("mystery", 1, 0),)))
 
 
 def test_replay_reconstructs_each_op():
@@ -87,9 +85,7 @@ def test_replay_reconstructs_each_op():
         ("false_twin", graph_from_edges(3, [(0, 2), (1, 2)])),  # relabeled P_3
         ("true_twin", graph_from_edges(3, [(0, 1), (0, 2), (1, 2)])),
     ):
-        trace = EliminationTrace(
-            (TraceStep(op, 2, 1), TraceStep("pendant", 1, 0)), True
-        )
+        trace = EliminationTrace((TraceStep(op, 2, 1), TraceStep("pendant", 1, 0)))
         got = replay_trace(trace)
         assert are_isomorphic(got, expect), op
 
@@ -181,7 +177,7 @@ def _recognize_dh_reference(g: Graph) -> Optional[EliminationTrace]:
             op = TRUE_TWIN if kind == "true" else FALSE_TWIN
         steps.append(TraceStep(op, removed, anchor))
         cur, _ = induced_subgraph(cur, cur.full_mask & ~(1 << removed))
-    return EliminationTrace(steps=tuple(steps), final_ok=True)
+    return EliminationTrace(steps=tuple(steps))
 
 
 def _random_graph(rng: random.Random, n: int, p: float) -> Graph:

@@ -10,7 +10,6 @@ from zfx.extremal import (
     attach_pendants,
     audit_leaf_recurrence,
     check_path_extremal,
-    check_pendant_extension,
     path_z,
     path_zprime,
     twin_shortcut,
@@ -130,6 +129,19 @@ def test_attach_pendants_shapes():
     assert attach_pendants(Graph(1, (0,)), [0]) == make_path(2)
     with pytest.raises(ValueError):
         attach_pendants(make_path(3), [3])
+
+
+def check_pendant_extension(q: Graph, attach: list[int]):
+    """Extremality of q with pendants attached, cross-checking the twin
+    shortcut (two pendants on one vertex are false twins) against the
+    enumerated verdict whenever the shortcut applies."""
+    g = attach_pendants(q, attach)
+    verdict = check_path_extremal(g)
+    if len(set(attach)) < len(attach):
+        short = twin_shortcut(g)
+        assert short is not None, "repeated pendant targets must create false twins"
+        assert short.is_path_extremal == verdict.is_path_extremal
+    return verdict
 
 
 def test_check_pendant_extension_examples():

@@ -3,6 +3,7 @@ bit for bit, and both must match the literal definitions."""
 
 from __future__ import annotations
 
+import inspect
 import os
 import random
 import re
@@ -123,13 +124,10 @@ def test_metric_dh_parity_on_connected_classes_to_n8():
 
 
 def test_split_bags_parity_on_connected_classes_to_n8(cyk):
-    """The whole split recursion, bag for bag, in both scan orders."""
+    """The whole split recursion, bag for bag."""
     for n in range(1, 9):
         for g in enumerate_graphs(n, connected_only=True):
-            for reverse in (False, True):
-                assert pyk.split_bags(g.n, g.adj, reverse) == cyk.split_bags(
-                    g.n, g.adj, reverse
-                )
+            assert pyk.split_bags(g.n, g.adj) == cyk.split_bags(g.n, g.adj)
 
 
 def _random_connected_adj(rng, n, p):
@@ -177,10 +175,9 @@ def test_split_bags_parity_random_n9_to_n16(cyk):
                  for k in (4, 6)]
         for adj in [_random_connected_adj(rng, n, 0.15),
                     _random_connected_adj(rng, n, 0.4)] + grown:
-            for reverse in (False, True):
-                got = pyk.split_bags(n, adj, reverse)
-                assert got == cyk.split_bags(n, adj, reverse)
-                edge_counts.add(len(got) - 1)
+            got = pyk.split_bags(n, adj)
+            assert got == cyk.split_bags(n, adj)
+            edge_counts.add(len(got) - 1)
     assert 0 in edge_counts and max(edge_counts) >= 8
 
 
@@ -417,6 +414,19 @@ def test_kernels_c_builds_warning_free(built_kernels):
     assert exported == bound - {"BACKEND"}
 
 
+def test_compiled_signatures_match_the_pure_twins(cyk):
+    """Each compiled kernel's docstring opens with its signature, naming the
+    parameters of its pure twin in the same order, so a parameter cannot
+    live on one backend only."""
+    names = [name for name in dir(cyk) if callable(getattr(cyk, name))]
+    assert names
+    for name in names:
+        head = re.match(rf"{name}\(([^)]*)\)", getattr(cyk, name).__doc__)
+        assert head is not None, name
+        params = [p.strip() for p in head.group(1).split(",") if p.strip()]
+        assert params == list(inspect.signature(getattr(pyk, name)).parameters), name
+
+
 # Runs every compiled kernel on each class with n <= 7 (split_bags and
 # accessible_rows on the connected ones, augment on those with
 # 1 <= n <= 6), on P_24 and on C_64.
@@ -433,10 +443,9 @@ for g in graphs:
     if 1 <= g.n <= 6:
         cyk.augment(g.n, g.adj)
     if g.n and is_connected(g):
-        for reverse in (False, True):
-            bags = cyk.split_bags(g.n, g.adj, reverse)
-            rows = cyk.accessible_rows(range(g.n), [bag[:3] for bag in bags])
-            assert rows == tuple(g.adj)
+        bags = cyk.split_bags(g.n, g.adj)
+        rows = cyk.accessible_rows(range(g.n), [bag[:3] for bag in bags])
+        assert rows == tuple(g.adj)
 cyk.canon_adj(64, make_cycle(64).adj)
 """
 

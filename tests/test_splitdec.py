@@ -9,6 +9,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_kernels import _relabelled
 
 from zfx import _kernels_py as pyk
 from zfx import kernels, splitdec
@@ -37,7 +38,6 @@ from zfx.splitdec import (
     decompose,
     dump_tree,
     extract_prime_core,
-    find_split,
     peel,
     pick_peelable_bag,
     reconstruct,
@@ -57,48 +57,54 @@ def c5_tail2() -> Graph:
     )
 
 
-# --- find_split -----------------------------------------------------------------
+# --- the first split ------------------------------------------------------------
+
+
+def _first_split(g: Graph):
+    """``(A, B, A1, B1)`` of the split recursion's first split of ``g``, or
+    None: A1 is the A-vertices with a neighbour across, B1 the union of
+    their cross neighbourhoods."""
+    a = kernels.find_split_mask(g.n, g.adj)
+    if not a:
+        return None
+    b = g.full_mask ^ a
+    a1 = mask_of(v for v in bits(a) if g.adj[v] & b)
+    b1 = 0
+    for v in bits(a):
+        b1 |= g.adj[v] & b
+    return a, b, a1, b1
 
 
 def test_find_split_p5():
-    s = find_split(make_path(5))
-    assert s is not None
-    assert s.a_mask == mask_of([0, 1]) and s.b_mask == mask_of([2, 3, 4])
-    assert s.a1_mask == mask_of([1]) and s.b1_mask == mask_of([2])
+    s = _first_split(make_path(5))
+    assert s == (mask_of([0, 1]), mask_of([2, 3, 4]), mask_of([1]), mask_of([2]))
 
 
 def test_find_split_none_for_c5_and_small():
-    assert find_split(make_cycle(5)) is None
-    assert find_split(make_path(3)) is None
-    assert find_split(Graph(1, (0,))) is None
+    assert _first_split(make_cycle(5)) is None
+    assert _first_split(make_path(3)) is None
+    assert _first_split(Graph(1, (0,))) is None
 
 
 def test_find_split_k4_least():
-    s = find_split(make_complete(4))
-    assert s.a_mask == mask_of([0, 1])
-    assert s.a1_mask == s.a_mask and s.b1_mask == s.b_mask
-
-
-def test_find_split_guards():
-    with pytest.raises(ValueError):
-        find_split(graph_from_edges(4, [(0, 1), (2, 3)]))
-    with pytest.raises(CapacityError):
-        find_split(make_path(30))
-    find_split(make_path(30), budget=30)
+    a, b, a1, b1 = _first_split(make_complete(4))
+    assert a == mask_of([0, 1])
+    assert a1 == a and b1 == b
 
 
 def _split_is_sound(g: Graph, s) -> bool:
-    if s.a_mask | s.b_mask != g.full_mask or s.a_mask & s.b_mask:
+    a_mask, b_mask, a1_mask, b1_mask = s
+    if a_mask | b_mask != g.full_mask or a_mask & b_mask:
         return False
-    if s.a_mask.bit_count() < 2 or s.b_mask.bit_count() < 2:
+    if a_mask.bit_count() < 2 or b_mask.bit_count() < 2:
         return False
-    if not (s.a1_mask and s.b1_mask):
+    if not (a1_mask and b1_mask):
         return False
-    if s.a1_mask & ~s.a_mask or s.b1_mask & ~s.b_mask:
+    if a1_mask & ~a_mask or b1_mask & ~b_mask:
         return False
-    for a in bits(s.a_mask):
-        for b in bits(s.b_mask):
-            expected = bool((s.a1_mask >> a) & 1) and bool((s.b1_mask >> b) & 1)
+    for a in bits(a_mask):
+        for b in bits(b_mask):
+            expected = bool((a1_mask >> a) & 1) and bool((b1_mask >> b) & 1)
             if g.has_edge(a, b) != expected:
                 return False
     return True
@@ -107,7 +113,7 @@ def _split_is_sound(g: Graph, s) -> bool:
 def test_find_split_soundness(connected_by_n):
     for n in range(4, 7):
         for g in connected_by_n[n]:
-            s = find_split(g)
+            s = _first_split(g)
             if s is not None:
                 assert _split_is_sound(g, s)
 
@@ -152,8 +158,6 @@ def test_decompose_guards():
         decompose(graph_from_edges(2, []))
     with pytest.raises(ValueError):
         decompose(Graph(0, ()))
-    with pytest.raises(ValueError):
-        decompose(make_path(4), split_order="weird")
 
 
 def test_decompose_budget_caps_split_scans_only():
@@ -234,23 +238,42 @@ def test_prime_bags_are_sound(connected_by_n):
             for bag in t.bags.values():
                 if bag.kind == "prime":
                     assert classify_kind(bag.label).tag == "other"
-                    assert find_split(bag.label) is None
+                    assert kernels.find_split_mask(bag.label.n, bag.label.adj) == 0
                     assert bag.label.n >= 5
 
 
 def test_split_order_invariance(connected_by_n):
-    """The reduced tree's bag-label multiset must not depend on which split
-    the recursion picks."""
+    """Relabelling a graph changes which splits the recursion takes, but not
+    the reduced tree.  For every connected class with n <= 7, the tree of
+    each of three seeded relabellings reconstructs the relabelled graph, is
+    reduced, and has the class's own (kind, canonical label) multiset.  The
+    relabellings reach other split orders: at least 118 classes (as many as
+    a descending mask scan moves) see another raw ``split_bags`` shape, the
+    multiset of (size, kind) over the unreduced bags."""
+    rng = random.Random(7)
+
+    def key(t):
+        return Counter((b.kind, canonical_form(b.label).adj) for b in t.bags.values())
+
+    def shape(g):
+        return Counter((len(bag[0]), bag[3]) for bag in kernels.split_bags(g.n, g.adj))
+
+    classes = moved = 0
     for n in range(1, 8):
         for g in connected_by_n[n]:
-            t_min = decompose(g, split_order="min")
-            t_max = decompose(g, split_order="max")
-            assert reconstruct(t_max) == g
-            assert validate_reduced(t_max) == []
-            key = lambda t: Counter(
-                (b.kind, canonical_form(b.label).adj) for b in t.bags.values()
-            )
-            assert key(t_min) == key(t_max)
+            want, raw = key(decompose(g)), shape(g)
+            differs = False
+            for _ in range(3):
+                h = Graph(n, _relabelled(rng, g.adj))
+                t = decompose(h)
+                assert reconstruct(t) == h
+                assert validate_reduced(t) == []
+                assert key(t) == want
+                differs |= shape(h) != raw
+            classes += 1
+            moved += differs
+    assert classes == 996
+    assert moved >= 118
 
 
 # --- reconstruct against the literal accessibility search -----------------------------
@@ -307,15 +330,18 @@ def _agree_with_dfs(t: GraphLabelledTree, access_kernels) -> Graph:
 
 
 def test_reconstruct_matches_dfs_oracle(connected_by_n, access_kernels):
-    """Every connected n <= 8 decomposition, in both split orders, and both
-    peel results of every peelable bag of every unique-prime tree."""
+    """Every connected n <= 8 decomposition, and that of a seeded
+    relabelling of each, and both peel results of every peelable bag of
+    every unique-prime tree."""
+    rng = random.Random(8)
     peels = 0
     for n in range(1, 9):
         graphs = connected_by_n[n] if n < 8 else enumerate_graphs(8, connected_only=True)
         for g in graphs:
             t = decompose(g)
-            for tt in (t, decompose(g, split_order="max")):
-                assert _agree_with_dfs(tt, access_kernels) == g
+            assert _agree_with_dfs(t, access_kernels) == g
+            h = Graph(n, _relabelled(rng, g.adj))
+            assert _agree_with_dfs(decompose(h), access_kernels) == h
             if len(t.prime_bag_ids()) != 1:
                 continue
             (p,) = t.prime_bag_ids()
@@ -359,16 +385,17 @@ def _grown(rng: random.Random, g: Graph, n: int) -> Graph:
 
 def test_accessible_rows_random_n9_to_n16(access_kernels):
     """Seeded random connected graphs past the exhaustive range, prime-rich
-    and split-rich, in both split orders."""
+    and split-rich, each also under a seeded relabelling."""
     rng = random.Random(916)
+    relabel = random.Random(17)
     bag_counts = set()
     for n in range(9, 17):
         graphs = [_random_connected(rng, n, 0.15), _random_connected(rng, n, 0.4)]
         graphs += [_grown(rng, _random_connected(rng, k, 0.5), n) for k in (4, 6)]
         for g in graphs:
-            for order in ("min", "max"):
-                t = decompose(g, split_order=order)
-                assert _agree_with_dfs(t, access_kernels) == g
+            for h in (g, Graph(n, _relabelled(relabel, g.adj))):
+                t = decompose(h)
+                assert _agree_with_dfs(t, access_kernels) == h
                 bag_counts.add(len(t.bags))
     assert 1 in bag_counts and max(bag_counts) >= 8
 
@@ -811,16 +838,12 @@ def test_tree_digests_n8():
     """Every tree dump, and every peel/extract outcome, of the connected
     corpus n <= 8 is pinned by sha256; a refactor may not move one byte."""
     trees = hashlib.sha256()
-    trees_max = hashlib.sha256()
     reductions = hashlib.sha256()
     for n in range(1, 9):
         for g in enumerate_graphs(n, connected_only=True):
             g6 = write_graph6(g)
             t = decompose(g)
             trees.update(f"{g6}\n{dump_tree(t)}\n".encode())
-            if n <= 7:
-                t_max = decompose(g, split_order="max")
-                trees_max.update(f"{g6}\n{dump_tree(t_max)}\n".encode())
             summary = summarize(t)
             if summary.prime_bag_count != 1:
                 continue
@@ -839,9 +862,6 @@ def test_tree_digests_n8():
             reductions.update(line.encode())
     assert trees.hexdigest() == (
         "c1664a58ed15b8c1ac763bb81e281441d667fbd8c234da45b45b8f56d333ef67"
-    )
-    assert trees_max.hexdigest() == (
-        "c1656b576503beb160cffeb7dc6d674015c7523ce9a34bbe2e151980b0e82fd9"
     )
     assert reductions.hexdigest() == (
         "e1e89a2ddf58b8ff7a7eee5ccc619d8f0d5d6fd24c31adb2c9babd331ee55e66"
