@@ -7,8 +7,9 @@
  * ints) with n <= 64 so every mask fits a 64-bit word.  ``profile_counts``
  * counts forts on a 2^n-bit table of subsets, so it takes n <= 32.
  * ``augment`` is one parent's step of ``graphs.enumerate_graphs``, its
- * children generated, pruned and canonicalised in C; a child must fit in
- * 64 bits, so it takes parents with 1 <= n <= 63.
+ * children generated, pruned and canonicalised in C and returned as level
+ * records (rows as big-endian uint16), so it takes parents with
+ * 1 <= n <= 15.
  * ``split_bags`` runs the whole split recursion of ``splitdec.decompose``
  * in one call and emits finished bags (their ``ordinary`` and ``markers``
  * dicts, whose markers name the tree edges), refusing a disconnected graph;
@@ -359,26 +360,29 @@ static PyObject *canon_adj(PyObject *Py_UNUSED(self), PyObject *args,
 
 /* One parent on n vertices, as the pure ``augment`` reads it: its least
  * degree d, by_deg[j] the vertices of degree j, sig[v] the sum of the
- * degrees of v's neighbours, and the twin steps (u, w), u < w adjacent in
- * their twin class.  ``out`` collects the canonical rows of the kept
- * children. */
+ * degrees of v's neighbours, the twin steps (u, w), u < w adjacent in
+ * their twin class, and its components.  ``out`` collects a (record,
+ * connected) pair per kept child. */
 typedef struct {
-    int n, d, nsteps;
-    u64 adj[64];
-    int deg[64], sig[64];
-    u64 by_deg[65];
-    u64 step_u[64], step_w[64];
+    int n, d, nsteps, ncomps;
+    u64 adj[16];
+    int deg[16], sig[16];
+    u64 by_deg[17];
+    u64 step_u[16], step_w[16];
+    u64 comps[16];
     PyObject *out;
 } Augment;
 
-/* Appends the canonical rows of the child whose new vertex n has the
- * neighbourhood ``nb``, unless twin packing or canonical deletion drops
- * it. */
+/* Appends the record of the child whose new vertex n has the
+ * neighbourhood ``nb``, and whether it is connected (``nb`` meets every
+ * component of the parent), unless twin packing or canonical deletion
+ * drops it. */
 static int augment_child(Augment *a, u64 nb)
 {
-    int i, k, v, s, new_sig, rc;
-    u64 rivals, m, child[64], rows[64];
-    PyObject *t;
+    int i, k, v, s, new_sig, rc, conn;
+    u64 rivals, m, child[16], rows[16];
+    unsigned char *rec;
+    PyObject *record, *pair;
 
     for (i = 0; i < a->nsteps; i++)
         if ((nb & a->step_w[i]) && !(nb & a->step_u[i]))
@@ -405,11 +409,24 @@ static int augment_child(Augment *a, u64 nb)
         child[i] = a->adj[i] | (((nb >> i) & 1) << a->n);
     child[a->n] = nb;
     canon_words(a->n + 1, child, rows);
-    t = int_tuple(a->n + 1, rows);
-    if (t == NULL)
+    record = PyBytes_FromStringAndSize(NULL, 2 * (a->n + 1));
+    if (record == NULL)
         return -1;
-    rc = PyList_Append(a->out, t);
-    Py_DECREF(t);
+    rec = (unsigned char *)PyBytes_AS_STRING(record);
+    for (i = 0; i <= a->n; i++) {
+        rec[2 * i] = (unsigned char)(rows[i] >> 8);
+        rec[2 * i + 1] = (unsigned char)rows[i];
+    }
+    conn = 1;
+    for (i = 0; i < a->ncomps; i++)
+        if (!(nb & a->comps[i]))
+            conn = 0;
+    pair = PyTuple_Pack(2, record, conn ? Py_True : Py_False);
+    Py_DECREF(record);
+    if (pair == NULL)
+        return -1;
+    rc = PyList_Append(a->out, pair);
+    Py_DECREF(pair);
     return rc;
 }
 
@@ -418,7 +435,7 @@ static int augment_child(Augment *a, u64 nb)
 static int augment_combinations(Augment *a, const int *pool, int m, int k,
                                 u64 base)
 {
-    int idx[64], i;
+    int idx[16], i;
     u64 nb;
 
     if (k > m)
@@ -443,21 +460,21 @@ static int augment_combinations(Augment *a, const int *pool, int m, int k,
 /* The pure ``augment``: the neighbourhoods in which a new vertex n has
  * minimum degree, in the order of ``_min_degree_neighbourhoods`` (every
  * mask of at most d bits, then every mask of d + 1 bits holding the
- * degree-d vertices), pruned and canonicalised as there. */
+ * degree-d vertices), pruned, canonicalised and recorded as there. */
 static PyObject *augment(PyObject *Py_UNUSED(self), PyObject *args,
                          PyObject *kwargs)
 {
     static char *kwlist[] = {"n", "adj", NULL};
-    int n, i, u, w, k, m, pool[64];
-    u64 low, r;
+    int n, i, u, w, k, m, pool[16];
+    u64 low, r, rest, comp, frontier;
     PyObject *adj;
     Augment a;
 
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iO", kwlist, &n, &adj))
         return NULL;
-    if (n < 1 || n > 63) {
+    if (n < 1 || n > 15) {
         PyErr_Format(PyExc_ValueError,
-                     "augment takes parents with 1 <= n <= 63 (got %d)", n);
+                     "augment takes parents with 1 <= n <= 15 (got %d)", n);
         return NULL;
     }
     memset(&a, 0, sizeof a);
@@ -487,6 +504,17 @@ static PyObject *augment(PyObject *Py_UNUSED(self), PyObject *args,
                 a.step_w[a.nsteps++] = (u64)1 << w;
                 break;
             }
+    for (rest = FULL(n); rest; rest &= ~comp) {
+        comp = frontier = rest & -rest;
+        while (frontier) {
+            r = 0;
+            for (; frontier; frontier &= frontier - 1)
+                r |= a.adj[CTZ(frontier)];
+            frontier = r & ~comp;
+            comp |= frontier;
+        }
+        a.comps[a.ncomps++] = comp;
+    }
     a.out = PyList_New(0);
     if (a.out == NULL)
         return NULL;
@@ -929,8 +957,8 @@ static PyMethodDef kernel_methods[] = {
            "profile_counts(n, adj): zero forcing sets per size, k = 0..n."),
     KERNEL(canon_adj, "canon_adj(n, adj): canonically relabelled rows."),
     KERNEL(augment,
-           "augment(n, adj): canonical rows of the children the enumeration "
-           "keeps from one parent."),
+           "augment(n, adj): a (record, connected) pair per child the "
+           "enumeration keeps from one parent."),
     KERNEL(split_bags,
            "split_bags(n, adj): bags of the split recursion, each part's "
            "first split taken with A-sides holding vertex 0, in increasing "

@@ -4,10 +4,11 @@ Graphs enter as ``(n, adj)`` where ``adj`` is a sequence of n ints, bit j of
 ``adj[i]`` set iff ij is an edge.  The compiled backend in ``_kernels_cy``
 implements five of these functions with identical outputs: ``canon_adj``,
 ``augment`` (one parent's step of ``graphs.enumerate_graphs``, its kept
-children canonicalised), ``profile_counts``, ``split_bags`` (the whole
-split recursion of ``splitdec.decompose``, returning finished bags whose
-markers name the tree edges between them) and ``accessible_rows`` (the
-graph a graph-labelled tree represents, for ``splitdec.reconstruct``).
+children canonicalised and packed as level records), ``profile_counts``,
+``split_bags`` (the whole split recursion of ``splitdec.decompose``,
+returning finished bags whose markers name the tree edges between them)
+and ``accessible_rows`` (the graph a graph-labelled tree represents, for
+``splitdec.reconstruct``).
 ``zfx.kernels`` picks those five at import time and takes
 ``closure_mask``, ``closure_counts``, ``metric_dh`` and ``find_split_mask``
 from here on both backends.  ``metric_dh`` runs a polynomial separation
@@ -23,6 +24,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 from operator import or_
+from struct import Struct
 from typing import Iterator
 
 BACKEND = "python"
@@ -301,20 +303,51 @@ def _added(n: int) -> _Added:
     return _Added(n)
 
 
+@lru_cache(maxsize=None)
+def level_record(n: int) -> Struct:
+    """The level record of a class on n vertices: its canonical rows as
+    big-endian uint16, so records sort as the row tuples do."""
+    return Struct(f">{n}H")
+
+
+def _components(n: int, adj) -> list[int]:
+    """The vertex masks of the components, by least vertex."""
+    comps = []
+    rest = (1 << n) - 1
+    while rest:
+        comp = frontier = rest & -rest
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & ~comp
+            comp |= frontier
+        comps.append(comp)
+        rest &= ~comp
+    return comps
+
+
 def augment(n: int, adj) -> list:
-    """The canonical rows of the children that ``graphs.enumerate_graphs``
-    keeps from one parent on n vertices: one tuple per canonicalised
-    candidate, in generation order, duplicates kept.
+    """The children that ``graphs.enumerate_graphs`` keeps from one parent
+    on n vertices: a ``(record, connected)`` pair per canonicalised
+    candidate, in generation order, duplicates kept.  ``record`` is the
+    child's canonical rows packed by ``level_record(n + 1)``; the child is
+    connected iff the new vertex's neighbourhood meets every component of
+    the parent.
 
     The candidates are the neighbourhoods of a new vertex n in which it has
     minimum degree (``_min_degree_neighbourhoods`` order); twin packing and
     canonical deletion, as ``enumerate_graphs`` states them, drop some
-    before ``canon_adj`` runs.  Refuses n < 1 and n > 63, so that the child
-    fits in 64-bit rows.
+    before ``canon_adj`` runs.  Refuses n < 1 and n > 15, so that the
+    child's rows fit in uint16.
     """
-    if not 1 <= n <= 63:
-        raise ValueError(f"augment takes parents with 1 <= n <= 63 (got {n})")
+    if not 1 <= n <= 15:
+        raise ValueError(f"augment takes parents with 1 <= n <= 15 (got {n})")
     adj = tuple(adj[:n])
+    comps = _components(n, adj)
+    pack = level_record(n + 1).pack
     base = adj + (0,)
     added = _added(n)
     deg = [row.bit_count() for row in adj]
@@ -365,7 +398,8 @@ def augment(n: int, adj) -> list:
                     rivals ^= low
                 if rivals:  # the loop stopped at a larger sigma
                     continue
-        out.append(canon_adj(n + 1, tuple(map(or_, base, added[nb]))))
+        rows = canon_adj(n + 1, tuple(map(or_, base, added[nb])))
+        out.append((pack(*rows), all(nb & c for c in comps)))
     return out
 
 

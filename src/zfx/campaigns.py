@@ -3,17 +3,20 @@
 A campaign is one entry of ``CAMPAIGNS``: its parameters, the corpus
 description its report carries, and its ordered phases.  Each phase scans a
 corpus with a per-graph worker.  A corpus item is a ``Graph`` of the built-in
-enumeration, or one line of a graph6 file, which only the worker parses, so
-one bad line becomes one skip.  Every record is named by its graph6 line,
-written once per corpus, and ``run_campaign`` folds the records of every
-phase into one deterministic VerificationReport: records are sorted by
-graph6 string, so the report is independent of worker count.  The library
-functions are ``run_campaign`` bound to a table name, keywords only.
+enumeration (decoded from its level record as the scan reaches it), or one
+line of a graph6 file, which only the worker parses, so one bad line becomes
+one skip.  A scan folds each outcome as it arrives: a verified one is only
+counted, and every other one becomes a record named by its graph6 line,
+written by the process that holds the graph.  ``run_campaign`` folds the
+scans of every phase into one deterministic VerificationReport: records are
+sorted by graph6 string once, at the end of each scan, so the report is
+independent of worker count.  The library functions are ``run_campaign``
+bound to a table name, keywords only.
 
 At jobs > 1 one process pool serves the whole campaign.  Its workers get
 every corpus once, when they start (inherited under fork, pickled once per
 worker otherwise); a task names a worker, a corpus and an index range, and
-sends back outcomes only, which the main process names from its own list.
+sends back that range's folded scan.
 """
 
 from __future__ import annotations
@@ -22,9 +25,11 @@ import inspect
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Sequence
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
 from functools import partial
+from operator import itemgetter
 from typing import Callable, NamedTuple, Optional, Union
 
 from . import kernels
@@ -34,7 +39,7 @@ from .extremal import audit_leaf_recurrence, check_path_extremal
 from .graphs import (
     ENUM_MAX,
     Graph,
-    enumerate_graphs,
+    LevelView,
     induced_subgraph,
     is_connected,
     parse_graph6,
@@ -117,9 +122,10 @@ class VerificationReport:
 Item = Union[Graph, str]
 
 
-def builtin_corpus(n_max: int, connected: bool = True) -> list[Graph]:
-    return [g for n in range(1, n_max + 1)
-            for g in enumerate_graphs(n, connected_only=connected)]
+def builtin_corpus(n_max: int, connected: bool = True) -> LevelView:
+    """The classes with 1 <= n <= n_max, or the connected ones, as a sized,
+    sliceable view over the enumeration's level buffers."""
+    return LevelView(n_max, connected_only=connected)
 
 
 def load_corpus(path: str) -> list[str]:
@@ -134,28 +140,46 @@ class _Skip(Exception):
     """Raised by a worker: its graph is skipped for this reason."""
 
 
-class _Corpus(NamedTuple):
-    """A corpus, and the graph6 line that names each item's record."""
-
-    items: list[Item]
-    lines: list[str]
-
-
-def _corpus(items: list[Item]) -> _Corpus:
-    return _Corpus(items, [it if isinstance(it, str) else write_graph6(it)
-                           for it in items])
-
-
 def _outcome(worker: Callable, item: Item) -> dict:
     """The worker's outcome for one item, a new dict, or a skip or failure,
     so one bad graph never aborts a campaign.  A graph over a budget is
-    skipped with the cap as its reason."""
+    skipped with the cap as its reason.  Every outcome but a verified one
+    is named by the item's graph6 line."""
     try:
-        return worker(item)
+        out = worker(item)
     except (_Skip, CapacityError) as skip:
-        return {"status": SKIPPED, "reason": str(skip)}
+        out = {"status": SKIPPED, "reason": str(skip)}
     except Exception as exc:
-        return {"status": ANOMALY, "reason": f"{type(exc).__name__}: {exc}"}
+        out = {"status": ANOMALY, "reason": f"{type(exc).__name__}: {exc}"}
+    if out["status"] != VERIFIED:
+        out["graph6"] = item if isinstance(item, str) else write_graph6(item)
+    return out
+
+
+@dataclass
+class _Scan:
+    """A scan's outcomes, folded as they arrive: how many were scanned and
+    verified, the total of their ``count`` fields, and the named record of
+    every outcome that is not verified."""
+
+    scanned: int = 0
+    verified: int = 0
+    count: int = 0
+    records: list = field(default_factory=list)
+
+
+def _scan(worker: Callable, items) -> _Scan:
+    """The scan of ``worker`` over ``items``, its records in item order."""
+    scan = _Scan()
+    for item in items:
+        out = _outcome(worker, item)
+        scan.scanned += 1
+        if out["status"] == VERIFIED:
+            scan.verified += 1
+        else:
+            scan.records.append(out)
+        scan.count += out.get("count", 0)
+    return scan
 
 
 # In a pool worker process: the corpora of the campaign that started the
@@ -168,9 +192,9 @@ def _init_worker(corpora: tuple) -> None:
     _CORPORA = corpora
 
 
-def _scan_range(worker: Callable, index: int, start: int, stop: int) -> list[dict]:
-    """One pool task: the outcomes of items ``start:stop`` of a corpus."""
-    return [_outcome(worker, item) for item in _CORPORA[index][start:stop]]
+def _scan_range(worker: Callable, index: int, start: int, stop: int) -> _Scan:
+    """One pool task: the scan of items ``start:stop`` of a corpus."""
+    return _scan(worker, _CORPORA[index][start:stop])
 
 
 class _Pool(NamedTuple):
@@ -188,33 +212,38 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _run_scan(corpus: _Corpus, worker: Callable, pool: Optional[_Pool]) -> list[dict]:
-    """The records of ``worker`` over ``corpus``, sorted by graph6: each
-    item's outcome, named by its line.  Without a pool, each item is one
-    ``worker(item)`` call here.  With one, a task is an index range of the
-    corpus its workers already hold, and they send back outcomes only."""
+def _run_scan(corpus: Sequence, worker: Callable, pool: Optional[_Pool]) -> _Scan:
+    """The scan of ``worker`` over ``corpus``, its records sorted by graph6.
+    Without a pool, each item is one ``worker(item)`` call here.  With one,
+    a task is an index range of the corpus its workers already hold; each
+    finished task's scan is folded in as it arrives, and its records are
+    kept in corpus order for the one sort at the end."""
     if pool is None:
-        records = [_outcome(worker, item) for item in corpus.items]
+        scan = _scan(worker, corpus)
     else:
-        size = len(corpus.items)
+        size = len(corpus)
         chunk = max(1, size // (pool.workers * 8))
-        futures = [pool.executor.submit(_scan_range, worker, pool.index,
-                                        start, start + chunk)
-                   for start in range(0, size, chunk)]
-        records = [out for f in futures for out in f.result()]
-    for line, rec in zip(corpus.lines, records, strict=True):
-        rec["graph6"] = line
-    records.sort(key=lambda r: r["graph6"])
-    return records
+        futures = {pool.executor.submit(_scan_range, worker, pool.index,
+                                        start, start + chunk): start
+                   for start in range(0, size, chunk)}
+        scan, records = _Scan(), {}
+        for f in as_completed(futures):
+            part = f.result()
+            scan.scanned += part.scanned
+            scan.verified += part.verified
+            scan.count += part.count
+            records[futures[f]] = part.records
+        scan.records = [rec for start in sorted(records) for rec in records[start]]
+    scan.records.sort(key=itemgetter("graph6"))
+    return scan
 
 
-def _fold(report: VerificationReport, records: list[dict]) -> None:
-    for rec in records:
-        report.scanned += 1
+def _fold(report: VerificationReport, scan: _Scan) -> None:
+    report.scanned += scan.scanned
+    report.verified += scan.verified
+    for rec in scan.records:
         status = rec["status"]
-        if status == VERIFIED:
-            report.verified += 1
-        elif status == SKIPPED:
+        if status == SKIPPED:
             report.skipped.append({"graph6": rec["graph6"], "reason": rec["reason"]})
         elif status == COUNTEREXAMPLE:
             report.counterexamples.append(
@@ -235,14 +264,14 @@ def _fold(report: VerificationReport, records: list[dict]) -> None:
 class Phase:
     """One scan: ``worker``, given the campaign parameters its signature names
     after ``item``, maps each item of ``corpus(params)`` to a new outcome dict
-    (status, and reason or witness fields), which becomes the item's record,
-    or raises ``_Skip``."""
+    (status, reason or witness fields, and an optional int ``count`` that
+    the scan totals) or raises ``_Skip``."""
 
     name: Optional[str]  # key under report.phases; None adds no phases block
-    corpus: Callable[[dict], list[Item]]
+    corpus: Callable[[dict], Sequence[Item]]
     worker: Callable[..., dict]
     tag: Optional[int] = None  # stamped as "phase" on its counterexamples
-    extra: Optional[Callable[[_Corpus, list], dict]] = None  # (corpus, records)
+    extra: Optional[Callable[[Sequence, _Scan], dict]] = None  # (corpus, scan)
 
 
 @dataclass(frozen=True)
@@ -271,14 +300,14 @@ def run_campaign(name: str, /, *, jobs: int = 1, **params) -> VerificationReport
     report = VerificationReport(name, spec.corpus(p))
     t0 = time.perf_counter()
     index: dict = {}  # corpus function -> its position in corpora
-    corpora: list[_Corpus] = []
+    corpora: list[Sequence[Item]] = []
     for phase in spec.phases:
         if phase.corpus not in index:
             index[phase.corpus] = len(corpora)
-            corpora.append(_corpus(phase.corpus(p)))
-    workers = min(jobs, _usable_cpus(), max(len(c.items) for c in corpora))
+            corpora.append(phase.corpus(p))
+    workers = min(jobs, _usable_cpus(), max(map(len, corpora)))
     executor = (ProcessPoolExecutor(workers, initializer=_init_worker,
-                                    initargs=(tuple(c.items for c in corpora),))
+                                    initargs=(tuple(corpora),))
                 if workers > 1 else None)
     phases = {}
     try:
@@ -287,17 +316,17 @@ def run_campaign(name: str, /, *, jobs: int = 1, **params) -> VerificationReport
             takes = list(inspect.signature(phase.worker).parameters)[1:]
             worker = partial(phase.worker, **{k: p[k] for k in takes})
             pool = None if executor is None else _Pool(executor, workers, i)
-            records = _run_scan(corpora[i], worker, pool)
+            scan = _run_scan(corpora[i], worker, pool)
             before_cx = len(report.counterexamples)
-            _fold(report, records)
+            _fold(report, scan)
             if phase.tag is not None:
                 for cx in report.counterexamples[before_cx:]:
                     cx["phase"] = phase.tag
             if phase.name is not None:
                 phases[phase.name] = {
-                    "scanned": len(records),
-                    "verified": sum(r["status"] == VERIFIED for r in records),
-                    **(phase.extra(corpora[i], records) if phase.extra else {}),
+                    "scanned": scan.scanned,
+                    "verified": scan.verified,
+                    **(phase.extra(corpora[i], scan) if phase.extra else {}),
                 }
     finally:
         if executor is not None:
@@ -421,9 +450,9 @@ def _prime_core_worker(item: Item, budget: Optional[int]) -> dict:
                 "witness_k": verdict.witness_k,
                 "margins": list(verdict.margins),
                 "reason": f"induced subgraph {verdict.graph6} not path-extremal",
-                "subgraph_classes": checked,
+                "count": checked,
             }
-    return {"status": VERIFIED, "subgraph_classes": len(classes)}
+    return {"status": VERIFIED, "count": len(classes)}
 
 
 def _unique_prime_worker(item: Item, m: int, budget: Optional[int],
@@ -524,11 +553,11 @@ CAMPAIGNS = {c.name: c for c in (
             Phase("phase1",
                   lambda p: split_prime_graphs(p["m"]),
                   _prime_core_worker, tag=1,
-                  # the primes in enumeration order, not the records' graph6 order
-                  extra=lambda corpus, records: {
-                      "prime_graphs": list(corpus.lines),
-                      "subgraph_classes": sum(r.get("subgraph_classes", 0)
-                                              for r in records)}),
+                  # the primes in enumeration order, not the records' graph6
+                  # order, and the induced-subgraph classes checked
+                  extra=lambda corpus, scan: {
+                      "prime_graphs": list(map(write_graph6, corpus)),
+                      "subgraph_classes": scan.count}),
             Phase("phase2", _graphs, _unique_prime_worker, tag=2),
         ),
         help="campaign: bounded prime cores, both phases",

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Optional
 from . import KERNEL_BACKEND, __version__, campaigns, forcing, splitdec
 from .dh import dh_metric_oracle, recognize_dh, replay_trace
 from .errors import CapacityError, Graph6ParseError
-from .extremal import path_zprime
+from .extremal import path_margins
 from .forcing import zf_profile
 from .graphs import (
     Graph,
@@ -141,9 +141,7 @@ def _profile_entry(args, label: str, g: Graph) -> dict:
         "polynomial": list(profile.poly_coeffs),
     }
     if args.against_path:
-        entry["margins"] = [
-            profile.zprime[k] - path_zprime(g.n, k) for k in range(g.n + 1)
-        ]
+        entry["margins"] = list(path_margins(g.n, profile.zprime))
     return entry
 
 

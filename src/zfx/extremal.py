@@ -8,7 +8,9 @@ arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
+from operator import sub
 from typing import Optional
 
 from .errors import InvariantViolation
@@ -27,6 +29,18 @@ def path_zprime(n: int, k: int) -> int:
     return _c(n - k - 1, k)
 
 
+@lru_cache(maxsize=None)
+def path_zprime_row(n: int) -> tuple[int, ...]:
+    """z'(P_n;k) for k = 0..n, computed once per n."""
+    return tuple(path_zprime(n, k) for k in range(n + 1))
+
+
+def path_margins(n: int, zprime) -> tuple[int, ...]:
+    """z'(G;k) - z'(P_n;k) for k = 0..n, given z'(G;k) of a graph on n
+    vertices."""
+    return tuple(map(sub, zprime, path_zprime_row(n)))
+
+
 def path_z(n: int, k: int) -> int:
     """Number of forcing k-subsets of the n-path."""
     if k < 0 or k > n:
@@ -40,29 +54,33 @@ class ExtremalVerdict:
 
     ``margins[k]`` is z'(G;k) - z'(P_n;k) when ``method`` is "enumeration";
     for certified shortcut verdicts it is a proven lower bound instead.
+    ``graph6`` is written from ``graph`` when it is read.
     """
 
-    graph6: str
-    n: int
+    graph: Graph
     is_path_extremal: bool
     witness_k: Optional[int]
     margins: tuple[int, ...]
     method: str = "enumeration"
 
+    @property
+    def n(self) -> int:
+        return self.graph.n
+
+    @property
+    def graph6(self) -> str:
+        return write_graph6(self.graph)
+
 
 def check_path_extremal(g: Graph, budget: Optional[int] = None) -> ExtremalVerdict:
-    profile = zf_profile(g, budget)
-    margins = tuple(
-        profile.zprime[k] - path_zprime(g.n, k) for k in range(g.n + 1)
-    )
+    margins = path_margins(g.n, zf_profile(g, budget).zprime)
     witness = None
     for k, m in enumerate(margins):
         if m < 0:
             witness = k
             break
     return ExtremalVerdict(
-        graph6=write_graph6(g),
-        n=g.n,
+        graph=g,
         is_path_extremal=witness is None,
         witness_k=witness,
         margins=margins,
@@ -79,17 +97,14 @@ def twin_shortcut(g: Graph) -> Optional[ExtremalVerdict]:
     if find_twin_pair(g) is None:
         return None
     n = g.n
-    margins = [0]  # k = 0: both z' values equal 1 (n >= 2 when twins exist)
-    for k in range(1, n + 1):
-        margins.append(_c(n - 2, k) - path_zprime(n, k))
+    margins = path_margins(n, [_c(n - 2, k) for k in range(n + 1)])
     if any(m < 0 for m in margins):
         raise InvariantViolation("twin fort bound fell below the path profile")
     return ExtremalVerdict(
-        graph6=write_graph6(g),
-        n=n,
+        graph=g,
         is_path_extremal=True,
         witness_k=None,
-        margins=tuple(margins),
+        margins=margins,
         method="twin_fort",
     )
 

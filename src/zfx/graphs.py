@@ -8,12 +8,16 @@ the package.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import compress
+from functools import partial
+from itertools import compress, islice, repeat
 from typing import Iterable, Iterator, Optional
 
 from . import kernels
-from ._kernels_py import _twin_classes
+from ._kernels_py import _twin_classes, level_record
 from .errors import CapacityError, Graph6ParseError, InvariantViolation
 
 MAX_VERTICES = 64
@@ -323,34 +327,42 @@ def write_graph6(g: Graph) -> str:
 
 ENUM_MAX = 9
 
-# n -> (every class on n vertices, one is_connected byte per class or None
-# until a caller first asks for the connected ones)
-_levels: dict[int, tuple[tuple[Graph, ...], Optional[bytes]]] = {}
+# n -> (records, flags): every class on n vertices as one buffer of
+# ``level_record(n)`` records in sorted order, and one is_connected byte per
+# class.  Level 0 holds one zero-width record, so a level's size is the
+# length of its flags.
+_levels: dict[int, tuple[bytes, bytes]] = {}
 
 
-def _enum_level(n: int) -> tuple[Graph, ...]:
-    if n in _levels:
-        return _levels[n][0]
+def _enum_level(n: int) -> tuple[bytes, bytes]:
+    if n not in _levels:
+        if n <= 1:
+            _levels[n] = (bytes(2 * n), b"\1")
+        else:
+            seen: dict[bytes, bool] = {}  # record -> connected
+            for rows in _level_rows(n - 1):
+                seen.update(kernels.augment(n - 1, rows))
+            order = sorted(seen)
+            _levels[n] = (b"".join(order), bytes(map(seen.__getitem__, order)))
+    return _levels[n]
+
+
+def _check_level(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"no graphs on {n} vertices")
+    if n > ENUM_MAX:
+        raise CapacityError(
+            f"built-in enumeration stops at n={ENUM_MAX}; "
+            "supply larger corpora as graph6 files"
+        )
+
+
+def _level_rows(n: int) -> Iterator[tuple[int, ...]]:
+    """The rows of each class on n vertices, decoded in level order."""
+    records, flags = _enum_level(n)
     if n == 0:
-        reps: tuple[Graph, ...] = (Graph(0, ()),)
-    elif n == 1:
-        reps = (Graph(1, (0,)),)
-    else:
-        seen = set()
-        for g in _enum_level(n - 1):
-            seen.update(kernels.augment(n - 1, g.adj))
-        reps = tuple(Graph(n, rows) for rows in sorted(seen))
-    _levels[n] = (reps, None)
-    return reps
-
-
-def _connected_flags(n: int) -> bytes:
-    level = _enum_level(n)
-    flags = _levels[n][1]
-    if flags is None:
-        flags = bytes(map(is_connected, level))
-        _levels[n] = (level, flags)
-    return flags
+        return repeat((), len(flags))
+    return level_record(n).iter_unpack(records)
 
 
 def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
@@ -381,17 +393,70 @@ def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
        parent's least degree the new vertex is the only one of degree k,
        so no sigma is computed.
 
-    Deterministic order (sorted encodings).  Each level, and which of its
-    classes are connected once asked for, is cached for the process in
-    ``_levels``.  Raises ``ValueError`` for n < 0 and ``CapacityError``
-    above ``ENUM_MAX`` at the call, not at the first item.
+    ``augment`` returns each kept child as a record, its canonical rows
+    packed as big-endian uint16 (``level_record``), and whether it is
+    connected: it is iff the new vertex's neighbourhood meets every
+    component of the parent.  Records of one n have one width and sort as
+    the row tuples do, so a level is cached for the process in ``_levels``
+    as one sorted buffer of records (4.9 MB at n = 9) with one connected
+    byte per class, and each ``Graph`` is decoded from its record when the
+    iterator reaches it.  Deterministic order (sorted encodings).  Raises
+    ``ValueError`` for n < 0 and ``CapacityError`` above ``ENUM_MAX`` at
+    the call, not at the first item.
     """
-    if n < 0:
-        raise ValueError(f"no graphs on {n} vertices")
-    if n > ENUM_MAX:
-        raise CapacityError(
-            f"built-in enumeration stops at n={ENUM_MAX}; "
-            "supply larger corpora as graph6 files"
-        )
-    level = _enum_level(n)
-    return compress(level, _connected_flags(n)) if connected_only else iter(level)
+    _check_level(n)
+    rows = _level_rows(n)
+    if connected_only:
+        rows = compress(rows, _enum_level(n)[1])
+    return map(partial(Graph, n), rows)
+
+
+class LevelView(Sequence):
+    """The classes on 1..n_max vertices, or the connected ones, in
+    enumeration order: a sized, sliceable sequence of ``Graph``s decoded
+    from the level buffers on demand.  It holds the buffers and the
+    positions of its items in each, so a slice decodes only its own
+    records; a pool worker that inherits the view decodes its own index
+    ranges.  Refuses n_max as ``enumerate_graphs`` does."""
+
+    def __init__(self, n_max: int, connected_only: bool = False):
+        _check_level(n_max)
+        self._levels = []  # (n, records, positions of the items in records)
+        self._ends = []  # the number of items up to and including each level
+        size = 0
+        for n in range(1, n_max + 1):
+            records, flags = _enum_level(n)
+            positions = range(len(flags))
+            if connected_only:
+                positions = array("I", compress(positions, flags))
+            size += len(positions)
+            self._levels.append((n, records, positions))
+            self._ends.append(size)
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __iter__(self) -> Iterator[Graph]:
+        return self._from(0)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            start, stop, step = index.indices(len(self))
+            if step != 1:
+                raise ValueError("a level view slices with step 1 only")
+            return list(islice(self._from(start), max(0, stop - start)))
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError("level view index out of range")
+        return next(self._from(index))
+
+    def _from(self, start: int) -> Iterator[Graph]:
+        """The items from position ``start`` on."""
+        first = bisect_right(self._ends, start)
+        skip = start - (self._ends[first - 1] if first else 0)
+        for n, records, positions in self._levels[first:]:
+            unpack, width = level_record(n).unpack_from, 2 * n
+            for i in positions[skip:]:
+                yield Graph(n, unpack(records, width * i))
+            skip = 0

@@ -4,7 +4,8 @@ The compiled extension (``zfx._kernels_cy``) is preferred when importable;
 ``ZFX_PURE=1`` in the environment forces the pure-Python fallback.  A kernel
 has a compiled twin only where it moves a campaign's run time, five in
 all: ``canon_adj``, ``augment`` (one parent's step of the corpus
-enumeration, canonical forms included), ``profile_counts``, ``split_bags``
+enumeration, canonical forms included, each child returned as its level
+record and whether it is connected), ``profile_counts``, ``split_bags``
 (the whole split recursion of ``splitdec.decompose`` in one call, up to
 finished bags, whose markers name the tree edges) and ``accessible_rows``
 (all of ``splitdec.reconstruct``'s accessibility search in one call).

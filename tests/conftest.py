@@ -72,12 +72,13 @@ def cyk(request):
 
 
 @pytest.fixture(scope="session")
-def level9(cyk) -> tuple[tuple[Graph, ...], bytes]:
-    """Every class on 9 vertices (274,668), in enumeration order, and one
-    ``is_connected`` byte per class.  Built once, with the compiled
-    ``augment``, in a private level cache: ``graphs._levels`` never holds
-    the 120 MB level."""
+def level9(cyk) -> tuple[bytes, bytes]:
+    """The level of every class on 9 vertices (274,668) as ``_levels``
+    holds one: a buffer of sorted ``level_record(9)`` records and one
+    is_connected byte per class.  Built once, with the compiled
+    ``augment``, in a private level cache: ``graphs._levels`` never holds a
+    level built on the other backend's kernel."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "augment", cyk.augment)
         mp.setattr(graphs, "_levels", dict(graphs._levels))
-        return graphs._enum_level(9), graphs._connected_flags(9)
+        return graphs._enum_level(9)

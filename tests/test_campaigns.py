@@ -6,6 +6,7 @@ import hashlib
 import inspect
 import json
 import os
+import sys
 from concurrent.futures import Future, ProcessPoolExecutor
 from functools import cache
 
@@ -398,3 +399,73 @@ def test_phase_workers_take_campaign_parameters():
         for phase in spec.phases:
             takes = list(inspect.signature(phase.worker).parameters)[1:]
             assert set(takes) <= spec.params.keys(), (spec.name, phase.worker)
+
+
+# --- the streaming fold ------------------------------------------------------------
+
+
+@pytest.fixture
+def graph6_writes(monkeypatch):
+    """The graphs ``write_graph6`` is called on, wherever zfx binds it."""
+    written = []
+
+    def counting(g):
+        written.append(g)
+        return write_graph6(g)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "zfx" or name.startswith("zfx.")) and (
+                getattr(module, "write_graph6", None) is write_graph6):
+            monkeypatch.setattr(module, "write_graph6", counting)
+    return written
+
+
+def test_only_listed_records_are_named(graph6_writes):
+    """A verified outcome is counted, never named: the round trip verifies
+    every graph and writes no graph6, and verify-dh writes one per skip."""
+    roundtrip = verify_split_roundtrip(n_max=6)
+    assert roundtrip.verified == roundtrip.scanned == 143
+    assert graph6_writes == []
+    dh = verify_dh(n_max=6)
+    assert len(graph6_writes) == len(dh.skipped) == dh.scanned - dh.verified > 0
+    assert sorted(map(write_graph6, graph6_writes)) == [s["graph6"] for s in dh.skipped]
+
+
+@pytest.mark.parametrize("name", sorted(campaigns.CAMPAIGNS))
+def test_jobs_1_and_2_fold_alike(name, monkeypatch):
+    """Folded per item and per finished task, the reports are the same;
+    two workers start whatever the machine has."""
+    monkeypatch.setattr(campaigns, "_usable_cpus", lambda: 2)
+    serial = campaigns.run_campaign(name, n_max=6, jobs=1)
+    pooled = campaigns.run_campaign(name, n_max=6, jobs=2)
+    assert pooled.normalized_json() == serial.normalized_json()
+
+
+def test_file_corpus_folds_alike_at_jobs_1_and_2(tmp_path, monkeypatch):
+    """A file corpus with a malformed line, a disconnected line and a
+    repeated line gives the same report at jobs 1 and 2."""
+    monkeypatch.setattr(campaigns, "_usable_cpus", lambda: 2)
+    lines = [write_graph6(g) for g in builtin_corpus(5)]
+    lines[7:7] = ["D?", "C?", lines[3]]  # cut short, 4 isolated vertices, again
+    f = tmp_path / "mixed.g6"
+    f.write_text("".join(line + "\n" for line in lines))
+    for campaign in (verify_dh, verify_split_roundtrip, verify_unique_prime):
+        serial = campaign(g6_file=str(f), jobs=1)
+        _check_report_invariants(serial)
+        reasons = {s["graph6"]: s["reason"] for s in serial.skipped}
+        assert reasons["C?"] == "disconnected" and reasons["D?"].startswith("parse")
+        pooled = campaign(g6_file=str(f), jobs=2)
+        assert pooled.normalized_json() == serial.normalized_json()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_phase1_primes_and_subgraph_total(jobs):
+    """Phase 1 lists the split-prime graphs in enumeration order and totals
+    the induced-subgraph classes over every outcome, verified ones too."""
+    phase1 = verify_unique_prime(n_max=5, m=6, jobs=jobs).phases["phase1"]
+    assert phase1["scanned"] == phase1["verified"] == 21
+    assert phase1["subgraph_classes"] == 309
+    assert phase1["prime_graphs"] == list(map(write_graph6, split_prime_graphs(6)))
+    assert phase1["prime_graphs"][:4] == ["DLo", "DLs", "DL{", "EJeg"]
+    assert hashlib.sha256(json.dumps(phase1["prime_graphs"]).encode()).hexdigest() == (
+        "1a7e26c9658b2678c710af9d12a0f57879abd6d7d11d5726eb031c7e430541cd")

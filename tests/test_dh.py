@@ -5,10 +5,11 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from itertools import compress
+from itertools import chain, compress
 from typing import Optional
 
 import pytest
+from test_graphs import level_graphs
 from test_kernels import _metric_dh_literal
 
 from zfx.dh import (
@@ -236,9 +237,10 @@ def test_recognizer_matches_the_reference_random_to_n16():
 def test_traces_pinned_to_n9(level9):
     """Every trace, or None, of the connected classes with n <= 9 (273,193
     graphs) in enumeration order, over one sha256."""
-    level, connected = level9
-    corpus = [g for n in range(1, 9) for g in enumerate_graphs(n, connected_only=True)]
-    corpus += compress(level, connected)
+    records, connected = level9
+    corpus = chain((g for n in range(1, 9)
+                    for g in enumerate_graphs(n, connected_only=True)),
+                   compress(level_graphs(9, records), connected))
     out = []
     for g in corpus:
         trace = recognize_dh(g)

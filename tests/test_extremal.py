@@ -10,8 +10,10 @@ from zfx.extremal import (
     attach_pendants,
     audit_leaf_recurrence,
     check_path_extremal,
+    path_margins,
     path_z,
     path_zprime,
+    path_zprime_row,
     twin_shortcut,
 )
 from zfx.forcing import zf_profile
@@ -70,6 +72,21 @@ def test_check_path_extremal_examples():
 def test_check_path_extremal_degenerates():
     assert check_path_extremal(Graph(0, ())).is_path_extremal
     assert check_path_extremal(Graph(1, (0,))).is_path_extremal
+
+
+def test_path_row_is_cached_per_n():
+    for n in range(0, 31):
+        assert path_zprime_row(n) == tuple(path_zprime(n, k) for k in range(n + 1))
+        assert path_zprime_row(n) is path_zprime_row(n)
+    assert path_margins(5, zf_profile(make_cycle(5)).zprime) == (0, 2, 4, 0, 0, 0)
+
+
+def test_verdict_writes_graph6_when_read():
+    """A verdict holds its graph; its graph6 is derived from it on demand."""
+    g = make_cycle(5)
+    v = check_path_extremal(g)
+    assert v.graph is g and v.n == 5 and v.graph6 == "Dhc"
+    assert twin_shortcut(make_cycle(4)).graph6 == "Cl"
 
 
 def test_witness_is_least_violation():

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import hashlib
+from functools import partial
 from itertools import combinations, permutations
+from typing import Iterator
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from zfx import _kernels_py as pyk
 from zfx import graphs, kernels
+from zfx._kernels_py import level_record
 from zfx.errors import CapacityError, Graph6ParseError
 from zfx.graphs import (
     Graph,
@@ -364,35 +367,77 @@ def test_enumeration_digest_to_n8():
     assert digest == "430b19930d7e7ad67ee81acdd827def015ea3e0004080f99c9b6f23073c11002"
 
 
+def level_graphs(n: int, records: bytes) -> Iterator[Graph]:
+    """The classes of a level buffer on n >= 1 vertices, decoded in order."""
+    return map(partial(Graph, n), level_record(n).iter_unpack(records))
+
+
+def _levels_to_n9(level9):
+    """(n, records, flags) of every level with 1 <= n <= 9."""
+    return [(n, *graphs._enum_level(n)) for n in range(1, 9)] + [(9, *level9)]
+
+
 def test_enumeration_n9_on_compiled_canon(level9):
     """All 274,668 classes at n = 9, built with the compiled ``augment``
     (which canonicalises the children itself)."""
-    level, connected = level9
-    assert len(level) == KNOWN_GRAPH_COUNTS[8]
+    records, connected = level9
+    assert len(connected) == len(records) // 18 == KNOWN_GRAPH_COUNTS[8]
     assert sum(connected) == 261080
-    digest = hashlib.sha256("\n".join(map(write_graph6, level)).encode()).hexdigest()
+    lines = map(write_graph6, level_graphs(9, records))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "1534d7af27eadd7885f6959476e15044f16cc7d7459dfea0f95571454f91faca"
 
 
-def test_connected_classes_filtered_once_per_level(monkeypatch):
-    """A level's classes are tested for connectedness on the first
-    ``connected_only`` request only, and the connected ones come back in
-    enumeration order."""
-    calls = []
+def test_level_records_sort_as_row_tuples(level9):
+    """For every class with 1 <= n <= 9, the records of a level are in
+    increasing order of the classes' row tuples, and each record decodes
+    to rows that pack back to it."""
+    for n, records, flags in _levels_to_n9(level9):
+        record = level_record(n)
+        assert len(records) == record.size * len(flags)
+        rows = list(record.iter_unpack(records))
+        assert all(a < b for a, b in zip(rows, rows[1:])), n
+        assert b"".join(record.pack(*r) for r in rows) == records
 
-    def counting(g):
-        calls.append(g)
-        return is_connected(g)
 
-    monkeypatch.setattr(graphs, "_levels", {})
-    monkeypatch.setattr(graphs, "is_connected", counting)
-    first = [list(enumerate_graphs(n, connected_only=True)) for n in range(1, 7)]
-    assert len(calls) == sum(KNOWN_GRAPH_COUNTS[:6])
-    again = [list(enumerate_graphs(n, connected_only=True)) for n in range(1, 7)]
-    assert len(calls) == sum(KNOWN_GRAPH_COUNTS[:6])
-    assert again == first == [[g for g in enumerate_graphs(n) if is_connected(g)]
-                              for n in range(1, 7)]
-    assert [len(level) for level in first] == [1, 1, 2, 6, 21, 112]
+def test_connected_flags_match_is_connected(level9):
+    """The connected byte ``augment`` gives each class is ``is_connected``
+    of the class, for every class with 1 <= n <= 9, and ``connected_only``
+    yields exactly those classes, in enumeration order."""
+    for n, records, flags in _levels_to_n9(level9):
+        assert bytes(map(is_connected, level_graphs(n, records))) == flags, n
+    for n in range(1, 9):
+        assert (list(enumerate_graphs(n, connected_only=True))
+                == [g for g in enumerate_graphs(n) if is_connected(g)])
+    assert [sum(graphs._enum_level(n)[1]) for n in range(1, 9)] == [
+        1, 1, 2, 6, 21, 112, 853, 11117]
+
+
+def test_levels_0_and_1():
+    """Level 0 holds one zero-width record, the empty graph; level 1 holds
+    K1.  Both are connected."""
+    for connected_only in (False, True):
+        assert list(enumerate_graphs(0, connected_only)) == [Graph(0, ())]
+        assert list(enumerate_graphs(1, connected_only)) == [Graph(1, (0,))]
+    assert graphs._enum_level(0) == (b"", b"\1")
+
+
+def test_level_view_slices_decode_their_own_records():
+    """``LevelView`` gives the same graphs as ``enumerate_graphs`` level by
+    level, by iteration, index and slice, connected or not."""
+    for connected_only in (False, True):
+        every = [g for n in range(1, 7)
+                 for g in enumerate_graphs(n, connected_only=connected_only)]
+        view = graphs.LevelView(6, connected_only)
+        assert len(view) == len(every) and list(view) == every
+        assert [view[i] for i in range(-len(every), len(every))] == every + every
+        for start, stop in [(0, 0), (0, 5), (3, 40), (40, 3), (100, 10**6)]:
+            assert view[start:stop] == every[start:stop]
+        with pytest.raises(IndexError):
+            view[len(every)]
+    assert len(graphs.LevelView(0)) == 0
+    with pytest.raises(CapacityError):
+        graphs.LevelView(10)
 
 
 def test_enumeration_capacity_error():
@@ -417,8 +462,9 @@ def test_enumeration_refuses_at_the_call():
 def test_enumeration_canon_calls_to_n8(cyk, monkeypatch):
     """Twin packing and the canonical-deletion test leave 18,058
     canonicalised children for n <= 8 (min-degree augmentation alone made
-    32,886), counted per child level as the length of what ``augment``
-    returns, on each backend, from an empty private level cache."""
+    32,886), counted per child level as the number of (record, connected)
+    pairs ``augment`` returns, on each backend, from an empty private
+    level cache."""
     for module in (pyk, cyk):
         calls = dict.fromkeys(range(2, 9), 0)
 

@@ -22,9 +22,12 @@ from zfx.errors import CapacityError
 from zfx.extremal import path_z
 from zfx.forcing import zf_profile
 from zfx.graphs import (
+    Graph,
     bits,
     enumerate_graphs,
     graph_from_edges,
+    is_connected,
+    make_complete,
     make_cycle,
     make_path,
 )
@@ -294,9 +297,20 @@ def test_canon_compiled_at_n64(cyk):
             assert cyk.canon_adj(64, _relabelled(rng, adj)) == rows
 
 
+def _check_children(cyk, n, children):
+    """Each (record, connected) pair that ``augment`` gave for a parent on
+    n vertices decodes to canonical rows, and the child is connected as
+    flagged."""
+    record = pyk.level_record(n + 1)
+    for rec, connected in children:
+        rows = record.unpack(rec)
+        assert cyk.canon_adj(n + 1, rows) == rows
+        assert connected is is_connected(Graph(n + 1, rows))
+
+
 def test_augment_parity_to_n7(cyk):
-    """Every parent with n <= 7: the same children, in the same order,
-    duplicates included."""
+    """Every parent with n <= 7: the same (record, connected) pairs, in the
+    same order, duplicates included."""
     parents = [g for n in range(1, 8) for g in enumerate_graphs(n)]
     assert len(parents) == 1252
     for g in parents:
@@ -304,23 +318,40 @@ def test_augment_parity_to_n7(cyk):
 
 
 def test_augment_random_n9_to_n12(cyk):
-    """Seeded random labelled parents past the enumeration: both backends
-    agree, and every child comes back in canonical form."""
+    """Seeded random labelled parents past the enumeration, connected or
+    not: both backends agree, and every child decodes to canonical rows
+    with its connectivity flag right."""
     rng = random.Random(912)
     for n in range(9, 13):
         for p in (0.2, 0.45):
             adj = _random_adj(rng, n, p)
             children = cyk.augment(n, adj)
             assert children and children == pyk.augment(n, adj)
-            for c in children:
-                assert len(c) == n + 1 and cyk.canon_adj(n + 1, c) == c
+            _check_children(cyk, n, children)
+    two_parts = graph_from_edges(10, [(0, 1), (1, 2), (3, 4), (5, 6), (7, 8), (8, 9)])
+    children = cyk.augment(10, two_parts.adj)
+    assert children == pyk.augment(10, two_parts.adj)
+    assert {connected for _, connected in children} == {False}
+    _check_children(cyk, 10, children)
 
 
-def test_augment_refuses_n0_and_n64(cyk):
-    """A parent needs a vertex, and its child must fit in 64 bits."""
+def test_augment_at_n15(cyk):
+    """The largest parent: its children have 16 uint16 rows, and only the
+    one with an isolated new vertex is disconnected."""
+    for g in (make_path(15), make_cycle(15), make_complete(15)):
+        children = cyk.augment(15, g.adj)
+        assert children and children == pyk.augment(15, g.adj)
+        assert {len(rec) for rec, _ in children} == {32}
+        assert [rec for rec, connected in children if not connected] == [
+            pyk.level_record(16).pack(*cyk.canon_adj(16, g.adj + (0,)))]
+        _check_children(cyk, 15, children)
+
+
+def test_augment_refuses_n0_and_n16(cyk):
+    """A parent needs a vertex, and its child's rows must fit in uint16."""
     for module in (pyk, cyk):
-        for n in (0, 64):
-            with pytest.raises(ValueError, match=rf"1 <= n <= 63 \(got {n}\)"):
+        for n in (0, 16):
+            with pytest.raises(ValueError, match=rf"1 <= n <= 15 \(got {n}\)"):
                 module.augment(n, (0,) * n)
 
 
@@ -429,19 +460,22 @@ def test_compiled_signatures_match_the_pure_twins(cyk):
 
 # Runs every compiled kernel on each class with n <= 7 (split_bags and
 # accessible_rows on the connected ones, augment on those with
-# 1 <= n <= 6), on P_24 and on C_64.
+# 1 <= n <= 6, its records checked against the pure kernel's), on P_15
+# (augment's largest parent), P_24 and C_64.
 _UBSAN_DRIVER = """
 import importlib.util, sys
+from zfx import _kernels_py as pyk
 from zfx.graphs import enumerate_graphs, is_connected, make_cycle, make_path
 spec = importlib.util.spec_from_file_location("zfx._kernels_cy", sys.argv[1])
 cyk = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(cyk)
-graphs = [g for n in range(8) for g in enumerate_graphs(n)] + [make_path(24)]
+graphs = [g for n in range(8) for g in enumerate_graphs(n)]
+graphs += [make_path(15), make_path(24)]
 for g in graphs:
     cyk.canon_adj(g.n, g.adj)
     cyk.profile_counts(g.n, g.adj)
-    if 1 <= g.n <= 6:
-        cyk.augment(g.n, g.adj)
+    if 1 <= g.n <= 6 or g.n == 15:
+        assert cyk.augment(g.n, g.adj) == pyk.augment(g.n, g.adj)
     if g.n and is_connected(g):
         bags = cyk.split_bags(g.n, g.adj)
         rows = cyk.accessible_rows(range(g.n), [bag[:3] for bag in bags])
