@@ -12,7 +12,9 @@
  * 1 <= n <= 15.
  * ``split_bags`` runs the whole split recursion of ``splitdec.decompose``
  * in one call and emits finished bags (their ``ordinary`` and ``markers``
- * dicts, whose markers name the tree edges), refusing a disconnected graph;
+ * dicts, whose markers name the tree edges), refusing a disconnected graph
+ * by the same ``components`` search that gives ``augment`` its connected
+ * flags;
  * ``accessible_rows`` is ``splitdec.reconstruct``'s whole accessibility
  * search, over at most 256 label vertices.  It raises ValueError on
  * unordered or unknown ids, a label vertex that is not exactly one of
@@ -356,6 +358,27 @@ static PyObject *canon_adj(PyObject *Py_UNUSED(self), PyObject *args,
     return int_tuple(n, rows);
 }
 
+/* The vertex masks of the components into ``comps``, by least vertex, as
+ * the pure ``_components``; returns their count. */
+static int components(int n, const u64 *adj, u64 *comps)
+{
+    int count = 0;
+    u64 rest, comp, frontier, next, m;
+
+    for (rest = FULL(n); rest; rest &= ~comp) {
+        comp = frontier = rest & -rest;
+        while (frontier) {
+            next = 0;
+            for (m = frontier; m; m &= m - 1)
+                next |= adj[CTZ(m)];
+            frontier = next & ~comp;
+            comp |= frontier;
+        }
+        comps[count++] = comp;
+    }
+    return count;
+}
+
 /* --- enumeration step ---------------------------------------------------- */
 
 /* One parent on n vertices, as the pure ``augment`` reads it: its least
@@ -466,7 +489,7 @@ static PyObject *augment(PyObject *Py_UNUSED(self), PyObject *args,
 {
     static char *kwlist[] = {"n", "adj", NULL};
     int n, i, u, w, k, m, pool[16];
-    u64 low, r, rest, comp, frontier;
+    u64 low, r;
     PyObject *adj;
     Augment a;
 
@@ -504,17 +527,7 @@ static PyObject *augment(PyObject *Py_UNUSED(self), PyObject *args,
                 a.step_w[a.nsteps++] = (u64)1 << w;
                 break;
             }
-    for (rest = FULL(n); rest; rest &= ~comp) {
-        comp = frontier = rest & -rest;
-        while (frontier) {
-            r = 0;
-            for (; frontier; frontier &= frontier - 1)
-                r |= a.adj[CTZ(frontier)];
-            frontier = r & ~comp;
-            comp |= frontier;
-        }
-        a.comps[a.ncomps++] = comp;
-    }
+    a.ncomps = components(n, a.adj, a.comps);
     a.out = PyList_New(0);
     if (a.out == NULL)
         return NULL;
@@ -686,29 +699,13 @@ static int split_rec(Splitter *sp, int n, const u64 *adj, const long long *tok)
     return 0;
 }
 
-/* True iff every vertex is reached from vertex 0 (the empty graph too). */
-static int connected(int n, const u64 *adj)
-{
-    u64 reach, frontier, next, m;
-
-    reach = frontier = n ? 1 : 0;
-    while (frontier) {
-        next = 0;
-        for (m = frontier; m; m &= m - 1)
-            next |= adj[CTZ(m)];
-        frontier = next & ~reach;
-        reach |= frontier;
-    }
-    return reach == FULL(n);
-}
-
 static PyObject *split_bags(PyObject *Py_UNUSED(self), PyObject *args,
                             PyObject *kwargs)
 {
     static char *kwlist[] = {"n", "adj", NULL};
     int n, i;
     PyObject *adj;
-    u64 cadj[64];
+    u64 cadj[64], comps[64];
     long long tok[64];
     Splitter sp;
 
@@ -716,7 +713,7 @@ static PyObject *split_bags(PyObject *Py_UNUSED(self), PyObject *args,
         return NULL;
     if (read_adj(n, adj, cadj) < 0)
         return NULL;
-    if (!connected(n, cadj)) {
+    if (components(n, cadj, comps) > 1) {
         PyErr_SetString(PyExc_ValueError,
                         "decompose expects a connected graph");
         return NULL;

@@ -504,16 +504,7 @@ def split_bags(n: int, adj) -> list:
     edge e is held by exactly two bags, one on each side of its split.
     Raises ``ValueError`` on a disconnected graph.
     """
-    reach = frontier = 1 if n else 0
-    while frontier:
-        nxt = 0
-        while frontier:
-            low = frontier & -frontier
-            nxt |= adj[low.bit_length() - 1]
-            frontier ^= low
-        frontier = nxt & ~reach
-        reach |= frontier
-    if reach != (1 << n) - 1:
+    if len(_components(n, adj)) > 1:
         raise ValueError("decompose expects a connected graph")
     bags = []
     edges = 0

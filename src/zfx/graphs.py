@@ -17,7 +17,7 @@ from itertools import compress, islice, repeat
 from typing import Iterable, Iterator, Optional
 
 from . import kernels
-from ._kernels_py import _twin_classes, level_record
+from ._kernels_py import _components, _twin_classes, level_record
 from .errors import CapacityError, Graph6ParseError, InvariantViolation
 
 MAX_VERTICES = 64
@@ -107,24 +107,18 @@ def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 
 def make_path(n: int) -> Graph:
-    if n > MAX_VERTICES:
-        raise CapacityError(f"at most {MAX_VERTICES} vertices (got {n})")
     return graph_from_edges(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def make_cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs at least 3 vertices")
-    if n > MAX_VERTICES:
-        raise CapacityError(f"at most {MAX_VERTICES} vertices (got {n})")
     edges = [(i, i + 1) for i in range(n - 1)]
     edges.append((n - 1, 0))
     return graph_from_edges(n, edges)
 
 
 def make_complete(n: int) -> Graph:
-    if n > MAX_VERTICES:
-        raise CapacityError(f"at most {MAX_VERTICES} vertices (got {n})")
     return graph_from_edges(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
@@ -132,8 +126,6 @@ def make_star(n: int) -> Graph:
     """Star on n vertices with center 0."""
     if n < 2:
         raise ValueError("star needs at least 2 vertices")
-    if n > MAX_VERTICES:
-        raise CapacityError(f"at most {MAX_VERTICES} vertices (got {n})")
     return graph_from_edges(n, ((0, i) for i in range(1, n)))
 
 
@@ -163,26 +155,7 @@ def induced_subgraph(g: Graph, keep: int) -> tuple[Graph, tuple[int, ...]]:
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
-    comp = component_mask(g, 0)
-    return comp == g.full_mask
-
-
-def component_mask(g: Graph, start: int) -> int:
-    """Connected component of ``start``."""
-    comp = 1 << start
-    frontier = comp
-    adj = g.adj
-    while frontier:
-        nxt = 0
-        while frontier:
-            low = frontier & -frontier
-            nxt |= adj[low.bit_length() - 1]
-            frontier ^= low
-        frontier = nxt & ~comp
-        comp |= frontier
-    return comp
+    return len(_components(g.n, g.adj)) <= 1
 
 
 def classify_kind(g: Graph) -> GraphKind:

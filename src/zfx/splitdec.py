@@ -9,8 +9,8 @@ are instances of one tree-edge contraction that preserves accessibility, so
 reduction never changes the represented graph.
 
 Bags are immutable and classified once, when they are made: building,
-reduction and peeling replace bags rather than edit them, so a builder
-seeded from a tree shares that tree's bags.  A tree is its bags: a tree
+reduction and peeling replace bags rather than edit them, so a reduction
+gets a fresh dict that shares the tree's bags.  A tree is its bags: a tree
 edge is an id that exactly two bags hold as a marker.  It is checked once,
 when it is made: ``GraphLabelledTree(bags)`` runs ``check_tree``, which
 also derives the tree edges and the vertex ids, so reconstruction,
@@ -116,68 +116,64 @@ class DecompositionSummary:
     star_centered_at_prime: bool
 
 
-# --- builder ----------------------------------------------------------------
+# --- reduction ----------------------------------------------------------------
 
 
-class _Builder:
-    """Bags and tree edges under reduction.  Bags are replaced, never
-    edited, so seeding shares a tree's bags."""
+def _edge_ends(bags: Mapping[int, Bag]) -> dict[int, list[int]]:
+    """Each tree edge id with the ids of the bags holding it as a marker,
+    in the order ``bags`` lists them."""
+    held: dict[int, list[int]] = {}
+    for bid, bag in bags.items():
+        for e in bag.markers:
+            held.setdefault(e, []).append(bid)
+    return held
 
-    def __init__(
-        self, bags: Mapping[int, Bag], tree_edges: Mapping[int, Sequence[int]]
-    ) -> None:
-        self.bags = dict(bags)
-        self.edge_ends = {e: list(ends) for e, ends in tree_edges.items()}
 
-    def contract_edge(self, e: int) -> None:
-        """Merge the two end bags of ``e`` into one, preserving accessibility."""
-        x, y = self.edge_ends[e]
-        bx, by = self.bags[x], self.bags[y]
-        mx, my = bx.markers[e], by.markers[e]
-        rows_x, across_x = _without(bx.label, mx)
-        rows_y, across_y = _without(by.label, my)
-        k = len(rows_x)
-        adj = [row | (across_y << k if (across_x >> u) & 1 else 0)
-               for u, row in enumerate(rows_x)]
-        adj += [(row << k) | (across_x if (across_y >> v) & 1 else 0)
-                for v, row in enumerate(rows_y)]
-        ordinary = {l - (l > mx): o for l, o in bx.ordinary.items()}
-        ordinary.update({k + l - (l > my): o for l, o in by.ordinary.items()})
-        markers = {e2: l - (l > mx) for e2, l in bx.markers.items() if e2 != e}
-        markers.update(
-            {e2: k + l - (l > my) for e2, l in by.markers.items() if e2 != e}
-        )
-        keep, drop = min(x, y), max(x, y)
-        self.bags[keep] = _bag(Graph(len(adj), tuple(adj)), ordinary, markers)
-        del self.bags[drop]
-        del self.edge_ends[e]
-        for e2 in markers:
-            ends = self.edge_ends[e2]
-            for i in (0, 1):
-                if ends[i] in (x, y):
-                    ends[i] = keep
+def _contract(bx: Bag, by: Bag, e: int) -> Bag:
+    """The bag that merges ``bx`` and ``by`` across their tree edge ``e``,
+    preserving accessibility; ``bx``'s label vertices come first."""
+    mx, my = bx.markers[e], by.markers[e]
+    rows_x, across_x = _without(bx.label, mx)
+    rows_y, across_y = _without(by.label, my)
+    k = len(rows_x)
+    adj = [row | (across_y << k if (across_x >> u) & 1 else 0)
+           for u, row in enumerate(rows_x)]
+    adj += [(row << k) | (across_x if (across_y >> v) & 1 else 0)
+            for v, row in enumerate(rows_y)]
+    ordinary = {l - (l > mx): o for l, o in bx.ordinary.items()}
+    ordinary.update({k + l - (l > my): o for l, o in by.ordinary.items()})
+    markers = {e2: l - (l > mx) for e2, l in bx.markers.items() if e2 != e}
+    markers.update(
+        {e2: k + l - (l > my) for e2, l in by.markers.items() if e2 != e}
+    )
+    return _bag(Graph(len(adj), tuple(adj)), ordinary, markers)
 
-    def delete_leaf_bag(self, bid: int, e: int) -> None:
-        del self.bags[bid]
-        del self.edge_ends[e]
 
-    def reduce(self) -> None:
-        while True:
-            e = _mergeable(self.bags, self.edge_ends)
-            if e is None:
-                return
-            x, y = self.edge_ends[e]
-            for bid in (x, y):
-                bag = self.bags[bid]
-                if bag.label.n == 2 and len(bag.markers) == 2:
-                    if not bag.label.has_edge(0, 1):
-                        raise InvariantViolation(
-                            "2-vertex pass-through bag with nonadjacent markers"
-                        )
-            self.contract_edge(e)
+def _reduce(bags: dict[int, Bag]) -> GraphLabelledTree:
+    """The reduced tree of ``bags``, which it consumes: the least mergeable
+    tree edge is contracted into its smaller bag id until none is left.
 
-    def freeze(self) -> GraphLabelledTree:
-        return GraphLabelledTree({bid: self.bags[bid] for bid in sorted(self.bags)})
+    ``bags`` must list its ids in ascending order.  Each edge's ends are
+    read once, in that order, and patched to the kept id as contractions
+    happen; a contraction lists its first end's label vertices first, so
+    the order is part of the output.
+    """
+    ends = _edge_ends(bags)
+    while (e := _mergeable(bags, ends)) is not None:
+        x, y = ends.pop(e)
+        bx, by = bags[x], bags[y]
+        for bag in (bx, by):
+            if bag.label.n == 2 and len(bag.markers) == 2:
+                if not bag.label.has_edge(0, 1):
+                    raise InvariantViolation(
+                        "2-vertex pass-through bag with nonadjacent markers"
+                    )
+        keep = min(x, y)
+        bags[keep] = _contract(bx, by, e)
+        del bags[max(x, y)]
+        for e2 in bags[keep].markers:
+            ends[e2] = [keep if b in (x, y) else b for b in ends[e2]]
+    return GraphLabelledTree(bags)
 
 
 def _mergeable(bags: Mapping[int, Bag],
@@ -205,10 +201,10 @@ def _mergeable(bags: Mapping[int, Bag],
 def decompose(g: Graph, budget: Optional[int] = None) -> GraphLabelledTree:
     """Canonical split decomposition as a reduced graph-labelled tree.
 
-    ``kernels.split_bags`` splits the graph into finished bags, which are
-    reduced when some tree edge is mergeable.  The recursion takes each
-    part's first split in one fixed scan order (A-sides hold vertex 0, in
-    increasing mask order).  The reduced tree is unique (Cunningham 1982),
+    ``kernels.split_bags`` splits the graph into finished bags, and
+    ``_reduce`` contracts their mergeable tree edges.  The recursion takes
+    each part's first split in one fixed scan order (A-sides hold vertex 0,
+    in increasing mask order).  The reduced tree is unique (Cunningham 1982),
     so that order cannot show in it; the test suite checks this by
     relabelling.  A disconnected graph gets ``ValueError`` from the kernel,
     after the budget check.
@@ -221,18 +217,11 @@ def decompose(g: Graph, budget: Optional[int] = None) -> GraphLabelledTree:
     limit = SPLIT_BUDGET_N if budget is None else budget
     if g.n > limit and classify_kind(g).tag == "other":
         raise CapacityError(f"split scan over {g.n} vertices exceeds budget {limit}")
-    bags = {}
-    edge_ends: dict[int, list[int]] = {}
     raw = kernels.split_bags(g.n, g.adj)
-    for bid, (rows, ordinary, markers, kind, center) in enumerate(raw):
-        bags[bid] = Bag(Graph(len(rows), rows), kind, ordinary, markers, center)
-        for e in markers:
-            edge_ends.setdefault(e, []).append(bid)
-    if _mergeable(bags, edge_ends) is None:
-        return GraphLabelledTree(bags)
-    builder = _Builder(bags, edge_ends)
-    builder.reduce()
-    return builder.freeze()
+    return _reduce({
+        bid: Bag(Graph(len(rows), rows), kind, ordinary, markers, center)
+        for bid, (rows, ordinary, markers, kind, center) in enumerate(raw)
+    })
 
 
 # --- reconstruction and validation -------------------------------------------
@@ -246,7 +235,6 @@ def check_tree(
     Returns what the bags fix: each tree edge as the ``(min, max)`` ids of
     the two bags holding its markers, and the sorted original vertex ids.
     """
-    held: dict[int, list[int]] = {}
     seen_ids: set[int] = set()
     for bid, bag in t.bags.items():
         n = bag.label.n
@@ -254,14 +242,12 @@ def check_tree(
             bag.ordinary.keys() | bag.markers.values() != set(range(n))
         ):
             raise TreeError(f"bag {bid}: markers and ordinary must partition label")
-        for e in bag.markers:
-            held.setdefault(e, []).append(bid)
         for orig in bag.ordinary.values():
             if orig in seen_ids:
                 raise TreeError(f"original vertex {orig} appears in two bags")
             seen_ids.add(orig)
     edges = {}
-    for e, ends in held.items():
+    for e, ends in _edge_ends(t.bags).items():
         if len(ends) != 2:
             raise TreeError(f"tree edge {e} has {len(ends)} markers, not 2")
         x, y = ends
@@ -418,13 +404,9 @@ def twin_from_leaf_bag(
     g = reconstruct(t)
     idx = {orig: i for i, orig in enumerate(t.vertex_ids)}
     iu, iv = idx[u], idx[v]
-    adjacent = g.has_edge(iu, iv)
     nu = g.adj[iu] & ~(1 << iv)
     nv = g.adj[iv] & ~(1 << iu)
-    ok = (adjacent and expected == "true" and nu == nv) or (
-        not adjacent and expected == "false" and g.adj[iu] == g.adj[iv]
-    )
-    if not ok:
+    if nu != nv or g.has_edge(iu, iv) != (expected == "true"):
         raise InvariantViolation(
             f"bag {bag_id}: vertices {u},{v} are not {expected} twins"
         )
@@ -469,6 +451,10 @@ def peel(t: GraphLabelledTree, bag_id: int) -> tuple[GraphLabelledTree, GraphLab
     """Remove a far leaf-attached star bag with one ordinary leaf x and
     center c; return reduced trees for G-x and G-{x,c}.
 
+    Each result is the tree's other bags, with the neighbour bag replaced
+    (its marker for the removed edge becomes c, or is deleted), reduced
+    by ``_reduce``.
+
     Both results are verified on the spot: they must reconstruct to the
     direct vertex deletions, stay reduced, and keep the prime labels.
     """
@@ -497,25 +483,21 @@ def peel(t: GraphLabelledTree, bag_id: int) -> tuple[GraphLabelledTree, GraphLab
         )
 
     markers = {e2: l for e2, l in nbag.markers.items() if e2 != e}
+    # ascending ids, as ``_reduce`` needs: a tree may list its bags in any order
+    rest = {b: t.bags[b] for b in sorted(t.bags) if b != bag_id}
 
     # (1) G - x: drop the bag, reinterpret the neighbor marker as c
-    b1 = _Builder(t.bags, t.tree_edges)
-    b1.delete_leaf_bag(bag_id, e)
-    b1.bags[nbr] = _bag(nbag.label, {**nbag.ordinary, a_local: c_orig}, markers)
-    b1.reduce()
-    t1 = b1.freeze()
+    as_c = _bag(nbag.label, {**nbag.ordinary, a_local: c_orig}, markers)
+    t1 = _reduce({**rest, nbr: as_c})
 
     # (2) G - {x, c}: drop the bag and delete the neighbor marker vertex
-    b2 = _Builder(t.bags, t.tree_edges)
-    b2.delete_leaf_bag(bag_id, e)
     rows, _ = _without(nbag.label, a_local)
-    b2.bags[nbr] = _bag(
+    without_c = _bag(
         Graph(len(rows), tuple(rows)),
         {l - (l > a_local): o for l, o in nbag.ordinary.items()},
         {e2: l - (l > a_local) for e2, l in markers.items()},
     )
-    b2.reduce()
-    t2 = b2.freeze()
+    t2 = _reduce({**rest, nbr: without_c})
 
     _verify_peel(t, t1, t2, x_orig, c_orig)
     return t1, t2

@@ -79,7 +79,11 @@ def test_constructor_domain_errors():
     with pytest.raises(CapacityError):
         make_path(65)
     with pytest.raises(CapacityError):
+        make_cycle(65)
+    with pytest.raises(CapacityError):
         make_complete(100)
+    with pytest.raises(CapacityError):
+        make_star(65)
 
 
 def test_constructor_outputs_pass_validator(graphs_by_n):

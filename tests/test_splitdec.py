@@ -14,7 +14,7 @@ from test_kernels import _relabelled
 from zfx import _kernels_py as pyk
 from zfx import kernels, splitdec
 from zfx.dh import dh_metric_oracle
-from zfx.errors import CapacityError, TreeError
+from zfx.errors import CapacityError, InvariantViolation, TreeError
 from zfx.extremal import attach_pendants
 from zfx.graphs import (
     Graph,
@@ -425,8 +425,8 @@ def test_accessible_rows_refuses_malformed(backend, ids, bags, message, request)
 
 def test_check_tree_runs_once_per_graph(monkeypatch):
     """One graph through decompose, reconstruct, validate_reduced and
-    summarize checks its tree once, on the direct path and through the
-    builder alike."""
+    summarize checks its tree once, whether or not reduction contracts an
+    edge."""
     calls = []
     check = splitdec.check_tree
     monkeypatch.setattr(splitdec, "check_tree", lambda t: calls.append(t) or check(t))
@@ -603,6 +603,18 @@ def _clique_bag(ordinary: dict[int, int], markers: dict[int, int]) -> Bag:
                ordinary, markers, None)
 
 
+def test_reduce_refuses_a_nonadjacent_pass_through_bag():
+    """A 2-vertex bag whose two markers are not adjacent passes nothing
+    between its neighbours, so no split decomposition holds one; the
+    reducer refuses it rather than contract it."""
+    through = Bag(Graph(2, (0, 0)), "prime", {}, {0: 0, 1: 1})
+    bags = {0: _clique_bag({0: 0, 1: 1}, {0: 2}), 1: through,
+            2: _clique_bag({0: 2, 1: 3}, {1: 2})}
+    with pytest.raises(InvariantViolation,
+                       match="2-vertex pass-through bag with nonadjacent markers"):
+        splitdec._reduce(bags)
+
+
 def test_check_tree_rejects_malformed():
     """The shape of a tree is what its bags' markers say, so each malformed
     tree is malformed bags."""
@@ -734,6 +746,10 @@ def test_peel_far_bag():
     b = pick_peelable_bag(t)
     t_x, t_xc = peel(t, b)  # verifies reconstructions and reducedness inside
     assert dump_tree(t) == before  # peel leaves its input tree untouched
+    # the same bags listed in another order are the same tree, peeled alike
+    shuffled = GraphLabelledTree(dict(reversed(t.bags.items())))
+    assert [dump_tree(r) for r in peel(shuffled, b)] == [dump_tree(t_x),
+                                                         dump_tree(t_xc)]
     assert t_x.vertex_ids == (0, 1, 2, 3, 4, 5)
     assert t_xc.vertex_ids == (0, 1, 2, 3, 4)
     assert are_isomorphic(reconstruct(t_xc), make_cycle(5))
