@@ -4,8 +4,10 @@
  * kernel is pure on both backends.
  *
  * Same functions, same methods, same outputs; graphs arrive as (n, adj-row
- * ints) with n <= 64 so every mask fits a 64-bit word.  ``profile_counts``
- * counts forts on a 2^n-bit table of subsets, so it takes n <= 32.
+ * ints) with n <= 64 so every mask fits a 64-bit word.  A row with a bit at
+ * or above n is refused with ValueError, since the kernels index arrays of
+ * n entries by row bits.  ``profile_counts`` counts forts on a 2^n-bit
+ * table of subsets, so it takes n <= 32.
  * ``augment`` is one parent's step of ``graphs.enumerate_graphs``, its
  * children generated, pruned and canonicalised in C and returned as level
  * records (rows as big-endian uint16), so it takes parents with
@@ -40,7 +42,8 @@ typedef unsigned long long u64;
 
 static PyObject *KIND_CLIQUE, *KIND_STAR, *KIND_PRIME;
 
-/* The first n rows of ``adj`` as words; refuses n outside 0..64. */
+/* The first n rows of ``adj`` as words; refuses n outside 0..64 and a row
+ * with a bit at or above n. */
 static int read_adj(int n, PyObject *adj, u64 *out)
 {
     PyObject *seq;
@@ -65,6 +68,12 @@ static int read_adj(int n, PyObject *adj, u64 *out)
         out[i] = PyLong_AsUnsignedLongLong(items[i]);
         if (out[i] == (u64)-1 && PyErr_Occurred()) {
             Py_DECREF(seq);
+            return -1;
+        }
+        if (out[i] & ~FULL(n)) {
+            Py_DECREF(seq);
+            PyErr_Format(PyExc_ValueError,
+                         "adj row %d has a bit at or above n = %d", i, n);
             return -1;
         }
     }

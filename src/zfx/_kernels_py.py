@@ -25,7 +25,7 @@ from itertools import combinations
 from math import comb
 from operator import or_
 from struct import Struct
-from typing import Iterator
+from typing import Iterator, Optional
 
 BACKEND = "python"
 
@@ -486,6 +486,47 @@ def find_split_mask(n: int, adj) -> int:
     return 0
 
 
+def _kind(rows) -> tuple[str, Optional[int]]:
+    """The kind of the graph with these rows, and a star's center: "clique"
+    (K_2 included), "star" with its first vertex of degree k - 1, or
+    "prime" for neither.
+
+    Read off the degrees: a clique on k vertices has degree sum k(k-1); a
+    star has degree sum 2(k-1) and a vertex of degree k-1, its center.
+    """
+    k = len(rows)
+    degrees = [row.bit_count() for row in rows]
+    total = sum(degrees)
+    if total == k * (k - 1):
+        return "clique", None
+    if total == 2 * (k - 1) and k - 1 in degrees:
+        return "star", degrees.index(k - 1)
+    return "prime", None
+
+
+def _induced_rows(rows, keep: int) -> tuple[list[int], list[int]]:
+    """The rows of the subgraph induced on the mask ``keep``, its vertices
+    relabelled in ascending order, and the kept vertices in that order."""
+    kept = []
+    local = {}  # vertex bit -> its bit in the subgraph
+    m = keep
+    while m:
+        low = m & -m
+        local[low] = 1 << len(kept)
+        kept.append(low.bit_length() - 1)
+        m ^= low
+    out = []
+    for v in kept:
+        r = rows[v] & keep
+        row = 0
+        while r:
+            low = r & -r
+            row |= local[low]
+            r ^= low
+        out.append(row)
+    return out, kept
+
+
 def split_bags(n: int, adj) -> list:
     """The bags of the split recursion of a connected graph.
 
@@ -513,17 +554,8 @@ def split_bags(n: int, adj) -> list:
     while todo:
         rows, tokens = todo.pop()
         k = len(rows)
-        degrees = [row.bit_count() for row in rows]
-        total = sum(degrees)
-        center = None
-        a_mask = 0
-        if total == k * (k - 1):
-            kind = "clique"
-        elif total == 2 * (k - 1) and k - 1 in degrees:
-            kind, center = "star", degrees.index(k - 1)
-        else:
-            kind = "prime"
-            a_mask = find_split_mask(k, rows)
+        kind, center = _kind(rows)
+        a_mask = find_split_mask(k, rows) if kind == "prime" else 0
         if not a_mask:
             ordinary = {l: tok for l, tok in enumerate(tokens) if tok >= 0}
             markers = {~tok: l for l, tok in enumerate(tokens) if tok < 0}
@@ -533,28 +565,13 @@ def split_bags(n: int, adj) -> list:
         edges += 1
         sides = []
         for part in (a_mask, ((1 << k) - 1) ^ a_mask):
-            kept = []
-            local = {}  # vertex bit -> its bit in the side
-            m = part
-            while m:
-                low = m & -m
-                local[low] = 1 << len(kept)
-                kept.append(low.bit_length() - 1)
-                m ^= low
+            sub, kept = _induced_rows(rows, part)
             marker = 1 << len(kept)
-            sub = []
             marker_row = 0
-            for v in kept:
-                r = rows[v] & part
-                row = 0
-                while r:
-                    low = r & -r
-                    row |= local[low]
-                    r ^= low
+            for i, v in enumerate(kept):
                 if rows[v] & ~part:
-                    row |= marker
-                    marker_row |= 1 << len(sub)
-                sub.append(row)
+                    sub[i] |= marker
+                    marker_row |= 1 << i
             sub.append(marker_row)
             sides.append((tuple(sub),
                           tuple(tokens[v] for v in kept) + (~e,)))

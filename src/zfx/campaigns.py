@@ -2,16 +2,17 @@
 
 A campaign is one entry of ``CAMPAIGNS``: its parameters, the corpus
 description its report carries, and its ordered phases.  Each phase scans a
-corpus with a per-graph worker.  A corpus item is a ``Graph`` of the built-in
-enumeration (decoded from its level record as the scan reaches it), or one
-line of a graph6 file, which only the worker parses, so one bad line becomes
-one skip.  A scan folds each outcome as it arrives: a verified one is only
-counted, and every other one becomes a record named by its graph6 line,
-written by the process that holds the graph.  ``run_campaign`` folds the
-scans of every phase into one deterministic VerificationReport: records are
-sorted by graph6 string once, at the end of each scan, so the report is
-independent of worker count.  The library functions are ``run_campaign``
-bound to a table name, keywords only.
+corpus with a per-graph worker, which takes a ``Graph``.  A corpus item is a
+``Graph`` of the built-in enumeration (decoded from its level record as the
+scan reaches it), or one line of a graph6 file, which the runner parses for
+the worker, so one bad line becomes one skip.  A scan folds each outcome as
+it arrives: a verified one is only counted, and every other one becomes a
+record named by its graph6 line, written by the process that holds the
+graph.  ``run_campaign`` folds the scans of every phase into one
+deterministic VerificationReport: records are sorted by graph6 string once,
+at the end of each scan, so the report is independent of worker count.  The
+library functions are ``run_campaign`` bound to a table name, keywords
+only.
 
 At jobs > 1 one process pool serves the whole campaign.  Its workers get
 every corpus once, when they start (inherited under fork, pickled once per
@@ -137,16 +138,32 @@ def load_corpus(path: str) -> list[str]:
 
 
 class _Skip(Exception):
-    """Raised by a worker: its graph is skipped for this reason."""
+    """Raised by a worker or ``_graph``: the graph is skipped for this
+    reason."""
+
+
+def _graph(item: Item) -> Graph:
+    """The item's graph.  A built-in item is one already; a file line is
+    parsed here, and skipped when it is disconnected, since every file
+    corpus is one of connected graphs."""
+    if not isinstance(item, str):
+        return item
+    try:
+        g = parse_graph6(item)
+    except (Graph6ParseError, CapacityError) as exc:
+        raise _Skip(f"parse: {exc}") from None
+    if not is_connected(g):
+        raise _Skip("disconnected")
+    return g
 
 
 def _outcome(worker: Callable, item: Item) -> dict:
-    """The worker's outcome for one item, a new dict, or a skip or failure,
-    so one bad graph never aborts a campaign.  A graph over a budget is
-    skipped with the cap as its reason.  Every outcome but a verified one
-    is named by the item's graph6 line."""
+    """The worker's outcome for one item's graph, a new dict, or a skip or
+    failure, so one bad graph never aborts a campaign.  A graph over a
+    budget is skipped with the cap as its reason.  Every outcome but a
+    verified one is named by the item's graph6 line."""
     try:
-        out = worker(item)
+        out = worker(_graph(item))
     except (_Skip, CapacityError) as skip:
         out = {"status": SKIPPED, "reason": str(skip)}
     except Exception as exc:
@@ -214,10 +231,10 @@ def _usable_cpus() -> int:
 
 def _run_scan(corpus: Sequence, worker: Callable, pool: Optional[_Pool]) -> _Scan:
     """The scan of ``worker`` over ``corpus``, its records sorted by graph6.
-    Without a pool, each item is one ``worker(item)`` call here.  With one,
-    a task is an index range of the corpus its workers already hold; each
-    finished task's scan is folded in as it arrives, and its records are
-    kept in corpus order for the one sort at the end."""
+    Without a pool, each item is one ``worker(_graph(item))`` call here.
+    With one, a task is an index range of the corpus its workers already
+    hold; each finished task's scan is folded in as it arrives, and its
+    records are kept in corpus order for the one sort at the end."""
     if pool is None:
         scan = _scan(worker, corpus)
     else:
@@ -262,10 +279,11 @@ def _fold(report: VerificationReport, scan: _Scan) -> None:
 
 @dataclass(frozen=True)
 class Phase:
-    """One scan: ``worker``, given the campaign parameters its signature names
-    after ``item``, maps each item of ``corpus(params)`` to a new outcome dict
-    (status, reason or witness fields, and an optional int ``count`` that
-    the scan totals) or raises ``_Skip``."""
+    """One scan: ``worker``, given the ``Graph`` of each item of
+    ``corpus(params)`` and the campaign parameters its signature names after
+    the graph, returns a new outcome dict (status, reason or witness fields,
+    and an optional int ``count`` that the scan totals) or raises ``_Skip``.
+    The runner parses a file line into its graph, or skips it, first."""
 
     name: Optional[str]  # key under report.phases; None adds no phases block
     corpus: Callable[[dict], Sequence[Item]]
@@ -339,21 +357,6 @@ def run_campaign(name: str, /, *, jobs: int = 1, **params) -> VerificationReport
 # --- shared worker steps: each returns a value or raises _Skip -----------------
 
 
-def _graph(item: Item, connected: bool = True) -> Graph:
-    """The item's graph.  A file line is parsed here, and skipped when it
-    is disconnected and ``connected`` asks for connected graphs; a built-in
-    item already comes from the enumeration ``connected`` names."""
-    if not isinstance(item, str):
-        return item
-    try:
-        g = parse_graph6(item)
-    except (Graph6ParseError, CapacityError) as exc:
-        raise _Skip(f"parse: {exc}") from None
-    if connected and not is_connected(g):
-        raise _Skip("disconnected")
-    return g
-
-
 def _one_prime_bag(tree):
     summary = summarize(tree)
     if summary.prime_bag_count != 1:
@@ -373,8 +376,7 @@ def _extremal_outcome(g: Graph, budget: Optional[int], reason: str) -> dict:
 # --- verify-dh ----------------------------------------------------------------
 
 
-def _dh_worker(item: Item, budget: Optional[int]) -> dict:
-    g = _graph(item)
+def _dh_worker(g: Graph, budget: Optional[int]) -> dict:
     trace = recognize_dh(g)
     oracle = dh_metric_oracle(g)
     if (trace is not None) != oracle:
@@ -391,8 +393,7 @@ def _dh_worker(item: Item, budget: Optional[int]) -> dict:
 # --- split-decomposition round trip --------------------------------------------
 
 
-def _roundtrip_worker(item: Item, split_budget: Optional[int]) -> dict:
-    g = _graph(item)
+def _roundtrip_worker(g: Graph, split_budget: Optional[int]) -> dict:
     tree = decompose(g, split_budget)
     problems = []
     if reconstruct(tree) != g:
@@ -434,16 +435,18 @@ def _induced_subgraph_classes(g: Graph) -> list[Graph]:
     return out
 
 
-def _prime_core_worker(item: Item, budget: Optional[int]) -> dict:
+def _prime_core_worker(g: Graph, budget: Optional[int]) -> dict:
     """Phase 1: every induced subgraph of one split-prime graph is
     path-extremal.  A budget cap here is an anomaly, not a skip: phase 2
-    rests on this hypothesis."""
-    classes = _induced_subgraph_classes(_graph(item))
+    rests on this hypothesis.  ``count`` is the classes checked: all of
+    them, those up to a counterexample, or those verified before a cap."""
+    classes = _induced_subgraph_classes(g)
     for checked, sub in enumerate(classes, start=1):
         try:
             verdict = check_path_extremal(sub, budget)
         except CapacityError as exc:
-            return {"status": ANOMALY, "reason": f"CapacityError: {exc}"}
+            return {"status": ANOMALY, "reason": f"CapacityError: {exc}",
+                    "count": checked - 1}
         if not verdict.is_path_extremal:
             return {
                 "status": COUNTEREXAMPLE,
@@ -455,9 +458,8 @@ def _prime_core_worker(item: Item, budget: Optional[int]) -> dict:
     return {"status": VERIFIED, "count": len(classes)}
 
 
-def _unique_prime_worker(item: Item, m: int, budget: Optional[int],
+def _unique_prime_worker(g: Graph, m: int, budget: Optional[int],
                          split_budget: Optional[int]) -> dict:
-    g = _graph(item)
     summary = _one_prime_bag(decompose(g, split_budget))
     size = summary.prime_labels[0].n
     if size > m:
@@ -468,8 +470,7 @@ def _unique_prime_worker(item: Item, m: int, budget: Optional[int],
 # --- audit-lemmas ----------------------------------------------------------------
 
 
-def _leaf_audit_worker(item: Item, budget: Optional[int]) -> dict:
-    g = _graph(item, connected=False)
+def _leaf_audit_worker(g: Graph, budget: Optional[int]) -> dict:
     leaves = [v for v in range(g.n) if g.degree(v) == 1]
     if not leaves:
         raise _Skip("no leaves")
@@ -482,11 +483,10 @@ def _leaf_audit_worker(item: Item, budget: Optional[int]) -> dict:
     return {"status": VERIFIED}
 
 
-def _fort_audit_worker(item: Item) -> dict:
+def _fort_audit_worker(g: Graph) -> dict:
     """The fort-count identity: a set is non-forcing iff it misses a fort,
     so the campaigns' ``profile_counts``, which counts forts, gives at every
     k the number of forcing k-sets that one closure per subset finds."""
-    g = _graph(item, connected=False)
     forts = kernels.profile_counts(g.n, g.adj)
     closures = kernels.closure_counts(g.n, g.adj)
     for k, (by_forts, by_closures) in enumerate(zip(forts, closures, strict=True)):
@@ -497,8 +497,8 @@ def _fort_audit_worker(item: Item) -> dict:
     return {"status": VERIFIED}
 
 
-def _peel_extract_worker(item: Item, split_budget: Optional[int]) -> dict:
-    tree = decompose(_graph(item), split_budget)
+def _peel_extract_worker(g: Graph, split_budget: Optional[int]) -> dict:
+    tree = decompose(g, split_budget)
     summary = _one_prime_bag(tree)
     try:
         if summary.star_centered_at_prime:

@@ -17,7 +17,8 @@ from itertools import compress, islice, repeat
 from typing import Iterable, Iterator, Optional
 
 from . import kernels
-from ._kernels_py import _components, _twin_classes, level_record
+from ._kernels_py import (_components, _induced_rows, _kind, _twin_classes,
+                          level_record)
 from .errors import CapacityError, Graph6ParseError, InvariantViolation
 
 MAX_VERTICES = 64
@@ -134,23 +135,7 @@ def induced_subgraph(g: Graph, keep: int) -> tuple[Graph, tuple[int, ...]]:
     from new index to original vertex."""
     if keep & ~g.full_mask:
         raise ValueError("keep mask exceeds the vertex universe")
-    kept = []
-    local = {}  # vertex bit -> its bit in the subgraph
-    m = keep
-    while m:
-        low = m & -m
-        local[low] = 1 << len(kept)
-        kept.append(low.bit_length() - 1)
-        m ^= low
-    adj = []
-    for v in kept:
-        r = g.adj[v] & keep
-        row = 0
-        while r:
-            low = r & -r
-            row |= local[low]
-            r ^= low
-        adj.append(row)
+    adj, kept = _induced_rows(g.adj, keep)
     return Graph(len(kept), tuple(adj)), tuple(kept)
 
 
@@ -159,19 +144,10 @@ def is_connected(g: Graph) -> bool:
 
 
 def classify_kind(g: Graph) -> GraphKind:
-    """Clique / star / other, preferring clique for the ambiguous K_2.
-
-    Read off the degrees: a clique has degree sum n(n-1); a star has degree
-    sum 2(n-1) and a vertex of degree n-1, its center.
-    """
-    n = g.n
-    degrees = [row.bit_count() for row in g.adj]
-    total = sum(degrees)
-    if total == n * (n - 1):
-        return GraphKind("clique")
-    if total == 2 * (n - 1) and n - 1 in degrees:
-        return GraphKind("star", center=degrees.index(n - 1))
-    return GraphKind("other")
+    """Clique / star / other, preferring clique for the ambiguous K_2: the
+    kernels' degree rule, with its "prime" read as "other"."""
+    kind, center = _kind(g.adj)
+    return GraphKind("other" if kind == "prime" else kind, center)
 
 
 def find_leaf(g: Graph) -> Optional[int]:

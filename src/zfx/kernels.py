@@ -14,10 +14,11 @@ bound here directly, with no fallback by n; parity is enforced by the
 test suite.  ``closure_mask``, ``closure_counts`` (the per-size counts of
 ``profile_counts`` by one closure per subset), ``metric_dh`` (the
 polynomial separation test) and ``find_split_mask`` are pure on both
-backends.  ``find_split_mask`` (the first split, as its A-side mask) has
-no caller in the library, since ``split_bags`` runs its own scan; it stays
-bound because ``perfbench/layers.json`` traces it by this name and the
-tests use it as the split-primality oracle.
+backends.  ``find_split_mask`` (the first split, as its A-side mask) is
+the scan the pure ``split_bags`` calls on each part, from its own module;
+the compiled ``split_bags`` runs its own scan, so the binding here has no
+caller in the library.  It stays bound because ``perfbench/layers.json``
+traces it by this name and the tests use it as the split-primality oracle.
 """
 
 from __future__ import annotations

@@ -63,15 +63,19 @@ def _bag(label: Graph, ordinary: dict[int, int], markers: dict[int, int]) -> Bag
     return Bag(label, tag, ordinary, markers, kind.center)
 
 
-def _without(label: Graph, v: int) -> tuple[list[int], int]:
-    """Rows of ``label`` with vertex ``v`` deleted, and ``v``'s neighbourhood,
-    both in the numbering where locals above ``v`` shift down by one."""
+def _without(
+    bag: Bag, v: int, e: int, base: int = 0
+) -> tuple[list[int], int, dict[int, int], dict[int, int]]:
+    """``bag`` with label vertex ``v`` deleted: the other label rows and
+    ``v``'s neighbourhood, in the numbering where locals above ``v`` shift
+    down by one, then the ordinary and marker maps in that numbering raised
+    by ``base``, without tree edge ``e``."""
     low = (1 << v) - 1
-
-    def drop(row: int) -> int:
-        return (row & low) | ((row >> 1) & ~low)
-
-    return [drop(row) for u, row in enumerate(label.adj) if u != v], drop(label.adj[v])
+    rows = [(row & low) | ((row >> 1) & ~low) for row in bag.label.adj]
+    across = rows.pop(v)
+    ordinary = {base + l - (l > v): o for l, o in bag.ordinary.items()}
+    markers = {e2: base + l - (l > v) for e2, l in bag.markers.items() if e2 != e}
+    return rows, across, ordinary, markers
 
 
 @dataclass(frozen=True, slots=True)
@@ -132,20 +136,15 @@ def _edge_ends(bags: Mapping[int, Bag]) -> dict[int, list[int]]:
 def _contract(bx: Bag, by: Bag, e: int) -> Bag:
     """The bag that merges ``bx`` and ``by`` across their tree edge ``e``,
     preserving accessibility; ``bx``'s label vertices come first."""
-    mx, my = bx.markers[e], by.markers[e]
-    rows_x, across_x = _without(bx.label, mx)
-    rows_y, across_y = _without(by.label, my)
+    rows_x, across_x, ordinary, markers = _without(bx, bx.markers[e], e)
     k = len(rows_x)
+    rows_y, across_y, ordinary_y, markers_y = _without(by, by.markers[e], e, k)
     adj = [row | (across_y << k if (across_x >> u) & 1 else 0)
            for u, row in enumerate(rows_x)]
     adj += [(row << k) | (across_x if (across_y >> v) & 1 else 0)
             for v, row in enumerate(rows_y)]
-    ordinary = {l - (l > mx): o for l, o in bx.ordinary.items()}
-    ordinary.update({k + l - (l > my): o for l, o in by.ordinary.items()})
-    markers = {e2: l - (l > mx) for e2, l in bx.markers.items() if e2 != e}
-    markers.update(
-        {e2: k + l - (l > my) for e2, l in by.markers.items() if e2 != e}
-    )
+    ordinary.update(ordinary_y)
+    markers.update(markers_y)
     return _bag(Graph(len(adj), tuple(adj)), ordinary, markers)
 
 
@@ -402,8 +401,7 @@ def twin_from_leaf_bag(
         )
     u, v = cands[0], cands[1]
     g = reconstruct(t)
-    idx = {orig: i for i, orig in enumerate(t.vertex_ids)}
-    iu, iv = idx[u], idx[v]
+    iu, iv = t.vertex_ids.index(u), t.vertex_ids.index(v)
     nu = g.adj[iu] & ~(1 << iv)
     nv = g.adj[iv] & ~(1 << iu)
     if nu != nv or g.has_edge(iu, iv) != (expected == "true"):
@@ -491,12 +489,8 @@ def peel(t: GraphLabelledTree, bag_id: int) -> tuple[GraphLabelledTree, GraphLab
     t1 = _reduce({**rest, nbr: as_c})
 
     # (2) G - {x, c}: drop the bag and delete the neighbor marker vertex
-    rows, _ = _without(nbag.label, a_local)
-    without_c = _bag(
-        Graph(len(rows), tuple(rows)),
-        {l - (l > a_local): o for l, o in nbag.ordinary.items()},
-        {e2: l - (l > a_local) for e2, l in markers.items()},
-    )
+    rows, _, ordinary, markers = _without(nbag, a_local, e)
+    without_c = _bag(Graph(len(rows), tuple(rows)), ordinary, markers)
     t2 = _reduce({**rest, nbr: without_c})
 
     _verify_peel(t, t1, t2, x_orig, c_orig)
@@ -505,11 +499,9 @@ def peel(t: GraphLabelledTree, bag_id: int) -> tuple[GraphLabelledTree, GraphLab
 
 def _verify_peel(t, t1, t2, x_orig, c_orig):
     g = reconstruct(t)
-    idx = {orig: i for i, orig in enumerate(t.vertex_ids)}
-    gx_expect, _ = induced_subgraph(g, g.full_mask & ~(1 << idx[x_orig]))
-    gxc_expect, _ = induced_subgraph(
-        g, g.full_mask & ~(1 << idx[x_orig]) & ~(1 << idx[c_orig])
-    )
+    without_x = g.full_mask & ~(1 << t.vertex_ids.index(x_orig))
+    gx_expect, _ = induced_subgraph(g, without_x)
+    gxc_expect, _ = induced_subgraph(g, without_x & ~(1 << t.vertex_ids.index(c_orig)))
     if t1.vertex_ids != tuple(v for v in t.vertex_ids if v != x_orig):
         raise InvariantViolation("peel result (1) has wrong vertex ids")
     if t2.vertex_ids != tuple(
@@ -562,15 +554,10 @@ def extract_prime_core(t: GraphLabelledTree) -> PrimeCoreResult:
         x = next(o for l, o in bag.ordinary.items() if l != bag.star_center)
         pendants.append((x, bag.ordinary[bag.star_center]))
     g = reconstruct(t)
-    idx = {orig: i for i, orig in enumerate(t.vertex_ids)}
-    core_origs = sorted(t.bags[p].ordinary.values())
-    core_origs += [c for _, c in pendants]
-    core_origs.sort()
-    keep = mask_of(idx[o] for o in core_origs)
-    core, kept = induced_subgraph(g, keep)
+    core_origs = [*t.bags[p].ordinary.values(), *(c for _, c in pendants)]
+    core, kept = induced_subgraph(g, mask_of(map(t.vertex_ids.index, core_origs)))
     core_ids = tuple(t.vertex_ids[i] for i in kept)
-    pos = {orig: i for i, orig in enumerate(core_ids)}
-    attach = tuple(pos[c] for _, c in pendants)
+    attach = tuple(core_ids.index(c) for _, c in pendants)
     _verify_prime_core(t, p, g, core, attach)
     return PrimeCoreResult(core=core, core_ids=core_ids, attach=attach)
 

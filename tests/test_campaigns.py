@@ -8,6 +8,7 @@ import json
 import os
 import sys
 from concurrent.futures import Future, ProcessPoolExecutor
+from dataclasses import replace
 from functools import cache
 
 import pytest
@@ -394,7 +395,7 @@ def test_library_functions_take_keywords_only():
 
 def test_phase_workers_take_campaign_parameters():
     """A phase passes its worker the campaign parameters that the worker's
-    parameters after ``item`` name, so each must be one of the campaign's."""
+    parameters after its graph name, so each must be one of the campaign's."""
     for spec in campaigns.CAMPAIGNS.values():
         for phase in spec.phases:
             takes = list(inspect.signature(phase.worker).parameters)[1:]
@@ -469,3 +470,40 @@ def test_phase1_primes_and_subgraph_total(jobs):
     assert phase1["prime_graphs"][:4] == ["DLo", "DLs", "DL{", "EJeg"]
     assert hashlib.sha256(json.dumps(phase1["prime_graphs"]).encode()).hexdigest() == (
         "1a7e26c9658b2678c710af9d12a0f57879abd6d7d11d5726eb031c7e430541cd")
+
+
+def test_phase1_counterexample_names_its_prime(monkeypatch):
+    """A phase-1 counterexample is the prime graph whose induced subgraph
+    fails, tagged phase 1, and ``subgraph_classes`` counts the classes
+    checked up to and including the failing one."""
+    real = campaigns.check_path_extremal
+
+    def p4_fails(g, budget=None):
+        verdict = real(g, budget)
+        if write_graph6(g) == "CL":
+            return replace(verdict, is_path_extremal=False, witness_k=2)
+        return verdict
+
+    monkeypatch.setattr(campaigns, "check_path_extremal", p4_fails)
+    r = verify_unique_prime(n_max=5, m=5)
+    _check_report_invariants(r)
+    phase1 = r.phases["phase1"]
+    assert (phase1["scanned"], phase1["verified"]) == (3, 0)
+    assert phase1["subgraph_classes"] == 18
+    assert [(cx["graph6"], cx["phase"], cx["witness_k"], cx["reason"])
+            for cx in r.counterexamples] == [
+        (g6, 1, 2, "induced subgraph CL not path-extremal")
+        for g6 in ("DLo", "DLs", "DL{")]
+    assert r.exit_code() == 2
+
+
+def test_phase1_budget_cap_counts_the_classes_checked():
+    """A budget cap in phase 1 is an anomaly, and ``subgraph_classes``
+    still counts the classes verified before it."""
+    r = verify_unique_prime(n_max=5, m=5, budget=3)
+    phase1 = r.phases["phase1"]
+    assert (phase1["scanned"], phase1["verified"]) == (3, 0)
+    assert [a["reason"] for a in r.anomalies] == [
+        "CapacityError: subset enumeration over 4 vertices exceeds budget 3"] * 3
+    assert phase1["subgraph_classes"] == 15
+    assert r.exit_code() == 1

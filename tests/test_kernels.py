@@ -355,6 +355,14 @@ def test_augment_refuses_n0_and_n16(cyk):
                 module.augment(n, (0,) * n)
 
 
+def test_compiled_kernels_refuse_row_bits_at_or_above_n(cyk):
+    """A row bit at or above n would index the compiled kernels' arrays of
+    n entries, so every kernel that reads rows refuses it."""
+    for kernel in (cyk.canon_adj, cyk.augment, cyk.profile_counts, cyk.split_bags):
+        with pytest.raises(ValueError, match="adj row 0 has a bit at or above n = 2"):
+            kernel(2, (4, 0))
+
+
 def test_compiled_fort_count_on_paths_n19_to_n24(cyk):
     """From P_19, where the pure kernel's path test stops, to P_24, past its
     ``BITSET_LIMIT``, against the path formula."""
@@ -461,7 +469,9 @@ def test_compiled_signatures_match_the_pure_twins(cyk):
 # Runs every compiled kernel on each class with n <= 7 (split_bags and
 # accessible_rows on the connected ones, augment on those with
 # 1 <= n <= 6, its records checked against the pure kernel's), on P_15
-# (augment's largest parent), P_24 and C_64.
+# (augment's largest parent), P_24 and C_64, and through the refusals of
+# split_bags on disconnected graphs and of every row-reading kernel on a row
+# bit at or above n.
 _UBSAN_DRIVER = """
 import importlib.util, sys
 from zfx import _kernels_py as pyk
@@ -487,6 +497,12 @@ for n, adj in refused + [(64, (0,) * 64)]:
     except ValueError:
         continue
     sys.exit(f"split_bags took a disconnected graph on {n} vertices")
+for kernel in (cyk.canon_adj, cyk.augment, cyk.profile_counts, cyk.split_bags):
+    try:
+        kernel(2, (4, 0))
+    except ValueError:
+        continue
+    sys.exit(f"{kernel.__name__} took a row bit at or above n")
 cyk.canon_adj(64, make_cycle(64).adj)
 """
 
