@@ -13,16 +13,16 @@
  * records (rows as big-endian uint16), so it takes parents with
  * 1 <= n <= 15.
  * ``split_bags`` runs the whole split recursion of ``splitdec.decompose``
- * in one call and emits finished bags (their ``ordinary`` and ``markers``
- * dicts, whose markers name the tree edges), refusing a disconnected graph
- * by the same ``components`` search that gives ``augment`` its connected
- * flags;
+ * in one call and emits finished bags as (rows, tokens, kind, center),
+ * refusing a disconnected graph by the same ``components`` search that
+ * gives ``augment`` its connected flags.  A token names a label vertex: its
+ * original vertex >= 0, or ~e for the marker of tree edge e.
  * ``accessible_rows`` is ``splitdec.reconstruct``'s whole accessibility
- * search, over at most 256 label vertices.  It raises ValueError on
- * unordered or unknown ids, a label vertex that is not exactly one of
- * ordinary and marker, a tree edge without exactly two markers and an
- * alternating path that closes a cycle; the shape of the bag graph is
- * ``splitdec.check_tree``'s job.
+ * search over (rows, tokens) bags, at most 256 label vertices.  It raises
+ * ValueError on unordered or unknown ids, a bag without one token per label
+ * vertex, a row bit outside its label, a tree edge without exactly two
+ * markers or with both in one bag and an alternating path that closes a
+ * cycle; the rest of the bag graph's shape is ``splitdec.check_tree``'s job.
  *
  * Build: gcc -O3 -shared -fPIC -I<python include> _kernels_cy.c -o
  * _kernels_cy<EXT_SUFFIX>, or ``pip install .`` through setup.py.
@@ -359,10 +359,10 @@ static PyObject *canon_adj(PyObject *Py_UNUSED(self), PyObject *args,
 
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iO", kwlist, &n, &adj))
         return NULL;
-    if (n <= 1)
-        return PySequence_Tuple(adj);
     if (read_adj(n, adj, cadj) < 0)
         return NULL;
+    if (n <= 1)
+        return int_tuple(n, cadj);
     canon_words(n, cadj, rows);
     return int_tuple(n, rows);
 }
@@ -598,54 +598,34 @@ static u64 first_split(int n, const u64 *adj)
 }
 
 typedef struct {
-    PyObject *bags; /* list of (rows, ordinary, markers, kind, star center) */
+    PyObject *bags; /* list of (rows, tokens, kind, star center) */
     int edges;
 } Splitter;
 
-/* Appends the part on ``adj`` as a finished bag: its tokens become the
- * ``ordinary`` and ``markers`` dicts. */
+/* Appends the part on ``adj``, with its tokens, as a finished bag. */
 static int emit_bag(Splitter *sp, int n, const u64 *adj, const long long *tok,
                     PyObject *kind, int center)
 {
-    int i, rc = -1, set;
-    PyObject *ordinary = PyDict_New(), *markers = PyDict_New();
-    PyObject *rows = NULL, *cobj = NULL, *bag = NULL, *key, *val;
+    PyObject *tokens = PyTuple_New(n), *item, *bag;
+    int i, rc;
 
-    if (ordinary == NULL || markers == NULL)
-        goto done;
+    if (tokens == NULL)
+        return -1;
     for (i = 0; i < n; i++) {
-        if (tok[i] >= 0) {
-            key = PyLong_FromLong(i);
-            val = PyLong_FromLongLong(tok[i]);
-        } else {
-            key = PyLong_FromLongLong(~tok[i]);
-            val = PyLong_FromLong(i);
+        if ((item = PyLong_FromLongLong(tok[i])) == NULL) {
+            Py_DECREF(tokens);
+            return -1;
         }
-        set = key != NULL && val != NULL
-              && PyDict_SetItem(tok[i] >= 0 ? ordinary : markers, key, val) == 0;
-        Py_XDECREF(key);
-        Py_XDECREF(val);
-        if (!set)
-            goto done;
+        PyTuple_SET_ITEM(tokens, i, item);
     }
-    rows = int_tuple(n, adj);
-    if (rows == NULL)
-        goto done;
-    if (center < 0) {
-        Py_INCREF(Py_None);
-        cobj = Py_None;
-    } else if ((cobj = PyLong_FromLong(center)) == NULL) {
-        goto done;
-    }
-    bag = PyTuple_Pack(5, rows, ordinary, markers, kind, cobj);
-    if (bag != NULL && PyList_Append(sp->bags, bag) == 0)
-        rc = 0;
-done:
-    Py_XDECREF(ordinary);
-    Py_XDECREF(markers);
-    Py_XDECREF(rows);
-    Py_XDECREF(cobj);
-    Py_XDECREF(bag);
+    /* "N" hands both tuples over, and drops them if the bag fails */
+    bag = center < 0
+        ? Py_BuildValue("(NNOO)", int_tuple(n, adj), tokens, kind, Py_None)
+        : Py_BuildValue("(NNOi)", int_tuple(n, adj), tokens, kind, center);
+    if (bag == NULL)
+        return -1;
+    rc = PyList_Append(sp->bags, bag);
+    Py_DECREF(bag);
     return rc;
 }
 
@@ -748,7 +728,7 @@ static PyObject *split_bags(PyObject *Py_UNUSED(self), PyObject *args,
  * (an ordinary vertex's ``out`` is its own bit over the ids). */
 #define ACCESS_MAX 256
 
-enum { UNSET, ORDINARY, MARKER, BUSY, DONE };
+enum { ORDINARY, MARKER, BUSY, DONE };
 
 typedef struct {
     u64 row[ACCESS_MAX];   /* label row, over the vertex's own bag */
@@ -795,85 +775,72 @@ static int reach(Access *ac, int base, u64 row, u64 *out)
     return 0;
 }
 
-/* Reads one (rows, ordinary, markers) bag into label vertices nv.. of
- * ``ac``; returns its size, or -1 with an exception set. */
-static int read_bag(Access *ac, int nv, PyObject *item, const long long *ids,
-                    int n, EdgeMarker *em, int *nm, int *ordv, int *no)
+/* Reads bag ``b``, (rows, tokens), into label vertices nv.. of ``ac``;
+ * returns its size, or -1 with an exception set. */
+static int read_bag(Access *ac, int nv, int b, PyObject *item,
+                    const long long *ids, int n, EdgeMarker *em, int *nm,
+                    int *ordv, int *no)
 {
-    PyObject *rows_obj, *ordinary, *markers, *rows, *key, *val;
-    Py_ssize_t pos;
-    long local;
-    long long id;
-    int k, i, j;
+    PyObject *rows_obj, *tokens_obj, *rows, *tokens = NULL;
+    long long tok;
+    int k, i, j, v, rc = -1;
 
-    if (!PyArg_ParseTuple(item, "OO!O!;a bag is (rows, ordinary, markers)",
-                          &rows_obj, &PyDict_Type, &ordinary, &PyDict_Type,
-                          &markers))
+    if (!PyArg_ParseTuple(item, "OO;a bag is (rows, tokens)", &rows_obj,
+                          &tokens_obj))
         return -1;
     rows = PySequence_Fast(rows_obj, "label rows must be a sequence of ints");
     if (rows == NULL)
         return -1;
+    tokens = PySequence_Fast(tokens_obj, "tokens must be a sequence of ints");
+    if (tokens == NULL)
+        goto done;
     k = (int)PySequence_Fast_GET_SIZE(rows);
     if (k > 64 || nv + k > ACCESS_MAX) {
-        Py_DECREF(rows);
         PyErr_Format(PyExc_OverflowError,
                      "accessible_rows supports labels of <= 64 and trees of "
                      "<= %d label vertices", ACCESS_MAX);
-        return -1;
+        goto done;
+    }
+    if (PySequence_Fast_GET_SIZE(tokens) != k) {
+        PyErr_Format(PyExc_ValueError, "bag %d has %zd tokens for %d label "
+                     "vertices", b, PySequence_Fast_GET_SIZE(tokens), k);
+        goto done;
     }
     for (i = 0; i < k; i++) {
-        ac->row[nv + i] = PyLong_AsUnsignedLongLong(
-            PySequence_Fast_GET_ITEM(rows, i));
-        if (ac->row[nv + i] == (u64)-1 && PyErr_Occurred()) {
-            Py_DECREF(rows);
-            return -1;
+        v = nv + i;
+        ac->row[v] = PyLong_AsUnsignedLongLong(PySequence_Fast_GET_ITEM(rows, i));
+        if (ac->row[v] == (u64)-1 && PyErr_Occurred())
+            goto done;
+        if (ac->row[v] & ~FULL(k)) {
+            PyErr_Format(PyExc_ValueError,
+                         "bag %d has a row bit outside its label", b);
+            goto done;
         }
-        ac->base[nv + i] = nv;
-        ac->state[nv + i] = UNSET;
-    }
-    Py_DECREF(rows);
-    for (i = 0; i < k; i++)
-        if (ac->row[nv + i] & ~FULL(k))
-            goto stray;
-    pos = 0;
-    while (PyDict_Next(ordinary, &pos, &key, &val)) {
-        if ((local = PyLong_AsLong(key)) == -1 && PyErr_Occurred())
-            return -1;
-        if ((id = PyLong_AsLongLong(val)) == -1 && PyErr_Occurred())
-            return -1;
-        if (local < 0 || local >= k || ac->state[nv + local] != UNSET)
-            goto stray;
-        for (j = 0; j < n && ids[j] != id; j++)
+        ac->base[v] = nv;
+        tok = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(tokens, i));
+        if (tok == -1 && PyErr_Occurred())
+            goto done;
+        if (tok < 0) {
+            ac->state[v] = MARKER;
+            em[*nm].edge = ~tok;
+            em[(*nm)++].vertex = v;
+            continue;
+        }
+        for (j = 0; j < n && ids[j] != tok; j++)
             ;
         if (j == n) {
-            PyErr_Format(PyExc_ValueError, "unknown id %lld", id);
-            return -1;
+            PyErr_Format(PyExc_ValueError, "unknown id %lld", tok);
+            goto done;
         }
-        ac->state[nv + local] = ORDINARY;
-        ac->out[nv + local] = (u64)1 << j;
-        ordv[(*no)++] = nv + (int)local;
+        ac->state[v] = ORDINARY;
+        ac->out[v] = (u64)1 << j;
+        ordv[(*no)++] = v;
     }
-    pos = 0;
-    while (PyDict_Next(markers, &pos, &key, &val)) {
-        em[*nm].edge = PyLong_AsLongLong(key);
-        if (em[*nm].edge == -1 && PyErr_Occurred())
-            return -1;
-        if ((local = PyLong_AsLong(val)) == -1 && PyErr_Occurred())
-            return -1;
-        if (local < 0 || local >= k || ac->state[nv + local] != UNSET)
-            goto stray;
-        ac->state[nv + local] = MARKER;
-        em[(*nm)++].vertex = nv + (int)local;
-    }
-    for (i = 0; i < k; i++)
-        if (ac->state[nv + i] == UNSET)
-            goto stray;
-    return k;
-stray:
-    PyErr_SetString(PyExc_ValueError,
-                    "label vertices must be ordinary or markers, each "
-                    "exactly one");
-    return -1;
+    rc = k;
+done:
+    Py_DECREF(rows);
+    Py_XDECREF(tokens);
+    return rc;
 }
 
 static PyObject *accessible_rows(PyObject *Py_UNUSED(self), PyObject *args,
@@ -918,7 +885,7 @@ static PyObject *accessible_rows(PyObject *Py_UNUSED(self), PyObject *args,
         return NULL;
     nb = (int)PySequence_Fast_GET_SIZE(seq);
     for (i = 0; i < nb; i++) {
-        k = read_bag(&ac, nv, PySequence_Fast_GET_ITEM(seq, i), ids, n, em,
+        k = read_bag(&ac, nv, i, PySequence_Fast_GET_ITEM(seq, i), ids, n, em,
                      &nm, ordv, &no);
         if (k < 0) {
             Py_DECREF(seq);
@@ -935,6 +902,11 @@ static PyObject *accessible_rows(PyObject *Py_UNUSED(self), PyObject *args,
         if (k - i != 2) {
             PyErr_Format(PyExc_ValueError, "tree edge %lld has %d markers, not 2",
                          em[i].edge, k - i);
+            return NULL;
+        }
+        if (ac.base[em[i].vertex] == ac.base[em[i + 1].vertex]) {
+            PyErr_Format(PyExc_ValueError,
+                         "tree edge %lld has both markers in one bag", em[i].edge);
             return NULL;
         }
         ac.partner[em[i].vertex] = em[i + 1].vertex;

@@ -6,9 +6,12 @@ implements five of these functions with identical outputs: ``canon_adj``,
 ``augment`` (one parent's step of ``graphs.enumerate_graphs``, its kept
 children canonicalised and packed as level records), ``profile_counts``,
 ``split_bags`` (the whole split recursion of ``splitdec.decompose``,
-returning finished bags whose markers name the tree edges between them)
-and ``accessible_rows`` (the graph a graph-labelled tree represents, for
-``splitdec.reconstruct``).
+returning each finished bag as ``(rows, tokens, kind, center)``) and
+``accessible_rows`` (the graph a graph-labelled tree represents, read from
+each bag's ``(rows, tokens)``, for ``splitdec.reconstruct``).  A token
+names a label vertex: its original vertex ``>= 0``, or ``~e`` for the
+marker of tree edge e.  The four that read adjacency rows refuse a row bit
+at or above n, on both backends.
 ``zfx.kernels`` picks those five at import time and takes
 ``closure_mask``, ``closure_counts``, ``metric_dh`` and ``find_split_mask``
 from here on both backends.  ``metric_dh`` runs a polynomial separation
@@ -99,6 +102,16 @@ def _subset_tables(n: int) -> tuple[list[int], list[int]]:
     return has, level
 
 
+def _rows(n: int, adj) -> tuple:
+    """The first n rows of ``adj``, refusing a bit at or above n as the
+    compiled kernels do: it names no vertex of the graph."""
+    rows = tuple(adj[:n])
+    for i, row in enumerate(rows):
+        if row >> n:
+            raise ValueError(f"adj row {i} has a bit at or above n = {n}")
+    return rows
+
+
 def profile_counts(n: int, adj) -> list:
     """Exact count of zero forcing sets per size, index k = 0..n.
 
@@ -122,6 +135,7 @@ def profile_counts(n: int, adj) -> list:
     n - k.  Graphs over ``BITSET_LIMIT`` vertices run ``closure_counts``
     instead.
     """
+    adj = _rows(n, adj)
     if n > BITSET_LIMIT:
         return closure_counts(n, adj)
     has, level = _subset_tables(n)
@@ -159,9 +173,12 @@ def canon_adj(n: int, adj) -> tuple:
     from the least encoding.  Exactness is checked against the literal
     factorial minimum in the test suite.
     """
-    if n <= 1:
-        return tuple(adj)
+    adj = _rows(n, adj)
+    return adj if n <= 1 else _canon(n, adj)
 
+
+def _canon(n: int, adj) -> tuple:
+    """``canon_adj`` on n >= 2 rows already checked."""
     best = -1
 
     def dfs(cells, sizes, unplaced, acc, placed):
@@ -345,7 +362,7 @@ def augment(n: int, adj) -> list:
     """
     if not 1 <= n <= 15:
         raise ValueError(f"augment takes parents with 1 <= n <= 15 (got {n})")
-    adj = tuple(adj[:n])
+    adj = _rows(n, adj)
     comps = _components(n, adj)
     pack = level_record(n + 1).pack
     base = adj + (0,)
@@ -398,7 +415,7 @@ def augment(n: int, adj) -> list:
                     rivals ^= low
                 if rivals:  # the loop stopped at a larger sigma
                     continue
-        rows = canon_adj(n + 1, tuple(map(or_, base, added[nb])))
+        rows = _canon(n + 1, tuple(map(or_, base, added[nb])))
         out.append((pack(*rows), all(nb & c for c in comps)))
     return out
 
@@ -539,27 +556,24 @@ def split_bags(n: int, adj) -> list:
     frontier (the vertices with a neighbour across).  Side A is split before
     side B.  Bag ids count the bags in the order the recursion reaches them.
 
-    Each bag is ``(rows, ordinary, markers, kind, center)``, where
-    ``ordinary`` maps label vertices to original vertices and ``markers``
-    maps tree edges to label vertices, both in ascending label order.  Tree
-    edge e is held by exactly two bags, one on each side of its split.
+    Each bag is ``(rows, tokens, kind, center)``, with one token per label
+    vertex: its original vertex, or ``~e`` for the marker of tree edge e.
+    Tree edge e is held by exactly two bags, one on each side of its split.
     Raises ``ValueError`` on a disconnected graph.
     """
+    adj = _rows(n, adj)
     if len(_components(n, adj)) > 1:
         raise ValueError("decompose expects a connected graph")
     bags = []
     edges = 0
-    # a token is an original vertex, or ~e for a marker of tree edge e
-    todo = [(tuple(adj[:n]), tuple(range(n)))]
+    todo = [(adj, tuple(range(n)))]
     while todo:
         rows, tokens = todo.pop()
         k = len(rows)
         kind, center = _kind(rows)
         a_mask = find_split_mask(k, rows) if kind == "prime" else 0
         if not a_mask:
-            ordinary = {l: tok for l, tok in enumerate(tokens) if tok >= 0}
-            markers = {~tok: l for l, tok in enumerate(tokens) if tok < 0}
-            bags.append((rows, ordinary, markers, kind, center))
+            bags.append((rows, tokens, kind, center))
             continue
         e = edges
         edges += 1
@@ -582,72 +596,70 @@ def split_bags(n: int, adj) -> list:
 def accessible_rows(ids, bags) -> tuple:
     """Rows of the graph a graph-labelled tree represents, over ``ids``.
 
-    ``bags`` lists ``(rows, ordinary, markers)`` per bag: the label's
-    adjacency rows, ``{label vertex: original id}`` and ``{tree edge:
-    label vertex}``.  A tree edge is the pair of markers that name it, one
-    in each of two bags.  Two ordinary vertices are adjacent iff an
-    alternating path of label edges and tree edges joins them.  What a
-    marker reaches across its tree edge depends only on that marker, so it
-    is computed once and each row is the OR over the label neighbours.
-    Row i belongs to ``ids[i]``, and ``ids`` must be strictly increasing.
+    ``bags`` lists ``(rows, tokens)`` per bag: the label's adjacency rows
+    and, per label vertex, its original id or ``~e`` for the marker of tree
+    edge e.  A tree edge is the pair of markers that name it, one in each
+    of two bags.  Two ordinary vertices are adjacent iff an alternating
+    path of label edges and tree edges joins them.  What a marker reaches
+    across its tree edge depends only on that marker, so it is computed
+    once and each row is the OR over the label neighbours.  Row i belongs
+    to ``ids[i]``, and ``ids`` must be strictly increasing.
 
-    Raises ``ValueError`` on ids that are not strictly increasing, an
-    original id not in ``ids``, a label vertex that is not exactly one of
-    ordinary and marker (or a row bit outside its label), a tree edge
-    without exactly two markers, and an alternating path that closes a
-    cycle.  The shape of the bag graph is ``splitdec.check_tree``'s job: on
-    bags joined by two tree edges, or on a forest, the rows come back
-    without an error.  These checks repeat part of ``check_tree`` so that
-    both backends refuse the same inputs with the same message; on the
-    trees of the n <= 8 corpus they take about a third of this function's
-    time.
+    Raises ``ValueError`` on ids that are not strictly increasing, a bag
+    without one token per label vertex, a row bit outside its label, an
+    original id not in ``ids``, a tree edge without exactly two markers or
+    with both in one bag, and an alternating path that closes a cycle.  The
+    rest of the bag graph's shape is ``splitdec.check_tree``'s job: on bags
+    joined by two tree edges, or on a forest, the rows come back without an
+    error.
     """
     if any(a >= b for a, b in zip(ids, ids[1:])):
         raise ValueError("ids must be strictly increasing")
     idx = {orig: i for i, orig in enumerate(ids)}
     partner = {}  # tree edge -> its markers as (bag, label vertex)
-    marker_edge = []  # per bag: label vertex -> tree edge
-    for b, (rows, ordinary, markers) in enumerate(bags):
+    for b, (rows, tokens) in enumerate(bags):
         k = len(rows)
-        labels = set(ordinary) | set(markers.values())
-        if (len(ordinary) + len(markers) != k or labels != set(range(k))
-                or any(row >> k for row in rows)):
-            raise ValueError("label vertices must be ordinary or markers, "
-                             "each exactly one")
-        for orig in ordinary.values():
-            if orig not in idx:
-                raise ValueError(f"unknown id {orig}")
-        for e, local in markers.items():
-            partner.setdefault(e, []).append((b, local))
-        marker_edge.append({local: e for e, local in markers.items()})
+        if len(tokens) != k:
+            raise ValueError(f"bag {b} has {len(tokens)} tokens for {k} "
+                             "label vertices")
+        for local, (row, tok) in enumerate(zip(rows, tokens)):
+            if row >> k:
+                raise ValueError(f"bag {b} has a row bit outside its label")
+            if tok < 0:
+                partner.setdefault(~tok, []).append((b, local))
+            elif tok not in idx:
+                raise ValueError(f"unknown id {tok}")
     for e, ends in partner.items():
         if len(ends) != 2:
             raise ValueError(f"tree edge {e} has {len(ends)} markers, not 2")
-    across: dict = {}  # (bag, edge) -> what its marker reaches; None: busy
+        if ends[0][0] == ends[1][0]:
+            raise ValueError(f"tree edge {e} has both markers in one bag")
+    across: dict = {}  # (bag, marker) -> what it reaches; None: busy
 
     def reached(b: int, row: int) -> int:
-        ordinary = bags[b][1]
+        tokens = bags[b][1]
         out = 0
         while row:
             low = row & -row
             w = low.bit_length() - 1
             row ^= low
-            if w in ordinary:
-                out |= 1 << idx[ordinary[w]]
+            tok = tokens[w]
+            if tok >= 0:
+                out |= 1 << idx[tok]
                 continue
-            e = marker_edge[b][w]
-            if (b, e) not in across:
-                across[b, e] = None
-                x, y = partner[e]
+            if (b, w) not in across:
+                across[b, w] = None
+                x, y = partner[~tok]
                 far, far_local = y if x[0] == b else x
-                across[b, e] = reached(far, bags[far][0][far_local])
-            elif across[b, e] is None:
+                across[b, w] = reached(far, bags[far][0][far_local])
+            elif across[b, w] is None:
                 raise ValueError("an alternating path closes a cycle")
-            out |= across[b, e]
+            out |= across[b, w]
         return out
 
     adj = [0] * len(ids)
-    for b, (rows, ordinary, _) in enumerate(bags):
-        for local, orig in ordinary.items():
-            adj[idx[orig]] = reached(b, rows[local])
+    for b, (rows, tokens) in enumerate(bags):
+        for local, tok in enumerate(tokens):
+            if tok >= 0:
+                adj[idx[tok]] = reached(b, rows[local])
     return tuple(adj)

@@ -233,24 +233,23 @@ def _run_scan(corpus: Sequence, worker: Callable, pool: Optional[_Pool]) -> _Sca
     """The scan of ``worker`` over ``corpus``, its records sorted by graph6.
     Without a pool, each item is one ``worker(_graph(item))`` call here.
     With one, a task is an index range of the corpus its workers already
-    hold; each finished task's scan is folded in as it arrives, and its
-    records are kept in corpus order for the one sort at the end."""
+    hold, and each finished task's scan is folded in as it arrives.  Two
+    records with one graph6 come from the same line or class, so they are
+    equal, and the sort gives one list whatever order the tasks finish in."""
     if pool is None:
         scan = _scan(worker, corpus)
     else:
         size = len(corpus)
         chunk = max(1, size // (pool.workers * 8))
-        futures = {pool.executor.submit(_scan_range, worker, pool.index,
-                                        start, start + chunk): start
-                   for start in range(0, size, chunk)}
-        scan, records = _Scan(), {}
-        for f in as_completed(futures):
+        scan = _Scan()
+        for f in as_completed([pool.executor.submit(_scan_range, worker, pool.index,
+                                                    start, start + chunk)
+                               for start in range(0, size, chunk)]):
             part = f.result()
             scan.scanned += part.scanned
             scan.verified += part.verified
             scan.count += part.count
-            records[futures[f]] = part.records
-        scan.records = [rec for start in sorted(records) for rec in records[start]]
+            scan.records += part.records
     scan.records.sort(key=itemgetter("graph6"))
     return scan
 
@@ -420,7 +419,7 @@ def split_prime_graphs(m: int) -> list[Graph]:
         raise CapacityError(f"m={m} exceeds ENUM_MAX={ENUM_MAX}: the split-prime "
                             "graphs on <= m vertices come from the built-in enumeration")
     return [g for g in builtin_corpus(m)
-            if [bag[3] for bag in kernels.split_bags(g.n, g.adj)] == [PRIME]]
+            if [bag[2] for bag in kernels.split_bags(g.n, g.adj)] == [PRIME]]
 
 
 def _induced_subgraph_classes(g: Graph) -> list[Graph]:

@@ -7,8 +7,11 @@ all: ``canon_adj``, ``augment`` (one parent's step of the corpus
 enumeration, canonical forms included, each child returned as its level
 record and whether it is connected), ``profile_counts``, ``split_bags``
 (the whole split recursion of ``splitdec.decompose`` in one call, up to
-finished bags, whose markers name the tree edges) and ``accessible_rows``
-(all of ``splitdec.reconstruct``'s accessibility search in one call).
+finished bags, each ``(rows, tokens, kind, center)``) and
+``accessible_rows`` (all of ``splitdec.reconstruct``'s accessibility
+search in one call, over ``(rows, tokens)`` bags).  A token names a label
+vertex: its original vertex ``>= 0``, or ``~e`` for the marker of tree
+edge e.
 Each twin runs its pure kernel's method with identical outputs and is
 bound here directly, with no fallback by n; parity is enforced by the
 test suite.  ``closure_mask``, ``closure_counts`` (the per-size counts of

@@ -8,12 +8,14 @@ center-to-leaf, and absorb bags with at most two label vertices.  All three
 are instances of one tree-edge contraction that preserves accessibility, so
 reduction never changes the represented graph.
 
+A bag is its label plus one token per label vertex (``Bag``), as
+``kernels.split_bags`` emits and ``kernels.accessible_rows`` reads it.
 Bags are immutable and classified once, when they are made: building,
 reduction and peeling replace bags rather than edit them, so a reduction
 gets a fresh dict that shares the tree's bags.  A tree is its bags: a tree
-edge is an id that exactly two bags hold as a marker.  It is checked once,
-when it is made: ``GraphLabelledTree(bags)`` runs ``check_tree``, which
-also derives the tree edges and the vertex ids, so reconstruction,
+edge is a marker token that exactly two bags hold, one each.  It is checked
+once, when it is made: ``GraphLabelledTree(bags)`` runs ``check_tree``,
+which also derives the tree edges and the vertex ids, so reconstruction,
 validation and the reductions read trees that already passed it.
 """
 
@@ -44,38 +46,47 @@ PRIME = "prime"
 class Bag:
     """One node of a graph-labelled tree.
 
-    ``ordinary`` maps label vertices to original graph vertices; ``markers``
-    maps incident tree-edge ids to the label vertex standing in for the rest
-    of the graph across that edge.
+    ``tokens[l]`` names label vertex l: the original graph vertex it is
+    (``>= 0``), or ``~e`` when it is the marker standing in for the rest of
+    the graph across tree edge e.  ``ordinary`` and ``markers`` are dicts
+    read off ``tokens`` at each access, for the tree dump and for readers
+    of a tree; editing one leaves the bag as it was.
     """
 
     label: Graph
     kind: str
-    ordinary: dict[int, int]
-    markers: dict[int, int]
+    tokens: tuple[int, ...]
     star_center: Optional[int] = None
 
+    @property
+    def ordinary(self) -> dict[int, int]:  # label vertex -> original vertex
+        return {l: tok for l, tok in enumerate(self.tokens) if tok >= 0}
 
-def _bag(label: Graph, ordinary: dict[int, int], markers: dict[int, int]) -> Bag:
+    @property
+    def markers(self) -> dict[int, int]:  # tree edge -> label vertex
+        return {~tok: l for l, tok in enumerate(self.tokens) if tok < 0}
+
+
+def _bag(label: Graph, tokens: tuple[int, ...]) -> Bag:
     """The bag on ``label`` with its kind and star center."""
     kind = classify_kind(label)
     tag = PRIME if kind.tag == "other" else kind.tag
-    return Bag(label, tag, ordinary, markers, kind.center)
+    return Bag(label, tag, tokens, kind.center)
 
 
-def _without(
-    bag: Bag, v: int, e: int, base: int = 0
-) -> tuple[list[int], int, dict[int, int], dict[int, int]]:
+def _without(bag: Bag, v: int) -> tuple[list[int], int, tuple[int, ...]]:
     """``bag`` with label vertex ``v`` deleted: the other label rows and
     ``v``'s neighbourhood, in the numbering where locals above ``v`` shift
-    down by one, then the ordinary and marker maps in that numbering raised
-    by ``base``, without tree edge ``e``."""
+    down by one, and the other tokens."""
     low = (1 << v) - 1
     rows = [(row & low) | ((row >> 1) & ~low) for row in bag.label.adj]
     across = rows.pop(v)
-    ordinary = {base + l - (l > v): o for l, o in bag.ordinary.items()}
-    markers = {e2: base + l - (l > v) for e2, l in bag.markers.items() if e2 != e}
-    return rows, across, ordinary, markers
+    return rows, across, bag.tokens[:v] + bag.tokens[v + 1:]
+
+
+def _leaves(bag: Bag) -> list[int]:
+    """The original vertices of ``bag`` other than its star center."""
+    return [o for l, o in enumerate(bag.tokens) if o >= 0 and l != bag.star_center]
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,12 +108,12 @@ class GraphLabelledTree:
 
     def bag_neighbors(self, bag_id: int) -> Iterator[tuple[int, int]]:
         """(edge id, neighbor bag id) pairs, ascending by edge id."""
-        for e in sorted(self.bags[bag_id].markers):
+        for e in sorted(~tok for tok in self.bags[bag_id].tokens if tok < 0):
             x, y = self.tree_edges[e]
             yield e, (y if x == bag_id else x)
 
     def bag_degree(self, bag_id: int) -> int:
-        return len(self.bags[bag_id].markers)
+        return sum(tok < 0 for tok in self.bags[bag_id].tokens)
 
     def is_leaf_bag(self, bag_id: int) -> bool:
         return self.bag_degree(bag_id) == 1
@@ -128,24 +139,23 @@ def _edge_ends(bags: Mapping[int, Bag]) -> dict[int, list[int]]:
     in the order ``bags`` lists them."""
     held: dict[int, list[int]] = {}
     for bid, bag in bags.items():
-        for e in bag.markers:
-            held.setdefault(e, []).append(bid)
+        for tok in bag.tokens:
+            if tok < 0:
+                held.setdefault(~tok, []).append(bid)
     return held
 
 
 def _contract(bx: Bag, by: Bag, e: int) -> Bag:
     """The bag that merges ``bx`` and ``by`` across their tree edge ``e``,
     preserving accessibility; ``bx``'s label vertices come first."""
-    rows_x, across_x, ordinary, markers = _without(bx, bx.markers[e], e)
+    rows_x, across_x, tokens_x = _without(bx, bx.tokens.index(~e))
+    rows_y, across_y, tokens_y = _without(by, by.tokens.index(~e))
     k = len(rows_x)
-    rows_y, across_y, ordinary_y, markers_y = _without(by, by.markers[e], e, k)
     adj = [row | (across_y << k if (across_x >> u) & 1 else 0)
            for u, row in enumerate(rows_x)]
     adj += [(row << k) | (across_x if (across_y >> v) & 1 else 0)
             for v, row in enumerate(rows_y)]
-    ordinary.update(ordinary_y)
-    markers.update(markers_y)
-    return _bag(Graph(len(adj), tuple(adj)), ordinary, markers)
+    return _bag(Graph(len(adj), tuple(adj)), tokens_x + tokens_y)
 
 
 def _reduce(bags: dict[int, Bag]) -> GraphLabelledTree:
@@ -162,7 +172,7 @@ def _reduce(bags: dict[int, Bag]) -> GraphLabelledTree:
         x, y = ends.pop(e)
         bx, by = bags[x], bags[y]
         for bag in (bx, by):
-            if bag.label.n == 2 and len(bag.markers) == 2:
+            if bag.label.n == 2 and max(bag.tokens) < 0:
                 if not bag.label.has_edge(0, 1):
                     raise InvariantViolation(
                         "2-vertex pass-through bag with nonadjacent markers"
@@ -170,8 +180,9 @@ def _reduce(bags: dict[int, Bag]) -> GraphLabelledTree:
         keep = min(x, y)
         bags[keep] = _contract(bx, by, e)
         del bags[max(x, y)]
-        for e2 in bags[keep].markers:
-            ends[e2] = [keep if b in (x, y) else b for b in ends[e2]]
+        for tok in bags[keep].tokens:
+            if tok < 0:
+                ends[~tok] = [keep if b in (x, y) else b for b in ends[~tok]]
     return GraphLabelledTree(bags)
 
 
@@ -184,14 +195,15 @@ def _mergeable(bags: Mapping[int, Bag],
         bx, by = bags[x], bags[y]
         if bx.label.n <= 2 or by.label.n <= 2:
             return e
-        if bx.kind == CLIQUE and by.kind == CLIQUE:
+        if (bx.kind == CLIQUE and by.kind == CLIQUE) or _spsc(bx, by, e):
             return e
-        if bx.kind == STAR and by.kind == STAR:
-            x_center = bx.markers[e] == bx.star_center
-            y_center = by.markers[e] == by.star_center
-            if x_center != y_center:
-                return e
     return None
+
+
+def _spsc(bx: Bag, by: Bag, e: int) -> bool:
+    """Whether tree edge ``e`` joins one star's center to another's leaf."""
+    return (bx.kind == STAR and by.kind == STAR
+            and (bx.tokens[bx.star_center] == ~e) != (by.tokens[by.star_center] == ~e))
 
 
 # --- decomposition ----------------------------------------------------------
@@ -218,8 +230,8 @@ def decompose(g: Graph, budget: Optional[int] = None) -> GraphLabelledTree:
         raise CapacityError(f"split scan over {g.n} vertices exceeds budget {limit}")
     raw = kernels.split_bags(g.n, g.adj)
     return _reduce({
-        bid: Bag(Graph(len(rows), rows), kind, ordinary, markers, center)
-        for bid, (rows, ordinary, markers, kind, center) in enumerate(raw)
+        bid: Bag(Graph(len(rows), rows), kind, tokens, center)
+        for bid, (rows, tokens, kind, center) in enumerate(raw)
     })
 
 
@@ -236,20 +248,21 @@ def check_tree(
     """
     seen_ids: set[int] = set()
     for bid, bag in t.bags.items():
-        n = bag.label.n
-        if len(bag.ordinary) + len(bag.markers) != n or (
-            bag.ordinary.keys() | bag.markers.values() != set(range(n))
-        ):
-            raise TreeError(f"bag {bid}: markers and ordinary must partition label")
-        for orig in bag.ordinary.values():
-            if orig in seen_ids:
-                raise TreeError(f"original vertex {orig} appears in two bags")
-            seen_ids.add(orig)
+        if len(bag.tokens) != bag.label.n:
+            raise TreeError(f"bag {bid} has {len(bag.tokens)} tokens for "
+                            f"{bag.label.n} label vertices")
+        for orig in bag.tokens:
+            if orig >= 0:
+                if orig in seen_ids:
+                    raise TreeError(f"original vertex {orig} appears in two bags")
+                seen_ids.add(orig)
     edges = {}
     for e, ends in _edge_ends(t.bags).items():
         if len(ends) != 2:
             raise TreeError(f"tree edge {e} has {len(ends)} markers, not 2")
         x, y = ends
+        if x == y:
+            raise TreeError(f"tree edge {e} has both markers in one bag")
         edges[e] = (x, y) if x < y else (y, x)
     if len(edges) != len(t.bags) - 1:
         raise TreeError("bag graph is not a tree (edge count)")
@@ -257,7 +270,7 @@ def check_tree(
     reach = set(stack)
     while stack:
         b = stack.pop()
-        for e in t.bags[b].markers:
+        for e in (~tok for tok in t.bags[b].tokens if tok < 0):
             x, y = edges[e]
             other = y if x == b else x
             if other not in reach:
@@ -276,7 +289,7 @@ def reconstruct(t: GraphLabelledTree) -> Graph:
     edges and tree edges joins them (``kernels.accessible_rows``)."""
     rows = kernels.accessible_rows(
         t.vertex_ids,
-        [(bag.label.adj, bag.ordinary, bag.markers) for bag in t.bags.values()],
+        [(bag.label.adj, bag.tokens) for bag in t.bags.values()],
     )
     for v, row in enumerate(rows):
         if (row >> v) & 1:
@@ -303,11 +316,8 @@ def validate_reduced(t: GraphLabelledTree) -> list[str]:
         bx, by = t.bags[x], t.bags[y]
         if bx.kind == CLIQUE and by.kind == CLIQUE:
             out.append(f"edge {e}: joins two clique bags (KK)")
-        if bx.kind == STAR and by.kind == STAR:
-            x_center = bx.markers[e] == bx.star_center
-            y_center = by.markers[e] == by.star_center
-            if x_center != y_center:
-                out.append(f"edge {e}: star center joined to star leaf (SpSc)")
+        if _spsc(bx, by, e):
+            out.append(f"edge {e}: star center joined to star leaf (SpSc)")
     return out
 
 
@@ -336,10 +346,8 @@ def dump_tree(t: GraphLabelledTree) -> str:
     for bid in sorted(t.bags):
         bag = t.bags[bid]
         edges = ",".join(f"{u}-{v}" for u, v in bag.label.edges())
-        ordinary = ",".join(
-            f"{l}:{bag.ordinary[l]}" for l in sorted(bag.ordinary)
-        )
-        markers = ",".join(f"{e}:{bag.markers[e]}" for e in sorted(bag.markers))
+        ordinary = ",".join(f"{l}:{o}" for l, o in bag.ordinary.items())
+        markers = ",".join(f"{e}:{l}" for e, l in sorted(bag.markers.items()))
         line = (
             f"bag {bid} kind={bag.kind} n={bag.label.n} "
             f"edges={edges or '-'} ordinary={ordinary or '-'} "
@@ -371,11 +379,10 @@ def classify_leaf_bag(t: GraphLabelledTree, bag_id: int) -> LeafBagClass:
         raise ValueError(f"bag {bag_id} is prime")
     if bag.kind == CLIQUE:
         return LeafBagClass("clique")
-    (e,) = bag.markers
-    marker_local = bag.markers[e]
-    if marker_local == bag.star_center:
-        return LeafBagClass("star_center_attached", len(bag.ordinary))
-    return LeafBagClass("star_leaf_attached", len(bag.ordinary) - 1)
+    # a leaf bag's one marker is its center or one of its leaves
+    if bag.tokens[bag.star_center] < 0:
+        return LeafBagClass("star_center_attached", bag.label.n - 1)
+    return LeafBagClass("star_leaf_attached", bag.label.n - 2)
 
 
 def twin_from_leaf_bag(
@@ -391,7 +398,7 @@ def twin_from_leaf_bag(
     """
     bag = t.bags[bag_id]
     cls = classify_leaf_bag(t, bag_id)
-    cands = sorted(o for l, o in bag.ordinary.items() if l != bag.star_center)
+    cands = sorted(_leaves(bag))
     expected = "true" if bag.kind == CLIQUE else "false"
     if len(cands) < 2:
         if cls.kind == "star_leaf_attached":
@@ -461,37 +468,33 @@ def peel(t: GraphLabelledTree, bag_id: int) -> tuple[GraphLabelledTree, GraphLab
         raise ValueError(f"bag {bag_id} is not a leaf bag")
     if bag.kind != STAR:
         raise ValueError(f"bag {bag_id} is not a star bag")
-    (e,) = bag.markers
-    if bag.markers[e] == bag.star_center:
+    c_orig = bag.tokens[bag.star_center]
+    if c_orig < 0:
         raise ValueError(f"bag {bag_id} is center-attached")
-    leaves = [orig for l, orig in bag.ordinary.items() if l != bag.star_center]
+    leaves = _leaves(bag)
     if len(leaves) != 1:
         raise ValueError(f"bag {bag_id} must have exactly one ordinary leaf")
     x_orig = leaves[0]
-    c_orig = bag.ordinary[bag.star_center]
-    x_edge, y_edge = t.tree_edges[e]
-    nbr = y_edge if x_edge == bag_id else x_edge
+    ((e, nbr),) = t.bag_neighbors(bag_id)
     nbag = t.bags[nbr]
     if nbag.kind == PRIME:
         raise ValueError(f"neighbor bag {nbr} is prime")
-    a_local = nbag.markers[e]
+    a_local = nbag.tokens.index(~e)
     if nbag.kind == STAR and a_local == nbag.star_center:
         raise InvariantViolation(
             "neighbor star attached through its center (forbidden SpSc edge)"
         )
 
-    markers = {e2: l for e2, l in nbag.markers.items() if e2 != e}
     # ascending ids, as ``_reduce`` needs: a tree may list its bags in any order
     rest = {b: t.bags[b] for b in sorted(t.bags) if b != bag_id}
 
     # (1) G - x: drop the bag, reinterpret the neighbor marker as c
-    as_c = _bag(nbag.label, {**nbag.ordinary, a_local: c_orig}, markers)
-    t1 = _reduce({**rest, nbr: as_c})
+    as_c = nbag.tokens[:a_local] + (c_orig,) + nbag.tokens[a_local + 1:]
+    t1 = _reduce({**rest, nbr: _bag(nbag.label, as_c)})
 
     # (2) G - {x, c}: drop the bag and delete the neighbor marker vertex
-    rows, _, ordinary, markers = _without(nbag, a_local, e)
-    without_c = _bag(Graph(len(rows), tuple(rows)), ordinary, markers)
-    t2 = _reduce({**rest, nbr: without_c})
+    rows, _, tokens = _without(nbag, a_local)
+    t2 = _reduce({**rest, nbr: _bag(Graph(len(rows), tuple(rows)), tokens)})
 
     _verify_peel(t, t1, t2, x_orig, c_orig)
     return t1, t2
@@ -551,10 +554,10 @@ def extract_prime_core(t: GraphLabelledTree) -> PrimeCoreResult:
     pendants = []  # (x_orig, c_orig) per attached bag, ascending bag id
     for b in others:
         bag = t.bags[b]
-        x = next(o for l, o in bag.ordinary.items() if l != bag.star_center)
-        pendants.append((x, bag.ordinary[bag.star_center]))
+        (x,) = _leaves(bag)
+        pendants.append((x, bag.tokens[bag.star_center]))
     g = reconstruct(t)
-    core_origs = [*t.bags[p].ordinary.values(), *(c for _, c in pendants)]
+    core_origs = [*(o for o in t.bags[p].tokens if o >= 0), *(c for _, c in pendants)]
     core, kept = induced_subgraph(g, mask_of(map(t.vertex_ids.index, core_origs)))
     core_ids = tuple(t.vertex_ids[i] for i in kept)
     attach = tuple(core_ids.index(c) for _, c in pendants)

@@ -459,6 +459,21 @@ def test_file_corpus_folds_alike_at_jobs_1_and_2(tmp_path, monkeypatch):
         assert pooled.normalized_json() == serial.normalized_json()
 
 
+def test_repeated_records_fold_alike_in_any_task_order(tmp_path, monkeypatch):
+    """Records with one graph6 come from one line, so they are equal: a
+    file corpus with a repeated skip and a repeated malformed line gives a
+    byte-identical report at jobs 1 and at jobs 2 with its tasks folded in
+    reverse order."""
+    monkeypatch.setattr(campaigns, "_usable_cpus", lambda: 2)
+    f = tmp_path / "repeats.g6"
+    f.write_text("DhC\nDLo\nD?\nC?\nDLo\nBw\nD?\n")  # C_5 and a cut line twice
+    serial = verify_dh(g6_file=str(f), jobs=1)
+    assert [s["graph6"] for s in serial.skipped] == ["C?", "D?", "D?", "DLo", "DLo"]
+    monkeypatch.setattr(campaigns, "as_completed", lambda fs: reversed(list(fs)))
+    pooled = verify_dh(g6_file=str(f), jobs=2)
+    assert pooled.normalized_json().encode() == serial.normalized_json().encode()
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_phase1_primes_and_subgraph_total(jobs):
     """Phase 1 lists the split-prime graphs in enumeration order and totals

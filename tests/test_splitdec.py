@@ -132,8 +132,7 @@ def test_decompose_p4_two_stars():
     assert len(t.bags) == 2 and len(t.tree_edges) == 1
     for bag in t.bags.values():
         assert bag.kind == "star" and bag.label.n == 3
-        (marker_local,) = bag.markers.values()
-        assert marker_local != bag.star_center  # leaf-marker on both sides
+        assert bag.tokens[bag.star_center] >= 0  # leaf-marker on both sides
     assert dump_tree(t) == P4_DUMP
 
 
@@ -256,7 +255,7 @@ def test_split_order_invariance(connected_by_n):
         return Counter((b.kind, canonical_form(b.label).adj) for b in t.bags.values())
 
     def shape(g):
-        return Counter((len(bag[0]), bag[3]) for bag in kernels.split_bags(g.n, g.adj))
+        return Counter((len(bag[0]), bag[2]) for bag in kernels.split_bags(g.n, g.adj))
 
     classes = moved = 0
     for n in range(1, 8):
@@ -285,24 +284,22 @@ def _reconstruct_dfs(t: GraphLabelledTree) -> Graph:
     marker into the neighbouring bag's marker row."""
     idx = {orig: i for i, orig in enumerate(t.vertex_ids)}
     adj = [0] * len(t.vertex_ids)
-    marker_edge = {
-        bid: {l: e for e, l in bag.markers.items()} for bid, bag in t.bags.items()
-    }
     for bid, bag in t.bags.items():
-        for u_local, u_orig in bag.ordinary.items():
+        for u_local, u_orig in enumerate(bag.tokens):
+            if u_orig < 0:
+                continue
             src = idx[u_orig]
             stack = [(bid, bag.label.adj[u_local])]
             while stack:
                 b2, active = stack.pop()
-                bag2 = t.bags[b2]
                 for w in bits(active):
-                    if w in bag2.ordinary:
-                        adj[src] |= 1 << idx[bag2.ordinary[w]]
+                    tok = t.bags[b2].tokens[w]
+                    if tok >= 0:
+                        adj[src] |= 1 << idx[tok]
                     else:
-                        e = marker_edge[b2][w]
-                        x, y = t.tree_edges[e]
+                        x, y = t.tree_edges[~tok]
                         other = y if x == b2 else x
-                        m2 = t.bags[other].markers[e]
+                        m2 = t.bags[other].tokens.index(tok)
                         stack.append((other, t.bags[other].label.adj[m2]))
     return Graph(len(adj), tuple(adj))
 
@@ -323,7 +320,7 @@ def _agree_with_dfs(t: GraphLabelledTree, access_kernels) -> Graph:
     the same graph, which is returned."""
     g = _reconstruct_dfs(t)
     assert reconstruct(t) == g
-    bags = [(bag.label.adj, bag.ordinary, bag.markers) for bag in t.bags.values()]
+    bags = [(bag.label.adj, bag.tokens) for bag in t.bags.values()]
     for accessible_rows in access_kernels:
         assert accessible_rows(t.vertex_ids, bags) == g.adj
     return g
@@ -402,16 +399,18 @@ def test_accessible_rows_random_n9_to_n16(access_kernels):
 
 # (ids, bags, message) that no graph-labelled tree gives
 MALFORMED = [
-    ((0, 1), [((2, 1), {0: 0}, {5: 1})], "tree edge 5 has 1 markers, not 2"),
-    ((0, 1, 2), [((2, 1), {0: 0}, {0: 1}), ((2, 1), {0: 1}, {0: 1}),
-                 ((2, 1), {0: 2}, {0: 1})], "tree edge 0 has 3 markers, not 2"),
-    ((0, 1), [((2, 1), {0: 0}, {})], "ordinary or markers, each exactly one"),
-    ((0, 1), [((2, 1), {0: 0, 1: 1}, {0: 1})], "ordinary or markers, each exactly one"),
-    ((0, 1), [((2, 1), {0: 0, 1: 7}, {})], "unknown id 7"),
-    ((1, 0), [((2, 1), {0: 0, 1: 1}, {})], "strictly increasing"),
+    ((0, 1), [((2, 1), (0, ~5))], "tree edge 5 has 1 markers, not 2"),
+    ((0, 1, 2), [((2, 1), (0, ~0)), ((2, 1), (1, ~0)), ((2, 1), (2, ~0))],
+     "tree edge 0 has 3 markers, not 2"),
+    ((0, 1), [((2, 1), (0,))], "bag 0 has 1 tokens for 2 label vertices"),
+    ((0, 1), [((2, 1), (0, 1, ~0))], "bag 0 has 3 tokens for 2 label vertices"),
+    ((0, 1), [((2, 1), (0, 7))], "unknown id 7"),
+    ((1, 0), [((2, 1), (0, 1))], "strictly increasing"),
     # the path o - m0 - m1 in both bags: crossing m0 leads back to m0
-    ((0, 1), [((2, 5, 2), {0: 0}, {0: 1, 1: 2}), ((2, 5, 2), {0: 1}, {0: 1, 1: 2})],
-     "closes a cycle"),
+    ((0, 1), [((2, 5, 2), (0, ~0, ~1)), ((2, 5, 2), (1, ~0, ~1))], "closes a cycle"),
+    # the path o - m0 - m0: both markers of tree edge 0 in one bag
+    ((0,), [((2, 5, 2), (0, ~0, ~0))], "tree edge 0 has both markers in one bag"),
+    ((0, 1), [((4, 1), (0, 1))], "bag 0 has a row bit outside its label"),
 ]
 
 
@@ -451,7 +450,7 @@ def test_reconstruct_refuses_dangling_marker():
     with pytest.raises(TreeError, match="tree edge 5 has 1 markers, not 2"):
         GraphLabelledTree(
             bags={0: t.bags[0],
-                  1: Bag(bag.label, bag.kind, {0: 2}, {0: 2, 5: 1}, bag.star_center)},
+                  1: Bag(bag.label, bag.kind, (2, ~5, ~0), bag.star_center)},
         )
 
 
@@ -463,23 +462,16 @@ def star_label(leaves: int) -> Graph:
     return make_star(leaves + 1)
 
 
+def _clique_bag(*tokens: int) -> Bag:
+    """A clique bag with one label vertex per token."""
+    return Bag(make_complete(len(tokens)), "clique", tokens)
+
+
 def test_reconstruct_hand_built_p4():
     t = GraphLabelledTree(
         bags={
-            0: Bag(
-                label=make_path(3),
-                kind="star",
-                ordinary={0: 0, 1: 1},
-                markers={0: 2},
-                star_center=1,
-            ),
-            1: Bag(
-                label=star_label(2),
-                kind="star",
-                ordinary={1: 2, 2: 3},
-                markers={0: 0},
-                star_center=0,
-            ),
+            0: Bag(label=make_path(3), kind="star", tokens=(0, 1, ~0), star_center=1),
+            1: Bag(label=star_label(2), kind="star", tokens=(~0, 2, 3), star_center=0),
         },
     )
     assert t.tree_edges == {0: (0, 1)} and t.vertex_ids == (0, 1, 2, 3)
@@ -494,17 +486,7 @@ def test_reconstruct_hand_built_p4():
 
 
 def test_reconstruct_single_clique_bag():
-    t = GraphLabelledTree(
-        bags={
-            0: Bag(
-                label=make_complete(3),
-                kind="clique",
-                ordinary={0: 0, 1: 1, 2: 2},
-                markers={},
-                star_center=None,
-            )
-        },
-    )
+    t = GraphLabelledTree({0: _clique_bag(0, 1, 2)})
     assert t.tree_edges == {} and t.vertex_ids == (0, 1, 2)
     assert reconstruct(t) == make_complete(3) == _reconstruct_dfs(t)
 
@@ -512,20 +494,8 @@ def test_reconstruct_single_clique_bag():
 def test_reconstruct_two_leaf_stars_is_p4():
     t = GraphLabelledTree(
         bags={
-            0: Bag(
-                label=make_path(3),
-                kind="star",
-                ordinary={0: 0, 1: 1},
-                markers={0: 2},
-                star_center=1,
-            ),
-            1: Bag(
-                label=make_path(3),
-                kind="star",
-                ordinary={1: 2, 2: 3},
-                markers={0: 0},
-                star_center=1,
-            ),
+            0: Bag(label=make_path(3), kind="star", tokens=(0, 1, ~0), star_center=1),
+            1: Bag(label=make_path(3), kind="star", tokens=(~0, 2, 3), star_center=1),
         },
     )
     assert reconstruct(t) == make_path(4) == _reconstruct_dfs(t)
@@ -533,24 +503,7 @@ def test_reconstruct_two_leaf_stars_is_p4():
 
 
 def _kk_tree() -> GraphLabelledTree:
-    return GraphLabelledTree(
-        bags={
-            0: Bag(
-                label=make_complete(3),
-                kind="clique",
-                ordinary={0: 0, 1: 1},
-                markers={0: 2},
-                star_center=None,
-            ),
-            1: Bag(
-                label=make_complete(3),
-                kind="clique",
-                ordinary={0: 2, 1: 3},
-                markers={0: 2},
-                star_center=None,
-            ),
-        },
-    )
+    return GraphLabelledTree({0: _clique_bag(0, 1, ~0), 1: _clique_bag(2, 3, ~0)})
 
 
 def test_validate_reduced_flags_kk():
@@ -563,9 +516,9 @@ def test_validate_reduced_small_leaf_bag_is_one_violation():
     """A leaf bag of a multi-bag tree has one marker, so a clique leaf with
     one ordinary vertex, or a center-attached star leaf with one leaf, breaks
     the size rule and nothing else."""
-    c5 = Bag(make_cycle(5), "prime", {0: 1, 1: 2, 2: 3, 3: 4}, {0: 4}, None)
-    for leaf in (Bag(make_complete(2), "clique", {0: 0}, {0: 1}, None),
-                 Bag(make_complete(2), "star", {1: 0}, {0: 0}, 0)):
+    c5 = Bag(make_cycle(5), "prime", (1, 2, 3, 4, ~0))
+    for leaf in (Bag(make_complete(2), "clique", (0, ~0)),
+                 Bag(make_complete(2), "star", (~0, 0), 0)):
         t = GraphLabelledTree({0: leaf, 1: c5})
         assert validate_reduced(t) == [
             f"bag 0: {leaf.kind} bag with fewer than 3 vertices"
@@ -575,20 +528,8 @@ def test_validate_reduced_small_leaf_bag_is_one_violation():
 def test_validate_reduced_flags_spsc():
     t = GraphLabelledTree(
         bags={
-            0: Bag(
-                label=star_label(2),
-                kind="star",
-                ordinary={0: 0, 1: 1},
-                markers={0: 2},
-                star_center=0,
-            ),
-            1: Bag(
-                label=star_label(2),
-                kind="star",
-                ordinary={1: 2, 2: 3},
-                markers={0: 0},
-                star_center=0,
-            ),
+            0: Bag(label=star_label(2), kind="star", tokens=(0, 1, ~0), star_center=0),
+            1: Bag(label=star_label(2), kind="star", tokens=(~0, 2, 3), star_center=0),
         },
     )
     violations = validate_reduced(t)
@@ -597,19 +538,12 @@ def test_validate_reduced_flags_spsc():
     assert reconstruct(t) == _reconstruct_dfs(t)
 
 
-def _clique_bag(ordinary: dict[int, int], markers: dict[int, int]) -> Bag:
-    """A clique bag on as many label vertices as it has locals."""
-    return Bag(make_complete(len(ordinary) + len(markers)), "clique",
-               ordinary, markers, None)
-
-
 def test_reduce_refuses_a_nonadjacent_pass_through_bag():
     """A 2-vertex bag whose two markers are not adjacent passes nothing
     between its neighbours, so no split decomposition holds one; the
     reducer refuses it rather than contract it."""
-    through = Bag(Graph(2, (0, 0)), "prime", {}, {0: 0, 1: 1})
-    bags = {0: _clique_bag({0: 0, 1: 1}, {0: 2}), 1: through,
-            2: _clique_bag({0: 2, 1: 3}, {1: 2})}
+    through = Bag(Graph(2, (0, 0)), "prime", (~0, ~1))
+    bags = {0: _clique_bag(0, 1, ~0), 1: through, 2: _clique_bag(2, 3, ~1)}
     with pytest.raises(InvariantViolation,
                        match="2-vertex pass-through bag with nonadjacent markers"):
         splitdec._reduce(bags)
@@ -620,33 +554,20 @@ def test_check_tree_rejects_malformed():
     tree is malformed bags."""
     t = _kk_tree()
     with pytest.raises(TreeError, match="tree edge 0 has 3 markers, not 2"):
-        GraphLabelledTree({**t.bags, 2: _clique_bag({0: 4, 1: 5}, {0: 2})})
+        GraphLabelledTree({**t.bags, 2: _clique_bag(4, 5, ~0)})
     with pytest.raises(TreeError, match="edge count"):  # two edges join bags 0, 1
-        GraphLabelledTree({0: _clique_bag({0: 0}, {0: 1, 1: 2}),
-                           1: _clique_bag({0: 1}, {0: 1, 1: 2})})
+        GraphLabelledTree({0: _clique_bag(0, ~0, ~1), 1: _clique_bag(1, ~0, ~1)})
     with pytest.raises(TreeError, match="not connected"):  # a cycle and a bag apart
-        GraphLabelledTree({0: _clique_bag({0: 0}, {0: 1, 2: 2}),
-                           1: _clique_bag({0: 1}, {0: 1, 1: 2}),
-                           2: _clique_bag({0: 2}, {1: 1, 2: 2}),
-                           3: _clique_bag({0: 3}, {})})
+        GraphLabelledTree({0: _clique_bag(0, ~0, ~2), 1: _clique_bag(1, ~0, ~1),
+                           2: _clique_bag(2, ~1, ~2), 3: _clique_bag(3)})
     with pytest.raises(TreeError, match="original vertex 0 appears in two bags"):
-        GraphLabelledTree(
-            bags={
-                0: t.bags[0],
-                1: Bag(
-                    label=make_complete(3),
-                    kind="clique",
-                    ordinary={0: 0, 1: 3},  # original 0 appears twice
-                    markers={0: 2},
-                    star_center=None,
-                ),
-            },
-        )
-    with pytest.raises(TreeError, match="partition label"):
-        GraphLabelledTree(  # local 5 is no vertex of the 1-vertex label
-            bags={0: Bag(label=make_complete(1), kind="clique",
-                         ordinary={5: 0}, markers={}, star_center=None)},
-        )
+        GraphLabelledTree({0: t.bags[0], 1: _clique_bag(0, 3, ~0)})
+    with pytest.raises(TreeError, match="tree edge 1 has both markers in one bag"):
+        GraphLabelledTree({**t.bags, 2: _clique_bag(4, ~1, ~1)})
+    for tokens in ((), (0, 1)):  # one token per label vertex, not 0 or 2
+        with pytest.raises(TreeError,
+                           match=f"bag 0 has {len(tokens)} tokens for 1 label vertices"):
+            GraphLabelledTree({0: Bag(make_complete(1), "clique", tokens)})
 
 
 # --- leaf-bag classification and twins ---------------------------------------------
@@ -696,20 +617,8 @@ def test_clique_leaf_bag_yields_true_twins():
 def test_center_attached_star_yields_false_twins():
     t = GraphLabelledTree(
         bags={
-            0: Bag(
-                label=star_label(2),
-                kind="star",
-                ordinary={1: 10, 2: 11},
-                markers={0: 0},
-                star_center=0,
-            ),
-            1: Bag(
-                label=make_complete(3),
-                kind="clique",
-                ordinary={0: 12, 1: 13},
-                markers={0: 2},
-                star_center=None,
-            ),
+            0: Bag(label=star_label(2), kind="star", tokens=(~0, 10, 11), star_center=0),
+            1: _clique_bag(12, 13, ~0),
         },
     )
     assert t.tree_edges == {0: (0, 1)} and t.vertex_ids == (10, 11, 12, 13)
