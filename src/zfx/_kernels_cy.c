@@ -4,10 +4,10 @@
  * kernel is pure on both backends.
  *
  * Same functions, same methods, same outputs; graphs arrive as (n, adj-row
- * ints) with n <= 64 so every mask fits a 64-bit word.  A row with a bit at
- * or above n is refused with ValueError, since the kernels index arrays of
- * n entries by row bits.  ``profile_counts`` counts forts on a 2^n-bit
- * table of subsets, so it takes n <= 32.
+ * ints) with n <= 64 so every mask fits a 64-bit word.  A negative row, or
+ * one with a bit at or above n, is refused with ValueError, since the
+ * kernels index arrays of n entries by row bits.  ``profile_counts`` counts
+ * forts on a 2^n-bit table of subsets, so it takes n <= 32.
  * ``augment`` is one parent's step of ``graphs.enumerate_graphs``, its
  * children generated, pruned and canonicalised in C and returned as level
  * records (rows as big-endian uint16), so it takes parents with
@@ -20,9 +20,10 @@
  * ``accessible_rows`` is ``splitdec.reconstruct``'s whole accessibility
  * search over (rows, tokens) bags, at most 256 label vertices.  It raises
  * ValueError on unordered or unknown ids, a bag without one token per label
- * vertex, a row bit outside its label, a tree edge without exactly two
- * markers or with both in one bag and an alternating path that closes a
- * cycle; the rest of the bag graph's shape is ``splitdec.check_tree``'s job.
+ * vertex, a negative row or a row bit outside its label, a tree edge
+ * without exactly two markers or with both in one bag and an alternating
+ * path that closes a cycle; the rest of the bag graph's shape is
+ * ``splitdec.check_tree``'s job.
  *
  * Build: gcc -O3 -shared -fPIC -I<python include> _kernels_cy.c -o
  * _kernels_cy<EXT_SUFFIX>, or ``pip install .`` through setup.py.
@@ -42,13 +43,35 @@ typedef unsigned long long u64;
 
 static PyObject *KIND_CLIQUE, *KIND_STAR, *KIND_PRIME;
 
-/* The first n rows of ``adj`` as words; refuses n outside 0..64 and a row
- * with a bit at or above n. */
+enum { ROW_OK, ROW_NEGATIVE, ROW_WIDE };
+
+/* One row int as a word: ROW_OK, ROW_NEGATIVE, ROW_WIDE for a bit at or
+ * above ``width`` <= 64 (which a row too wide for a word has), or -1 with
+ * the exception of a non-int set.  The callers refuse the two bad rows
+ * with ValueError, as the pure kernels do. */
+static int read_row(PyObject *item, int width, u64 *out)
+{
+    long long value;
+    int sign;
+
+    *out = PyLong_AsUnsignedLongLong(item);
+    if (*out == (u64)-1 && PyErr_Occurred()) {
+        if (!PyErr_ExceptionMatches(PyExc_OverflowError))
+            return -1;
+        PyErr_Clear();
+        value = PyLong_AsLongLongAndOverflow(item, &sign);
+        return sign < 0 || (sign == 0 && value < 0) ? ROW_NEGATIVE : ROW_WIDE;
+    }
+    return *out & ~FULL(width) ? ROW_WIDE : ROW_OK;
+}
+
+/* The first n rows of ``adj`` as words; refuses n outside 0..64, a
+ * negative row and a row with a bit at or above n. */
 static int read_adj(int n, PyObject *adj, u64 *out)
 {
     PyObject *seq;
     PyObject **items;
-    int i;
+    int i, rc;
 
     if (n < 0 || n > 64) {
         PyErr_Format(PyExc_OverflowError,
@@ -65,17 +88,16 @@ static int read_adj(int n, PyObject *adj, u64 *out)
     }
     items = PySequence_Fast_ITEMS(seq);
     for (i = 0; i < n; i++) {
-        out[i] = PyLong_AsUnsignedLongLong(items[i]);
-        if (out[i] == (u64)-1 && PyErr_Occurred()) {
-            Py_DECREF(seq);
-            return -1;
-        }
-        if (out[i] & ~FULL(n)) {
-            Py_DECREF(seq);
+        rc = read_row(items[i], n, &out[i]);
+        if (rc == ROW_OK)
+            continue;
+        Py_DECREF(seq);
+        if (rc == ROW_NEGATIVE)
+            PyErr_Format(PyExc_ValueError, "adj row %d is negative", i);
+        else if (rc == ROW_WIDE)
             PyErr_Format(PyExc_ValueError,
                          "adj row %d has a bit at or above n = %d", i, n);
-            return -1;
-        }
+        return -1;
     }
     Py_DECREF(seq);
     return 0;
@@ -783,7 +805,7 @@ static int read_bag(Access *ac, int nv, int b, PyObject *item,
 {
     PyObject *rows_obj, *tokens_obj, *rows, *tokens = NULL;
     long long tok;
-    int k, i, j, v, rc = -1;
+    int k, i, j, v, got, rc = -1;
 
     if (!PyArg_ParseTuple(item, "OO;a bag is (rows, tokens)", &rows_obj,
                           &tokens_obj))
@@ -808,12 +830,13 @@ static int read_bag(Access *ac, int nv, int b, PyObject *item,
     }
     for (i = 0; i < k; i++) {
         v = nv + i;
-        ac->row[v] = PyLong_AsUnsignedLongLong(PySequence_Fast_GET_ITEM(rows, i));
-        if (ac->row[v] == (u64)-1 && PyErr_Occurred())
-            goto done;
-        if (ac->row[v] & ~FULL(k)) {
-            PyErr_Format(PyExc_ValueError,
-                         "bag %d has a row bit outside its label", b);
+        got = read_row(PySequence_Fast_GET_ITEM(rows, i), k, &ac->row[v]);
+        if (got != ROW_OK) {
+            if (got == ROW_NEGATIVE)
+                PyErr_Format(PyExc_ValueError, "bag %d has a negative row", b);
+            else if (got == ROW_WIDE)
+                PyErr_Format(PyExc_ValueError,
+                             "bag %d has a row bit outside its label", b);
             goto done;
         }
         ac->base[v] = nv;

@@ -10,8 +10,9 @@ returning each finished bag as ``(rows, tokens, kind, center)``) and
 ``accessible_rows`` (the graph a graph-labelled tree represents, read from
 each bag's ``(rows, tokens)``, for ``splitdec.reconstruct``).  A token
 names a label vertex: its original vertex ``>= 0``, or ``~e`` for the
-marker of tree edge e.  The four that read adjacency rows refuse a row bit
-at or above n, on both backends.
+marker of tree edge e.  The four that read adjacency rows refuse a
+negative row and a row bit at or above n with ``ValueError``, on both
+backends.
 ``zfx.kernels`` picks those five at import time and takes
 ``closure_mask``, ``closure_counts``, ``metric_dh`` and ``find_split_mask``
 from here on both backends.  ``metric_dh`` runs a polynomial separation
@@ -103,10 +104,13 @@ def _subset_tables(n: int) -> tuple[list[int], list[int]]:
 
 
 def _rows(n: int, adj) -> tuple:
-    """The first n rows of ``adj``, refusing a bit at or above n as the
-    compiled kernels do: it names no vertex of the graph."""
+    """The first n rows of ``adj``, refusing a negative row and a bit at or
+    above n as the compiled kernels do: neither names vertices of the
+    graph."""
     rows = tuple(adj[:n])
     for i, row in enumerate(rows):
+        if row < 0:
+            raise ValueError(f"adj row {i} is negative")
         if row >> n:
             raise ValueError(f"adj row {i} has a bit at or above n = {n}")
     return rows
@@ -523,24 +527,26 @@ def _kind(rows) -> tuple[str, Optional[int]]:
 
 def _induced_rows(rows, keep: int) -> tuple[list[int], list[int]]:
     """The rows of the subgraph induced on the mask ``keep``, its vertices
-    relabelled in ascending order, and the kept vertices in that order."""
+    relabelled in ascending order, and the kept vertices in that order.
+
+    Each run of dropped vertices below the last kept one is a gap in the
+    masked rows; one shift over the rows closes it, from the highest gap
+    down, so the gaps below keep their places.
+    """
     kept = []
-    local = {}  # vertex bit -> its bit in the subgraph
     m = keep
     while m:
         low = m & -m
-        local[low] = 1 << len(kept)
         kept.append(low.bit_length() - 1)
         m ^= low
-    out = []
-    for v in kept:
-        r = rows[v] & keep
-        row = 0
-        while r:
-            low = r & -r
-            row |= local[low]
-            r ^= low
-        out.append(row)
+    out = [rows[v] & keep for v in kept]
+    gap = ((1 << kept[-1]) - 1) & ~keep if kept else 0
+    while gap:
+        top = gap.bit_length()  # the highest gap is bits start..top-1
+        start = (~gap & ((1 << top) - 1)).bit_length()
+        low = (1 << start) - 1
+        out = [(r & low) | ((r >> (top - start)) & ~low) for r in out]
+        gap &= low
     return out, kept
 
 
@@ -606,12 +612,12 @@ def accessible_rows(ids, bags) -> tuple:
     to ``ids[i]``, and ``ids`` must be strictly increasing.
 
     Raises ``ValueError`` on ids that are not strictly increasing, a bag
-    without one token per label vertex, a row bit outside its label, an
-    original id not in ``ids``, a tree edge without exactly two markers or
-    with both in one bag, and an alternating path that closes a cycle.  The
-    rest of the bag graph's shape is ``splitdec.check_tree``'s job: on bags
-    joined by two tree edges, or on a forest, the rows come back without an
-    error.
+    without one token per label vertex, a negative row or a row bit outside
+    its label, an original id not in ``ids``, a tree edge without exactly
+    two markers or with both in one bag, and an alternating path that
+    closes a cycle.  The rest of the bag graph's shape is
+    ``splitdec.check_tree``'s job: on bags joined by two tree edges, or on
+    a forest, the rows come back without an error.
     """
     if any(a >= b for a, b in zip(ids, ids[1:])):
         raise ValueError("ids must be strictly increasing")
@@ -623,6 +629,8 @@ def accessible_rows(ids, bags) -> tuple:
             raise ValueError(f"bag {b} has {len(tokens)} tokens for {k} "
                              "label vertices")
         for local, (row, tok) in enumerate(zip(rows, tokens)):
+            if row < 0:
+                raise ValueError(f"bag {b} has a negative row")
             if row >> k:
                 raise ValueError(f"bag {b} has a row bit outside its label")
             if tok < 0:

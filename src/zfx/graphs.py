@@ -66,7 +66,7 @@ class Graph:
                 yield (u, u + 1 + j)
 
     def edge_count(self) -> int:
-        return sum(self.adj[v].bit_count() for v in range(self.n)) // 2
+        return sum(map(int.bit_count, self.adj)) // 2
 
 
 @dataclass(frozen=True, slots=True)
@@ -174,11 +174,10 @@ def canonical_form(g: Graph) -> Graph:
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
-    if g.n != h.n or g.edge_count() != h.edge_count():
-        return False
-    if sorted(g.adj[v].bit_count() for v in range(g.n)) != sorted(
-        h.adj[v].bit_count() for v in range(h.n)
-    ):
+    """Equal canonical forms, after the cheap check of equal sorted degree
+    sequences (which also gives equal edge counts)."""
+    if g.n != h.n or (sorted(map(int.bit_count, g.adj))
+                      != sorted(map(int.bit_count, h.adj))):
         return False
     return kernels.canon_adj(g.n, g.adj) == kernels.canon_adj(h.n, h.adj)
 

@@ -15,8 +15,9 @@ reduction and peeling replace bags rather than edit them, so a reduction
 gets a fresh dict that shares the tree's bags.  A tree is its bags: a tree
 edge is a marker token that exactly two bags hold, one each.  It is checked
 once, when it is made: ``GraphLabelledTree(bags)`` runs ``check_tree``,
-which also derives the tree edges and the vertex ids, so reconstruction,
-validation and the reductions read trees that already passed it.
+the one pass over the tree's tokens, which also derives the tree edges and
+the vertex ids.  Reconstruction, validation, summaries and the reductions
+read trees that already passed it, and read the edges it derived.
 """
 
 from __future__ import annotations
@@ -245,19 +246,29 @@ def check_tree(
 
     Returns what the bags fix: each tree edge as the ``(min, max)`` ids of
     the two bags holding its markers, and the sorted original vertex ids.
+    This is the one pass over the tokens.  It collects the original ids and
+    each marker's bags; the ids are sorted once, so a repeated id shows as
+    two equal neighbours (the least one is named).  The edge-count and
+    connectivity checks then read the derived edges, not the tokens.
     """
-    seen_ids: set[int] = set()
+    ids: list[int] = []
+    held: dict[int, list[int]] = {}
     for bid, bag in t.bags.items():
-        if len(bag.tokens) != bag.label.n:
-            raise TreeError(f"bag {bid} has {len(bag.tokens)} tokens for "
+        tokens = bag.tokens
+        if len(tokens) != bag.label.n:
+            raise TreeError(f"bag {bid} has {len(tokens)} tokens for "
                             f"{bag.label.n} label vertices")
-        for orig in bag.tokens:
-            if orig >= 0:
-                if orig in seen_ids:
-                    raise TreeError(f"original vertex {orig} appears in two bags")
-                seen_ids.add(orig)
+        for tok in tokens:
+            if tok >= 0:
+                ids.append(tok)
+            else:
+                held.setdefault(~tok, []).append(bid)
+    ids.sort()
+    if len(set(ids)) != len(ids):
+        orig = next(a for a, b in zip(ids, ids[1:]) if a == b)
+        raise TreeError(f"original vertex {orig} appears in two bags")
     edges = {}
-    for e, ends in _edge_ends(t.bags).items():
+    for e, ends in held.items():
         if len(ends) != 2:
             raise TreeError(f"tree edge {e} has {len(ends)} markers, not 2")
         x, y = ends
@@ -266,19 +277,19 @@ def check_tree(
         edges[e] = (x, y) if x < y else (y, x)
     if len(edges) != len(t.bags) - 1:
         raise TreeError("bag graph is not a tree (edge count)")
-    stack = [min(t.bags)]  # the edge count leaves at least one bag
-    reach = set(stack)
-    while stack:
-        b = stack.pop()
-        for e in (~tok for tok in t.bags[b].tokens if tok < 0):
-            x, y = edges[e]
-            other = y if x == b else x
-            if other not in reach:
-                reach.add(other)
-                stack.append(other)
-    if len(reach) != len(t.bags):
-        raise TreeError("bag graph is not connected")
-    return edges, tuple(sorted(seen_ids))
+    # With one edge fewer than bags, the bag graph is connected iff no edge
+    # joins two bags that the edges before it already connect: a union-find
+    # where a bag is its own root until an edge hangs it under another.
+    up: dict[int, int] = {}
+    for x, y in edges.values():
+        while x in up:
+            x = up[x]
+        while y in up:
+            y = up[y]
+        if x == y:
+            raise TreeError("bag graph is not connected")
+        up[y] = x
+    return edges, tuple(ids)
 
 
 def reconstruct(t: GraphLabelledTree) -> Graph:
@@ -322,15 +333,14 @@ def validate_reduced(t: GraphLabelledTree) -> list[str]:
 
 
 def summarize(t: GraphLabelledTree) -> DecompositionSummary:
+    """The tree's prime bags, and whether it is a star centered at its one
+    prime bag p, read off ``t.tree_edges``: every tree edge has p as an end
+    (in a tree, that makes every other bag a leaf next to p)."""
     primes = t.prime_bag_ids()
     unique = primes[0] if len(primes) == 1 else None
-    star_centered = False
-    if unique is not None:
-        star_centered = all(
-            t.is_leaf_bag(b) and next(t.bag_neighbors(b))[1] == unique
-            for b in t.bags
-            if b != unique
-        )
+    star_centered = unique is not None and all(
+        unique in ends for ends in t.tree_edges.values()
+    )
     return DecompositionSummary(
         prime_bag_count=len(primes),
         prime_labels=tuple(t.bags[b].label for b in primes),
@@ -543,10 +553,9 @@ def extract_prime_core(t: GraphLabelledTree) -> PrimeCoreResult:
     if len(primes) != 1:
         raise ValueError(f"expected exactly one prime bag, found {len(primes)}")
     p = primes[0]
+    if not all(p in ends for ends in t.tree_edges.values()):
+        raise ValueError("tree is not a star centered at the prime bag")
     others = [b for b in sorted(t.bags) if b != p]
-    for b in others:
-        if not t.is_leaf_bag(b) or next(t.bag_neighbors(b))[1] != p:
-            raise ValueError("tree is not a star centered at the prime bag")
     for b in others:
         pair = twin_from_leaf_bag(t, b)
         if pair is not None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import random
 from functools import partial
 from itertools import combinations, permutations
 from typing import Iterator
@@ -10,6 +11,7 @@ from typing import Iterator
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_kernels import _random_adj
 
 from zfx import _kernels_py as pyk
 from zfx import graphs, kernels
@@ -119,6 +121,31 @@ def test_induced_subgraph_full_set_is_isomorphic(graphs_by_n):
 def test_induced_subgraph_bad_mask():
     with pytest.raises(ValueError):
         induced_subgraph(make_path(3), 0b1000)
+
+
+def _induced_rows_by_relabelling(rows, keep):
+    """The oracle for ``_induced_rows``: each kept vertex's bit relabelled
+    through a dict, one neighbour at a time."""
+    kept = [v for v in range(len(rows)) if keep >> v & 1]
+    local = {v: i for i, v in enumerate(kept)}
+    return [mask_of(local[w] for w in bits(rows[v] & keep)) for v in kept], kept
+
+
+def test_induced_rows_match_the_relabelling_oracle(graphs_by_n):
+    """Every keep mask of every graph with n <= 6, and seeded random graphs
+    and masks up to n = 16."""
+    for n, level in graphs_by_n.items():
+        for g in level:
+            for keep in range(1 << n):
+                assert pyk._induced_rows(g.adj, keep) == (
+                    _induced_rows_by_relabelling(g.adj, keep))
+    rng = random.Random(716)
+    for n in range(7, 17):
+        for _ in range(40):
+            g = Graph(n, _random_adj(rng, n, rng.random()))
+            keep = rng.getrandbits(n)
+            assert pyk._induced_rows(g.adj, keep) == (
+                _induced_rows_by_relabelling(g.adj, keep))
 
 
 # --- leaves and twins -----------------------------------------------------------

@@ -358,14 +358,28 @@ def test_augment_refuses_n0_and_n16(cyk):
 def test_compiled_kernels_refuse_row_bits_at_or_above_n(cyk):
     """A row bit at or above n would index the compiled kernels' arrays of
     n entries, and names no vertex of the graph, so every kernel that reads
-    rows refuses it, the pure twins with the same message."""
+    rows refuses it, the pure twins with the same message.  So does a row
+    too wide for a 64-bit word."""
     for module in (pyk, cyk):
         for kernel in (module.canon_adj, module.augment, module.profile_counts,
                        module.split_bags):
-            for n, adj in ((2, (4, 0)), (1, (2,))):
+            for n, adj in ((2, (4, 0)), (1, (2,)), (2, (1 << 64, 0)),
+                           (2, (1 << 70, 0))):
                 with pytest.raises(ValueError,
                                    match=f"adj row 0 has a bit at or above n = {n}"):
                     kernel(n, adj)
+
+
+def test_kernels_refuse_a_negative_row_by_name(cyk):
+    """A negative row names no vertices either, and both backends refuse it
+    with the same ``ValueError``, as negative: its bits above n, which a
+    negative int has, are not what is wrong with it."""
+    for module in (pyk, cyk):
+        for kernel in (module.canon_adj, module.augment, module.profile_counts,
+                       module.split_bags):
+            for adj in ((-1, 0), (-(1 << 70), 0)):
+                with pytest.raises(ValueError, match="adj row 0 is negative"):
+                    kernel(2, adj)
 
 
 def test_compiled_fort_count_on_paths_n19_to_n24(cyk):

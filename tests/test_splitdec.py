@@ -411,6 +411,8 @@ MALFORMED = [
     # the path o - m0 - m0: both markers of tree edge 0 in one bag
     ((0,), [((2, 5, 2), (0, ~0, ~0))], "tree edge 0 has both markers in one bag"),
     ((0, 1), [((4, 1), (0, 1))], "bag 0 has a row bit outside its label"),
+    ((0,), [((1 << 70,), (0,))], "bag 0 has a row bit outside its label"),
+    ((0,), [((-1,), (0,))], "bag 0 has a negative row"),
 ]
 
 
@@ -562,6 +564,10 @@ def test_check_tree_rejects_malformed():
                            2: _clique_bag(2, ~1, ~2), 3: _clique_bag(3)})
     with pytest.raises(TreeError, match="original vertex 0 appears in two bags"):
         GraphLabelledTree({0: t.bags[0], 1: _clique_bag(0, 3, ~0)})
+    # the ids are checked once sorted, so of two repeated ids the least is
+    # named, whichever the bags reach first
+    with pytest.raises(TreeError, match="original vertex 1 appears in two bags"):
+        GraphLabelledTree({0: _clique_bag(1, 3, ~0), 1: _clique_bag(3, 1, ~0)})
     with pytest.raises(TreeError, match="tree edge 1 has both markers in one bag"):
         GraphLabelledTree({**t.bags, 2: _clique_bag(4, ~1, ~1)})
     for tokens in ((), (0, 1)):  # one token per label vertex, not 0 or 2
@@ -757,6 +763,44 @@ def test_every_peelable_configuration(connected_by_n):
                     peel(t, b)
                     peels += 1
     assert peels >= 20  # 21 such configurations exist at n <= 7
+
+
+def _star_centered_by_bags(t: GraphLabelledTree) -> bool:
+    """The oracle for the star test of ``summarize`` and
+    ``extract_prime_core``, bag by bag: one prime bag p, and every other
+    bag a leaf whose one neighbour is p."""
+    primes = t.prime_bag_ids()
+    if len(primes) != 1:
+        return False
+    (p,) = primes
+    return all(t.is_leaf_bag(b) and next(t.bag_neighbors(b))[1] == p
+               for b in t.bags if b != p)
+
+
+@pytest.mark.parametrize("backend", ["python", "cython"])
+def test_star_test_matches_the_per_bag_oracle(backend, monkeypatch, request):
+    """On the tree of every connected graph with n <= 8, ``summarize`` and
+    ``extract_prime_core`` read a tree as star-centered at its prime bag
+    (every tree edge has the prime bag as an end) exactly when the oracle
+    does."""
+    module = pyk if backend == "python" else request.getfixturevalue("cyk")
+    monkeypatch.setattr(kernels, "split_bags", module.split_bags)
+    monkeypatch.setattr(kernels, "accessible_rows", module.accessible_rows)
+    kinds = Counter()
+    for n in range(1, 9):
+        for g in enumerate_graphs(n, connected_only=True):
+            t = decompose(g)
+            star = _star_centered_by_bags(t)
+            assert summarize(t).star_centered_at_prime == star
+            if len(t.prime_bag_ids()) != 1:
+                continue
+            kinds[star] += 1
+            if star:
+                extract_prime_core(t)
+            else:
+                with pytest.raises(ValueError, match="not a star centered"):
+                    extract_prime_core(t)
+    assert kinds == {True: 8792, False: 1400}
 
 
 def test_tree_digests_n8():
