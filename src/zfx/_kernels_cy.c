@@ -13,17 +13,21 @@
  * records (rows as big-endian uint16), so it takes parents with
  * 1 <= n <= 15.
  * ``split_bags`` runs the whole split recursion of ``splitdec.decompose``
- * in one call and emits finished bags as (rows, tokens, kind, center),
- * refusing a disconnected graph by the same ``components`` search that
- * gives ``augment`` its connected flags.  A token names a label vertex: its
- * original vertex >= 0, or ~e for the marker of tree edge e.
+ * in one call, into fixed arrays of rows, tokens, kinds and centres, and
+ * reduces that tree there by the rule of the pure ``reduce_bags``; only the
+ * reduced bags become Python objects, returned as {bag id: (rows, tokens,
+ * kind, center)}.  It refuses a disconnected graph by the same
+ * ``components`` search that gives ``augment`` its connected flags.  A
+ * token names a label vertex: its original vertex >= 0, or ~e for the
+ * marker of tree edge e.
  * ``accessible_rows`` is ``splitdec.reconstruct``'s whole accessibility
  * search over (rows, tokens) bags, at most 256 label vertices.  It raises
  * ValueError on unordered or unknown ids, a bag without one token per label
  * vertex, a negative row or a row bit outside its label, a tree edge
  * without exactly two markers or with both in one bag and an alternating
  * path that closes a cycle; the rest of the bag graph's shape is
- * ``splitdec.check_tree``'s job.
+ * ``splitdec.check_tree``'s job.  Ids and tokens are compared as the ints
+ * they are, so one outside 64 bits gets the pure kernel's answer too.
  *
  * Build: gcc -O3 -shared -fPIC -I<python include> _kernels_cy.c -o
  * _kernels_cy<EXT_SUFFIX>, or ``pip install .`` through setup.py.
@@ -619,69 +623,76 @@ static u64 first_split(int n, const u64 *adj)
     return 0;
 }
 
+enum { CLIQUE, STAR, PRIME };
+
+/* One bag: its label rows, one token per label vertex (the original vertex
+ * >= 0, or ~e for the marker of tree edge e), its kind and a star's center,
+ * -1 for the other kinds.  A label has at most n <= 64 vertices: each
+ * marker stands for a part of the graph no other label vertex holds. */
 typedef struct {
-    PyObject *bags; /* list of (rows, tokens, kind, star center) */
-    int edges;
-} Splitter;
+    int k, kind, center;
+    u64 rows[64];
+    int tok[64];
+} SplitBag;
 
-/* Appends the part on ``adj``, with its tokens, as a finished bag. */
-static int emit_bag(Splitter *sp, int n, const u64 *adj, const long long *tok,
-                    PyObject *kind, int center)
+/* The split tree of a graph on n <= 64 vertices: its bags by id, each
+ * split part of at least three label vertices, so at most n - 2 of them,
+ * and each tree edge's two bags, in the order the pure ``_edge_ends``
+ * lists them.  A contraction clears ``edge_live`` for its edge and
+ * ``bag_live`` for the larger of its two bag ids. */
+#define SPLIT_MAX 64
+
+typedef struct {
+    int nbags, nedges;
+    SplitBag bag[SPLIT_MAX];
+    int ends[SPLIT_MAX][2];
+    unsigned char bag_live[SPLIT_MAX], edge_live[SPLIT_MAX];
+} SplitTree;
+
+/* The pure ``_kind``: CLIQUE (K_2 included), STAR with its first vertex of
+ * degree k - 1 as ``*center``, or PRIME; ``*center`` is -1 but for a
+ * star. */
+static int label_kind(int k, const u64 *rows, int *center)
 {
-    PyObject *tokens = PyTuple_New(n), *item, *bag;
-    int i, rc;
+    int i, total = 0;
 
-    if (tokens == NULL)
-        return -1;
-    for (i = 0; i < n; i++) {
-        if ((item = PyLong_FromLongLong(tok[i])) == NULL) {
-            Py_DECREF(tokens);
-            return -1;
-        }
-        PyTuple_SET_ITEM(tokens, i, item);
-    }
-    /* "N" hands both tuples over, and drops them if the bag fails */
-    bag = center < 0
-        ? Py_BuildValue("(NNOO)", int_tuple(n, adj), tokens, kind, Py_None)
-        : Py_BuildValue("(NNOi)", int_tuple(n, adj), tokens, kind, center);
-    if (bag == NULL)
-        return -1;
-    rc = PyList_Append(sp->bags, bag);
-    Py_DECREF(bag);
-    return rc;
+    *center = -1;
+    for (i = 0; i < k; i++)
+        total += POPCOUNT(rows[i]);
+    if (total == k * (k - 1))
+        return CLIQUE;
+    if (total == 2 * (k - 1))
+        for (i = 0; i < k; i++)
+            if (POPCOUNT(rows[i]) == k - 1) {
+                *center = i;
+                return STAR;
+            }
+    return PRIME;
 }
 
 /* Splits the graph on ``adj`` until every part is a clique, a star or has
- * no split, appending the parts as bags.  A split takes the next tree edge
- * e; each side keeps its vertices in ascending order plus a marker, last,
+ * no split, adding the parts as bags.  A split takes the next tree edge e;
+ * each side keeps its vertices in ascending order plus a marker, last,
  * adjacent to the side's frontier and tokened ~e.  Side A is split before
  * side B. */
-static int split_rec(Splitter *sp, int n, const u64 *adj, const long long *tok)
+static void split_rec(SplitTree *t, int n, const u64 *adj, const int *tok)
 {
-    int deg[64], total = 0, center = -1, i, side, k, local[64], e;
-    u64 a_mask = 0, part, marker, marker_row, row, m, r;
-    u64 sub[64];
-    long long subtok[64];
-    PyObject *kind;
+    int center, i, side, k, local[64], e, kind, subtok[64];
+    u64 a_mask, part, marker, marker_row, row, m, r, sub[64];
+    SplitBag *bag;
 
-    for (i = 0; i < n; i++) {
-        deg[i] = POPCOUNT(adj[i]);
-        total += deg[i];
+    kind = label_kind(n, adj, &center);
+    a_mask = kind == PRIME ? first_split(n, adj) : 0;
+    if (!a_mask) {
+        bag = &t->bag[t->nbags++];
+        bag->k = n;
+        bag->kind = kind;
+        bag->center = center;
+        memcpy(bag->rows, adj, n * sizeof adj[0]);
+        memcpy(bag->tok, tok, n * sizeof tok[0]);
+        return;
     }
-    if (total == n * (n - 1)) {
-        kind = KIND_CLIQUE;
-    } else {
-        if (total == 2 * (n - 1))
-            for (i = 0; i < n && center < 0; i++)
-                if (deg[i] == n - 1)
-                    center = i;
-        kind = center < 0 ? KIND_PRIME : KIND_STAR;
-        if (center < 0)
-            a_mask = first_split(n, adj);
-    }
-    if (!a_mask)
-        return emit_bag(sp, n, adj, tok, kind, center);
-    e = sp->edges++;
+    e = t->nedges++;
     for (side = 0; side < 2; side++) {
         part = side ? FULL(n) ^ a_mask : a_mask;
         k = 0;
@@ -703,22 +714,154 @@ static int split_rec(Splitter *sp, int n, const u64 *adj, const long long *tok)
             subtok[k] = tok[i];
         }
         sub[k] = marker_row;
-        subtok[k] = ~(long long)e;
-        if (split_rec(sp, k + 1, sub, subtok) < 0)
-            return -1;
+        subtok[k] = ~e;
+        split_rec(t, k + 1, sub, subtok);
     }
-    return 0;
 }
 
+/* The least tree edge a merge rule contracts, as the pure ``_mergeable``,
+ * or -1 when the tree is reduced.  Its rule for a bag of at most two label
+ * vertices, and ``reduce_bags``'s refusal of a pass-through one, never
+ * apply: split parts have at least three, and so has every contraction of
+ * two of them. */
+static int mergeable(const SplitTree *t)
+{
+    const SplitBag *x, *y;
+    int e;
+
+    for (e = 0; e < t->nedges; e++) {
+        if (!t->edge_live[e])
+            continue;
+        x = &t->bag[t->ends[e][0]];
+        y = &t->bag[t->ends[e][1]];
+        if (x->kind == CLIQUE && y->kind == CLIQUE)
+            return e;
+        if (x->kind == STAR && y->kind == STAR
+            && (x->tok[x->center] == ~e) != (y->tok[y->center] == ~e))
+            return e;
+    }
+    return -1;
+}
+
+/* ``bag`` without the marker of tree edge e, as the pure ``_without``:
+ * into ``out`` its other label rows, locals above the marker shifted down
+ * by one, and their tokens; returns the marker's neighbourhood. */
+static u64 without_marker(const SplitBag *bag, int e, SplitBag *out, int at)
+{
+    int v, i, j;
+    u64 low, across = 0, row;
+
+    for (v = 0; bag->tok[v] != ~e; v++)
+        ;
+    low = ((u64)1 << v) - 1;
+    for (i = j = 0; i < bag->k; i++) {
+        row = (bag->rows[i] & low) | ((bag->rows[i] >> 1) & ~low);
+        if (i == v) {
+            across = row;
+            continue;
+        }
+        out->rows[at + j] = row;
+        out->tok[at + j++] = bag->tok[i];
+    }
+    return across;
+}
+
+/* Contracts tree edge e into the smaller id of its two bags, as the pure
+ * ``reduce_bags`` step: the merged label lists the first end's label
+ * vertices, then the second's, and joins each pair that reached the
+ * contracted markers from both sides.  The other edges of either bag now
+ * end at the kept one. */
+static void contract(SplitTree *t, int e)
+{
+    int x = t->ends[e][0], y = t->ends[e][1], keep = x < y ? x : y;
+    int kx = t->bag[x].k - 1, ky = t->bag[y].k - 1, u, f;
+    u64 across_x, across_y;
+    SplitBag merged;
+
+    across_x = without_marker(&t->bag[x], e, &merged, 0);
+    across_y = without_marker(&t->bag[y], e, &merged, kx);
+    for (u = 0; u < kx; u++)
+        if ((across_x >> u) & 1)
+            merged.rows[u] |= across_y << kx;
+    for (u = kx; u < kx + ky; u++) {
+        merged.rows[u] <<= kx;
+        if ((across_y >> (u - kx)) & 1)
+            merged.rows[u] |= across_x;
+    }
+    merged.k = kx + ky;
+    merged.kind = label_kind(merged.k, merged.rows, &merged.center);
+    t->bag[keep] = merged;
+    t->bag_live[x + y - keep] = 0;
+    t->edge_live[e] = 0;
+    for (u = 0; u < merged.k; u++) {
+        if (merged.tok[u] >= 0)
+            continue;
+        f = ~merged.tok[u];
+        if (t->ends[f][0] == x || t->ends[f][0] == y)
+            t->ends[f][0] = keep;
+        if (t->ends[f][1] == x || t->ends[f][1] == y)
+            t->ends[f][1] = keep;
+    }
+}
+
+/* The live bags as {bag id: (rows, tokens, kind, center)}, ascending. */
+static PyObject *tree_dict(const SplitTree *t)
+{
+    PyObject *out = PyDict_New(), *kinds[3], *tokens, *item, *bag, *key;
+    const SplitBag *b;
+    int id, i, rc;
+
+    if (out == NULL)
+        return NULL;
+    kinds[CLIQUE] = KIND_CLIQUE;
+    kinds[STAR] = KIND_STAR;
+    kinds[PRIME] = KIND_PRIME;
+    for (id = 0; id < t->nbags; id++) {
+        if (!t->bag_live[id])
+            continue;
+        b = &t->bag[id];
+        if ((tokens = PyTuple_New(b->k)) == NULL)
+            goto fail;
+        for (i = 0; i < b->k; i++) {
+            if ((item = PyLong_FromLong(b->tok[i])) == NULL) {
+                Py_DECREF(tokens);
+                goto fail;
+            }
+            PyTuple_SET_ITEM(tokens, i, item);
+        }
+        /* "N" hands both tuples over, and drops them if the bag fails */
+        bag = b->center < 0
+            ? Py_BuildValue("(NNOO)", int_tuple(b->k, b->rows), tokens,
+                            kinds[b->kind], Py_None)
+            : Py_BuildValue("(NNOi)", int_tuple(b->k, b->rows), tokens,
+                            kinds[b->kind], b->center);
+        if (bag == NULL)
+            goto fail;
+        key = PyLong_FromLong(id);
+        rc = key == NULL ? -1 : PyDict_SetItem(out, key, bag);
+        Py_XDECREF(key);
+        Py_DECREF(bag);
+        if (rc < 0)
+            goto fail;
+    }
+    return out;
+fail:
+    Py_DECREF(out);
+    return NULL;
+}
+
+/* The pure ``split_bags``: ``split_rec`` fills the tree's arrays, each
+ * edge's ends are read in bag order, the least mergeable edge is
+ * contracted until none is left, and only the reduced bags become Python
+ * objects. */
 static PyObject *split_bags(PyObject *Py_UNUSED(self), PyObject *args,
                             PyObject *kwargs)
 {
     static char *kwlist[] = {"n", "adj", NULL};
-    int n, i;
+    int n, i, b, e, held[SPLIT_MAX] = {0}, tok[64];
     PyObject *adj;
     u64 cadj[64], comps[64];
-    long long tok[64];
-    Splitter sp;
+    SplitTree *t;
 
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iO", kwlist, &n, &adj))
         return NULL;
@@ -729,17 +872,27 @@ static PyObject *split_bags(PyObject *Py_UNUSED(self), PyObject *args,
                         "decompose expects a connected graph");
         return NULL;
     }
+    if ((t = malloc(sizeof *t)) == NULL)
+        return PyErr_NoMemory();
     for (i = 0; i < n; i++)
         tok[i] = i;
-    sp.bags = PyList_New(0);
-    if (sp.bags == NULL)
-        return NULL;
-    sp.edges = 0;
-    if (split_rec(&sp, n, cadj, tok) < 0) {
-        Py_DECREF(sp.bags);
-        return NULL;
+    t->nbags = t->nedges = 0;
+    split_rec(t, n, cadj, tok);
+    for (b = 0; b < t->nbags; b++) {
+        t->bag_live[b] = 1;
+        for (i = 0; i < t->bag[b].k; i++)
+            if (t->bag[b].tok[i] < 0) {
+                e = ~t->bag[b].tok[i];
+                t->ends[e][held[e]++] = b;
+            }
     }
-    return sp.bags;
+    for (e = 0; e < t->nedges; e++)
+        t->edge_live[e] = 1;
+    while ((e = mergeable(t)) >= 0)
+        contract(t, e);
+    adj = tree_dict(t);
+    free(t);
+    return adj;
 }
 
 /* --- accessibility ------------------------------------------------------- */
@@ -760,16 +913,65 @@ typedef struct {
     unsigned char state[ACCESS_MAX];
 } Access;
 
+/* An id or token as the pure kernel compares it: ``v`` when it fits a
+ * signed 64-bit word; otherwise ``big`` holds the int and ``v`` its sign,
+ * so that ids and tree edges of any size behave as there. */
 typedef struct {
-    long long edge;
+    long long v;
+    PyObject *big;
+} Num;
+
+/* ``item`` as a Num, ``big`` borrowed; -1 with an exception set when it
+ * is not an int. */
+static int read_num(PyObject *item, Num *out)
+{
+    int sign;
+
+    out->v = PyLong_AsLongLongAndOverflow(item, &sign);
+    if (out->v == -1 && PyErr_Occurred())
+        return -1;
+    out->big = sign ? item : NULL;
+    if (sign)
+        out->v = sign;
+    return 0;
+}
+
+/* -1, 0 or 1 as ``a`` is less than, equal to or greater than ``b``: a big
+ * value lies beyond every one that fits, on the side of its sign. */
+static int num_cmp(const Num *a, const Num *b)
+{
+    long long ta = a->big ? a->v : 0, tb = b->big ? b->v : 0;
+
+    if (ta != tb)
+        return ta < tb ? -1 : 1;
+    if (ta)
+        return PyObject_RichCompareBool(a->big, b->big, Py_GT)
+            - PyObject_RichCompareBool(a->big, b->big, Py_LT);
+    return (a->v > b->v) - (a->v < b->v);
+}
+
+/* A marker token, owning its ``big``, and its label vertex. */
+typedef struct {
+    Num tok;
     int vertex;
 } EdgeMarker;
 
+/* Ascending tree edge ~tok, so descending tokens. */
 static int by_edge(const void *a, const void *b)
 {
-    long long x = ((const EdgeMarker *)a)->edge, y = ((const EdgeMarker *)b)->edge;
+    return num_cmp(&((const EdgeMarker *)b)->tok, &((const EdgeMarker *)a)->tok);
+}
 
-    return (x > y) - (x < y);
+/* Sets ValueError ``format`` naming the tree edge of the marker ``tok``. */
+static void edge_error(const Num *tok, const char *format, int count)
+{
+    PyObject *edge = tok->big ? PyNumber_Invert(tok->big)
+                              : PyLong_FromLongLong(~tok->v);
+
+    if (edge == NULL)
+        return;
+    PyErr_Format(PyExc_ValueError, format, edge, count);
+    Py_DECREF(edge);
 }
 
 /* What the label neighbourhood ``row`` of the bag starting at ``base``
@@ -800,11 +1002,11 @@ static int reach(Access *ac, int base, u64 row, u64 *out)
 /* Reads bag ``b``, (rows, tokens), into label vertices nv.. of ``ac``;
  * returns its size, or -1 with an exception set. */
 static int read_bag(Access *ac, int nv, int b, PyObject *item,
-                    const long long *ids, int n, EdgeMarker *em, int *nm,
+                    const Num *ids, int n, EdgeMarker *em, int *nm,
                     int *ordv, int *no)
 {
-    PyObject *rows_obj, *tokens_obj, *rows, *tokens = NULL;
-    long long tok;
+    PyObject *rows_obj, *tokens_obj, *rows, *tokens = NULL, *tok_obj;
+    Num tok;
     int k, i, j, v, got, rc = -1;
 
     if (!PyArg_ParseTuple(item, "OO;a bag is (rows, tokens)", &rows_obj,
@@ -840,19 +1042,20 @@ static int read_bag(Access *ac, int nv, int b, PyObject *item,
             goto done;
         }
         ac->base[v] = nv;
-        tok = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(tokens, i));
-        if (tok == -1 && PyErr_Occurred())
+        tok_obj = PySequence_Fast_GET_ITEM(tokens, i);
+        if (read_num(tok_obj, &tok) < 0)
             goto done;
-        if (tok < 0) {
+        if (tok.v < 0) {
             ac->state[v] = MARKER;
-            em[*nm].edge = ~tok;
+            Py_XINCREF(tok.big);
+            em[*nm].tok = tok;
             em[(*nm)++].vertex = v;
             continue;
         }
-        for (j = 0; j < n && ids[j] != tok; j++)
+        for (j = 0; j < n && num_cmp(&ids[j], &tok) != 0; j++)
             ;
         if (j == n) {
-            PyErr_Format(PyExc_ValueError, "unknown id %lld", tok);
+            PyErr_Format(PyExc_ValueError, "unknown id %S", tok_obj);
             goto done;
         }
         ac->state[v] = ORDINARY;
@@ -870,10 +1073,10 @@ static PyObject *accessible_rows(PyObject *Py_UNUSED(self), PyObject *args,
                                  PyObject *kwargs)
 {
     static char *kwlist[] = {"ids", "bags", NULL};
-    PyObject *ids_obj, *bags_obj, *seq;
+    PyObject *ids_obj, *bags_obj, *idseq, *seq = NULL, *out = NULL;
     Access ac;
     EdgeMarker em[ACCESS_MAX];
-    long long ids[64];
+    Num ids[64];
     u64 adj[64];
     int ordv[ACCESS_MAX];
     int n, i, nb, nv = 0, nm = 0, no = 0, k, v;
@@ -881,56 +1084,46 @@ static PyObject *accessible_rows(PyObject *Py_UNUSED(self), PyObject *args,
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OO", kwlist, &ids_obj,
                                      &bags_obj))
         return NULL;
-    seq = PySequence_Fast(ids_obj, "ids must be a sequence of ints");
-    if (seq == NULL)
+    /* held to the end: a big id borrows its int from it */
+    idseq = PySequence_Fast(ids_obj, "ids must be a sequence of ints");
+    if (idseq == NULL)
         return NULL;
-    n = (int)PySequence_Fast_GET_SIZE(seq);
+    n = (int)PySequence_Fast_GET_SIZE(idseq);
     if (n > 64) {
-        Py_DECREF(seq);
         PyErr_SetString(PyExc_OverflowError, "accessible_rows supports <= 64 ids");
-        return NULL;
+        goto done;
     }
-    for (i = 0; i < n; i++) {
-        ids[i] = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(seq, i));
-        if (ids[i] == -1 && PyErr_Occurred()) {
-            Py_DECREF(seq);
-            return NULL;
-        }
-    }
-    Py_DECREF(seq);
+    for (i = 0; i < n; i++)
+        if (read_num(PySequence_Fast_GET_ITEM(idseq, i), &ids[i]) < 0)
+            goto done;
     for (i = 1; i < n; i++)
-        if (ids[i - 1] >= ids[i]) {
+        if (num_cmp(&ids[i - 1], &ids[i]) >= 0) {
             PyErr_SetString(PyExc_ValueError, "ids must be strictly increasing");
-            return NULL;
+            goto done;
         }
     seq = PySequence_Fast(bags_obj, "bags must be a sequence");
     if (seq == NULL)
-        return NULL;
+        goto done;
     nb = (int)PySequence_Fast_GET_SIZE(seq);
     for (i = 0; i < nb; i++) {
         k = read_bag(&ac, nv, i, PySequence_Fast_GET_ITEM(seq, i), ids, n, em,
                      &nm, ordv, &no);
-        if (k < 0) {
-            Py_DECREF(seq);
-            return NULL;
-        }
+        if (k < 0)
+            goto done;
         nv += k;
     }
-    Py_DECREF(seq);
     /* markers sorted by edge pair up two by two */
     qsort(em, nm, sizeof em[0], by_edge);
     for (i = 0; i < nm; i = k) {
-        for (k = i + 1; k < nm && em[k].edge == em[i].edge; k++)
+        for (k = i + 1; k < nm && num_cmp(&em[k].tok, &em[i].tok) == 0; k++)
             ;
         if (k - i != 2) {
-            PyErr_Format(PyExc_ValueError, "tree edge %lld has %d markers, not 2",
-                         em[i].edge, k - i);
-            return NULL;
+            edge_error(&em[i].tok, "tree edge %S has %d markers, not 2", k - i);
+            goto done;
         }
         if (ac.base[em[i].vertex] == ac.base[em[i + 1].vertex]) {
-            PyErr_Format(PyExc_ValueError,
-                         "tree edge %lld has both markers in one bag", em[i].edge);
-            return NULL;
+            edge_error(&em[i].tok, "tree edge %S has both markers in one bag", 0);
+            goto done;
         }
         ac.partner[em[i].vertex] = em[i + 1].vertex;
         ac.partner[em[i + 1].vertex] = em[i].vertex;
@@ -941,10 +1134,16 @@ static PyObject *accessible_rows(PyObject *Py_UNUSED(self), PyObject *args,
         if (reach(&ac, ac.base[v], ac.row[v], &adj[CTZ(ac.out[v])]) < 0) {
             PyErr_SetString(PyExc_ValueError,
                             "an alternating path closes a cycle");
-            return NULL;
+            goto done;
         }
     }
-    return int_tuple(n, adj);
+    out = int_tuple(n, adj);
+done:
+    for (i = 0; i < nm; i++)
+        Py_XDECREF(em[i].tok.big);
+    Py_XDECREF(seq);
+    Py_DECREF(idseq);
+    return out;
 }
 
 /* --- module -------------------------------------------------------------- */
@@ -961,8 +1160,9 @@ static PyMethodDef kernel_methods[] = {
            "augment(n, adj): a (record, connected) pair per child the "
            "enumeration keeps from one parent."),
     KERNEL(split_bags,
-           "split_bags(n, adj): bags of the split recursion, each part's "
-           "first split taken with A-sides holding vertex 0, in increasing "
+           "split_bags(n, adj): the reduced split tree, {bag id: (rows, "
+           "tokens, kind, center)}, from the split recursion that takes each "
+           "part's first split with A-sides holding vertex 0, in increasing "
            "mask order."),
     KERNEL(accessible_rows,
            "accessible_rows(ids, bags): rows of the graph a graph-labelled "

@@ -5,19 +5,22 @@ Graphs enter as ``(n, adj)`` where ``adj`` is a sequence of n ints, bit j of
 implements five of these functions with identical outputs: ``canon_adj``,
 ``augment`` (one parent's step of ``graphs.enumerate_graphs``, its kept
 children canonicalised and packed as level records), ``profile_counts``,
-``split_bags`` (the whole split recursion of ``splitdec.decompose``,
-returning each finished bag as ``(rows, tokens, kind, center)``) and
-``accessible_rows`` (the graph a graph-labelled tree represents, read from
-each bag's ``(rows, tokens)``, for ``splitdec.reconstruct``).  A token
-names a label vertex: its original vertex ``>= 0``, or ``~e`` for the
-marker of tree edge e.  The four that read adjacency rows refuse a
-negative row and a row bit at or above n with ``ValueError``, on both
-backends.
+``split_bags`` (the canonical split decomposition for
+``splitdec.decompose``: the split recursion, ``_split_parts``, reduced by
+``reduce_bags`` and returned as ``{bag id: (rows, tokens, kind,
+center)}``) and ``accessible_rows`` (the graph a graph-labelled tree
+represents, read from each bag's ``(rows, tokens)``, for
+``splitdec.reconstruct``).  A token names a label vertex: its original
+vertex ``>= 0``, or ``~e`` for the marker of tree edge e.  The four that
+read adjacency rows refuse a negative row and a row bit at or above n
+with ``ValueError``, on both backends.  ``reduce_bags`` is the one
+reduction rule in Python: ``splitdec`` reduces peeled trees with it, and
+the compiled ``split_bags`` runs the same rule in C.
 ``zfx.kernels`` picks those five at import time and takes
 ``closure_mask``, ``closure_counts``, ``metric_dh`` and ``find_split_mask``
 from here on both backends.  ``metric_dh`` runs a polynomial separation
-test.  ``find_split_mask`` is the split scan ``split_bags`` runs on each
-part, in its one order.  ``profile_counts`` counts forts on bitsets
+test.  ``find_split_mask`` is the split scan ``_split_parts`` runs on
+each part, in its one order.  ``profile_counts`` counts forts on bitsets
 indexed by the 2^n subsets, here and in C (which refuses n > 32);
 ``closure_counts`` gives the same counts by one closure per subset.
 """
@@ -30,6 +33,8 @@ from math import comb
 from operator import or_
 from struct import Struct
 from typing import Iterator, Optional
+
+from .errors import InvariantViolation
 
 BACKEND = "python"
 
@@ -550,8 +555,8 @@ def _induced_rows(rows, keep: int) -> tuple[list[int], list[int]]:
     return out, kept
 
 
-def split_bags(n: int, adj) -> list:
-    """The bags of the split recursion of a connected graph.
+def _split_parts(n: int, adj) -> list:
+    """The bags of the split recursion of a connected graph, unreduced.
 
     A part is a bag when it is a clique, a star or has no split (kind
     "clique", "star" or "prime"; a star carries its center, the first vertex
@@ -560,11 +565,12 @@ def split_bags(n: int, adj) -> list:
     the next tree edge e, and each side becomes a part of its own: its
     vertices in ascending order, then a marker for e adjacent to the side's
     frontier (the vertices with a neighbour across).  Side A is split before
-    side B.  Bag ids count the bags in the order the recursion reaches them.
+    side B.  The bags are listed in the order the recursion reaches them.
 
     Each bag is ``(rows, tokens, kind, center)``, with one token per label
     vertex: its original vertex, or ``~e`` for the marker of tree edge e.
-    Tree edge e is held by exactly two bags, one on each side of its split.
+    Tree edge e is held by exactly two bags, one on each side of its split,
+    and every bag of a split graph has at least three label vertices.
     Raises ``ValueError`` on a disconnected graph.
     """
     adj = _rows(n, adj)
@@ -597,6 +603,105 @@ def split_bags(n: int, adj) -> list:
                           tuple(tokens[v] for v in kept) + (~e,)))
         todo += reversed(sides)  # A comes off the stack first
     return bags
+
+
+def _edge_ends(bags: dict) -> dict[int, list[int]]:
+    """Each tree edge id with the ids of the bags holding it as a marker,
+    in the order ``bags`` lists them."""
+    held: dict[int, list[int]] = {}
+    for bid, (_, tokens, _, _) in bags.items():
+        for tok in tokens:
+            if tok < 0:
+                held.setdefault(~tok, []).append(bid)
+    return held
+
+
+def _without(rows, tokens, v: int) -> tuple[list[int], int, tuple]:
+    """A bag's label without label vertex ``v``: the other rows and ``v``'s
+    neighbourhood, in the numbering where locals above ``v`` shift down by
+    one, and the other tokens."""
+    low = (1 << v) - 1
+    rows = [(row & low) | ((row >> 1) & ~low) for row in rows]
+    across = rows.pop(v)
+    return rows, across, tokens[:v] + tokens[v + 1:]
+
+
+def _contract(x, y, e: int) -> tuple:
+    """The bag that merges bags ``x`` and ``y`` across their tree edge
+    ``e``, preserving accessibility; ``x``'s label vertices come first."""
+    rows_x, across_x, tokens_x = _without(x[0], x[1], x[1].index(~e))
+    rows_y, across_y, tokens_y = _without(y[0], y[1], y[1].index(~e))
+    k = len(rows_x)
+    adj = [row | (across_y << k if (across_x >> u) & 1 else 0)
+           for u, row in enumerate(rows_x)]
+    adj += [(row << k) | (across_x if (across_y >> v) & 1 else 0)
+            for v, row in enumerate(rows_y)]
+    adj = tuple(adj)
+    return (adj, tokens_x + tokens_y) + _kind(adj)
+
+
+def _spsc(x, y, e: int) -> bool:
+    """Whether tree edge ``e`` joins one star's center to another's leaf,
+    for its two bags ``x`` and ``y`` as ``(rows, tokens, kind, center)``."""
+    return (x[2] == "star" and y[2] == "star"
+            and (x[1][x[3]] == ~e) != (y[1][y[3]] == ~e))
+
+
+def _mergeable(bags: dict, ends: dict) -> Optional[int]:
+    """The least tree edge that one of the three merge rules contracts, or
+    None when the tree is reduced."""
+    for e in sorted(ends):
+        x, y = ends[e]
+        bx, by = bags[x], bags[y]
+        if len(bx[0]) <= 2 or len(by[0]) <= 2:
+            return e
+        if (bx[2] == "clique" and by[2] == "clique") or _spsc(bx, by, e):
+            return e
+    return None
+
+
+def reduce_bags(bags: dict) -> dict:
+    """The reduced tree of ``{bag id: (rows, tokens, kind, center)}``, in
+    the same form: the least mergeable tree edge is contracted into its
+    smaller bag id until none is left.  The merge rules contract a
+    clique-clique edge, a star edge joined center to leaf, and any edge at a
+    bag of at most two label vertices.
+
+    ``bags`` must list its ids in ascending order, and so does the result.
+    Each edge's ends are read once, in that order, and patched to the kept
+    id as contractions happen; a contraction lists its first end's label
+    vertices first, so the order is part of the output.  A two-vertex bag
+    of two nonadjacent markers passes nothing between its neighbours, so no
+    split decomposition holds one: it is refused with
+    ``InvariantViolation`` rather than contracted.
+    """
+    bags = dict(bags)
+    ends = _edge_ends(bags)
+    while (e := _mergeable(bags, ends)) is not None:
+        x, y = ends.pop(e)
+        bx, by = bags[x], bags[y]
+        for rows, tokens, _, _ in (bx, by):
+            if len(rows) == 2 and max(tokens) < 0 and not rows[0] & 2:
+                raise InvariantViolation(
+                    "2-vertex pass-through bag with nonadjacent markers"
+                )
+        keep = min(x, y)
+        bags[keep] = _contract(bx, by, e)
+        del bags[max(x, y)]
+        for tok in bags[keep][1]:
+            if tok < 0:
+                ends[~tok] = [keep if b in (x, y) else b for b in ends[~tok]]
+    return bags
+
+
+def split_bags(n: int, adj) -> dict:
+    """The canonical split decomposition of a connected graph, as its
+    reduced tree ``{bag id: (rows, tokens, kind, center)}`` in ascending
+    bag ids: ``reduce_bags`` over the bags of the split recursion
+    (``_split_parts``), numbered in the order the recursion reaches them.
+    Raises ``ValueError`` on a disconnected graph.
+    """
+    return reduce_bags(dict(enumerate(_split_parts(n, adj))))
 
 
 def accessible_rows(ids, bags) -> tuple:

@@ -412,14 +412,15 @@ def _roundtrip_worker(g: Graph, split_budget: Optional[int]) -> dict:
 
 def split_prime_graphs(m: int) -> list[Graph]:
     """All split-prime graphs on at most m vertices (connected, no split,
-    neither clique nor star): those the split recursion keeps whole, as one
-    prime bag.  They come from the built-in enumeration whatever the corpus
-    is, so m is capped at ``ENUM_MAX``."""
+    neither clique nor star): those whose reduced split tree is one prime
+    bag, as the split recursion keeps them whole.  They come from the
+    built-in enumeration whatever the corpus is, so m is capped at
+    ``ENUM_MAX``."""
     if m > ENUM_MAX:
         raise CapacityError(f"m={m} exceeds ENUM_MAX={ENUM_MAX}: the split-prime "
                             "graphs on <= m vertices come from the built-in enumeration")
     return [g for g in builtin_corpus(m)
-            if [bag[2] for bag in kernels.split_bags(g.n, g.adj)] == [PRIME]]
+            if [bag[2] for bag in kernels.split_bags(g.n, g.adj).values()] == [PRIME]]
 
 
 def _induced_subgraph_classes(g: Graph) -> list[Graph]:

@@ -6,19 +6,20 @@ has a compiled twin only where it moves a campaign's run time, five in
 all: ``canon_adj``, ``augment`` (one parent's step of the corpus
 enumeration, canonical forms included, each child returned as its level
 record and whether it is connected), ``profile_counts``, ``split_bags``
-(the whole split recursion of ``splitdec.decompose`` in one call, up to
-finished bags, each ``(rows, tokens, kind, center)``) and
-``accessible_rows`` (all of ``splitdec.reconstruct``'s accessibility
-search in one call, over ``(rows, tokens)`` bags).  A token names a label
-vertex: its original vertex ``>= 0``, or ``~e`` for the marker of tree
-edge e.
+(the whole split recursion of ``splitdec.decompose`` and the reduction of
+its bags in one call, returning the reduced tree as ``{bag id: (rows,
+tokens, kind, center)}``; the reduction rule is ``_kernels_py.reduce_bags``,
+and the compiled twin runs it in C) and ``accessible_rows`` (all of
+``splitdec.reconstruct``'s accessibility search in one call, over
+``(rows, tokens)`` bags).  A token names a label vertex: its original
+vertex ``>= 0``, or ``~e`` for the marker of tree edge e.
 Each twin runs its pure kernel's method with identical outputs and is
 bound here directly, with no fallback by n; parity is enforced by the
 test suite.  ``closure_mask``, ``closure_counts`` (the per-size counts of
 ``profile_counts`` by one closure per subset), ``metric_dh`` (the
 polynomial separation test) and ``find_split_mask`` are pure on both
 backends.  ``find_split_mask`` (the first split, as its A-side mask) is
-the scan the pure ``split_bags`` calls on each part, from its own module;
+the scan the pure ``split_bags`` runs on each part, from its own module;
 the compiled ``split_bags`` runs its own scan, so the binding here has no
 caller in the library.  It stays bound because ``perfbench/layers.json``
 traces it by this name and the tests use it as the split-primality oracle.

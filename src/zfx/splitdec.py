@@ -6,26 +6,29 @@ and G_B + marker joined by a tree edge) and then reduced to a fixed point of
 three merge rules: contract clique-clique edges, contract star edges joined
 center-to-leaf, and absorb bags with at most two label vertices.  All three
 are instances of one tree-edge contraction that preserves accessibility, so
-reduction never changes the represented graph.
+reduction never changes the represented graph.  Both steps run in the
+``kernels.split_bags`` kernel, which returns the reduced tree's bags; the
+reduction rule is written once in Python, as ``_kernels_py.reduce_bags``,
+and once in C, inside the compiled kernel.
 
 A bag is its label plus one token per label vertex (``Bag``), as
 ``kernels.split_bags`` emits and ``kernels.accessible_rows`` reads it.
-Bags are immutable and classified once, when they are made: building,
-reduction and peeling replace bags rather than edit them, so a reduction
-gets a fresh dict that shares the tree's bags.  A tree is its bags: a tree
-edge is a marker token that exactly two bags hold, one each.  It is checked
-once, when it is made: ``GraphLabelledTree(bags)`` runs ``check_tree``,
-the one pass over the tree's tokens, which also derives the tree edges and
-the vertex ids.  Reconstruction, validation, summaries and the reductions
-read trees that already passed it, and read the edges it derived.
+Bags are immutable and classified once, when they are made: peeling
+replaces bags rather than edit them, and reduces a fresh dict of bags.  A
+tree is its bags: a tree edge is a marker token that exactly two bags hold,
+one each.  It is checked once, when it is made: ``GraphLabelledTree(bags)``
+runs ``check_tree``, the one pass over the tree's tokens, which also
+derives the tree edges and the vertex ids.  Reconstruction, validation,
+summaries and the reductions read trees that already passed it, and read
+the edges it derived.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Optional
 
-from . import kernels
+from . import _kernels_py, kernels
 from .errors import CapacityError, InvariantViolation, TreeError
 from .extremal import attach_pendants
 from .graphs import (
@@ -75,14 +78,9 @@ def _bag(label: Graph, tokens: tuple[int, ...]) -> Bag:
     return Bag(label, tag, tokens, kind.center)
 
 
-def _without(bag: Bag, v: int) -> tuple[list[int], int, tuple[int, ...]]:
-    """``bag`` with label vertex ``v`` deleted: the other label rows and
-    ``v``'s neighbourhood, in the numbering where locals above ``v`` shift
-    down by one, and the other tokens."""
-    low = (1 << v) - 1
-    rows = [(row & low) | ((row >> 1) & ~low) for row in bag.label.adj]
-    across = rows.pop(v)
-    return rows, across, bag.tokens[:v] + bag.tokens[v + 1:]
+def _raw(bag: Bag) -> tuple:
+    """``bag`` as the kernels hold one: ``(rows, tokens, kind, center)``."""
+    return bag.label.adj, bag.tokens, bag.kind, bag.star_center
 
 
 def _leaves(bag: Bag) -> list[int]:
@@ -135,76 +133,20 @@ class DecompositionSummary:
 # --- reduction ----------------------------------------------------------------
 
 
-def _edge_ends(bags: Mapping[int, Bag]) -> dict[int, list[int]]:
-    """Each tree edge id with the ids of the bags holding it as a marker,
-    in the order ``bags`` lists them."""
-    held: dict[int, list[int]] = {}
-    for bid, bag in bags.items():
-        for tok in bag.tokens:
-            if tok < 0:
-                held.setdefault(~tok, []).append(bid)
-    return held
-
-
-def _contract(bx: Bag, by: Bag, e: int) -> Bag:
-    """The bag that merges ``bx`` and ``by`` across their tree edge ``e``,
-    preserving accessibility; ``bx``'s label vertices come first."""
-    rows_x, across_x, tokens_x = _without(bx, bx.tokens.index(~e))
-    rows_y, across_y, tokens_y = _without(by, by.tokens.index(~e))
-    k = len(rows_x)
-    adj = [row | (across_y << k if (across_x >> u) & 1 else 0)
-           for u, row in enumerate(rows_x)]
-    adj += [(row << k) | (across_x if (across_y >> v) & 1 else 0)
-            for v, row in enumerate(rows_y)]
-    return _bag(Graph(len(adj), tuple(adj)), tokens_x + tokens_y)
+def _tree(bags: dict[int, tuple]) -> GraphLabelledTree:
+    """The tree on ``{bag id: (rows, tokens, kind, center)}``."""
+    return GraphLabelledTree({
+        bid: Bag(Graph(len(rows), rows), kind, tokens, center)
+        for bid, (rows, tokens, kind, center) in bags.items()
+    })
 
 
 def _reduce(bags: dict[int, Bag]) -> GraphLabelledTree:
-    """The reduced tree of ``bags``, which it consumes: the least mergeable
-    tree edge is contracted into its smaller bag id until none is left.
-
-    ``bags`` must list its ids in ascending order.  Each edge's ends are
-    read once, in that order, and patched to the kept id as contractions
-    happen; a contraction lists its first end's label vertices first, so
-    the order is part of the output.
-    """
-    ends = _edge_ends(bags)
-    while (e := _mergeable(bags, ends)) is not None:
-        x, y = ends.pop(e)
-        bx, by = bags[x], bags[y]
-        for bag in (bx, by):
-            if bag.label.n == 2 and max(bag.tokens) < 0:
-                if not bag.label.has_edge(0, 1):
-                    raise InvariantViolation(
-                        "2-vertex pass-through bag with nonadjacent markers"
-                    )
-        keep = min(x, y)
-        bags[keep] = _contract(bx, by, e)
-        del bags[max(x, y)]
-        for tok in bags[keep].tokens:
-            if tok < 0:
-                ends[~tok] = [keep if b in (x, y) else b for b in ends[~tok]]
-    return GraphLabelledTree(bags)
-
-
-def _mergeable(bags: Mapping[int, Bag],
-               edge_ends: Mapping[int, Sequence[int]]) -> Optional[int]:
-    """The least tree edge that one of the three merge rules contracts, or
-    None when the tree is reduced."""
-    for e in sorted(edge_ends):
-        x, y = edge_ends[e]
-        bx, by = bags[x], bags[y]
-        if bx.label.n <= 2 or by.label.n <= 2:
-            return e
-        if (bx.kind == CLIQUE and by.kind == CLIQUE) or _spsc(bx, by, e):
-            return e
-    return None
-
-
-def _spsc(bx: Bag, by: Bag, e: int) -> bool:
-    """Whether tree edge ``e`` joins one star's center to another's leaf."""
-    return (bx.kind == STAR and by.kind == STAR
-            and (bx.tokens[bx.star_center] == ~e) != (by.tokens[by.star_center] == ~e))
+    """The reduced tree of ``bags``, whose ids must be ascending: the pure
+    ``_kernels_py.reduce_bags`` contracts the least mergeable tree edge into
+    its smaller bag id until none is left, the rule the compiled
+    ``split_bags`` runs too."""
+    return _tree(_kernels_py.reduce_bags({b: _raw(bag) for b, bag in bags.items()}))
 
 
 # --- decomposition ----------------------------------------------------------
@@ -213,13 +155,13 @@ def _spsc(bx: Bag, by: Bag, e: int) -> bool:
 def decompose(g: Graph, budget: Optional[int] = None) -> GraphLabelledTree:
     """Canonical split decomposition as a reduced graph-labelled tree.
 
-    ``kernels.split_bags`` splits the graph into finished bags, and
-    ``_reduce`` contracts their mergeable tree edges.  The recursion takes
-    each part's first split in one fixed scan order (A-sides hold vertex 0,
-    in increasing mask order).  The reduced tree is unique (Cunningham 1982),
-    so that order cannot show in it; the test suite checks this by
-    relabelling.  A disconnected graph gets ``ValueError`` from the kernel,
-    after the budget check.
+    ``kernels.split_bags`` runs the split recursion and reduces its bags,
+    and returns the reduced tree's bags; this checks the budget and wraps
+    them.  The recursion takes each part's first split in one fixed scan
+    order (A-sides hold vertex 0, in increasing mask order).  The reduced
+    tree is unique (Cunningham 1982), so that order cannot show in it; the
+    test suite checks this by relabelling.  A disconnected graph gets
+    ``ValueError`` from the kernel, after the budget check.
     """
     if g.n < 1:
         raise ValueError("decompose needs a nonempty graph")
@@ -229,11 +171,7 @@ def decompose(g: Graph, budget: Optional[int] = None) -> GraphLabelledTree:
     limit = SPLIT_BUDGET_N if budget is None else budget
     if g.n > limit and classify_kind(g).tag == "other":
         raise CapacityError(f"split scan over {g.n} vertices exceeds budget {limit}")
-    raw = kernels.split_bags(g.n, g.adj)
-    return _reduce({
-        bid: Bag(Graph(len(rows), rows), kind, tokens, center)
-        for bid, (rows, tokens, kind, center) in enumerate(raw)
-    })
+    return _tree(kernels.split_bags(g.n, g.adj))
 
 
 # --- reconstruction and validation -------------------------------------------
@@ -327,7 +265,7 @@ def validate_reduced(t: GraphLabelledTree) -> list[str]:
         bx, by = t.bags[x], t.bags[y]
         if bx.kind == CLIQUE and by.kind == CLIQUE:
             out.append(f"edge {e}: joins two clique bags (KK)")
-        if _spsc(bx, by, e):
+        if _kernels_py._spsc(_raw(bx), _raw(by), e):
             out.append(f"edge {e}: star center joined to star leaf (SpSc)")
     return out
 
@@ -503,7 +441,7 @@ def peel(t: GraphLabelledTree, bag_id: int) -> tuple[GraphLabelledTree, GraphLab
     t1 = _reduce({**rest, nbr: _bag(nbag.label, as_c)})
 
     # (2) G - {x, c}: drop the bag and delete the neighbor marker vertex
-    rows, _, tokens = _without(nbag, a_local)
+    rows, _, tokens = _kernels_py._without(nbag.label.adj, nbag.tokens, a_local)
     t2 = _reduce({**rest, nbr: _bag(Graph(len(rows), tuple(rows)), tokens)})
 
     _verify_peel(t, t1, t2, x_orig, c_orig)

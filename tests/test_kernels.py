@@ -127,10 +127,15 @@ def test_metric_dh_parity_on_connected_classes_to_n8():
 
 
 def test_split_bags_parity_on_connected_classes_to_n8(cyk):
-    """The whole split recursion, bag for bag."""
+    """The reduced split tree, bag for bag: the C reduction gives the pure
+    ``reduce_bags`` tree, the same ids in the same order."""
+    bags = 0
     for n in range(1, 9):
         for g in enumerate_graphs(n, connected_only=True):
-            assert pyk.split_bags(g.n, g.adj) == cyk.split_bags(g.n, g.adj)
+            got = cyk.split_bags(g.n, g.adj)
+            assert list(got.items()) == list(pyk.split_bags(g.n, g.adj).items())
+            bags += len(got)
+    assert bags == 30034
 
 
 def _random_connected_adj(rng, n, p):
@@ -179,7 +184,7 @@ def test_split_bags_parity_random_n9_to_n16(cyk):
         for adj in [_random_connected_adj(rng, n, 0.15),
                     _random_connected_adj(rng, n, 0.4)] + grown:
             got = pyk.split_bags(n, adj)
-            assert got == cyk.split_bags(n, adj)
+            assert list(got.items()) == list(cyk.split_bags(n, adj).items())
             edge_counts.add(len(got) - 1)
     assert 0 in edge_counts and max(edge_counts) >= 8
 
@@ -487,10 +492,12 @@ def test_compiled_signatures_match_the_pure_twins(cyk):
 
 # Runs every compiled kernel on each class with n <= 7 (split_bags and
 # accessible_rows on the connected ones, augment on those with
-# 1 <= n <= 6, its records checked against the pure kernel's), on P_15
-# (augment's largest parent), P_24 and C_64, and through the refusals of
-# split_bags on disconnected graphs and of every row-reading kernel on a row
-# bit at or above n.
+# 1 <= n <= 6), on P_15 (augment's largest parent), P_24 and C_64, and
+# through the refusals of split_bags on disconnected graphs, of every
+# row-reading kernel on a row bit at or above n and of accessible_rows on a
+# token or id outside 64 bits.  Each split_bags tree and augment record list
+# is checked against the pure kernel's, so the split tree's fixed arrays are
+# filled and reduced under the sanitizer.
 _UBSAN_DRIVER = """
 import importlib.util, sys
 from zfx import _kernels_py as pyk
@@ -506,8 +513,9 @@ for g in graphs:
     if 1 <= g.n <= 6 or g.n == 15:
         assert cyk.augment(g.n, g.adj) == pyk.augment(g.n, g.adj)
     if g.n and is_connected(g):
-        bags = cyk.split_bags(g.n, g.adj)
-        rows = cyk.accessible_rows(range(g.n), [bag[:2] for bag in bags])
+        tree = cyk.split_bags(g.n, g.adj)
+        assert list(tree.items()) == list(pyk.split_bags(g.n, g.adj).items())
+        rows = cyk.accessible_rows(range(g.n), [bag[:2] for bag in tree.values()])
         assert rows == tuple(g.adj)
 refused = [(g.n, g.adj) for g in graphs if g.n <= 7 and not is_connected(g)]
 for n, adj in refused + [(64, (0,) * 64)]:
@@ -522,6 +530,12 @@ for kernel in (cyk.canon_adj, cyk.augment, cyk.profile_counts, cyk.split_bags):
     except ValueError:
         continue
     sys.exit(f"{kernel.__name__} took a row bit at or above n")
+for ids, tokens in (((0,), (1 << 70,)), ((1 << 70,), (0,)), ((0,), (-(1 << 70),))):
+    try:
+        cyk.accessible_rows(ids, [((0,), tokens)])
+    except ValueError:
+        continue
+    sys.exit(f"accessible_rows took {tokens} over {ids}")
 cyk.canon_adj(64, make_cycle(64).adj)
 """
 

@@ -247,15 +247,15 @@ def test_split_order_invariance(connected_by_n):
     each of three seeded relabellings reconstructs the relabelled graph, is
     reduced, and has the class's own (kind, canonical label) multiset.  The
     relabellings reach other split orders: at least 118 classes (as many as
-    a descending mask scan moves) see another raw ``split_bags`` shape, the
-    multiset of (size, kind) over the unreduced bags."""
+    a descending mask scan moves) see another raw shape, the multiset of
+    (size, kind) over the unreduced bags of ``_split_parts``."""
     rng = random.Random(7)
 
     def key(t):
         return Counter((b.kind, canonical_form(b.label).adj) for b in t.bags.values())
 
     def shape(g):
-        return Counter((len(bag[0]), bag[2]) for bag in kernels.split_bags(g.n, g.adj))
+        return Counter((len(bag[0]), bag[2]) for bag in pyk._split_parts(g.n, g.adj))
 
     classes = moved = 0
     for n in range(1, 8):
@@ -273,6 +273,113 @@ def test_split_order_invariance(connected_by_n):
             moved += differs
     assert classes == 996
     assert moved >= 118
+
+
+# --- reduction against the Bag-level oracle ------------------------------------------
+
+
+def _oracle_without(bag: Bag, v: int) -> tuple[list[int], int, tuple[int, ...]]:
+    """``bag`` without label vertex ``v``: the other rows and ``v``'s
+    neighbourhood, locals above ``v`` shifted down by one, and the other
+    tokens."""
+    low = (1 << v) - 1
+    rows = [(row & low) | ((row >> 1) & ~low) for row in bag.label.adj]
+    across = rows.pop(v)
+    return rows, across, bag.tokens[:v] + bag.tokens[v + 1:]
+
+
+def _oracle_contract(bx: Bag, by: Bag, e: int) -> Bag:
+    """The bag merging ``bx`` and ``by`` across tree edge ``e``, ``bx``'s
+    label vertices first, classified by ``classify_kind``."""
+    rows_x, across_x, tokens_x = _oracle_without(bx, bx.tokens.index(~e))
+    rows_y, across_y, tokens_y = _oracle_without(by, by.tokens.index(~e))
+    k = len(rows_x)
+    adj = [row | (across_y << k if (across_x >> u) & 1 else 0)
+           for u, row in enumerate(rows_x)]
+    adj += [(row << k) | (across_x if (across_y >> v) & 1 else 0)
+            for v, row in enumerate(rows_y)]
+    label = Graph(len(adj), tuple(adj))
+    kind = classify_kind(label)
+    return Bag(label, "prime" if kind.tag == "other" else kind.tag,
+               tokens_x + tokens_y, kind.center)
+
+
+def _oracle_mergeable(bags: dict[int, Bag], ends: dict[int, list[int]]):
+    """The least tree edge a merge rule contracts, or None."""
+    for e in sorted(ends):
+        bx, by = (bags[b] for b in ends[e])
+        if bx.label.n <= 2 or by.label.n <= 2:
+            return e
+        if bx.kind == by.kind == "clique":
+            return e
+        if bx.kind == by.kind == "star" and (
+                (bx.tokens[bx.star_center] == ~e) != (by.tokens[by.star_center] == ~e)):
+            return e
+    return None
+
+
+def _oracle_reduce(parts) -> GraphLabelledTree:
+    """The reduction run on ``Bag``s, one contraction at a time, over the
+    unreduced bags of the split recursion: the least mergeable tree edge is
+    contracted into its smaller bag id, each edge's ends kept in the order
+    the bags list them and patched to the kept id."""
+    bags = {bid: Bag(Graph(len(rows), rows), kind, tokens, center)
+            for bid, (rows, tokens, kind, center) in enumerate(parts)}
+    ends: dict[int, list[int]] = {}
+    for bid, bag in bags.items():
+        for tok in bag.tokens:
+            if tok < 0:
+                ends.setdefault(~tok, []).append(bid)
+    while (e := _oracle_mergeable(bags, ends)) is not None:
+        x, y = ends.pop(e)
+        keep = min(x, y)
+        bags[keep] = _oracle_contract(bags[x], bags[y], e)
+        del bags[max(x, y)]
+        for tok in bags[keep].tokens:
+            if tok < 0:
+                ends[~tok] = [keep if b in (x, y) else b for b in ends[~tok]]
+    return GraphLabelledTree(bags)
+
+
+@pytest.fixture(scope="module")
+def oracle_trees() -> list[tuple[Graph, GraphLabelledTree, bool]]:
+    """Each connected graph with n <= 8, then 400 seeded random connected
+    graphs with n = 9..16 (prime-rich and split-rich), with the oracle's
+    tree and whether reduction contracted an edge."""
+    rng = random.Random(2816)
+    graphs = [g for n in range(1, 9) for g in enumerate_graphs(n, connected_only=True)]
+    for i in range(400):
+        n, family = 9 + i % 8, i // 8 % 4
+        if family < 2:
+            graphs.append(_random_connected(rng, n, (0.15, 0.4)[family]))
+        else:
+            graphs.append(_grown(rng, _random_connected(rng, (4, 6)[family - 2], 0.5), n))
+    out = []
+    for g in graphs:
+        parts = pyk._split_parts(g.n, g.adj)
+        want = _oracle_reduce(parts)
+        out.append((g, want, len(want.bags) < len(parts)))
+    return out
+
+
+@pytest.mark.parametrize("backend", ["python", "cython"])
+def test_decompose_matches_the_bag_level_oracle(backend, oracle_trees, monkeypatch,
+                                                request):
+    """``decompose`` on either backend gives the oracle's tree: the same bag
+    ids, tree dump, tree edges and vertex ids.  1,307 of the 12,113 graphs
+    with n <= 8, and 155 of the random ones, need a contraction."""
+    module = pyk if backend == "python" else request.getfixturevalue("cyk")
+    monkeypatch.setattr(kernels, "split_bags", module.split_bags)
+    contracted = Counter()
+    for g, want, reduced in oracle_trees:
+        t = decompose(g)
+        assert list(t.bags) == list(want.bags)
+        assert dump_tree(t) == dump_tree(want)
+        assert t.tree_edges == want.tree_edges
+        assert t.vertex_ids == want.vertex_ids
+        contracted[g.n > 8] += reduced
+    assert len(oracle_trees) == 12113 + 400
+    assert contracted == {False: 1307, True: 155}
 
 
 # --- reconstruct against the literal accessibility search -----------------------------
@@ -413,6 +520,10 @@ MALFORMED = [
     ((0, 1), [((4, 1), (0, 1))], "bag 0 has a row bit outside its label"),
     ((0,), [((1 << 70,), (0,))], "bag 0 has a row bit outside its label"),
     ((0,), [((-1,), (0,))], "bag 0 has a negative row"),
+    # a token or id outside 64 bits is compared as the int it is
+    ((0,), [((0,), (1 << 70,))], f"unknown id {1 << 70}"),
+    ((1 << 70,), [((0,), (0,))], "unknown id 0"),
+    ((0,), [((0,), (-(1 << 70),))], f"tree edge {(1 << 70) - 1} has 1 markers, not 2"),
 ]
 
 
@@ -433,7 +544,7 @@ def test_check_tree_runs_once_per_graph(monkeypatch):
     monkeypatch.setattr(splitdec, "check_tree", lambda t: calls.append(t) or check(t))
     spider = graph_from_edges(5, [(0, 4), (1, 4), (3, 4), (2, 3)])
     # three bags out of the split recursion, two after a star-star merge
-    assert len(kernels.split_bags(spider.n, spider.adj)) == 3
+    assert len(pyk._split_parts(spider.n, spider.adj)) == 3
     assert len(decompose(spider).bags) == 2
     for g in (make_path(5), c5_pendant(), spider, make_complete(4)):
         calls.clear()
