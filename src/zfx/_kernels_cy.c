@@ -26,8 +26,9 @@
  * vertex, a negative row or a row bit outside its label, a tree edge
  * without exactly two markers or with both in one bag and an alternating
  * path that closes a cycle; the rest of the bag graph's shape is
- * ``splitdec.check_tree``'s job.  Ids and tokens are compared as the ints
- * they are, so one outside 64 bits gets the pure kernel's answer too.
+ * ``splitdec.check_tree``'s job.  Ids and tokens are read as signed 64-bit
+ * words, and one that does not fit is refused with ValueError, as the pure
+ * kernel refuses it.
  *
  * Build: gcc -O3 -shared -fPIC -I<python include> _kernels_cy.c -o
  * _kernels_cy<EXT_SUFFIX>, or ``pip install .`` through setup.py.
@@ -913,65 +914,18 @@ typedef struct {
     unsigned char state[ACCESS_MAX];
 } Access;
 
-/* An id or token as the pure kernel compares it: ``v`` when it fits a
- * signed 64-bit word; otherwise ``big`` holds the int and ``v`` its sign,
- * so that ids and tree edges of any size behave as there. */
+/* A marker token and its label vertex. */
 typedef struct {
-    long long v;
-    PyObject *big;
-} Num;
-
-/* ``item`` as a Num, ``big`` borrowed; -1 with an exception set when it
- * is not an int. */
-static int read_num(PyObject *item, Num *out)
-{
-    int sign;
-
-    out->v = PyLong_AsLongLongAndOverflow(item, &sign);
-    if (out->v == -1 && PyErr_Occurred())
-        return -1;
-    out->big = sign ? item : NULL;
-    if (sign)
-        out->v = sign;
-    return 0;
-}
-
-/* -1, 0 or 1 as ``a`` is less than, equal to or greater than ``b``: a big
- * value lies beyond every one that fits, on the side of its sign. */
-static int num_cmp(const Num *a, const Num *b)
-{
-    long long ta = a->big ? a->v : 0, tb = b->big ? b->v : 0;
-
-    if (ta != tb)
-        return ta < tb ? -1 : 1;
-    if (ta)
-        return PyObject_RichCompareBool(a->big, b->big, Py_GT)
-            - PyObject_RichCompareBool(a->big, b->big, Py_LT);
-    return (a->v > b->v) - (a->v < b->v);
-}
-
-/* A marker token, owning its ``big``, and its label vertex. */
-typedef struct {
-    Num tok;
+    long long tok;
     int vertex;
 } EdgeMarker;
 
 /* Ascending tree edge ~tok, so descending tokens. */
 static int by_edge(const void *a, const void *b)
 {
-    return num_cmp(&((const EdgeMarker *)b)->tok, &((const EdgeMarker *)a)->tok);
-}
+    long long ta = ((const EdgeMarker *)a)->tok, tb = ((const EdgeMarker *)b)->tok;
 
-/* Sets ValueError ``format`` naming the tree edge of the marker ``tok``. */
-static void edge_error(const Num *tok, const char *format, int count)
-{
-    PyObject *edge = tok->big ? PyNumber_Invert(tok->big)
-                              : PyLong_FromLongLong(~tok->v);
-
-    if (edge == NULL)
-        return;
-    PyErr_Format(PyExc_ValueError, format, edge, count);
-    Py_DECREF(edge);
+    return (ta < tb) - (ta > tb);
 }
 
 /* What the label neighbourhood ``row`` of the bag starting at ``base``
@@ -1002,12 +956,12 @@ static int reach(Access *ac, int base, u64 row, u64 *out)
 /* Reads bag ``b``, (rows, tokens), into label vertices nv.. of ``ac``;
  * returns its size, or -1 with an exception set. */
 static int read_bag(Access *ac, int nv, int b, PyObject *item,
-                    const Num *ids, int n, EdgeMarker *em, int *nm,
+                    const long long *ids, int n, EdgeMarker *em, int *nm,
                     int *ordv, int *no)
 {
-    PyObject *rows_obj, *tokens_obj, *rows, *tokens = NULL, *tok_obj;
-    Num tok;
-    int k, i, j, v, got, rc = -1;
+    PyObject *rows_obj, *tokens_obj, *rows, *tokens = NULL;
+    long long tok;
+    int k, i, j, v, got, wide, rc = -1;
 
     if (!PyArg_ParseTuple(item, "OO;a bag is (rows, tokens)", &rows_obj,
                           &tokens_obj))
@@ -1042,20 +996,25 @@ static int read_bag(Access *ac, int nv, int b, PyObject *item,
             goto done;
         }
         ac->base[v] = nv;
-        tok_obj = PySequence_Fast_GET_ITEM(tokens, i);
-        if (read_num(tok_obj, &tok) < 0)
+        tok = PyLong_AsLongLongAndOverflow(PySequence_Fast_GET_ITEM(tokens, i),
+                                           &wide);
+        if (wide) {
+            PyErr_Format(PyExc_ValueError,
+                         "bag %d has a token that does not fit a 64-bit word", b);
             goto done;
-        if (tok.v < 0) {
+        }
+        if (tok == -1 && PyErr_Occurred())
+            goto done;
+        if (tok < 0) {
             ac->state[v] = MARKER;
-            Py_XINCREF(tok.big);
             em[*nm].tok = tok;
             em[(*nm)++].vertex = v;
             continue;
         }
-        for (j = 0; j < n && num_cmp(&ids[j], &tok) != 0; j++)
+        for (j = 0; j < n && ids[j] != tok; j++)
             ;
         if (j == n) {
-            PyErr_Format(PyExc_ValueError, "unknown id %S", tok_obj);
+            PyErr_Format(PyExc_ValueError, "unknown id %lld", tok);
             goto done;
         }
         ac->state[v] = ORDINARY;
@@ -1073,18 +1032,17 @@ static PyObject *accessible_rows(PyObject *Py_UNUSED(self), PyObject *args,
                                  PyObject *kwargs)
 {
     static char *kwlist[] = {"ids", "bags", NULL};
-    PyObject *ids_obj, *bags_obj, *idseq, *seq = NULL, *out = NULL;
+    PyObject *ids_obj, *bags_obj, *idseq, *item, *seq = NULL, *out = NULL;
     Access ac;
     EdgeMarker em[ACCESS_MAX];
-    Num ids[64];
+    long long ids[64];
     u64 adj[64];
     int ordv[ACCESS_MAX];
-    int n, i, nb, nv = 0, nm = 0, no = 0, k, v;
+    int n, i, nb, nv = 0, nm = 0, no = 0, k, v, wide;
 
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OO", kwlist, &ids_obj,
                                      &bags_obj))
         return NULL;
-    /* held to the end: a big id borrows its int from it */
     idseq = PySequence_Fast(ids_obj, "ids must be a sequence of ints");
     if (idseq == NULL)
         return NULL;
@@ -1093,11 +1051,19 @@ static PyObject *accessible_rows(PyObject *Py_UNUSED(self), PyObject *args,
         PyErr_SetString(PyExc_OverflowError, "accessible_rows supports <= 64 ids");
         goto done;
     }
-    for (i = 0; i < n; i++)
-        if (read_num(PySequence_Fast_GET_ITEM(idseq, i), &ids[i]) < 0)
+    for (i = 0; i < n; i++) {
+        item = PySequence_Fast_GET_ITEM(idseq, i);
+        ids[i] = PyLong_AsLongLongAndOverflow(item, &wide);
+        if (wide) {
+            PyErr_Format(PyExc_ValueError,
+                         "id %S does not fit a 64-bit word", item);
             goto done;
+        }
+        if (ids[i] == -1 && PyErr_Occurred())
+            goto done;
+    }
     for (i = 1; i < n; i++)
-        if (num_cmp(&ids[i - 1], &ids[i]) >= 0) {
+        if (ids[i - 1] >= ids[i]) {
             PyErr_SetString(PyExc_ValueError, "ids must be strictly increasing");
             goto done;
         }
@@ -1115,14 +1081,16 @@ static PyObject *accessible_rows(PyObject *Py_UNUSED(self), PyObject *args,
     /* markers sorted by edge pair up two by two */
     qsort(em, nm, sizeof em[0], by_edge);
     for (i = 0; i < nm; i = k) {
-        for (k = i + 1; k < nm && num_cmp(&em[k].tok, &em[i].tok) == 0; k++)
+        for (k = i + 1; k < nm && em[k].tok == em[i].tok; k++)
             ;
         if (k - i != 2) {
-            edge_error(&em[i].tok, "tree edge %S has %d markers, not 2", k - i);
+            PyErr_Format(PyExc_ValueError, "tree edge %lld has %d markers, not 2",
+                         ~em[i].tok, k - i);
             goto done;
         }
         if (ac.base[em[i].vertex] == ac.base[em[i + 1].vertex]) {
-            edge_error(&em[i].tok, "tree edge %S has both markers in one bag", 0);
+            PyErr_Format(PyExc_ValueError,
+                         "tree edge %lld has both markers in one bag", ~em[i].tok);
             goto done;
         }
         ac.partner[em[i].vertex] = em[i + 1].vertex;
@@ -1139,8 +1107,6 @@ static PyObject *accessible_rows(PyObject *Py_UNUSED(self), PyObject *args,
     }
     out = int_tuple(n, adj);
 done:
-    for (i = 0; i < nm; i++)
-        Py_XDECREF(em[i].tok.big);
     Py_XDECREF(seq);
     Py_DECREF(idseq);
     return out;

@@ -8,14 +8,16 @@ children canonicalised and packed as level records), ``profile_counts``,
 ``split_bags`` (the canonical split decomposition for
 ``splitdec.decompose``: the split recursion, ``_split_parts``, reduced by
 ``reduce_bags`` and returned as ``{bag id: (rows, tokens, kind,
-center)}``) and ``accessible_rows`` (the graph a graph-labelled tree
-represents, read from each bag's ``(rows, tokens)``, for
-``splitdec.reconstruct``).  A token names a label vertex: its original
-vertex ``>= 0``, or ``~e`` for the marker of tree edge e.  The four that
-read adjacency rows refuse a negative row and a row bit at or above n
-with ``ValueError``, on both backends.  ``reduce_bags`` is the one
-reduction rule in Python: ``splitdec`` reduces peeled trees with it, and
-the compiled ``split_bags`` runs the same rule in C.
+center)}``, the fields of ``splitdec.Bag`` in order) and
+``accessible_rows`` (the graph a graph-labelled tree represents, read from
+each bag's ``(rows, tokens)``, for ``splitdec.reconstruct``; ids and
+tokens are signed 64-bit words).  A token names a label vertex: its
+original vertex ``>= 0``, or ``~e`` for the marker of tree edge e.  The
+four that read adjacency rows refuse a negative row and a row bit at or
+above n with ``ValueError``, on both backends.  ``reduce_bags`` is the one
+reduction rule in Python: ``splitdec`` reduces peeled trees of ``Bag``s
+with it, as they are, and the compiled ``split_bags`` runs the same rule
+in C.
 ``zfx.kernels`` picks those five at import time and takes
 ``closure_mask``, ``closure_counts``, ``metric_dh`` and ``find_split_mask``
 from here on both backends.  ``metric_dh`` runs a polynomial separation
@@ -41,6 +43,9 @@ BACKEND = "python"
 # profile_counts counts forts on 2^n-bit bitsets up to this many vertices
 # (about 5 MB of tables at n = 20) and runs one closure per subset above it.
 BITSET_LIMIT = 20
+
+# accessible_rows reads ids and tokens as signed 64-bit words
+_WORD_MIN, _WORD_MAX = -(1 << 63), (1 << 63) - 1
 
 
 def closure_mask(n: int, adj, s: int) -> int:
@@ -716,14 +721,20 @@ def accessible_rows(ids, bags) -> tuple:
     once and each row is the OR over the label neighbours.  Row i belongs
     to ``ids[i]``, and ``ids`` must be strictly increasing.
 
-    Raises ``ValueError`` on ids that are not strictly increasing, a bag
-    without one token per label vertex, a negative row or a row bit outside
-    its label, an original id not in ``ids``, a tree edge without exactly
-    two markers or with both in one bag, and an alternating path that
-    closes a cycle.  The rest of the bag graph's shape is
+    Raises ``ValueError`` on an id or token that does not fit a signed
+    64-bit word, ids that are not strictly increasing, a bag without one
+    token per label vertex, a negative row or a row bit outside its label,
+    an original id not in ``ids``, a tree edge without exactly two markers
+    or with both in one bag, and an alternating path that closes a cycle.
+    It names the fault the compiled kernel names: every id is read before
+    their order, a label vertex's row before its token, and tree edges in
+    ascending order.  The rest of the bag graph's shape is
     ``splitdec.check_tree``'s job: on bags joined by two tree edges, or on
     a forest, the rows come back without an error.
     """
+    for orig in ids:
+        if not _WORD_MIN <= orig <= _WORD_MAX:
+            raise ValueError(f"id {orig} does not fit a 64-bit word")
     if any(a >= b for a, b in zip(ids, ids[1:])):
         raise ValueError("ids must be strictly increasing")
     idx = {orig: i for i, orig in enumerate(ids)}
@@ -738,11 +749,15 @@ def accessible_rows(ids, bags) -> tuple:
                 raise ValueError(f"bag {b} has a negative row")
             if row >> k:
                 raise ValueError(f"bag {b} has a row bit outside its label")
+            if not _WORD_MIN <= tok <= _WORD_MAX:
+                raise ValueError(f"bag {b} has a token that does not fit a "
+                                 "64-bit word")
             if tok < 0:
                 partner.setdefault(~tok, []).append((b, local))
             elif tok not in idx:
                 raise ValueError(f"unknown id {tok}")
-    for e, ends in partner.items():
+    for e in sorted(partner):
+        ends = partner[e]
         if len(ends) != 2:
             raise ValueError(f"tree edge {e} has {len(ends)} markers, not 2")
         if ends[0][0] == ends[1][0]:

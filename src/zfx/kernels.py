@@ -8,11 +8,12 @@ enumeration, canonical forms included, each child returned as its level
 record and whether it is connected), ``profile_counts``, ``split_bags``
 (the whole split recursion of ``splitdec.decompose`` and the reduction of
 its bags in one call, returning the reduced tree as ``{bag id: (rows,
-tokens, kind, center)}``; the reduction rule is ``_kernels_py.reduce_bags``,
-and the compiled twin runs it in C) and ``accessible_rows`` (all of
-``splitdec.reconstruct``'s accessibility search in one call, over
-``(rows, tokens)`` bags).  A token names a label vertex: its original
-vertex ``>= 0``, or ``~e`` for the marker of tree edge e.
+tokens, kind, center)}``, whose values ``splitdec.Bag`` takes as they are;
+the reduction rule is ``_kernels_py.reduce_bags``, and the compiled twin
+runs it in C) and ``accessible_rows`` (all of ``splitdec.reconstruct``'s
+accessibility search in one call, over ``(rows, tokens)`` bags, whose ids
+and tokens must fit signed 64-bit words).  A token names a label vertex:
+its original vertex ``>= 0``, or ``~e`` for the marker of tree edge e.
 Each twin runs its pure kernel's method with identical outputs and is
 bound here directly, with no fallback by n; parity is enforced by the
 test suite.  ``closure_mask``, ``closure_counts`` (the per-size counts of

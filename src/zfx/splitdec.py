@@ -11,22 +11,23 @@ reduction never changes the represented graph.  Both steps run in the
 reduction rule is written once in Python, as ``_kernels_py.reduce_bags``,
 and once in C, inside the compiled kernel.
 
-A bag is its label plus one token per label vertex (``Bag``), as
-``kernels.split_bags`` emits and ``kernels.accessible_rows`` reads it.
-Bags are immutable and classified once, when they are made: peeling
-replaces bags rather than edit them, and reduces a fresh dict of bags.  A
-tree is its bags: a tree edge is a marker token that exactly two bags hold,
-one each.  It is checked once, when it is made: ``GraphLabelledTree(bags)``
-runs ``check_tree``, the one pass over the tree's tokens, which also
-derives the tree edges and the vertex ids.  Reconstruction, validation,
-summaries and the reductions read trees that already passed it, and read
-the edges it derived.
+A bag is the kernels' tuple ``(rows, tokens, kind, star_center)``
+(``Bag``): ``kernels.split_bags`` emits it, ``_kernels_py.reduce_bags``
+reduces it and ``kernels.accessible_rows`` reads its rows and tokens, so
+no step converts a bag.  Bags are immutable and classified once, when
+they are made: peeling replaces bags rather than edit them, and reduces a
+fresh dict of bags.  A tree is its bags: a tree edge is a marker token
+that exactly two bags hold, one each.  It is checked once, when it is
+made: ``GraphLabelledTree(bags)`` runs ``check_tree``, the one pass over
+the tree's tokens, which also derives the tree edges and the vertex ids.
+Reconstruction, validation, summaries and the reductions read trees that
+already passed it, and read the edges it derived.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from . import _kernels_py, kernels
 from .errors import CapacityError, InvariantViolation, TreeError
@@ -46,21 +47,26 @@ STAR = "star"
 PRIME = "prime"
 
 
-@dataclass(frozen=True, slots=True)
-class Bag:
-    """One node of a graph-labelled tree.
+class Bag(NamedTuple):
+    """One node of a graph-labelled tree, as the kernels emit it.
 
-    ``tokens[l]`` names label vertex l: the original graph vertex it is
-    (``>= 0``), or ``~e`` when it is the marker standing in for the rest of
-    the graph across tree edge e.  ``ordinary`` and ``markers`` are dicts
-    read off ``tokens`` at each access, for the tree dump and for readers
-    of a tree; editing one leaves the bag as it was.
+    ``rows`` are the label's adjacency rows.  ``tokens[l]`` names label
+    vertex l: the original graph vertex it is (``>= 0``), or ``~e`` when it
+    is the marker standing in for the rest of the graph across tree edge e.
+    ``kind`` is "clique", "star" or "prime", and ``star_center`` a star's
+    center (None for the other kinds).  ``label``, ``ordinary`` and
+    ``markers`` are read off the fields at each access, for the tree dump
+    and for readers of a tree; editing one leaves the bag as it was.
     """
 
-    label: Graph
-    kind: str
+    rows: tuple[int, ...]
     tokens: tuple[int, ...]
+    kind: str
     star_center: Optional[int] = None
+
+    @property
+    def label(self) -> Graph:
+        return Graph(len(self.rows), self.rows)
 
     @property
     def ordinary(self) -> dict[int, int]:  # label vertex -> original vertex
@@ -69,18 +75,6 @@ class Bag:
     @property
     def markers(self) -> dict[int, int]:  # tree edge -> label vertex
         return {~tok: l for l, tok in enumerate(self.tokens) if tok < 0}
-
-
-def _bag(label: Graph, tokens: tuple[int, ...]) -> Bag:
-    """The bag on ``label`` with its kind and star center."""
-    kind = classify_kind(label)
-    tag = PRIME if kind.tag == "other" else kind.tag
-    return Bag(label, tag, tokens, kind.center)
-
-
-def _raw(bag: Bag) -> tuple:
-    """``bag`` as the kernels hold one: ``(rows, tokens, kind, center)``."""
-    return bag.label.adj, bag.tokens, bag.kind, bag.star_center
 
 
 def _leaves(bag: Bag) -> list[int]:
@@ -134,19 +128,9 @@ class DecompositionSummary:
 
 
 def _tree(bags: dict[int, tuple]) -> GraphLabelledTree:
-    """The tree on ``{bag id: (rows, tokens, kind, center)}``."""
-    return GraphLabelledTree({
-        bid: Bag(Graph(len(rows), rows), kind, tokens, center)
-        for bid, (rows, tokens, kind, center) in bags.items()
-    })
-
-
-def _reduce(bags: dict[int, Bag]) -> GraphLabelledTree:
-    """The reduced tree of ``bags``, whose ids must be ascending: the pure
-    ``_kernels_py.reduce_bags`` contracts the least mergeable tree edge into
-    its smaller bag id until none is left, the rule the compiled
-    ``split_bags`` runs too."""
-    return _tree(_kernels_py.reduce_bags({b: _raw(bag) for b, bag in bags.items()}))
+    """The tree on ``{bag id: (rows, tokens, kind, star_center)}``, as
+    ``kernels.split_bags`` and ``_kernels_py.reduce_bags`` return it."""
+    return GraphLabelledTree({bid: Bag._make(bag) for bid, bag in bags.items()})
 
 
 # --- decomposition ----------------------------------------------------------
@@ -193,9 +177,9 @@ def check_tree(
     held: dict[int, list[int]] = {}
     for bid, bag in t.bags.items():
         tokens = bag.tokens
-        if len(tokens) != bag.label.n:
+        if len(tokens) != len(bag.rows):
             raise TreeError(f"bag {bid} has {len(tokens)} tokens for "
-                            f"{bag.label.n} label vertices")
+                            f"{len(bag.rows)} label vertices")
         for tok in tokens:
             if tok >= 0:
                 ids.append(tok)
@@ -238,7 +222,7 @@ def reconstruct(t: GraphLabelledTree) -> Graph:
     edges and tree edges joins them (``kernels.accessible_rows``)."""
     rows = kernels.accessible_rows(
         t.vertex_ids,
-        [(bag.label.adj, bag.tokens) for bag in t.bags.values()],
+        [(bag.rows, bag.tokens) for bag in t.bags.values()],
     )
     for v, row in enumerate(rows):
         if (row >> v) & 1:
@@ -258,14 +242,14 @@ def validate_reduced(t: GraphLabelledTree) -> list[str]:
     multi = len(t.bags) > 1
     for bid in sorted(t.bags):
         bag = t.bags[bid]
-        if multi and bag.kind in (CLIQUE, STAR) and bag.label.n < 3:
+        if multi and bag.kind in (CLIQUE, STAR) and len(bag.rows) < 3:
             out.append(f"bag {bid}: {bag.kind} bag with fewer than 3 vertices")
     for e in sorted(t.tree_edges):
         x, y = t.tree_edges[e]
         bx, by = t.bags[x], t.bags[y]
         if bx.kind == CLIQUE and by.kind == CLIQUE:
             out.append(f"edge {e}: joins two clique bags (KK)")
-        if _kernels_py._spsc(_raw(bx), _raw(by), e):
+        if _kernels_py._spsc(bx, by, e):
             out.append(f"edge {e}: star center joined to star leaf (SpSc)")
     return out
 
@@ -293,11 +277,12 @@ def dump_tree(t: GraphLabelledTree) -> str:
     lines = []
     for bid in sorted(t.bags):
         bag = t.bags[bid]
-        edges = ",".join(f"{u}-{v}" for u, v in bag.label.edges())
+        label = bag.label
+        edges = ",".join(f"{u}-{v}" for u, v in label.edges())
         ordinary = ",".join(f"{l}:{o}" for l, o in bag.ordinary.items())
         markers = ",".join(f"{e}:{l}" for e, l in sorted(bag.markers.items()))
         line = (
-            f"bag {bid} kind={bag.kind} n={bag.label.n} "
+            f"bag {bid} kind={bag.kind} n={label.n} "
             f"edges={edges or '-'} ordinary={ordinary or '-'} "
             f"markers={markers or '-'}"
         )
@@ -329,8 +314,8 @@ def classify_leaf_bag(t: GraphLabelledTree, bag_id: int) -> LeafBagClass:
         return LeafBagClass("clique")
     # a leaf bag's one marker is its center or one of its leaves
     if bag.tokens[bag.star_center] < 0:
-        return LeafBagClass("star_center_attached", bag.label.n - 1)
-    return LeafBagClass("star_leaf_attached", bag.label.n - 2)
+        return LeafBagClass("star_center_attached", len(bag.rows) - 1)
+    return LeafBagClass("star_leaf_attached", len(bag.rows) - 2)
 
 
 def twin_from_leaf_bag(
@@ -394,7 +379,7 @@ def pick_peelable_bag(t: GraphLabelledTree) -> Optional[int]:
 
 def _prime_label_keys(t: GraphLabelledTree) -> list:
     return sorted(
-        kernels.canon_adj(bag.label.n, bag.label.adj)
+        kernels.canon_adj(len(bag.rows), bag.rows)
         for bag in t.bags.values()
         if bag.kind == PRIME
     )
@@ -406,7 +391,7 @@ def peel(t: GraphLabelledTree, bag_id: int) -> tuple[GraphLabelledTree, GraphLab
 
     Each result is the tree's other bags, with the neighbour bag replaced
     (its marker for the removed edge becomes c, or is deleted), reduced
-    by ``_reduce``.
+    by ``_kernels_py.reduce_bags``.
 
     Both results are verified on the spot: they must reconstruct to the
     direct vertex deletions, stay reduced, and keep the prime labels.
@@ -433,16 +418,19 @@ def peel(t: GraphLabelledTree, bag_id: int) -> tuple[GraphLabelledTree, GraphLab
             "neighbor star attached through its center (forbidden SpSc edge)"
         )
 
-    # ascending ids, as ``_reduce`` needs: a tree may list its bags in any order
+    # ascending ids, as ``reduce_bags`` needs: a tree may list its bags in
+    # any order
     rest = {b: t.bags[b] for b in sorted(t.bags) if b != bag_id}
 
-    # (1) G - x: drop the bag, reinterpret the neighbor marker as c
+    # (1) G - x: drop the bag, reinterpret the neighbor marker as c; the
+    # label, and so the kind, stay as they are
     as_c = nbag.tokens[:a_local] + (c_orig,) + nbag.tokens[a_local + 1:]
-    t1 = _reduce({**rest, nbr: _bag(nbag.label, as_c)})
+    t1 = _tree(_kernels_py.reduce_bags({**rest, nbr: nbag._replace(tokens=as_c)}))
 
     # (2) G - {x, c}: drop the bag and delete the neighbor marker vertex
-    rows, _, tokens = _kernels_py._without(nbag.label.adj, nbag.tokens, a_local)
-    t2 = _reduce({**rest, nbr: _bag(Graph(len(rows), tuple(rows)), tokens)})
+    rows, _, tokens = _kernels_py._without(nbag.rows, nbag.tokens, a_local)
+    cut = Bag(tuple(rows), tokens, *_kernels_py._kind(rows))
+    t2 = _tree(_kernels_py.reduce_bags({**rest, nbr: cut}))
 
     _verify_peel(t, t1, t2, x_orig, c_orig)
     return t1, t2

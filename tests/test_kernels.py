@@ -495,9 +495,11 @@ def test_compiled_signatures_match_the_pure_twins(cyk):
 # 1 <= n <= 6), on P_15 (augment's largest parent), P_24 and C_64, and
 # through the refusals of split_bags on disconnected graphs, of every
 # row-reading kernel on a row bit at or above n and of accessible_rows on a
-# token or id outside 64 bits.  Each split_bags tree and augment record list
-# is checked against the pure kernel's, so the split tree's fixed arrays are
-# filled and reduced under the sanitizer.
+# token or id outside 64 bits, at and past the signed word's ends, and the
+# accessible_rows of a tree on the largest id and the least token.  Each
+# split_bags tree and augment record list is checked against the pure
+# kernel's, so the split tree's fixed arrays are filled and reduced under
+# the sanitizer.
 _UBSAN_DRIVER = """
 import importlib.util, sys
 from zfx import _kernels_py as pyk
@@ -530,12 +532,18 @@ for kernel in (cyk.canon_adj, cyk.augment, cyk.profile_counts, cyk.split_bags):
     except ValueError:
         continue
     sys.exit(f"{kernel.__name__} took a row bit at or above n")
-for ids, tokens in (((0,), (1 << 70,)), ((1 << 70,), (0,)), ((0,), (-(1 << 70),))):
+for ids, tokens in (((0,), (1 << 70,)), ((1 << 70,), (0,)), ((0,), (-(1 << 70),)),
+                    ((1 << 63,), (0,)), ((0,), (-(1 << 63) - 1,)),
+                    ((0,), (-(1 << 63),))):
     try:
         cyk.accessible_rows(ids, [((0,), tokens)])
     except ValueError:
         continue
     sys.exit(f"accessible_rows took {tokens} over {ids}")
+top = (1 << 63) - 1
+assert cyk.accessible_rows((top,), [((0,), (top,))]) == (0,)
+edge = [((2, 1), (top, -(1 << 63))), ((2, 1), (-(1 << 63), 0))]
+assert cyk.accessible_rows((0, top), edge) == (2, 1)
 cyk.canon_adj(64, make_cycle(64).adj)
 """
 

@@ -300,8 +300,8 @@ def _oracle_contract(bx: Bag, by: Bag, e: int) -> Bag:
             for v, row in enumerate(rows_y)]
     label = Graph(len(adj), tuple(adj))
     kind = classify_kind(label)
-    return Bag(label, "prime" if kind.tag == "other" else kind.tag,
-               tokens_x + tokens_y, kind.center)
+    return Bag(label.adj, tokens_x + tokens_y,
+               "prime" if kind.tag == "other" else kind.tag, kind.center)
 
 
 def _oracle_mergeable(bags: dict[int, Bag], ends: dict[int, list[int]]):
@@ -323,7 +323,7 @@ def _oracle_reduce(parts) -> GraphLabelledTree:
     unreduced bags of the split recursion: the least mergeable tree edge is
     contracted into its smaller bag id, each edge's ends kept in the order
     the bags list them and patched to the kept id."""
-    bags = {bid: Bag(Graph(len(rows), rows), kind, tokens, center)
+    bags = {bid: Bag(rows, tokens, kind, center)
             for bid, (rows, tokens, kind, center) in enumerate(parts)}
     ends: dict[int, list[int]] = {}
     for bid, bag in bags.items():
@@ -367,12 +367,19 @@ def test_decompose_matches_the_bag_level_oracle(backend, oracle_trees, monkeypat
                                                 request):
     """``decompose`` on either backend gives the oracle's tree: the same bag
     ids, tree dump, tree edges and vertex ids.  1,307 of the 12,113 graphs
-    with n <= 8, and 155 of the random ones, need a contraction."""
+    with n <= 8, and 155 of the random ones, need a contraction.  For the
+    graphs with n <= 8, each bag is the kernel's bag as it is: a ``Bag``
+    equal to the kernel's tuple, whose label is its rows."""
     module = pyk if backend == "python" else request.getfixturevalue("cyk")
     monkeypatch.setattr(kernels, "split_bags", module.split_bags)
     contracted = Counter()
     for g, want, reduced in oracle_trees:
         t = decompose(g)
+        if g.n <= 8:
+            assert t.bags == module.split_bags(g.n, g.adj)
+            for bag in t.bags.values():
+                assert isinstance(bag, Bag)
+                assert bag.label == Graph(len(bag.rows), bag.rows)
         assert list(t.bags) == list(want.bags)
         assert dump_tree(t) == dump_tree(want)
         assert t.tree_edges == want.tree_edges
@@ -520,10 +527,19 @@ MALFORMED = [
     ((0, 1), [((4, 1), (0, 1))], "bag 0 has a row bit outside its label"),
     ((0,), [((1 << 70,), (0,))], "bag 0 has a row bit outside its label"),
     ((0,), [((-1,), (0,))], "bag 0 has a negative row"),
-    # a token or id outside 64 bits is compared as the int it is
-    ((0,), [((0,), (1 << 70,))], f"unknown id {1 << 70}"),
-    ((1 << 70,), [((0,), (0,))], "unknown id 0"),
-    ((0,), [((0,), (-(1 << 70),))], f"tree edge {(1 << 70) - 1} has 1 markers, not 2"),
+    # ids and tokens are signed 64-bit words: one outside is refused, every
+    # id before their order and a bag's row before its token
+    ((0,), [((0,), (1 << 70,))], "bag 0 has a token that does not fit a 64-bit word"),
+    ((1 << 70,), [((0,), (0,))], f"id {1 << 70} does not fit a 64-bit word"),
+    ((0,), [((0,), (-(1 << 70),))], "bag 0 has a token that does not fit a 64-bit word"),
+    ((1 << 63,), [((0,), (0,))], f"id {1 << 63} does not fit a 64-bit word"),
+    ((0,), [((0,), (-(1 << 63) - 1,))],
+     "bag 0 has a token that does not fit a 64-bit word"),
+    ((1, 0, 1 << 70), [((0,), (0,))], f"id {1 << 70} does not fit a 64-bit word"),
+    ((0,), [((-1,), (1 << 70,))], "bag 0 has a negative row"),
+    ((0,), [((0,), (-(1 << 63),))], f"tree edge {(1 << 63) - 1} has 1 markers, not 2"),
+    # of several bad tree edges, the least is named
+    ((0,), [((0, 0, 0), (0, ~7, ~3))], "tree edge 3 has 1 markers, not 2"),
 ]
 
 
@@ -533,6 +549,18 @@ def test_accessible_rows_refuses_malformed(backend, ids, bags, message, request)
     module = pyk if backend == "python" else request.getfixturevalue("cyk")
     with pytest.raises(ValueError, match=message):
         module.accessible_rows(ids, bags)
+
+
+@pytest.mark.parametrize("backend", ["python", "cython"])
+def test_reconstruct_takes_the_largest_64_bit_id(backend, monkeypatch, request):
+    """A one-bag tree on the id (1 << 63) - 1, the largest signed 64-bit
+    word, reconstructs on either backend."""
+    module = pyk if backend == "python" else request.getfixturevalue("cyk")
+    monkeypatch.setattr(kernels, "accessible_rows", module.accessible_rows)
+    top = (1 << 63) - 1
+    t = GraphLabelledTree({0: _clique_bag(top)})
+    assert t.vertex_ids == (top,)
+    assert reconstruct(t) == make_complete(1)
 
 
 def test_check_tree_runs_once_per_graph(monkeypatch):
@@ -563,7 +591,7 @@ def test_reconstruct_refuses_dangling_marker():
     with pytest.raises(TreeError, match="tree edge 5 has 1 markers, not 2"):
         GraphLabelledTree(
             bags={0: t.bags[0],
-                  1: Bag(bag.label, bag.kind, (2, ~5, ~0), bag.star_center)},
+                  1: bag._replace(tokens=(2, ~5, ~0))},
         )
 
 
@@ -577,14 +605,14 @@ def star_label(leaves: int) -> Graph:
 
 def _clique_bag(*tokens: int) -> Bag:
     """A clique bag with one label vertex per token."""
-    return Bag(make_complete(len(tokens)), "clique", tokens)
+    return Bag(make_complete(len(tokens)).adj, tokens, "clique")
 
 
 def test_reconstruct_hand_built_p4():
     t = GraphLabelledTree(
         bags={
-            0: Bag(label=make_path(3), kind="star", tokens=(0, 1, ~0), star_center=1),
-            1: Bag(label=star_label(2), kind="star", tokens=(~0, 2, 3), star_center=0),
+            0: Bag(make_path(3).adj, (0, 1, ~0), "star", 1),
+            1: Bag(star_label(2).adj, (~0, 2, 3), "star", 0),
         },
     )
     assert t.tree_edges == {0: (0, 1)} and t.vertex_ids == (0, 1, 2, 3)
@@ -607,8 +635,8 @@ def test_reconstruct_single_clique_bag():
 def test_reconstruct_two_leaf_stars_is_p4():
     t = GraphLabelledTree(
         bags={
-            0: Bag(label=make_path(3), kind="star", tokens=(0, 1, ~0), star_center=1),
-            1: Bag(label=make_path(3), kind="star", tokens=(~0, 2, 3), star_center=1),
+            0: Bag(make_path(3).adj, (0, 1, ~0), "star", 1),
+            1: Bag(make_path(3).adj, (~0, 2, 3), "star", 1),
         },
     )
     assert reconstruct(t) == make_path(4) == _reconstruct_dfs(t)
@@ -629,9 +657,9 @@ def test_validate_reduced_small_leaf_bag_is_one_violation():
     """A leaf bag of a multi-bag tree has one marker, so a clique leaf with
     one ordinary vertex, or a center-attached star leaf with one leaf, breaks
     the size rule and nothing else."""
-    c5 = Bag(make_cycle(5), "prime", (1, 2, 3, 4, ~0))
-    for leaf in (Bag(make_complete(2), "clique", (0, ~0)),
-                 Bag(make_complete(2), "star", (~0, 0), 0)):
+    c5 = Bag(make_cycle(5).adj, (1, 2, 3, 4, ~0), "prime")
+    for leaf in (Bag(make_complete(2).adj, (0, ~0), "clique"),
+                 Bag(make_complete(2).adj, (~0, 0), "star", 0)):
         t = GraphLabelledTree({0: leaf, 1: c5})
         assert validate_reduced(t) == [
             f"bag 0: {leaf.kind} bag with fewer than 3 vertices"
@@ -641,8 +669,8 @@ def test_validate_reduced_small_leaf_bag_is_one_violation():
 def test_validate_reduced_flags_spsc():
     t = GraphLabelledTree(
         bags={
-            0: Bag(label=star_label(2), kind="star", tokens=(0, 1, ~0), star_center=0),
-            1: Bag(label=star_label(2), kind="star", tokens=(~0, 2, 3), star_center=0),
+            0: Bag(star_label(2).adj, (0, 1, ~0), "star", 0),
+            1: Bag(star_label(2).adj, (~0, 2, 3), "star", 0),
         },
     )
     violations = validate_reduced(t)
@@ -655,11 +683,11 @@ def test_reduce_refuses_a_nonadjacent_pass_through_bag():
     """A 2-vertex bag whose two markers are not adjacent passes nothing
     between its neighbours, so no split decomposition holds one; the
     reducer refuses it rather than contract it."""
-    through = Bag(Graph(2, (0, 0)), "prime", (~0, ~1))
+    through = Bag((0, 0), (~0, ~1), "prime")
     bags = {0: _clique_bag(0, 1, ~0), 1: through, 2: _clique_bag(2, 3, ~1)}
     with pytest.raises(InvariantViolation,
                        match="2-vertex pass-through bag with nonadjacent markers"):
-        splitdec._reduce(bags)
+        pyk.reduce_bags(bags)
 
 
 def test_check_tree_rejects_malformed():
@@ -684,7 +712,7 @@ def test_check_tree_rejects_malformed():
     for tokens in ((), (0, 1)):  # one token per label vertex, not 0 or 2
         with pytest.raises(TreeError,
                            match=f"bag 0 has {len(tokens)} tokens for 1 label vertices"):
-            GraphLabelledTree({0: Bag(make_complete(1), "clique", tokens)})
+            GraphLabelledTree({0: Bag(make_complete(1).adj, tokens, "clique")})
 
 
 # --- leaf-bag classification and twins ---------------------------------------------
@@ -734,7 +762,7 @@ def test_clique_leaf_bag_yields_true_twins():
 def test_center_attached_star_yields_false_twins():
     t = GraphLabelledTree(
         bags={
-            0: Bag(label=star_label(2), kind="star", tokens=(~0, 10, 11), star_center=0),
+            0: Bag(star_label(2).adj, (~0, 10, 11), "star", 0),
             1: _clique_bag(12, 13, ~0),
         },
     )
