@@ -1,7 +1,7 @@
-/* Compiled twins of five hot kernels in ``_kernels_py``: ``canon_adj``,
- * ``augment``, ``profile_counts``, ``split_bags`` and ``accessible_rows``,
- * the ones whose compiled form moves a campaign's run time.  Every other
- * kernel is pure on both backends.
+/* Compiled twins of seven hot kernels in ``_kernels_py``: ``canon_adj``,
+ * ``augment``, ``profile_counts``, ``split_bags``, ``accessible_rows``,
+ * ``tree_index`` and ``metric_dh``, the ones whose compiled form moves a
+ * campaign's run time.  Every other kernel is pure on both backends.
  *
  * Same functions, same methods, same outputs; graphs arrive as (n, adj-row
  * ints) with n <= 64 so every mask fits a 64-bit word.  A negative row, or
@@ -26,9 +26,14 @@
  * vertex, a negative row or a row bit outside its label, a tree edge
  * without exactly two markers or with both in one bag and an alternating
  * path that closes a cycle; the rest of the bag graph's shape is
- * ``splitdec.check_tree``'s job.  Ids and tokens are read as signed 64-bit
- * words, and one that does not fit is refused with ValueError, as the pure
- * kernel refuses it.
+ * ``tree_index``'s job.
+ * ``tree_index`` is ``splitdec.check_tree``'s one pass over a tree's
+ * tokens and every check it makes, with no bound on the tree's size: it
+ * returns the tree edges in first-seen marker order and the sorted original
+ * ids, or raises ValueError with the pure kernel's message.
+ * Both read ids and tokens as signed 64-bit words, and one that does not
+ * fit is refused with ValueError, as the pure kernels refuse it.
+ * ``metric_dh`` is the separation test of ``dh.dh_metric_oracle``.
  *
  * Build: gcc -O3 -shared -fPIC -I<python include> _kernels_cy.c -o
  * _kernels_cy<EXT_SUFFIX>, or ``pip install .`` through setup.py.
@@ -1112,6 +1117,292 @@ done:
     return out;
 }
 
+/* --- tree index ---------------------------------------------------------- */
+
+/* One marker token of ``tree_index``: its tree edge, its place among the
+ * markers in reading order, and its bag.  After grouping, one entry per
+ * edge: the place of its first marker, its marker count and the bags of
+ * its first two. */
+typedef struct {
+    long long edge;
+    Py_ssize_t seq, count, ends[2];
+} Marker;
+
+/* Ascending edge, then reading order. */
+static int by_edge_seq(const void *a, const void *b)
+{
+    const Marker *x = a, *y = b;
+
+    if (x->edge != y->edge)
+        return (x->edge > y->edge) - (x->edge < y->edge);
+    return (x->seq > y->seq) - (x->seq < y->seq);
+}
+
+/* Reading order of each edge's first marker. */
+static int by_seq(const void *a, const void *b)
+{
+    const Marker *x = a, *y = b;
+
+    return (x->seq > y->seq) - (x->seq < y->seq);
+}
+
+static int by_word(const void *a, const void *b)
+{
+    long long x = *(const long long *)a, y = *(const long long *)b;
+
+    return (x > y) - (x < y);
+}
+
+/* Room in ``*buf``, of ``*cap`` items of ``size`` bytes, for item ``len``:
+ * the buffer doubles on the heap when full, and ``stack`` is its first
+ * storage, never freed here.  -1 with MemoryError set. */
+static int reserve(void **buf, Py_ssize_t len, Py_ssize_t *cap, size_t size,
+                   void *stack)
+{
+    void *grown;
+
+    if (len < *cap)
+        return 0;
+    grown = *buf == stack ? malloc(2 * *cap * size)
+                          : realloc(*buf, 2 * *cap * size);
+    if (grown == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    if (*buf == stack)
+        memcpy(grown, stack, *cap * size);
+    *buf = grown;
+    *cap *= 2;
+    return 0;
+}
+
+/* A bag of ``tree_index``: its id and its union-find parent, a position. */
+typedef struct {
+    long long id;
+    Py_ssize_t up;
+} TreeBag;
+
+/* The root of bag i, halving the path to it. */
+static Py_ssize_t find_root(TreeBag *bag, Py_ssize_t i)
+{
+    while (bag[i].up != i)
+        i = bag[i].up = bag[bag[i].up].up;
+    return i;
+}
+
+#define TREE_STACK 64
+
+/* The pure ``tree_index`` over a dict of bags: one pass over the bags, in
+ * order, reads each bag id, its token count and its tokens as signed 64-bit
+ * words, into the original ids and the markers in reading order.  Sorted,
+ * the ids show a repeat as two equal neighbours; the markers, sorted by
+ * edge, collapse to one entry per edge, then return to the order of each
+ * edge's first marker, the order the edges are checked and returned in.
+ * The connectivity test is a union-find over bag positions.  Buffers start
+ * on the stack and grow on the heap with the input. */
+static PyObject *tree_index(PyObject *Py_UNUSED(self), PyObject *args,
+                            PyObject *kwargs)
+{
+    static char *kwlist[] = {"bags", NULL};
+    PyObject *bags, *key, *value, *rows = NULL, *tokens = NULL, *item, *pair;
+    PyObject *edges = NULL, *ids = NULL, *out = NULL;
+    long long tok, ord_stack[TREE_STACK], *ords = ord_stack;
+    Marker mark_stack[TREE_STACK], *marks = mark_stack;
+    TreeBag bag_stack[TREE_STACK], *bag = bag_stack;
+    Py_ssize_t ord_cap = TREE_STACK, mark_cap = TREE_STACK;
+    Py_ssize_t nbags, nords = 0, nmarks = 0, nedges, pos = 0, b, i, j, k;
+    Py_ssize_t rows_len, x, y;
+    long long lo, hi;
+    int wide;
+
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "O!", kwlist, &PyDict_Type,
+                                     &bags))
+        return NULL;
+    nbags = PyDict_GET_SIZE(bags);
+    if (nbags > TREE_STACK && (bag = malloc(nbags * sizeof *bag)) == NULL)
+        return PyErr_NoMemory();
+    for (b = 0; b < nbags; b++) {
+        if (!PyDict_Next(bags, &pos, &key, &value)) {
+            PyErr_SetString(PyExc_RuntimeError,
+                            "bags changed size during iteration");
+            goto done;
+        }
+        bag[b].up = b;
+        bag[b].id = PyLong_AsLongLongAndOverflow(key, &wide);
+        if (wide) {
+            PyErr_Format(PyExc_ValueError,
+                         "bag id %S does not fit a 64-bit word", key);
+            goto done;
+        }
+        if (bag[b].id == -1 && PyErr_Occurred())
+            goto done;
+        /* a Bag is a tuple subclass, which PySequence_Fast would copy */
+        if ((rows = PySequence_GetItem(value, 0)) == NULL
+            || (item = PySequence_GetItem(value, 1)) == NULL)
+            goto done;
+        tokens = PySequence_Fast(item, "tokens must be a sequence of ints");
+        Py_DECREF(item);
+        if (tokens == NULL)
+            goto done;
+        rows_len = PyObject_Size(rows);
+        if (rows_len < 0)
+            goto done;
+        k = PySequence_Fast_GET_SIZE(tokens);
+        if (k != rows_len) {
+            PyErr_Format(PyExc_ValueError,
+                         "bag %S has %zd tokens for %zd label vertices", key,
+                         k, rows_len);
+            goto done;
+        }
+        for (i = 0; i < k; i++) {
+            tok = PyLong_AsLongLongAndOverflow(
+                PySequence_Fast_GET_ITEM(tokens, i), &wide);
+            if (wide) {
+                PyErr_Format(PyExc_ValueError, "bag %S has a token that does "
+                             "not fit a 64-bit word", key);
+                goto done;
+            }
+            if (tok == -1 && PyErr_Occurred())
+                goto done;
+            if (tok >= 0) {
+                if (reserve((void **)&ords, nords, &ord_cap, sizeof *ords,
+                            ord_stack) < 0)
+                    goto done;
+                ords[nords++] = tok;
+                continue;
+            }
+            if (reserve((void **)&marks, nmarks, &mark_cap, sizeof *marks,
+                        mark_stack) < 0)
+                goto done;
+            marks[nmarks].edge = ~tok;
+            marks[nmarks].seq = nmarks;
+            marks[nmarks].count = 1;
+            marks[nmarks++].ends[0] = b;
+        }
+        Py_CLEAR(tokens);
+        Py_CLEAR(rows);
+    }
+    qsort(ords, nords, sizeof *ords, by_word);
+    for (i = 1; i < nords; i++)
+        if (ords[i - 1] == ords[i]) {
+            PyErr_Format(PyExc_ValueError,
+                         "original vertex %lld appears in two bags", ords[i]);
+            goto done;
+        }
+    /* one entry per edge, written over the sorted markers */
+    qsort(marks, nmarks, sizeof *marks, by_edge_seq);
+    for (i = nedges = 0; i < nmarks; i = j, nedges++) {
+        for (j = i + 1; j < nmarks && marks[j].edge == marks[i].edge; j++)
+            ;
+        marks[nedges] = marks[i];
+        marks[nedges].count = j - i;
+        if (j - i > 1)
+            marks[nedges].ends[1] = marks[i + 1].ends[0];
+    }
+    qsort(marks, nedges, sizeof *marks, by_seq);
+    for (i = 0; i < nedges; i++) {
+        if (marks[i].count != 2) {
+            PyErr_Format(PyExc_ValueError, "tree edge %lld has %zd markers, "
+                         "not 2", marks[i].edge, marks[i].count);
+            goto done;
+        }
+        if (marks[i].ends[0] == marks[i].ends[1]) {
+            PyErr_Format(PyExc_ValueError,
+                         "tree edge %lld has both markers in one bag",
+                         marks[i].edge);
+            goto done;
+        }
+    }
+    if (nedges != nbags - 1) {
+        PyErr_SetString(PyExc_ValueError, "bag graph is not a tree (edge count)");
+        goto done;
+    }
+    /* one edge fewer than bags: connected iff no edge closes a cycle */
+    for (i = 0; i < nedges; i++) {
+        x = find_root(bag, marks[i].ends[0]);
+        y = find_root(bag, marks[i].ends[1]);
+        if (x == y) {
+            PyErr_SetString(PyExc_ValueError, "bag graph is not connected");
+            goto done;
+        }
+        bag[y].up = x;
+    }
+    if ((edges = PyDict_New()) == NULL || (ids = PyTuple_New(nords)) == NULL)
+        goto done;
+    for (i = 0; i < nords; i++) {
+        if ((item = PyLong_FromLongLong(ords[i])) == NULL)
+            goto done;
+        PyTuple_SET_ITEM(ids, i, item);
+    }
+    for (i = 0; i < nedges; i++) {
+        lo = bag[marks[i].ends[0]].id;
+        hi = bag[marks[i].ends[1]].id;
+        pair = Py_BuildValue("(LL)", lo < hi ? lo : hi, lo < hi ? hi : lo);
+        item = pair == NULL ? NULL : PyLong_FromLongLong(marks[i].edge);
+        k = item == NULL ? -1 : PyDict_SetItem(edges, item, pair);
+        Py_XDECREF(item);
+        Py_XDECREF(pair);
+        if (k < 0)
+            goto done;
+    }
+    out = PyTuple_Pack(2, edges, ids);
+done:
+    Py_XDECREF(edges);
+    Py_XDECREF(ids);
+    Py_XDECREF(tokens);
+    Py_XDECREF(rows);
+    if (ords != ord_stack)
+        free(ords);
+    if (marks != mark_stack)
+        free(marks);
+    if (bag != bag_stack)
+        free(bag);
+    return out;
+}
+
+/* --- distance-hereditary test -------------------------------------------- */
+
+/* The pure ``metric_dh``'s separation test: the graph is distance-
+ * hereditary iff every non-adjacent pair a < b with a common neighbour
+ * lies in different components of G - (N(a) & N(b)), found by a BFS from a
+ * on masks. */
+static PyObject *metric_dh(PyObject *Py_UNUSED(self), PyObject *args,
+                           PyObject *kwargs)
+{
+    static char *kwlist[] = {"n", "adj", NULL};
+    int n, a;
+    PyObject *adj;
+    u64 cadj[64], full, later, lb, common, allowed, reach, frontier, next, m;
+
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iO", kwlist, &n, &adj))
+        return NULL;
+    if (read_adj(n, adj, cadj) < 0)
+        return NULL;
+    full = FULL(n);
+    for (a = 0; a < n; a++) {
+        /* b > a, not adjacent to a; ~1 << 63 leaves none past vertex 63 */
+        later = full & ~cadj[a] & (~(u64)1 << a);
+        for (; later; later &= later - 1) {
+            lb = later & -later;
+            common = cadj[a] & cadj[CTZ(later)];
+            if (!common)
+                continue;
+            allowed = full & ~common;
+            reach = frontier = (u64)1 << a;
+            while (frontier) {
+                next = 0;
+                for (m = frontier; m; m &= m - 1)
+                    next |= cadj[CTZ(m)];
+                frontier = next & allowed & ~reach;
+                if (frontier & lb)
+                    Py_RETURN_FALSE;
+                reach |= frontier;
+            }
+        }
+    }
+    Py_RETURN_TRUE;
+}
+
 /* --- module -------------------------------------------------------------- */
 
 #define KERNEL(name, doc)                                                     \
@@ -1133,13 +1424,19 @@ static PyMethodDef kernel_methods[] = {
     KERNEL(accessible_rows,
            "accessible_rows(ids, bags): rows of the graph a graph-labelled "
            "tree represents."),
+    KERNEL(tree_index,
+           "tree_index(bags): the tree edges and sorted original ids of a "
+           "graph-labelled tree's bags, which it checks form a tree."),
+    KERNEL(metric_dh,
+           "metric_dh(n, adj): whether the graph is distance-hereditary, by "
+           "the separation test."),
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef kernels_module = {
     PyModuleDef_HEAD_INIT,
     "_kernels_cy",
-    "Compiled twins of five hot kernels in zfx._kernels_py.",
+    "Compiled twins of seven hot kernels in zfx._kernels_py.",
     -1,
     kernel_methods,
     NULL,

@@ -2,28 +2,30 @@
 
 Graphs enter as ``(n, adj)`` where ``adj`` is a sequence of n ints, bit j of
 ``adj[i]`` set iff ij is an edge.  The compiled backend in ``_kernels_cy``
-implements five of these functions with identical outputs: ``canon_adj``,
+implements seven of these functions with identical outputs: ``canon_adj``,
 ``augment`` (one parent's step of ``graphs.enumerate_graphs``, its kept
 children canonicalised and packed as level records), ``profile_counts``,
 ``split_bags`` (the canonical split decomposition for
 ``splitdec.decompose``: the split recursion, ``_split_parts``, reduced by
 ``reduce_bags`` and returned as ``{bag id: (rows, tokens, kind,
-center)}``, the fields of ``splitdec.Bag`` in order) and
-``accessible_rows`` (the graph a graph-labelled tree represents, read from
-each bag's ``(rows, tokens)``, for ``splitdec.reconstruct``; ids and
-tokens are signed 64-bit words).  A token names a label vertex: its
-original vertex ``>= 0``, or ``~e`` for the marker of tree edge e.  The
-four that read adjacency rows refuse a negative row and a row bit at or
-above n with ``ValueError``, on both backends.  ``reduce_bags`` is the one
-reduction rule in Python: ``splitdec`` reduces peeled trees of ``Bag``s
-with it, as they are, and the compiled ``split_bags`` runs the same rule
-in C.
-``zfx.kernels`` picks those five at import time and takes
-``closure_mask``, ``closure_counts``, ``metric_dh`` and ``find_split_mask``
-from here on both backends.  ``metric_dh`` runs a polynomial separation
-test.  ``find_split_mask`` is the split scan ``_split_parts`` runs on
-each part, in its one order.  ``profile_counts`` counts forts on bitsets
-indexed by the 2^n subsets, here and in C (which refuses n > 32);
+center)}``, the fields of ``splitdec.Bag`` in order), ``accessible_rows``
+(the graph a graph-labelled tree represents, read from each bag's ``(rows,
+tokens)``, for ``splitdec.reconstruct``), ``tree_index`` (the checks and
+the tree edges and ids of ``splitdec.check_tree``) and ``metric_dh`` (a
+polynomial separation test).  ``accessible_rows`` and ``tree_index`` read
+ids and tokens as signed 64-bit words.  A token names a label vertex: its
+original vertex ``>= 0``, or ``~e`` for the marker of tree edge e.  Every
+kernel that reads adjacency rows refuses a negative row and a row bit at
+or above n with ``ValueError`` (``_rows``), on both backends, but
+``find_split_mask``, which ``_split_parts`` runs on rows it has checked.
+``reduce_bags`` is the one reduction rule in Python: ``splitdec`` reduces
+peeled trees of ``Bag``s with it, as they are, and the compiled
+``split_bags`` runs the same rule in C.
+``zfx.kernels`` picks those seven at import time and takes
+``closure_mask``, ``closure_counts`` and ``find_split_mask`` from here on
+both backends.  ``find_split_mask`` is the split scan ``_split_parts`` runs
+on each part, in its one order.  ``profile_counts`` counts forts on
+bitsets indexed by the 2^n subsets, here and in C (which refuses n > 32);
 ``closure_counts`` gives the same counts by one closure per subset.
 """
 
@@ -55,6 +57,11 @@ def closure_mask(n: int, adj, s: int) -> int:
     forces it; after each force only the new vertex and its blue neighbors
     need re-examination.
     """
+    return _closure(n, _rows(n, adj), s)
+
+
+def _closure(n: int, adj, s: int) -> int:
+    """``closure_mask`` on rows already checked."""
     full = (1 << n) - 1
     blue = s & full
     white = full ^ blue
@@ -86,10 +93,11 @@ def closure_counts(n: int, adj) -> list:
     """Exact count of zero forcing sets per size, index k = 0..n, by one
     closure per subset: the definition, which ``profile_counts`` answers
     through forts instead."""
+    adj = _rows(n, adj)
     full = (1 << n) - 1
     z = [0] * (n + 1)
     for m in range(1 << n):
-        if closure_mask(n, adj, m) == full:
+        if _closure(n, adj, m) == full:
             z[m.bit_count()] += 1
     return z
 
@@ -457,6 +465,7 @@ def metric_dh(n: int, adj) -> bool:
     test holds iff it holds on every component, which is what the literal
     definition gives as well.
     """
+    adj = _rows(n, adj)
     full = (1 << n) - 1
     for a in range(n):
         aa = adj[a]
@@ -707,6 +716,72 @@ def split_bags(n: int, adj) -> dict:
     Raises ``ValueError`` on a disconnected graph.
     """
     return reduce_bags(dict(enumerate(_split_parts(n, adj))))
+
+
+def tree_index(bags) -> tuple[dict, tuple]:
+    """The tree edges and original vertex ids of the dict ``{bag id: (rows,
+    tokens, ...)}``, after checking that its bags form a graph-labelled
+    tree.
+
+    Returns each tree edge, in the order its first marker is met, as the
+    ``(min, max)`` ids of the two bags holding its markers, and the sorted
+    original vertex ids.  This is one pass over the tokens: it collects the
+    original ids and each marker's bags; the ids are sorted once, so a
+    repeated id shows as two equal neighbours (the least one is named).
+    The edge-count and connectivity checks then read the derived edges, not
+    the tokens.
+
+    Raises ``ValueError`` on a bag id or token that does not fit a signed
+    64-bit word, a bag without one token per label vertex, an original
+    vertex in two bags, a tree edge without exactly two markers or with
+    both in one bag, and a bag graph that is not a tree.  It names the
+    fault the compiled kernel names: bags in order, each one's id, then its
+    token count, then its tokens in order.
+    """
+    ids: list[int] = []
+    held: dict[int, list[int]] = {}
+    for bid, bag in bags.items():
+        if not _WORD_MIN <= bid <= _WORD_MAX:
+            raise ValueError(f"bag id {bid} does not fit a 64-bit word")
+        rows, tokens = bag[0], bag[1]
+        if len(tokens) != len(rows):
+            raise ValueError(f"bag {bid} has {len(tokens)} tokens for "
+                             f"{len(rows)} label vertices")
+        for tok in tokens:
+            if not _WORD_MIN <= tok <= _WORD_MAX:
+                raise ValueError(f"bag {bid} has a token that does not fit a "
+                                 "64-bit word")
+            if tok >= 0:
+                ids.append(tok)
+            else:
+                held.setdefault(~tok, []).append(bid)
+    ids.sort()
+    if len(set(ids)) != len(ids):
+        orig = next(a for a, b in zip(ids, ids[1:]) if a == b)
+        raise ValueError(f"original vertex {orig} appears in two bags")
+    edges = {}
+    for e, ends in held.items():
+        if len(ends) != 2:
+            raise ValueError(f"tree edge {e} has {len(ends)} markers, not 2")
+        x, y = ends
+        if x == y:
+            raise ValueError(f"tree edge {e} has both markers in one bag")
+        edges[e] = (x, y) if x < y else (y, x)
+    if len(edges) != len(bags) - 1:
+        raise ValueError("bag graph is not a tree (edge count)")
+    # With one edge fewer than bags, the bag graph is connected iff no edge
+    # joins two bags that the edges before it already connect: a union-find
+    # where a bag is its own root until an edge hangs it under another.
+    up: dict[int, int] = {}
+    for x, y in edges.values():
+        while x in up:
+            x = up[x]
+        while y in up:
+            y = up[y]
+        if x == y:
+            raise ValueError("bag graph is not connected")
+        up[y] = x
+    return edges, tuple(ids)
 
 
 def accessible_rows(ids, bags) -> tuple:

@@ -140,8 +140,9 @@ def replay_trace(trace: EliminationTrace) -> Graph:
 
 def dh_metric_oracle(g: Graph) -> bool:
     """Independent recognizer: every connected induced subgraph must
-    preserve pairwise distances.  Decided on both backends by the
-    polynomial separation test of ``_kernels_py.metric_dh``, so no vertex
-    count is capped; the test is exact on disconnected graphs as well, where
-    it holds iff it holds on every component."""
+    preserve pairwise distances.  Decided by the polynomial separation test
+    of ``kernels.metric_dh``, compiled or pure with the same answer, at
+    every size a ``Graph`` has (n <= 64).  The test is exact on
+    disconnected graphs as well, where it holds iff it holds on every
+    component."""
     return kernels.metric_dh(g.n, g.adj)

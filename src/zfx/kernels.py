@@ -2,7 +2,7 @@
 
 The compiled extension (``zfx._kernels_cy``) is preferred when importable;
 ``ZFX_PURE=1`` in the environment forces the pure-Python fallback.  A kernel
-has a compiled twin only where it moves a campaign's run time, five in
+has a compiled twin only where it moves a campaign's run time, seven in
 all: ``canon_adj``, ``augment`` (one parent's step of the corpus
 enumeration, canonical forms included, each child returned as its level
 record and whether it is connected), ``profile_counts``, ``split_bags``
@@ -10,20 +10,24 @@ record and whether it is connected), ``profile_counts``, ``split_bags``
 its bags in one call, returning the reduced tree as ``{bag id: (rows,
 tokens, kind, center)}``, whose values ``splitdec.Bag`` takes as they are;
 the reduction rule is ``_kernels_py.reduce_bags``, and the compiled twin
-runs it in C) and ``accessible_rows`` (all of ``splitdec.reconstruct``'s
-accessibility search in one call, over ``(rows, tokens)`` bags, whose ids
-and tokens must fit signed 64-bit words).  A token names a label vertex:
-its original vertex ``>= 0``, or ``~e`` for the marker of tree edge e.
-Each twin runs its pure kernel's method with identical outputs and is
-bound here directly, with no fallback by n; parity is enforced by the
-test suite.  ``closure_mask``, ``closure_counts`` (the per-size counts of
-``profile_counts`` by one closure per subset), ``metric_dh`` (the
-polynomial separation test) and ``find_split_mask`` are pure on both
-backends.  ``find_split_mask`` (the first split, as its A-side mask) is
-the scan the pure ``split_bags`` runs on each part, from its own module;
-the compiled ``split_bags`` runs its own scan, so the binding here has no
-caller in the library.  It stays bound because ``perfbench/layers.json``
-traces it by this name and the tests use it as the split-primality oracle.
+runs it in C), ``accessible_rows`` (all of ``splitdec.reconstruct``'s
+accessibility search in one call, over ``(rows, tokens)`` bags),
+``tree_index`` (``splitdec.check_tree``'s one pass over a tree's tokens:
+every structural check, the tree edges in first-seen marker order and the
+sorted original ids) and ``metric_dh`` (the polynomial separation test
+behind ``dh.dh_metric_oracle``).  ``accessible_rows`` and ``tree_index``
+read bag ids and tokens as signed 64-bit words and refuse one that does
+not fit.  A token names a label vertex: its original vertex ``>= 0``, or
+``~e`` for the marker of tree edge e.  Each twin runs its pure kernel's
+method with identical outputs and is bound here directly, with no
+fallback by n; parity is enforced by the test suite.  ``closure_mask``,
+``closure_counts`` (the per-size counts of ``profile_counts`` by one
+closure per subset) and ``find_split_mask`` are pure on both backends.
+``find_split_mask`` (the first split, as its A-side mask) is the scan the
+pure ``split_bags`` runs on each part, from its own module; the compiled
+``split_bags`` runs its own scan, so the binding here has no caller in the
+library.  It stays bound because ``perfbench/layers.json`` traces it by
+this name and the tests use it as the split-primality oracle.
 """
 
 from __future__ import annotations
@@ -47,7 +51,8 @@ augment = _impl.augment
 profile_counts = _impl.profile_counts
 split_bags = _impl.split_bags
 accessible_rows = _impl.accessible_rows
+tree_index = _impl.tree_index
+metric_dh = _impl.metric_dh
 closure_mask = _kernels_py.closure_mask
 closure_counts = _kernels_py.closure_counts
-metric_dh = _kernels_py.metric_dh
 find_split_mask = _kernels_py.find_split_mask

@@ -19,9 +19,11 @@ they are made: peeling replaces bags rather than edit them, and reduces a
 fresh dict of bags.  A tree is its bags: a tree edge is a marker token
 that exactly two bags hold, one each.  It is checked once, when it is
 made: ``GraphLabelledTree(bags)`` runs ``check_tree``, the one pass over
-the tree's tokens, which also derives the tree edges and the vertex ids.
-Reconstruction, validation, summaries and the reductions read trees that
-already passed it, and read the edges it derived.
+the tree's tokens, which also derives the tree edges and the vertex ids;
+that pass is the ``kernels.tree_index`` kernel, compiled like the split
+and accessibility kernels.  Reconstruction, validation, summaries and the
+reductions read trees that already passed it, and read the edges it
+derived.
 """
 
 from __future__ import annotations
@@ -167,51 +169,15 @@ def check_tree(
     """Structural validity of ``t.bags``; raises TreeError on violation.
 
     Returns what the bags fix: each tree edge as the ``(min, max)`` ids of
-    the two bags holding its markers, and the sorted original vertex ids.
-    This is the one pass over the tokens.  It collects the original ids and
-    each marker's bags; the ids are sorted once, so a repeated id shows as
-    two equal neighbours (the least one is named).  The edge-count and
-    connectivity checks then read the derived edges, not the tokens.
+    the two bags holding its markers, in the order its first marker is met,
+    and the sorted original vertex ids.  ``kernels.tree_index`` makes the
+    one pass over the tokens and all the checks; its ``ValueError`` becomes
+    a ``TreeError`` with the same text.
     """
-    ids: list[int] = []
-    held: dict[int, list[int]] = {}
-    for bid, bag in t.bags.items():
-        tokens = bag.tokens
-        if len(tokens) != len(bag.rows):
-            raise TreeError(f"bag {bid} has {len(tokens)} tokens for "
-                            f"{len(bag.rows)} label vertices")
-        for tok in tokens:
-            if tok >= 0:
-                ids.append(tok)
-            else:
-                held.setdefault(~tok, []).append(bid)
-    ids.sort()
-    if len(set(ids)) != len(ids):
-        orig = next(a for a, b in zip(ids, ids[1:]) if a == b)
-        raise TreeError(f"original vertex {orig} appears in two bags")
-    edges = {}
-    for e, ends in held.items():
-        if len(ends) != 2:
-            raise TreeError(f"tree edge {e} has {len(ends)} markers, not 2")
-        x, y = ends
-        if x == y:
-            raise TreeError(f"tree edge {e} has both markers in one bag")
-        edges[e] = (x, y) if x < y else (y, x)
-    if len(edges) != len(t.bags) - 1:
-        raise TreeError("bag graph is not a tree (edge count)")
-    # With one edge fewer than bags, the bag graph is connected iff no edge
-    # joins two bags that the edges before it already connect: a union-find
-    # where a bag is its own root until an edge hangs it under another.
-    up: dict[int, int] = {}
-    for x, y in edges.values():
-        while x in up:
-            x = up[x]
-        while y in up:
-            y = up[y]
-        if x == y:
-            raise TreeError("bag graph is not connected")
-        up[y] = x
-    return edges, tuple(ids)
+    try:
+        return kernels.tree_index(t.bags)
+    except ValueError as exc:
+        raise TreeError(str(exc)) from exc
 
 
 def reconstruct(t: GraphLabelledTree) -> Graph:

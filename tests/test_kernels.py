@@ -138,6 +138,34 @@ def test_split_bags_parity_on_connected_classes_to_n8(cyk):
     assert bags == 30034
 
 
+def test_metric_dh_backend_parity(cyk):
+    """The compiled separation test gives the pure one's answer on every
+    class with n <= 8, disconnected ones included, and on seeded random
+    labelled graphs with 9 <= n <= 64.  At n = 64 the pairs past vertex 63
+    are empty, the mask the pure kernel writes as ``(2 << a) - 1``."""
+    classes = [g for n in range(9) for g in enumerate_graphs(n)]
+    assert len(classes) == 13599
+    dh = 0
+    for g in classes:
+        got = cyk.metric_dh(g.n, g.adj)
+        assert got == pyk.metric_dh(g.n, g.adj)
+        dh += got
+    assert dh == 2696
+    rng = random.Random(964)
+    verdicts = set()
+    for n in list(range(9, 17)) + [24, 32, 48, 63, 64]:
+        graphs = [_random_dh_adj(rng, n), _random_adj(rng, n, 0.1),
+                  _random_adj(rng, n, 0.5)]
+        for adj in graphs:
+            got = cyk.metric_dh(n, adj)
+            assert got == pyk.metric_dh(n, adj)
+            verdicts.add(got)
+    assert verdicts == {True, False}
+    for g, dh in ((make_path(64), True), (make_cycle(64), False),
+                  (make_complete(64), True)):
+        assert cyk.metric_dh(64, g.adj) == pyk.metric_dh(64, g.adj) == dh
+
+
 def _random_connected_adj(rng, n, p):
     """G(n, p) plus a random spanning tree, randomly labelled."""
     adj = list(_random_adj(rng, n, p))
@@ -367,7 +395,7 @@ def test_compiled_kernels_refuse_row_bits_at_or_above_n(cyk):
     too wide for a 64-bit word."""
     for module in (pyk, cyk):
         for kernel in (module.canon_adj, module.augment, module.profile_counts,
-                       module.split_bags):
+                       module.split_bags, module.metric_dh):
             for n, adj in ((2, (4, 0)), (1, (2,)), (2, (1 << 64, 0)),
                            (2, (1 << 70, 0))):
                 with pytest.raises(ValueError,
@@ -381,10 +409,23 @@ def test_kernels_refuse_a_negative_row_by_name(cyk):
     negative int has, are not what is wrong with it."""
     for module in (pyk, cyk):
         for kernel in (module.canon_adj, module.augment, module.profile_counts,
-                       module.split_bags):
+                       module.split_bags, module.metric_dh):
             for adj in ((-1, 0), (-(1 << 70), 0)):
                 with pytest.raises(ValueError, match="adj row 0 is negative"):
                     kernel(2, adj)
+
+
+def test_pure_closure_kernels_refuse_invalid_rows():
+    """The closure kernels, pure on both backends, refuse the rows the
+    compiled kernels refuse, with the same messages, rather than answer for
+    another graph; ``metric_dh`` once answered True on both of these."""
+    kernels_ = (pyk.closure_counts, pyk.metric_dh,
+                lambda n, adj: pyk.closure_mask(n, adj, 1))
+    for kernel in kernels_:
+        with pytest.raises(ValueError, match="adj row 0 has a bit at or above n = 2"):
+            kernel(2, (4, 0))
+        with pytest.raises(ValueError, match="adj row 0 is negative"):
+            kernel(3, (-1, 0, 0))
 
 
 def test_compiled_fort_count_on_paths_n19_to_n24(cyk):
@@ -471,7 +512,7 @@ def test_kernels_c_builds_warning_free(built_kernels):
     assert built_kernels.BACKEND == "cython"
     bound = set(re.findall(r"_impl\.(\w+)", (SRC / "kernels.py").read_text()))
     assert bound == {"BACKEND", "canon_adj", "augment", "profile_counts",
-                     "split_bags", "accessible_rows"}
+                     "split_bags", "accessible_rows", "tree_index", "metric_dh"}
     exported = {name for name in dir(built_kernels)
                 if callable(getattr(built_kernels, name))}
     assert exported == bound - {"BACKEND"}
@@ -490,16 +531,18 @@ def test_compiled_signatures_match_the_pure_twins(cyk):
         assert params == list(inspect.signature(getattr(pyk, name)).parameters), name
 
 
-# Runs every compiled kernel on each class with n <= 7 (split_bags and
-# accessible_rows on the connected ones, augment on those with
-# 1 <= n <= 6), on P_15 (augment's largest parent), P_24 and C_64, and
-# through the refusals of split_bags on disconnected graphs, of every
-# row-reading kernel on a row bit at or above n and of accessible_rows on a
-# token or id outside 64 bits, at and past the signed word's ends, and the
-# accessible_rows of a tree on the largest id and the least token.  Each
-# split_bags tree and augment record list is checked against the pure
-# kernel's, so the split tree's fixed arrays are filled and reduced under
-# the sanitizer.
+# Runs every compiled kernel on each class with n <= 7 (split_bags,
+# tree_index and accessible_rows on the connected ones, augment on those
+# with 1 <= n <= 6), on P_15 (augment's largest parent), P_24, P_64 and
+# C_64, and through the refusals of split_bags on disconnected graphs, of
+# every row-reading kernel on a row bit at or above n and of
+# accessible_rows and tree_index on an id or token outside 64 bits, at and
+# past the signed word's ends, and the accessible_rows and tree_index of
+# trees on the largest id and the least token.  Each split_bags tree,
+# tree_index result, metric_dh answer and augment record list is checked
+# against the pure kernel's, so the split tree's fixed arrays are filled and
+# reduced under the sanitizer, and a 200-bag chain grows every buffer of
+# tree_index onto the heap.
 _UBSAN_DRIVER = """
 import importlib.util, sys
 from zfx import _kernels_py as pyk
@@ -509,16 +552,26 @@ cyk = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(cyk)
 graphs = [g for n in range(8) for g in enumerate_graphs(n)]
 graphs += [make_path(15), make_path(24)]
+def same_index(bags):
+    edges, ids = cyk.tree_index(bags)
+    pure_edges, pure_ids = pyk.tree_index(bags)
+    assert list(edges.items()) == list(pure_edges.items()) and ids == pure_ids
 for g in graphs:
     cyk.canon_adj(g.n, g.adj)
     cyk.profile_counts(g.n, g.adj)
+    assert cyk.metric_dh(g.n, g.adj) == pyk.metric_dh(g.n, g.adj)
     if 1 <= g.n <= 6 or g.n == 15:
         assert cyk.augment(g.n, g.adj) == pyk.augment(g.n, g.adj)
     if g.n and is_connected(g):
         tree = cyk.split_bags(g.n, g.adj)
         assert list(tree.items()) == list(pyk.split_bags(g.n, g.adj).items())
+        same_index(tree)
         rows = cyk.accessible_rows(range(g.n), [bag[:2] for bag in tree.values()])
         assert rows == tuple(g.adj)
+chain = {0: ((0, 0), (0, ~0))}
+chain.update({b: ((0, 0, 0), (b, ~(b - 1), ~b)) for b in range(1, 199)})
+chain[199] = ((0, 0), (199, ~198))
+same_index(chain)
 refused = [(g.n, g.adj) for g in graphs if g.n <= 7 and not is_connected(g)]
 for n, adj in refused + [(64, (0,) * 64)]:
     try:
@@ -526,7 +579,8 @@ for n, adj in refused + [(64, (0,) * 64)]:
     except ValueError:
         continue
     sys.exit(f"split_bags took a disconnected graph on {n} vertices")
-for kernel in (cyk.canon_adj, cyk.augment, cyk.profile_counts, cyk.split_bags):
+for kernel in (cyk.canon_adj, cyk.augment, cyk.profile_counts, cyk.split_bags,
+               cyk.metric_dh):
     try:
         kernel(2, (4, 0))
     except ValueError:
@@ -544,7 +598,20 @@ top = (1 << 63) - 1
 assert cyk.accessible_rows((top,), [((0,), (top,))]) == (0,)
 edge = [((2, 1), (top, -(1 << 63))), ((2, 1), (-(1 << 63), 0))]
 assert cyk.accessible_rows((0, top), edge) == (2, 1)
+least = -(1 << 63)
+for bags in ({1 << 63: ((0,), (0,))}, {least - 1: ((0,), (0,))},
+             {0: ((0,), (1 << 63,))}, {0: ((0,), (least - 1,))}):
+    try:
+        cyk.tree_index(bags)
+    except ValueError:
+        continue
+    sys.exit(f"tree_index took {bags}")
+assert cyk.tree_index({top: ((0,), (top,))}) == ({}, (top,))
+ends = {least: ((2, 1), (top, least)), top: ((2, 1), (least, 0))}
+assert cyk.tree_index(ends) == ({top: (least, top)}, (0, top))
 cyk.canon_adj(64, make_cycle(64).adj)
+for g in (make_path(64), make_cycle(64)):
+    assert cyk.metric_dh(64, g.adj) == pyk.metric_dh(64, g.adj)
 """
 
 

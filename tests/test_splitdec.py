@@ -690,9 +690,13 @@ def test_reduce_refuses_a_nonadjacent_pass_through_bag():
         pyk.reduce_bags(bags)
 
 
-def test_check_tree_rejects_malformed():
+@pytest.mark.parametrize("backend", ["python", "cython"])
+def test_check_tree_rejects_malformed(backend, monkeypatch, request):
     """The shape of a tree is what its bags' markers say, so each malformed
-    tree is malformed bags."""
+    tree is malformed bags; both ``tree_index`` kernels refuse each one with
+    the same message, which ``check_tree`` raises as a ``TreeError``."""
+    module = pyk if backend == "python" else request.getfixturevalue("cyk")
+    monkeypatch.setattr(kernels, "tree_index", module.tree_index)
     t = _kk_tree()
     with pytest.raises(TreeError, match="tree edge 0 has 3 markers, not 2"):
         GraphLabelledTree({**t.bags, 2: _clique_bag(4, 5, ~0)})
@@ -713,6 +717,60 @@ def test_check_tree_rejects_malformed():
         with pytest.raises(TreeError,
                            match=f"bag 0 has {len(tokens)} tokens for 1 label vertices"):
             GraphLabelledTree({0: Bag(make_complete(1).adj, tokens, "clique")})
+
+
+@pytest.mark.parametrize("backend", ["python", "cython"])
+def test_check_tree_on_the_signed_64_bit_word(backend, monkeypatch, request):
+    """Bag ids and tokens are signed 64-bit words on both backends: the
+    word's ends are taken, as an original id, a bag id and the marker of
+    tree edge 2^63 - 1, and a value past either end is refused by name."""
+    module = pyk if backend == "python" else request.getfixturevalue("cyk")
+    monkeypatch.setattr(kernels, "tree_index", module.tree_index)
+    top, least = (1 << 63) - 1, -(1 << 63)
+    assert GraphLabelledTree({top: _clique_bag(top)}).vertex_ids == (top,)
+    t = GraphLabelledTree({least: _clique_bag(top, least),
+                           top: _clique_bag(least, 0)})
+    assert t.tree_edges == {top: (least, top)} and t.vertex_ids == (0, top)
+    for bid in (top + 1, least - 1):
+        with pytest.raises(TreeError, match=f"bag id {bid} does not fit a 64-bit word"):
+            GraphLabelledTree({bid: _clique_bag(0)})
+    for tok in (top + 1, least - 1, 1 << 70):
+        with pytest.raises(TreeError,
+                           match="bag 3 has a token that does not fit a 64-bit word"):
+            GraphLabelledTree({3: _clique_bag(0, tok)})
+
+
+def test_tree_index_parity(cyk):
+    """Both ``tree_index`` kernels give the same edges, in the same order,
+    and the same ids on the tree of every connected graph with n <= 8, on
+    both results of each of its 518 peels, and on a 200-bag chain, which
+    outgrows the compiled kernel's stack buffers."""
+
+    def same(bags):
+        edges, ids = cyk.tree_index(bags)
+        pure_edges, pure_ids = pyk.tree_index(bags)
+        assert list(edges.items()) == list(pure_edges.items())
+        assert ids == pure_ids
+
+    peels = 0
+    for n in range(1, 9):
+        for g in enumerate_graphs(n, connected_only=True):
+            t = decompose(g)
+            same(t.bags)
+            summary = summarize(t)
+            if summary.prime_bag_count != 1 or summary.star_centered_at_prime:
+                continue
+            b = pick_peelable_bag(t)
+            if twin_from_leaf_bag(t, b) is None:
+                for result in peel(t, b):
+                    same(result.bags)
+                peels += 1
+    assert peels == 518
+    chain = {0: _clique_bag(0, ~0)}
+    chain.update({b: _clique_bag(b, ~(b - 1), ~b) for b in range(1, 199)})
+    chain[199] = _clique_bag(199, ~198)
+    same(chain)
+    assert len(GraphLabelledTree(chain).tree_edges) == 199
 
 
 # --- leaf-bag classification and twins ---------------------------------------------
